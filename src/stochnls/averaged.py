@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpatialGrid, laplacian_symbol
+from .grid import SpatialGrid, apply_multiplier, kinetic_phase
 from .markov import MarkovModel, heat_kernel
 from .potential import PotentialFamily
 from .propagator import SolverConfig
@@ -125,18 +125,14 @@ def solve_scalar_averaged(g0: AveragedField, family: PotentialFamily,
     if g0.m != m or family.m != m:
         raise ValueError("state counts of g0, family and model disagree")
     shape = (m,) + grid.shape
-    axes = tuple(range(1, grid.dim + 1))
-    sym = laplacian_symbol(grid).reshape(grid.shape)
     g = g0.g.reshape(shape).copy()
     dt = cfg.dt
-    kin_full = np.exp(1j * dt * sym)
-    kin_half = np.exp(1j * 0.5 * dt * sym)
+    # the state axis is the multiplier's batch axis
+    kin_full = kinetic_phase(grid, dt)
+    kin_half = kinetic_phase(grid, 0.5 * dt)
     pot_full = np.exp(1j * dt * family.V).reshape(shape)
     mix_half = _mixing_matrix(model, 0.5 * dt)
     mix_full = _mixing_matrix(model, dt)
-
-    def kinetic(a, phase):
-        return np.fft.ifftn(phase[None] * np.fft.fftn(a, axes=axes), axes=axes)
 
     def mix(a, M):
         return np.tensordot(M, a, axes=(1, 0))
@@ -157,15 +153,15 @@ def solve_scalar_averaged(g0: AveragedField, family: PotentialFamily,
         for j in range(n_steps):
             t_mid = t + 0.5 * dt
             if cfg.order == 2:
-                g = kinetic(g, kin_half)
+                g = apply_multiplier(g, kin_half)
                 g = mix(g, mix_half)
                 g = pot_full * g
                 if source is not None:
                     g = g + 1j * dt * np.asarray(source(grid, t_mid)).reshape(shape)
                 g = mix(g, mix_half)
-                g = kinetic(g, kin_half)
+                g = apply_multiplier(g, kin_half)
             else:
-                g = kinetic(g, kin_full)
+                g = apply_multiplier(g, kin_full)
                 g = mix(g, mix_full)
                 g = pot_full * g
                 if source is not None:
@@ -193,23 +189,21 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
         raise ValueError(f"liouville solve capped at n <= {n_cap}, m <= {m_cap}")
     if f0.m != m or family.m != m:
         raise ValueError("state counts of f0, family and model disagree")
-    sym = laplacian_symbol(grid)
     dt = cfg.dt
-    kin_half = np.exp(1j * 0.5 * dt * sym)
-    kin_full = np.exp(1j * dt * sym)
-    pot_full = np.exp(1j * dt * family.V)  # (m, n) phases
+
+    def pair_phase(tau):
+        # U f U^H is the multiplier exp(i tau (|k1|^2 - |k2|^2)) on the kernel
+        # (-Lap_{x1} + Lap_{x2}); the state axis is its batch axis
+        p = kinetic_phase(grid, tau)
+        return p[:, None] * p.conj()[None, :]
+
+    kin_half = pair_phase(0.5 * dt)
+    kin_full = pair_phase(dt)
+    pot = np.exp(1j * dt * family.V)  # (m, n) phases
+    pot_left, pot_right = pot[:, :, None], pot.conj()[:, None, :]
     mix_half = _mixing_matrix(model, 0.5 * dt)
     mix_full = _mixing_matrix(model, dt)
     f = f0.f.copy()
-
-    def apply_U(X, phase):
-        # one-particle step operator on the left: U @ X
-        return np.fft.ifft(phase[:, None] * np.fft.fft(X, axis=0), axis=0)
-
-    def conjugate_kinetic(fy, phase):
-        # U f U^H, via U @ (U @ f^H)^H
-        inner = apply_U(fy.conj().T, phase)
-        return apply_U(inner.conj().T, phase)
 
     t = 0.0
     out: list[AveragedDensityMatrix] = []
@@ -227,24 +221,17 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
         for j in range(n_steps):
             t_mid = t + 0.5 * dt
             if cfg.order == 2:
-                for y in range(m):
-                    f[y] = conjugate_kinetic(f[y], kin_half)
+                f = apply_multiplier(f, kin_half)
                 f = np.tensordot(mix_half, f, axes=(1, 0))
-                for y in range(m):
-                    p = pot_full[y]
-                    f[y] = p[:, None] * f[y] * p.conj()[None, :]
+                f = pot_left * f * pot_right
                 if source is not None:
                     f = f + 1j * dt * np.asarray(source(grid, t_mid))
                 f = np.tensordot(mix_half, f, axes=(1, 0))
-                for y in range(m):
-                    f[y] = conjugate_kinetic(f[y], kin_half)
+                f = apply_multiplier(f, kin_half)
             else:
-                for y in range(m):
-                    f[y] = conjugate_kinetic(f[y], kin_full)
+                f = apply_multiplier(f, kin_full)
                 f = np.tensordot(mix_full, f, axes=(1, 0))
-                for y in range(m):
-                    p = pot_full[y]
-                    f[y] = p[:, None] * f[y] * p.conj()[None, :]
+                f = pot_left * f * pot_right
                 if source is not None:
                     f = f + 1j * dt * np.asarray(source(grid, t_mid))
             t = t + dt if j < n_steps - 1 else target

@@ -49,31 +49,11 @@ class EnsembleConfig:
     N: int
     master_seed: int
     horizon: float
-    reduction_precision: str = "double"  # or "compensated"
     store_density_matrix: bool = False
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.reduction_precision not in ("double", "compensated"):
-            raise ValueError("reduction_precision must be 'double' or 'compensated'")
-
-
-class _Accumulator:
-    """Fixed-order reducer, optionally with compensated (Kahan) summation."""
-
-    def __init__(self, shape, dtype, compensated: bool):
-        self.value = np.zeros(shape, dtype=dtype)
-        self.comp = np.zeros(shape, dtype=dtype) if compensated else None
-
-    def add(self, index, chunk) -> None:
-        if self.comp is None:
-            self.value[index] += chunk
-            return
-        y = chunk - self.comp[index]
-        t = self.value[index] + y
-        self.comp[index] = (t - self.value[index]) - y
-        self.value[index] = t
 
 
 @dataclass
@@ -189,16 +169,14 @@ def run_ensemble(psi0_law, family: PotentialFamily, model: MarkovModel,
     grid = psi0_law.grid if isinstance(psi0_law, WaveField) else family.grid
     T_axis = cfg.sample_times.size
     m = model.m
-    compensated = ecfg.reduction_precision == "compensated"
-    sums = _Accumulator((T_axis, m, grid.size), np.complex128, compensated)
-    sums_sq = _Accumulator((T_axis, m, grid.size), np.float64, compensated)
+    sums = np.zeros((T_axis, m, grid.size), dtype=np.complex128)
+    sums_sq = np.zeros((T_axis, m, grid.size))
     counts = np.zeros((T_axis, m), dtype=np.int64)
     outer = None
     if ecfg.store_density_matrix:
         if grid.dim != 1:
             raise ValueError("density-matrix accumulation is restricted to d = 1")
-        outer = _Accumulator((T_axis, m, grid.size, grid.size), np.complex128,
-                             compensated)
+        outer = np.zeros((T_axis, m, grid.size, grid.size), dtype=np.complex128)
 
     scalar_names = ("l2", "suml2linf", "energy_kinetic", "energy_potential",
                     "energy_hartree", "weighted_mass", "lorentz62")
@@ -223,8 +201,7 @@ def run_ensemble(psi0_law, family: PotentialFamily, model: MarkovModel,
 
     avg = ConditionalAverage(
         grid=grid, sample_times=cfg.sample_times.copy(), m=m, N=ecfg.N,
-        sums=sums.value, sums_sq=sums_sq.value, counts=counts,
-        outer_sums=outer.value if outer is not None else None,
+        sums=sums, sums_sq=sums_sq, counts=counts, outer_sums=outer,
     )
     series = PathScalarSeries(sample_times=cfg.sample_times.copy(), state=states,
                               weighted_mass=scalars["weighted_mass"],
@@ -243,11 +220,11 @@ def _reduce(items, sums, sums_sq, counts, outer, states, scalars,
         for j in range(T_axis):
             y = int(path_states[j])
             vals = fields[j]
-            sums.add((j, y), vals)
-            sums_sq.add((j, y), np.abs(vals) ** 2)
+            sums[j, y] += vals
+            sums_sq[j, y] += np.abs(vals) ** 2
             counts[j, y] += 1
             if outer is not None:
-                outer.add((j, y), np.outer(vals, vals.conj()))
+                outer[j, y] += np.outer(vals, vals.conj())
         states[i] = path_states
         for k in scalar_names:
             scalars[k][i] = path_scalars[k]

@@ -7,6 +7,9 @@ Conventions used throughout the package:
   complex arrays of length n**d, row-major over axes.
 * Discrete Fourier transforms are unitary (norm="ortho"), so Parseval is
   an exact statement up to roundoff.
+* Every solver's free flow U(t) = exp(+i t |k|^2) goes through one
+  spectral-multiplier primitive, :func:`apply_multiplier`, with kinetic
+  phases from a small per-(grid, t) cache (:func:`free_flow`).
 * All integral norms carry the cell-volume weight h**d so that values
   converge to their continuum counterparts under refinement.
 """
@@ -14,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +25,9 @@ __all__ = [
     "SpatialGrid",
     "WaveField",
     "laplacian_symbol",
+    "kinetic_phase",
+    "apply_multiplier",
+    "free_flow",
     "transform",
     "inverse_transform",
     "spectral_convolution",
@@ -138,6 +145,36 @@ def laplacian_symbol(grid: SpatialGrid) -> np.ndarray:
         shape[ax] = grid.points_per_axis
         sym = sym + (k**2).reshape(shape)
     return sym.reshape(-1)
+
+
+@lru_cache(maxsize=8)
+def kinetic_phase(grid: SpatialGrid, tau: float) -> np.ndarray:
+    """The free-flow multiplier exp(+i tau |k|^2), shaped like the grid.
+
+    Cached per (grid, tau) and read-only: a phase is a pure function of
+    its key, so a cached phase and a fresh one are bitwise equal.
+    """
+    phase = np.exp(1j * tau * laplacian_symbol(grid).reshape(grid.shape))
+    phase.flags.writeable = False
+    return phase
+
+
+def apply_multiplier(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """ifft(phase * fft(values)) over the trailing phase.ndim axes.
+
+    Leading axes of `values` are batch axes.  A one-axis phase takes the
+    plain fft/ifft pair, which costs about half an fftn/ifftn pair at
+    desk-scale lengths, where a transform is mostly call overhead.
+    """
+    if phase.ndim == 1:
+        return np.fft.ifft(phase * np.fft.fft(values))
+    axes = tuple(range(-phase.ndim, 0))
+    return np.fft.ifftn(phase * np.fft.fftn(values, axes=axes), axes=axes)
+
+
+def free_flow(grid: SpatialGrid, values: np.ndarray, tau: float) -> np.ndarray:
+    """U(tau) = exp(+i tau |k|^2) applied to fields of shape (..., *grid.shape)."""
+    return apply_multiplier(values, kinetic_phase(grid, tau))
 
 
 def transform(psi: WaveField) -> np.ndarray:

@@ -23,12 +23,12 @@ exactly unitary (up to roundoff) whenever no source is present.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .diagnostics import energy_breakdown
-from .grid import SpatialGrid, WaveField, laplacian_symbol, lebesgue_norm, \
+from .grid import SpatialGrid, WaveField, free_flow, lebesgue_norm, \
     spectral_convolution, sum_norm
 from .markov import PathSample, state_at
 from .potential import HartreeKernel, PotentialFamily, realize
@@ -117,49 +117,6 @@ def hartree_potential(psi: WaveField, kernel: HartreeKernel) -> np.ndarray:
     return kernel.epsilon * conv.real
 
 
-class _Stepper:
-    """Split-step state shared by one evolution (scratch buffers, caches)."""
-
-    def __init__(self, grid: SpatialGrid, order: int):
-        self.grid = grid
-        self.shape = grid.shape
-        self.sym = laplacian_symbol(grid).reshape(grid.shape)
-        self.order = order
-        self._kin_cache: dict[float, np.ndarray] = {}
-
-    def kinetic(self, values: np.ndarray, tau: float) -> np.ndarray:
-        phase = self._kin_cache.get(tau)
-        if phase is None:
-            phase = np.exp(1j * tau * self.sym)
-            if len(self._kin_cache) < 8:
-                self._kin_cache[tau] = phase
-        if self.grid.dim == 1:
-            return np.fft.ifft(phase * np.fft.fft(values))
-        return np.fft.ifftn(phase * np.fft.fftn(values))
-
-    def substep(self, values: np.ndarray, tau: float, t0: float,
-                potential_at: Callable[[float, np.ndarray], np.ndarray],
-                source_at=None) -> np.ndarray:
-        """One split step over [t0, t0+tau] with autonomous potential.
-
-        potential_at(t_mid, values_mid) returns the real potential (state
-        potential plus any Hartree term) frozen for the step; the source is
-        injected at the midpoint with weight i*tau.
-        """
-        t_mid = t0 + 0.5 * tau
-        if self.order == 2:
-            values = self.kinetic(values, 0.5 * tau)
-            values = values * np.exp(1j * tau * potential_at(t_mid, values))
-            if source_at is not None:
-                values = values + 1j * tau * source_at(t_mid)
-            return self.kinetic(values, 0.5 * tau)
-        values = self.kinetic(values, tau)
-        values = values * np.exp(1j * tau * potential_at(t_mid, values))
-        if source_at is not None:
-            values = values + 1j * tau * source_at(t_mid)
-        return values
-
-
 def _interval_edges(t0: float, t1: float, dt: float, path: PathSample) -> np.ndarray:
     """All substep boundaries over [t0, t1]: base steps plus jump times."""
     n_steps = int(round((t1 - t0) / dt))
@@ -171,18 +128,20 @@ def _interval_edges(t0: float, t1: float, dt: float, path: PathSample) -> np.nda
     return edges
 
 
-def _march_interval(stepper: _Stepper, values: np.ndarray, edges: np.ndarray,
-                    potential_at, source_at=None) -> np.ndarray:
+def _march_interval(grid: SpatialGrid, order: int, values: np.ndarray,
+                    edges: np.ndarray, potential_at, source_at=None) -> np.ndarray:
     """Advance across the substeps delimited by `edges`.
 
+    potential_at(t_mid, values) returns the real potential frozen for one
+    substep; the source is injected at the midpoint with weight i*tau.
     For Strang order the trailing half-kinetic factor of each substep is
     fused with the leading one of the next (the multipliers compose
     exactly), halving the transform count; the potential still sees the
     true midpoint state of every substep.
     """
     taus = np.diff(edges)
-    if stepper.order == 2:
-        values = stepper.kinetic(values, 0.5 * taus[0])
+    if order == 2:
+        values = free_flow(grid, values, 0.5 * taus[0])
         last = taus.size - 1
         for k in range(taus.size):
             tau = taus[k]
@@ -191,16 +150,44 @@ def _march_interval(stepper: _Stepper, values: np.ndarray, edges: np.ndarray,
             if source_at is not None:
                 values = values + 1j * tau * source_at(t_mid)
             hop = 0.5 * tau if k == last else 0.5 * (tau + taus[k + 1])
-            values = stepper.kinetic(values, hop)
+            values = free_flow(grid, values, hop)
         return values
     for k in range(taus.size):
         tau = taus[k]
-        values = stepper.kinetic(values, tau)
+        values = free_flow(grid, values, tau)
         t_mid = edges[k] + 0.5 * tau
         values = values * np.exp(1j * tau * potential_at(t_mid, values))
         if source_at is not None:
             values = values + 1j * tau * source_at(t_mid)
     return values
+
+
+def _march(psi0: WaveField, path: PathSample, cfg: SolverConfig,
+           potential_at) -> Iterator[tuple[float, np.ndarray]]:
+    """Yield (t, values) at each of cfg.sample_times, marching psi0 along path.
+
+    Steps are cut at the path's jump times, cfg.source is injected at
+    substep midpoints, and a field that loses finiteness is an error.  The
+    yielded array is the march's own state: copy it to keep it.
+    """
+    grid = psi0.grid
+    source_at = None
+    if cfg.source is not None:
+        def source_at(t_mid: float) -> np.ndarray:
+            chunk = cfg.source(grid, t_mid, path.restricted(t_mid))
+            return np.asarray(chunk, dtype=complex).reshape(grid.shape)
+
+    values = psi0.values.reshape(grid.shape).copy()
+    t = 0.0
+    for target in cfg.sample_times:
+        if target > 1e-15:
+            edges = _interval_edges(t, target, cfg.dt, path)
+            values = _march_interval(grid, cfg.order, values, edges, potential_at,
+                                     source_at)
+            t = target
+            if not np.all(np.isfinite(values.view(float))):
+                raise RuntimeError(f"solution lost finiteness at t={t}")
+        yield target, values
 
 
 def evolve_path(psi0: WaveField, family: PotentialFamily, path: PathSample,
@@ -214,7 +201,6 @@ def evolve_path(psi0: WaveField, family: PotentialFamily, path: PathSample,
     if family.grid.size != grid.size:
         raise ValueError("potential family lives on a different grid")
 
-    stepper = _Stepper(grid, cfg.order)
     eps = cfg.epsilon
     use_hartree = kernel is not None and eps != 0.0
     if use_hartree and kernel.epsilon != eps:
@@ -227,19 +213,10 @@ def evolve_path(psi0: WaveField, family: PotentialFamily, path: PathSample,
             return V + hartree_potential(mid, kernel).reshape(grid.shape)
         return V
 
-    source_at = None
-    if cfg.source is not None:
-        def source_at(t_mid: float) -> np.ndarray:
-            chunk = cfg.source(grid, t_mid, path.restricted(t_mid))
-            return np.asarray(chunk, dtype=complex).reshape(grid.shape)
-
-    values = psi0.values.reshape(grid.shape).copy()
-    t = 0.0
     snapshots: list[WaveField] = []
     states: list[int] = []
     scalar_rows: list[tuple] = []
-
-    def record(time: float) -> None:
+    for time, values in _march(psi0, path, cfg, potential_at):
         f = WaveField(grid, values.reshape(-1).copy())
         snapshots.append(f)
         states.append(state_at(path, min(time, path.horizon)))
@@ -247,17 +224,6 @@ def evolve_path(psi0: WaveField, family: PotentialFamily, path: PathSample,
                              kernel if use_hartree else None, t=time)
         scalar_rows.append((time, lebesgue_norm(f, 2), sum_norm(f),
                             e.kinetic, e.potential, e.hartree))
-
-    for target in cfg.sample_times:
-        if target <= 1e-15:
-            record(target)
-            continue
-        edges = _interval_edges(t, target, cfg.dt, path)
-        values = _march_interval(stepper, values, edges, potential_at, source_at)
-        t = target
-        if not np.all(np.isfinite(values.view(float))):
-            raise RuntimeError(f"solution lost finiteness at t={t}")
-        record(target)
 
     names = ("t", "l2", "suml2linf", "energy_kinetic", "energy_potential",
              "energy_hartree")
@@ -284,14 +250,9 @@ def duhamel_residual(output: TrajectoryOutput, family: PotentialFamily,
         raise ValueError(f"t={t} is not a sample time")
     idx = int(idx[0])
     grid = output.grid
-    sym = laplacian_symbol(grid).reshape(grid.shape)
     eps = cfg.epsilon
-
-    def free_flow(values: np.ndarray, tau: float) -> np.ndarray:
-        return np.fft.ifftn(np.exp(1j * tau * sym) * np.fft.fftn(values))
-
     psi0 = output.snapshots[0].values.reshape(grid.shape)
-    acc = free_flow(psi0, t)
+    acc = free_flow(grid, psi0, t)
     if idx > 0:
         integrand = []
         for j in range(idx + 1):
@@ -304,7 +265,7 @@ def duhamel_residual(output: TrajectoryOutput, family: PotentialFamily,
                     * snap.values
             if cfg.source is not None:
                 G = G + np.asarray(cfg.source(grid, s, path.restricted(s))).reshape(-1)
-            integrand.append(free_flow(G.reshape(grid.shape), t - s))
+            integrand.append(free_flow(grid, G.reshape(grid.shape), t - s))
         integrand = np.array(integrand)
         acc = acc + 1j * np.trapezoid(integrand, times[: idx + 1], axis=0)
     diff = WaveField(grid, (output.snapshots[idx].values - acc.reshape(-1)))
@@ -342,76 +303,48 @@ def picard_sequence(psi0: WaveField, family: PotentialFamily, path: PathSample,
     dense_times[-1] = T
     dense_cfg = SolverConfig(dt=cfg.dt, sample_times=dense_times, order=cfg.order,
                              epsilon=0.0, source=cfg.source)
+    states = np.array([state_at(path, min(s, path.horizon)) for s in dense_times])
 
-    def frozen_potential_family(prev: TrajectoryOutput | None):
-        if prev is None or cfg.epsilon == 0.0:
-            return None
-        fields = np.array([
-            hartree_potential(snap, HartreeKernel(grid, kernel.chi, cfg.epsilon))
-            for snap in prev.snapshots
-        ])
-        def frozen(t_mid: float) -> np.ndarray:
-            x = min(max(t_mid / cfg.dt, 0.0), n_total - 1e-9)
-            j = int(x)
-            w = x - j
-            return (1.0 - w) * fields[j] + w * fields[min(j + 1, n_total)]
-        return frozen
+    def frozen_potential(prev: TrajectoryOutput | None):
+        """V_omega plus the previous iterate's Hartree field, if any."""
+        fields = None
+        if prev is not None and cfg.epsilon != 0.0:
+            frozen_kernel = HartreeKernel(grid, kernel.chi, cfg.epsilon)
+            fields = np.array([hartree_potential(snap, frozen_kernel)
+                               for snap in prev.snapshots])
+
+        def potential_at(t_mid: float, _values: np.ndarray) -> np.ndarray:
+            V = family.V[state_at(path, min(t_mid, path.horizon))]
+            if fields is not None:
+                x = min(max(t_mid / cfg.dt, 0.0), n_total - 1e-9)
+                j = int(x)
+                w = x - j
+                V = V + ((1.0 - w) * fields[j] + w * fields[min(j + 1, n_total)])
+            return V.reshape(grid.shape)
+        return potential_at
 
     trajectories: list[TrajectoryOutput] = []
-    prev_snapshots = None  # iterate 0 is the zero field
     deltas = []
-    prev_output = None
+    prev = None  # iterate 0 is the zero field
     sample_idx = np.rint(np.asarray(cfg.sample_times) / cfg.dt).astype(int)
     for n in range(1, n_iters + 1):
-        frozen = frozen_potential_family(prev_output)
-        out = _evolve_frozen(psi0, family, path, dense_cfg, frozen)
+        snapshots = [WaveField(grid, values.reshape(-1).copy()) for _, values
+                     in _march(psi0, path, dense_cfg, frozen_potential(prev))]
+        out = TrajectoryOutput(grid=grid, sample_times=dense_times.copy(),
+                               snapshots=snapshots, states=states.copy(),
+                               scalars={"t": dense_times.copy()})
         sup = 0.0
         for k in sample_idx:
-            cur = out.snapshots[k].values
-            ref = prev_snapshots[k].values if prev_snapshots is not None else 0.0
-            diff = WaveField(grid, cur - ref)
+            ref = prev.snapshots[k].values if prev is not None else 0.0
+            diff = WaveField(grid, snapshots[k].values - ref)
             sup = max(sup, lebesgue_norm(diff, 2))
         deltas.append(sup)
         trajectories.append(out)
-        prev_snapshots = out.snapshots
-        prev_output = out
+        prev = out
     deltas = np.array(deltas)
     increases = np.diff(deltas) > 0
     diverged = any(np.all(increases[i:i + 3]) for i in range(len(increases) - 2))
     return PicardResult(trajectories=trajectories, deltas=deltas, diverged=diverged)
-
-
-def _evolve_frozen(psi0: WaveField, family: PotentialFamily, path: PathSample,
-                   cfg: SolverConfig, frozen) -> TrajectoryOutput:
-    """Linear evolution with an extra time-interpolated potential field."""
-    grid = psi0.grid
-    stepper = _Stepper(grid, cfg.order)
-
-    def potential_at(t_mid: float, _values: np.ndarray) -> np.ndarray:
-        V = family.V[state_at(path, min(t_mid, path.horizon))]
-        if frozen is not None:
-            V = V + frozen(t_mid)
-        return V.reshape(grid.shape)
-
-    source_at = None
-    if cfg.source is not None:
-        def source_at(t_mid: float) -> np.ndarray:
-            return np.asarray(cfg.source(grid, t_mid, path.restricted(t_mid)),
-                              dtype=complex).reshape(grid.shape)
-
-    values = psi0.values.reshape(grid.shape).copy()
-    t = 0.0
-    snapshots = [WaveField(grid, values.reshape(-1).copy())]
-    for target in cfg.sample_times[1:]:
-        edges = _interval_edges(t, target, cfg.dt, path)
-        values = _march_interval(stepper, values, edges, potential_at, source_at)
-        t = target
-        snapshots.append(WaveField(grid, values.reshape(-1).copy()))
-    states = np.array([state_at(path, min(s, path.horizon)) for s in cfg.sample_times])
-    l2 = np.array([lebesgue_norm(s, 2) for s in snapshots])
-    return TrajectoryOutput(grid=grid, sample_times=cfg.sample_times.copy(),
-                            snapshots=snapshots, states=states,
-                            scalars={"t": cfg.sample_times.copy(), "l2": l2})
 
 
 def wave_operator_estimate(output: TrajectoryOutput, times: np.ndarray) -> np.ndarray:
@@ -425,13 +358,10 @@ def wave_operator_estimate(output: TrajectoryOutput, times: np.ndarray) -> np.nd
     if times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("need at least two increasing times")
     grid = output.grid
-    sym = laplacian_symbol(grid).reshape(grid.shape)
     filtered = []
     for t in times:
         snap = output.snapshot_at(t)
-        vals = np.fft.ifftn(np.exp(-1j * t * sym)
-                            * np.fft.fftn(snap.values.reshape(grid.shape)))
-        filtered.append(vals.reshape(-1))
+        filtered.append(free_flow(grid, snap.values.reshape(grid.shape), -t).reshape(-1))
     increments = [
         lebesgue_norm(WaveField(grid, b - a), 2)
         for a, b in zip(filtered[:-1], filtered[1:])

@@ -79,9 +79,7 @@ def assemble_h(family: PotentialFamily, model: MarkovModel,
         raise ValueError(f"matrix size {size} exceeds the cap {cap}")
     if family.m != m:
         raise ValueError("family and model state counts disagree")
-    L = dense_laplacian(grid)
-    H = np.kron(np.eye(m), L).astype(complex)
-    H += 1j * np.kron(model.A, np.eye(grid.size))
+    H = _free_operator(grid, model)
     H += np.diag(family.V.reshape(-1).astype(complex))
     return DiscreteHamiltonian(grid=grid, m=m, H=H, well_window=_well_window(family))
 
@@ -133,25 +131,32 @@ class KBOperator:
         return float(np.linalg.svd(self.KB, compute_uv=False)[-1])
 
 
-def _free_operator(family: PotentialFamily, model: MarkovModel) -> np.ndarray:
-    L = dense_laplacian(family.grid)
+def _free_operator(grid: SpatialGrid, model: MarkovModel) -> np.ndarray:
+    """Dense H0 = (-Lap x I_y) + i (I_x x A) in state-major layout."""
+    L = dense_laplacian(grid)
     return np.kron(np.eye(model.m), L).astype(complex) \
-        + 1j * np.kron(model.A, np.eye(family.grid.size))
+        + 1j * np.kron(model.A, np.eye(grid.size))
+
+
+def _kb_setup(family: PotentialFamily, model: MarkovModel):
+    """H0, the identity and the split factors v1, v2 as flat vectors."""
+    H0 = _free_operator(family.grid, model)
+    w = split(family)
+    return H0, np.eye(H0.shape[0], dtype=complex), w.v1.reshape(-1), w.v2.reshape(-1)
+
+
+def _kb_matrix(H0, eye, v1, v2, lam: complex) -> np.ndarray:
+    """I + v2 R0(lambda) v1 with R0 = (H0 - lambda)^{-1}."""
+    if lam.imag > 0:
+        raise ValueError("KB is defined on the closed lower half-plane only")
+    R0 = np.linalg.inv(H0 - lam * eye)
+    return eye + v2[:, None] * R0 * v1[None, :]
 
 
 def assemble_kb(family: PotentialFamily, model: MarkovModel,
                 lam: complex) -> KBOperator:
     """KB(lambda) = I + v2 R0(lambda) v1 on the state-major index."""
-    if lam.imag > 0:
-        raise ValueError("KB is defined on the closed lower half-plane only")
-    H0 = _free_operator(family, model)
-    size = H0.shape[0]
-    w = split(family)
-    v1 = w.v1.reshape(-1)
-    v2 = w.v2.reshape(-1)
-    R0 = np.linalg.inv(H0 - lam * np.eye(size))
-    KB = np.eye(size, dtype=complex) + v2[:, None] * R0 * v1[None, :]
-    return KBOperator(lam=lam, KB=KB)
+    return KBOperator(lam=lam, KB=_kb_matrix(*_kb_setup(family, model), lam))
 
 
 def default_lambda_grid(re_span: tuple[float, float] = (-10.0, 10.0),
@@ -170,18 +175,10 @@ def kb_scan(family: PotentialFamily, model: MarkovModel,
     if lam_grid is None:
         lam_grid = default_lambda_grid()
     lam_grid = np.asarray(lam_grid, dtype=complex).reshape(-1)
-    H0 = _free_operator(family, model)
-    size = H0.shape[0]
-    w = split(family)
-    v1 = w.v1.reshape(-1)
-    v2 = w.v2.reshape(-1)
-    eye = np.eye(size, dtype=complex)
+    parts = _kb_setup(family, model)
     mins = np.empty(lam_grid.size)
     for i, lam in enumerate(lam_grid):
-        if lam.imag > 0:
-            raise ValueError("lambda grid must stay in the closed lower half-plane")
-        R0 = np.linalg.inv(H0 - lam * eye)
-        KB = eye + v2[:, None] * R0 * v1[None, :]
+        KB = _kb_matrix(*parts, lam)
         mins[i] = float(np.linalg.svd(KB, compute_uv=False)[-1])
     gmin = int(np.argmin(mins))
     return {"lambdas": lam_grid, "min_singular_values": mins,
@@ -191,17 +188,9 @@ def kb_scan(family: PotentialFamily, model: MarkovModel,
 def resolvent_identity_residual(family: PotentialFamily, model: MarkovModel,
                                 lam: complex) -> float:
     """Max-norm defect of (I + v2 R0 v1)(I - v2 R_V v1) = I."""
-    if lam.imag > 0:
-        raise ValueError("lambda must lie in the closed lower half-plane")
-    H0 = _free_operator(family, model)
-    size = H0.shape[0]
-    eye = np.eye(size, dtype=complex)
-    w = split(family)
-    v1 = w.v1.reshape(-1)
-    v2 = w.v2.reshape(-1)
-    R0 = np.linalg.inv(H0 - lam * eye)
+    H0, eye, v1, v2 = _kb_setup(family, model)
+    left = _kb_matrix(H0, eye, v1, v2, lam)
     RV = np.linalg.inv(H0 + np.diag(family.V.reshape(-1)) - lam * eye)
-    left = eye + v2[:, None] * R0 * v1[None, :]
     right = eye - v2[:, None] * RV * v1[None, :]
     return float(np.max(np.abs(left @ right - eye)))
 

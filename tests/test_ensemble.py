@@ -88,19 +88,6 @@ class TestRunEnsemble:
         assert np.array_equal(avg1.counts, avg2.counts)
         assert np.array_equal(s1.weighted_mass, s2.weighted_mass)
 
-    def test_compensated_reduction_close_to_double(self):
-        grid = SpatialGrid(1, 32, 10.0)
-        fam = switching_family(grid)
-        model = two_state_model()
-        psi0 = WaveField(grid, gaussian(grid))
-        cfg = SolverConfig(dt=0.05, sample_times=np.array([1.0]))
-        a1, _ = run_ensemble(psi0, fam, model, None, cfg,
-                             EnsembleConfig(N=30, master_seed=2, horizon=1.0))
-        a2, _ = run_ensemble(psi0, fam, model, None, cfg,
-                             EnsembleConfig(N=30, master_seed=2, horizon=1.0,
-                                            reduction_precision="compensated"))
-        assert np.max(np.abs(a1.sums - a2.sums)) <= 1e-12 * np.max(np.abs(a1.sums))
-
     def test_free_case_conditional_means_match_free_flow(self):
         # V = 0 decouples psi from the chain: every bin mean is the free flow
         grid = SpatialGrid(1, 64, 20.0)

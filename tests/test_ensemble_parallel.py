@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stochnls.ensemble import EnsembleConfig, run_ensemble, strichartz_orders
+from stochnls.ensemble import EnsembleConfig, run_ensemble, strichartz_orders, \
+    write_summary_json
 from stochnls.grid import SpatialGrid, WaveField
 from stochnls.markov import MarkovModel
 from stochnls.potential import make_amplitude_family, shape_field
@@ -22,8 +25,9 @@ def setup():
     return psi0, fam, model, cfg, ecfg
 
 
-def test_parallel_reduction_bit_identical_to_serial():
+def test_parallel_reduction_bit_identical_to_serial(tmp_path):
     psi0, fam, model, cfg, ecfg = setup()
+    ecfg = dataclasses.replace(ecfg, store_density_matrix=True)
     avg1, s1 = run_ensemble(psi0, fam, model, None, cfg, ecfg, workers=1)
     try:
         avg2, s2 = run_ensemble(psi0, fam, model, None, cfg, ecfg, workers=2)
@@ -32,8 +36,15 @@ def test_parallel_reduction_bit_identical_to_serial():
     assert np.array_equal(avg1.sums, avg2.sums)
     assert np.array_equal(avg1.sums_sq, avg2.sums_sq)
     assert np.array_equal(avg1.counts, avg2.counts)
-    assert np.array_equal(s1.weighted_mass, s2.weighted_mass)
-    assert np.array_equal(s1.lorentz62, s2.lorentz62)
+    assert avg1.outer_sums is not None
+    assert np.array_equal(avg1.outer_sums, avg2.outer_sums)
+    for f in dataclasses.fields(s1):
+        assert np.array_equal(getattr(s1, f.name), getattr(s2, f.name)), f.name
+    summaries = []
+    for avg, series, name in ((avg1, s1, "serial.json"), (avg2, s2, "pool.json")):
+        write_summary_json(tmp_path / name, avg, series, ecfg)
+        summaries.append((tmp_path / name).read_bytes())
+    assert summaries[0] == summaries[1]
 
 
 def test_strichartz_orders_labels_both():

@@ -4,8 +4,11 @@ import pytest
 from stochnls.grid import (
     SpatialGrid,
     WaveField,
+    apply_multiplier,
+    free_flow,
     intersection_norm,
     inverse_transform,
+    kinetic_phase,
     laplacian_symbol,
     lebesgue_norm,
     lorentz_norm,
@@ -97,6 +100,48 @@ class TestTransform:
         g = SpatialGrid(1, 8, 1.0)
         with pytest.raises(ValueError):
             inverse_transform(g, np.zeros(7, dtype=complex))
+
+
+class TestFreeFlow:
+    def test_cached_phase_is_read_only_and_bitwise_fresh(self):
+        grid = SpatialGrid(2, 16, 5.0)
+        phase = kinetic_phase(grid, 0.37)
+        assert kinetic_phase(grid, 0.37) is phase
+        fresh = np.exp(1j * 0.37 * laplacian_symbol(grid).reshape(grid.shape))
+        assert phase.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            phase[0, 0] = 0.0
+        for tau in np.linspace(0.1, 2.0, 20):
+            kinetic_phase(grid, tau)
+        assert kinetic_phase.cache_info().currsize <= 8
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    def test_batch_axes_match_row_by_row(self, dim, n):
+        grid = SpatialGrid(dim, n, 7.0)
+        rng = np.random.default_rng(3)
+        shape = (3,) + grid.shape
+        batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        phase = np.exp(0.4j * laplacian_symbol(grid).reshape(grid.shape))
+        out = free_flow(grid, batch, 0.4)
+        for row, got in zip(batch, out):
+            ref = np.fft.ifftn(phase * np.fft.fftn(row))
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+        back = free_flow(grid, out, -0.4)
+        np.testing.assert_allclose(back, batch, rtol=0, atol=1e-13)
+
+    def test_kernel_multiplier_is_conjugation(self):
+        # exp(i tau (|k1|^2 - |k2|^2)) on a kernel f(x1, x2) is U f U^H
+        grid = SpatialGrid(1, 32, 9.0)
+        tau = 0.3
+        p = kinetic_phase(grid, tau)
+        U = np.fft.ifft(p[:, None] * np.fft.fft(np.eye(grid.size), axis=0), axis=0)
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
+        f = a + a.conj().transpose(0, 2, 1)
+        got = apply_multiplier(f, p[:, None] * p.conj()[None, :])
+        for y in range(2):
+            np.testing.assert_allclose(got[y], U @ f[y] @ U.conj().T, rtol=0,
+                                       atol=1e-13 * np.abs(f).max())
 
 
 class TestLebesgueNorm:

@@ -11,7 +11,7 @@ from stochnls.potential import (
 )
 from stochnls.propagator import (
     SolverConfig,
-    _Stepper,
+    _march_interval,
     dump_snapshot,
     duhamel_residual,
     evolve_path,
@@ -133,12 +133,15 @@ class TestUnitarity:
     def test_strang_reversibility(self):
         grid = SpatialGrid(1, 128, 30.0)
         W = shape_field(grid, "sech2", amplitude=-1.5, width=1.2).reshape(grid.shape)
-        stepper = _Stepper(grid, order=2)
         rng = np.random.default_rng(5)
         vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        pot = lambda t, v: W
-        fwd = stepper.substep(vals, 0.05, 0.0, pot)
-        back = stepper.substep(fwd, -0.05, 0.05, pot)
+        # the potential switches between substep midpoints, like a jump
+        pot = lambda t, v: W if t < 0.09 else -0.5 * W
+        # unequal substeps, so every fused half-step hop has its own length
+        edges = np.array([0.0, 0.05, 0.08, 0.1, 0.13, 0.2])
+        fwd = _march_interval(grid, 2, vals, edges, pot)
+        back = _march_interval(grid, 2, fwd, edges[::-1], pot)
+        assert np.max(np.abs(fwd - vals)) > 1e-3 * np.max(np.abs(vals))
         assert np.max(np.abs(back - vals)) <= 1e-12 * np.max(np.abs(vals))
 
 
@@ -265,6 +268,21 @@ class TestPicard:
         ratio1 = r1.deltas[1] / r1.deltas[0]
         ratio2 = r2.deltas[1] / r2.deltas[0]
         assert 1.5 <= ratio2 / ratio1 <= 2.5
+
+    def test_first_iterate_at_zero_coupling_is_evolve_path(self):
+        # iterate 1 freezes no Hartree field, so it is the linear path solve
+        grid, psi0, _, kernel, cfg = self.setup_case(0.0)
+        well = shape_field(grid, "sech2", amplitude=-1.0, width=1.0)
+        fam = make_amplitude_family(well, well, [-1.0, 1.0], grid)
+        model = MarkovModel(np.array([[2.0, -2.0], [-2.0, 2.0]]),
+                            initial_law=np.array([0.5, 0.5]))
+        path = sample_path(model, 1.0, seed=3)
+        assert path.jump_times.size > 0
+        first = picard_sequence(psi0, fam, path, kernel, cfg, n_iters=2).trajectories[0]
+        ref = evolve_path(psi0, fam, path, None, cfg)
+        for t, snap in zip(cfg.sample_times, ref.snapshots):
+            diff = WaveField(grid, first.snapshot_at(t).values - snap.values)
+            assert lebesgue_norm(diff, 2) <= 1e-12 * lebesgue_norm(snap, 2)
 
     def test_epsilon_threshold_enforced(self):
         _, psi0, fam, kernel, cfg = self.setup_case(0.2)
