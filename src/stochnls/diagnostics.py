@@ -22,7 +22,7 @@ from .grid import (
     lebesgue_norm,
     lorentz_norm,
     spectral_convolution,
-    transform,
+    transform_rows,
 )
 from .markov import MarkovModel
 from .potential import HartreeKernel, PotentialFamily, a_of_hv
@@ -31,6 +31,7 @@ __all__ = [
     "EnergyBreakdown",
     "DecayFit",
     "energy_breakdown",
+    "energy_rows",
     "energy_derivative_identity",
     "feynman_kac_residual",
     "decay_fit",
@@ -65,18 +66,28 @@ def energy_breakdown(psi: WaveField, V_now: np.ndarray,
     hartree = (eps/4) double-int chi(x-y) |psi(x)|^2 |psi(y)|^2 evaluated
     with one convolution and an inner product.
     """
-    grid = psi.grid
+    V_now = np.asarray(V_now).reshape(1, -1)
+    kinetic, potential, hartree = energy_rows(psi.grid, psi.values[None], V_now, kernel)
+    return EnergyBreakdown(t=float(t), kinetic=float(kinetic[0]),
+                           potential=float(potential[0]), hartree=float(hartree[0]))
+
+
+def energy_rows(grid: SpatialGrid, values: np.ndarray, V_now: np.ndarray,
+                kernel: HartreeKernel | None = None) \
+        -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kinetic, potential and Hartree energies of each row of values,
+    shape (B, grid.size), under the potential rows V_now of the same shape
+    (see :func:`energy_breakdown`)."""
     vol = grid.cell_volume
-    spec = transform(psi)
-    kinetic = 0.5 * vol * float(np.sum(laplacian_symbol(grid) * np.abs(spec) ** 2))
-    density = np.abs(psi.values) ** 2
-    potential = 0.5 * vol * float(np.sum(np.asarray(V_now).reshape(-1) * density))
-    hartree = 0.0
+    spec = transform_rows(grid, values)
+    kinetic = 0.5 * vol * np.sum(laplacian_symbol(grid) * np.abs(spec) ** 2, axis=-1)
+    density = np.abs(values) ** 2
+    potential = 0.5 * vol * np.sum(V_now * density, axis=-1)
+    hartree = np.zeros(values.shape[0])
     if kernel is not None and kernel.epsilon != 0.0:
         conv = kernel.epsilon * spectral_convolution(grid, kernel.chi, density).real
-        hartree = 0.25 * vol * float(np.sum(conv * density))
-    return EnergyBreakdown(t=float(t), kinetic=kinetic, potential=potential,
-                           hartree=hartree)
+        hartree = 0.25 * vol * np.sum(conv * density, axis=-1)
+    return kinetic, potential, hartree
 
 
 @dataclass

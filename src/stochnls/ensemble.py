@@ -10,22 +10,29 @@ sample time (the state space is finite).  Two weightings are exposed:
   deterministic averaged equations, whose unknowns carry the state
   probability, and is what the identity checks use.
 
-Path i of an ensemble uses the seed pair (master_seed, i); accumulation
-runs in fixed path order, so a (configs, master_seed) pair reproduces the
-reduction bit-for-bit regardless of worker count.
+Path i of an ensemble uses the seed pair (master_seed, i); paths are
+marched in lockstep batches, each path bitwise as if alone, and
+accumulation runs in fixed path order, so a (configs, master_seed) pair
+reproduces the reduction bit-for-bit regardless of worker count and batch
+size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .averaged import AveragedDensityMatrix, AveragedField
-from .grid import WaveField
+from .grid import WaveField, lorentz_norm_rows
 from .markov import MarkovModel, sample_path
 from .potential import HartreeKernel, PotentialFamily
-from .propagator import SolverConfig, TrajectoryOutput, evolve_path
+from .propagator import SolverConfig, TrajectoryOutput, evolve_paths
+
+# Not used here: the benchmark's tracer (perfbench/layers.py) wraps it under
+# this module's name.
+from .propagator import evolve_path  # noqa: F401
 
 __all__ = [
     "EnsembleConfig",
@@ -119,12 +126,15 @@ class PathScalarSeries:
 
 def weighted_mass_series(output: TrajectoryOutput, family: PotentialFamily) -> np.ndarray:
     """int |V(x, X_t)| |psi(x,t)|^2 dx along one trajectory."""
-    vol = output.grid.cell_volume
-    vals = np.empty(output.sample_times.size)
-    for j, snap in enumerate(output.snapshots):
-        absV = np.abs(family.V[output.states[j]])
-        vals[j] = vol * float(np.sum(absV * np.abs(snap.values) ** 2))
-    return vals
+    fields = np.array([snap.values for snap in output.snapshots])
+    return _weighted_mass(family, output.states, fields)
+
+
+def _weighted_mass(family: PotentialFamily, states: np.ndarray,
+                   fields: np.ndarray) -> np.ndarray:
+    """int |V(x, y)| |psi(x)|^2 dx for fields (..., size) in states (...)."""
+    return family.grid.cell_volume * np.sum(np.abs(family.V)[states]
+                                            * np.abs(fields) ** 2, axis=-1)
 
 
 def _resolve_initial(psi0_law, grid, state0: int) -> WaveField:
@@ -136,35 +146,36 @@ def _resolve_initial(psi0_law, grid, state0: int) -> WaveField:
     return WaveField(grid, table[state0])
 
 
-def _solve_one_path(i: int, psi0_law, family, model, kernel, cfg, ecfg):
-    """Map-phase worker: everything one path contributes to the reduction."""
-    from .grid import lorentz_norm
+# Paths marched together at most; memory grows as rows * sample times * grid size.
+_BATCH_ROWS = 256
 
+
+def _solve_batch(lo: int, hi: int, psi0_law, family, model, kernel, cfg, ecfg):
+    """Map phase: everything paths lo..hi-1 contribute to the reduction."""
     grid = psi0_law.grid if isinstance(psi0_law, WaveField) else family.grid
-    path = sample_path(model, ecfg.horizon, seed=(ecfg.master_seed, i))
-    psi0 = _resolve_initial(psi0_law, grid, int(path.states[0]))
-    out = evolve_path(psi0, family, path, kernel, cfg)
-    fields = np.array([snap.values for snap in out.snapshots])
-    scalars = {k: out.scalars[k] for k in
-               ("l2", "suml2linf", "energy_kinetic", "energy_potential",
-                "energy_hartree")}
-    scalars["weighted_mass"] = weighted_mass_series(out, family)
-    scalars["lorentz62"] = np.array([lorentz_norm(snap, 6.0, 2.0)
-                                     for snap in out.snapshots])
-    return out.states, fields, scalars
+    paths = [sample_path(model, ecfg.horizon, seed=(ecfg.master_seed, i))
+             for i in range(lo, hi)]
+    psi0 = np.array([_resolve_initial(psi0_law, grid, int(p.states[0])).values
+                     for p in paths])
+    fields, states, scalars = evolve_paths(psi0, family, paths, kernel, cfg)
+    scalars["weighted_mass"] = _weighted_mass(family, states, fields)
+    scalars["lorentz62"] = np.stack([lorentz_norm_rows(grid, fields[:, j], 6.0, 2.0)
+                                     for j in range(states.shape[1])], axis=1)
+    return states, fields, scalars
 
 
 def run_ensemble(psi0_law, family: PotentialFamily, model: MarkovModel,
                  kernel: HartreeKernel | None, cfg: SolverConfig,
                  ecfg: EnsembleConfig,
                  workers: int = 1) -> tuple[ConditionalAverage, PathScalarSeries]:
-    """Run N per-path solves and reduce them into conditional averages.
+    """Run N path solves and reduce them into conditional averages.
 
     The initial data is either one fixed field or an (m, size) table
     indexed by the path's initial state (data may depend on omega(0) only).
-    With workers > 1 the map phase runs in a process pool; the reduce phase
-    always consumes results in path-index order, so the output is identical
-    to the serial run bit for bit.
+    Paths are marched together in lockstep batches; with workers > 1 the
+    batches run in a process pool.  The reduce phase always consumes paths
+    in index order, and each path's march is independent of its batch, so
+    the output is identical bit for bit for any worker count.
     """
     grid = psi0_law.grid if isinstance(psi0_law, WaveField) else family.grid
     T_axis = cfg.sample_times.size
@@ -183,21 +194,20 @@ def run_ensemble(psi0_law, family: PotentialFamily, model: MarkovModel,
     scalars = {k: np.empty((ecfg.N, T_axis)) for k in scalar_names}
     states = np.empty((ecfg.N, T_axis), dtype=np.int64)
 
+    rows = min(_BATCH_ROWS, -(-ecfg.N // max(workers, 1)))
+    starts = range(0, ecfg.N, rows)
+    ends = [min(lo + rows, ecfg.N) for lo in starts]
+    job = partial(_solve_batch, psi0_law=psi0_law, family=family, model=model,
+                  kernel=kernel, cfg=cfg, ecfg=ecfg)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
 
-        job = partial(_solve_one_path, psi0_law=psi0_law, family=family,
-                      model=model, kernel=kernel, cfg=cfg, ecfg=ecfg)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            items = enumerate(pool.map(job, range(ecfg.N), chunksize=32))
-            _reduce(items, sums, sums_sq, counts, outer, states, scalars,
-                    scalar_names, T_axis)
+            _reduce(zip(starts, pool.map(job, starts, ends)), sums, sums_sq, counts,
+                    outer, states, scalars)
     else:
-        items = ((i, _solve_one_path(i, psi0_law, family, model, kernel, cfg,
-                                     ecfg)) for i in range(ecfg.N))
-        _reduce(items, sums, sums_sq, counts, outer, states, scalars,
-                scalar_names, T_axis)
+        _reduce(zip(starts, map(job, starts, ends)), sums, sums_sq, counts, outer,
+                states, scalars)
 
     avg = ConditionalAverage(
         grid=grid, sample_times=cfg.sample_times.copy(), m=m, N=ecfg.N,
@@ -213,21 +223,20 @@ def run_ensemble(psi0_law, family: PotentialFamily, model: MarkovModel,
     return avg, series
 
 
-def _reduce(items, sums, sums_sq, counts, outer, states, scalars,
-            scalar_names, T_axis) -> None:
-    """Fixed-order reduction over (path index, worker payload) pairs."""
-    for i, (path_states, fields, path_scalars) in items:
-        for j in range(T_axis):
-            y = int(path_states[j])
-            vals = fields[j]
-            sums[j, y] += vals
-            sums_sq[j, y] += np.abs(vals) ** 2
-            counts[j, y] += 1
-            if outer is not None:
-                outer[j, y] += np.outer(vals, vals.conj())
-        states[i] = path_states
-        for k in scalar_names:
-            scalars[k][i] = path_scalars[k]
+def _reduce(batches, sums, sums_sq, counts, outer, states, scalars) -> None:
+    """Fixed-order reduction over (first path index, batch payload) pairs."""
+    for lo, (batch_states, fields, batch_scalars) in batches:
+        for path_states, path_fields in zip(batch_states, fields):
+            for j, (y, vals) in enumerate(zip(path_states, path_fields)):
+                sums[j, y] += vals
+                sums_sq[j, y] += np.abs(vals) ** 2
+                counts[j, y] += 1
+                if outer is not None:
+                    outer[j, y] += np.outer(vals, vals.conj())
+        hi = lo + len(batch_states)
+        states[lo:hi] = batch_states
+        for k, table in scalars.items():
+            table[lo:hi] = batch_scalars[k]
 
 
 @dataclass

@@ -29,12 +29,16 @@ __all__ = [
     "apply_multiplier",
     "free_flow",
     "transform",
+    "transform_rows",
     "inverse_transform",
     "spectral_convolution",
     "dense_laplacian",
     "lebesgue_norm",
+    "lebesgue_norm_rows",
     "lorentz_norm",
+    "lorentz_norm_rows",
     "sum_norm",
+    "sum_norm_rows",
     "intersection_norm",
     "v_norm",
 ]
@@ -165,11 +169,19 @@ def apply_multiplier(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
     Leading axes of `values` are batch axes.  A one-axis phase takes the
     plain fft/ifft pair, which costs about half an fftn/ifftn pair at
     desk-scale lengths, where a transform is mostly call overhead.
+
+    Complex products here and in the march are explicit np.multiply calls
+    into the temporary: for an operand of 256 KiB or more, `x * temporary`
+    may be evaluated as `temporary * x` in place (numpy's temporary
+    elision), and a complex product is not bitwise commutative, so a row's
+    result would depend on the batch size.
     """
     if phase.ndim == 1:
-        return np.fft.ifft(phase * np.fft.fft(values))
+        spectrum = np.fft.fft(values)
+        return np.fft.ifft(np.multiply(phase, spectrum, out=spectrum))
     axes = tuple(range(-phase.ndim, 0))
-    return np.fft.ifftn(phase * np.fft.fftn(values, axes=axes), axes=axes)
+    spectrum = np.fft.fftn(values, axes=axes)
+    return np.fft.ifftn(np.multiply(phase, spectrum, out=spectrum), axes=axes)
 
 
 def free_flow(grid: SpatialGrid, values: np.ndarray, tau: float) -> np.ndarray:
@@ -179,8 +191,14 @@ def free_flow(grid: SpatialGrid, values: np.ndarray, tau: float) -> np.ndarray:
 
 def transform(psi: WaveField) -> np.ndarray:
     """Unitary discrete Fourier transform of a field, flat spectral array."""
-    a = psi.values.reshape(psi.grid.shape)
-    return np.fft.fftn(a, norm="ortho").reshape(-1)
+    return transform_rows(psi.grid, psi.values[None])[0]
+
+
+def transform_rows(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
+    """:func:`transform` of each row of values, shape (B, grid.size)."""
+    axes = tuple(range(-grid.dim, 0))
+    spectra = np.fft.fftn(values.reshape(-1, *grid.shape), axes=axes, norm="ortho")
+    return spectra.reshape(values.shape)
 
 
 def inverse_transform(grid: SpatialGrid, spectrum: np.ndarray) -> WaveField:
@@ -195,12 +213,23 @@ def inverse_transform(grid: SpatialGrid, spectrum: np.ndarray) -> WaveField:
 def spectral_convolution(grid: SpatialGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Periodic convolution (a*b)(x) ~ int a(x-y) b(y) dy via FFT.
 
-    Carries the cell-volume weight so it approximates the continuum
-    convolution of the sampled functions.
+    `a` is one flat field; `b` is flat, shape (..., grid.size), and its
+    leading axes are batch axes, each row convolved with `a`.  Carries the
+    cell-volume weight so it approximates the continuum convolution of the
+    sampled functions.  A one-axis grid takes the plain fft/ifft pair, as
+    :func:`apply_multiplier` does.
     """
-    A = np.fft.fftn(np.asarray(a).reshape(grid.shape))
-    B = np.fft.fftn(np.asarray(b).reshape(grid.shape))
-    return grid.cell_volume * np.fft.ifftn(A * B).reshape(-1)
+    b = np.asarray(b)
+    lead = b.shape[:-1]
+    rows = b.reshape(*lead, *grid.shape)
+    if grid.dim == 1:
+        A, spectra = np.fft.fft(np.asarray(a)), np.fft.fft(rows)
+        conv = np.fft.ifft(np.multiply(A, spectra, out=spectra))
+    else:
+        axes = tuple(range(-grid.dim, 0))
+        A, spectra = np.fft.fftn(np.asarray(a).reshape(grid.shape)), np.fft.fftn(rows, axes=axes)
+        conv = np.fft.ifftn(np.multiply(A, spectra, out=spectra), axes=axes)
+    return grid.cell_volume * conv.reshape(*lead, grid.size)
 
 
 def dense_laplacian(grid: SpatialGrid) -> np.ndarray:
@@ -220,23 +249,29 @@ def dense_laplacian(grid: SpatialGrid) -> np.ndarray:
 
 def lebesgue_norm(psi: WaveField, p: float) -> float:
     """Discrete L^p norm with cell-volume weight; max norm for p = inf."""
+    return float(lebesgue_norm_rows(psi.grid, psi.values[None], p)[0])
+
+
+def lebesgue_norm_rows(grid: SpatialGrid, values: np.ndarray, p: float) -> np.ndarray:
+    """:func:`lebesgue_norm` of each row of values, shape (B, grid.size)."""
     if p != np.inf and p < 1:
         raise ValueError("p must be >= 1 or inf")
-    mags = np.abs(psi.values)
+    mags = np.abs(values)
     if p == np.inf:
-        return float(mags.max(initial=0.0))
-    vol = psi.grid.cell_volume
-    return float((np.sum(mags**p) * vol) ** (1.0 / p))
+        return mags.max(axis=-1, initial=0.0)
+    # roots per row on scalars: an array's ** 0.5 is a sqrt, a scalar's is a
+    # pow, and the two differ in the last bit now and then
+    return np.array([x ** (1.0 / p) for x in np.sum(mags**p, axis=-1) * grid.cell_volume])
 
 
-def _rearrangement(psi: WaveField) -> tuple[np.ndarray, np.ndarray]:
-    """Decreasing rearrangement of |psi| over weighted cells.
+def _rearrangement(grid: SpatialGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decreasing rearrangement of |f| over weighted cells, per row.
 
-    Returns (values, breakpoints): the rearrangement equals values[i] on
-    the measure interval [breakpoints[i], breakpoints[i+1]).
+    Returns (values, breakpoints): row b of the rearrangement equals
+    values[b, i] on the measure interval [breakpoints[i], breakpoints[i+1]).
     """
-    mags = np.sort(np.abs(psi.values))[::-1]
-    t = psi.grid.cell_volume * np.arange(mags.size + 1, dtype=float)
+    mags = np.ascontiguousarray(np.sort(np.abs(values), axis=-1)[:, ::-1])
+    t = grid.cell_volume * np.arange(mags.shape[-1] + 1, dtype=float)
     return mags, t
 
 
@@ -250,21 +285,42 @@ def lorentz_norm(psi: WaveField, p: float, q: float) -> float:
     0 < p <= 1 are also accepted: the weak L^{d/2} norm of the averaged
     potential needs p = d/2 in low dimension.
     """
+    return float(lorentz_norm_rows(psi.grid, psi.values[None], p, q)[0])
+
+
+def lorentz_norm_rows(grid: SpatialGrid, values: np.ndarray, p: float,
+                      q: float) -> np.ndarray:
+    """:func:`lorentz_norm` of each row of values, shape (B, grid.size).
+
+    A row with zero cells sums its nonzero cells only: the zeros add
+    nothing, but a longer sum rounds differently.  A row's value never
+    depends on the other rows.
+    """
     if q != np.inf and q < 1:
         raise ValueError("q must be >= 1 or inf")
     if p <= (0.0 if q == np.inf else 1.0):
         raise ValueError("p must be > 1 (or > 0 when q = inf)")
-    mags, t = _rearrangement(psi)
-    nz = mags > 0
-    if not np.any(nz):
-        return 0.0
+    mags, t = _rearrangement(grid, values)
     if q == np.inf:
         # sup over each constancy interval is attained at its right end
-        return float(np.max(t[1:][nz] ** (1.0 / p) * mags[nz]))
-    expo = q / p
-    increments = t[1:] ** expo - t[:-1] ** expo
-    total = (p / q) * np.sum(mags[nz] ** q * increments[nz])
-    return float(total ** (1.0 / q))
+        weight = t[1:] ** (1.0 / p)
+        full = np.max(weight * mags, axis=-1)
+    else:
+        expo = q / p
+        weight = t[1:] ** expo - t[:-1] ** expo
+        full = np.sum(mags**q * weight, axis=-1)
+    out = np.empty(mags.shape[0])
+    for b, row in enumerate(mags):
+        s = full[b]
+        if row[-1] == 0.0:
+            nz = row > 0
+            if not np.any(nz):
+                out[b] = 0.0
+                continue
+            s = (np.max(weight[nz] * row[nz]) if q == np.inf
+                 else np.sum(row[nz] ** q * weight[nz]))
+        out[b] = s if q == np.inf else ((p / q) * s) ** (1.0 / q)
+    return out
 
 
 def sum_norm(psi: WaveField) -> float:
@@ -275,15 +331,22 @@ def sum_norm(psi: WaveField) -> float:
     splitting norm inf_{f=a+b} ||a||_2 + ||b||_inf: every threshold gives
     an admissible splitting, and it is bounded by min(||f||_2, ||f||_inf).
     """
-    mags = np.sort(np.abs(psi.values))[::-1]
-    if mags.size == 0 or mags[0] == 0.0:
-        return 0.0
-    vol = psi.grid.cell_volume
-    sq = np.concatenate(([0.0], np.cumsum(mags**2) * vol))
-    # threshold lam = mags[i] keeps cells with |f| > mags[i]; ties excluded
-    keep = np.searchsorted(-mags, -mags, side="left")
-    candidates = np.sqrt(sq[keep]) + mags
-    return float(min(np.sqrt(sq[-1]), candidates.min()))
+    return float(sum_norm_rows(psi.grid, psi.values[None])[0])
+
+
+def sum_norm_rows(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
+    """:func:`sum_norm` of each row of values, shape (B, grid.size)."""
+    mags, _ = _rearrangement(grid, values)
+    sq = np.zeros((mags.shape[0], mags.shape[1] + 1))
+    sq[:, 1:] = np.cumsum(mags**2, axis=-1) * grid.cell_volume
+    # threshold lam = mags[i] keeps cells with |f| > mags[i]: the cells
+    # before the first one tied with cell i
+    index = np.arange(mags.shape[1])
+    first = np.ones(mags.shape, dtype=bool)
+    first[:, 1:] = mags[:, 1:] != mags[:, :-1]
+    keep = np.maximum.accumulate(np.where(first, index, 0), axis=-1)
+    candidates = np.sqrt(np.take_along_axis(sq, keep, axis=-1)) + mags
+    return np.minimum(np.sqrt(sq[:, -1]), candidates.min(axis=-1))
 
 
 def intersection_norm(psi: WaveField) -> float:

@@ -73,19 +73,24 @@ class SplitWeights:
 
 @dataclass
 class HartreeKernel:
-    """Even convolution kernel chi and coupling constant for the Hartree term."""
+    """Even convolution kernel chi and coupling constant for the Hartree term.
+
+    chi is checked to be even (to 1e-12) once, here, and kept as a
+    read-only copy, so the check holds for the kernel's lifetime.
+    """
 
     grid: SpatialGrid
     chi: np.ndarray = field(repr=False)
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        self.chi = np.asarray(self.chi, dtype=float).reshape(-1)
+        self.chi = np.array(self.chi, dtype=float).reshape(-1)
         if self.chi.size != self.grid.size:
             raise ValueError("chi length must match grid")
         scale = max(1.0, float(np.max(np.abs(self.chi), initial=0.0)))
         if np.max(np.abs(self.chi - self.grid.reflect(self.chi))) > 1e-12 * scale:
             raise ValueError("chi must be even under the grid reflection")
+        self.chi.flags.writeable = False
 
 
 def _centered_offsets(grid: SpatialGrid, center: float | tuple) -> np.ndarray:

@@ -50,7 +50,7 @@ from .potential import (
     make_amplitude_family,
     shape_field,
 )
-from .propagator import SolverConfig, evolve_path, picard_sequence
+from .propagator import SolverConfig, evolve_path, evolve_paths, picard_sequence
 from .spectral import (
     assemble_h,
     assemble_kb,
@@ -508,14 +508,15 @@ def c11_bound_state_decay(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     w0 = windowed_fraction(psi0.values)
     model = _two_state_model()
     cfg = SolverConfig(dt=0.01, sample_times=np.array([20.0]))
+    paths = [sample_path(model, 20.0, seed=(seed, i)) for i in range(scale.decay_N)]
+    rows = np.repeat(psi0.values[None], scale.decay_N, axis=0)
     results = {}
     for label, fam in (("nontrivial", _switching_family(grid, contrast=1.0)),
                        ("gauge", _gauge_family(grid))):
+        fields, _, _ = evolve_paths(rows, fam, paths, None, cfg)
         total = 0.0
-        for i in range(scale.decay_N):
-            path = sample_path(model, 20.0, seed=(seed, i))
-            out = evolve_path(psi0, fam, path, None, cfg)
-            total += windowed_fraction(out.snapshots[0].values) / w0
+        for vals in fields[:, 0]:  # summed in path order
+            total += windowed_fraction(vals) / w0
         results[label] = total / scale.decay_N
     decay_nontrivial = 1.0 - results["nontrivial"]
     change_gauge = abs(1.0 - results["gauge"])

@@ -136,11 +136,12 @@ class TestUnitarity:
         rng = np.random.default_rng(5)
         vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         # the potential switches between substep midpoints, like a jump
-        pot = lambda t, v: W if t < 0.09 else -0.5 * W
+        def kick(tau, t, v):
+            return v * np.exp(1j * tau * (W if t < 0.09 else -0.5 * W))
         # unequal substeps, so every fused half-step hop has its own length
         edges = np.array([0.0, 0.05, 0.08, 0.1, 0.13, 0.2])
-        fwd = _march_interval(grid, 2, vals, edges, pot)
-        back = _march_interval(grid, 2, fwd, edges[::-1], pot)
+        fwd = _march_interval(grid, 2, vals, edges, kick)
+        back = _march_interval(grid, 2, fwd, edges[::-1], kick)
         assert np.max(np.abs(fwd - vals)) > 1e-3 * np.max(np.abs(vals))
         assert np.max(np.abs(back - vals)) <= 1e-12 * np.max(np.abs(vals))
 
@@ -232,6 +233,25 @@ class TestHartreePotential:
         kernel = HartreeKernel(grid, chi, epsilon=0.0)
         psi = WaveField(grid, free_gaussian(grid, 1.0, 0.0))
         assert np.count_nonzero(hartree_potential(psi, kernel)) == 0
+
+    def test_kernel_chi_is_a_read_only_copy(self):
+        grid = SpatialGrid(1, 64, 16.0)
+        chi = shape_field(grid, "gaussian", center=0.0)
+        kernel = HartreeKernel(grid, chi, epsilon=0.5)
+        chi[1] += 1.0  # the caller's array stays the caller's
+        assert kernel.chi[1] != chi[1]
+        with pytest.raises(ValueError):
+            kernel.chi[1] = 5.0  # would break the evenness checked at construction
+        with pytest.raises(ValueError, match="even"):
+            HartreeKernel(grid, chi, epsilon=0.5)
+
+    def test_imaginary_part_still_checked(self):
+        grid = SpatialGrid(1, 64, 16.0)
+        kernel = HartreeKernel(grid, shape_field(grid, "gaussian", center=0.0), 0.5)
+        kernel.chi = 1j * kernel.chi  # a complex kernel, set past construction
+        psi = WaveField(grid, free_gaussian(grid, 1.0, 0.0))
+        with pytest.raises(ValueError, match="imaginary"):
+            hartree_potential(psi, kernel)
 
 
 class TestPicard:
@@ -385,3 +405,25 @@ class TestConfigValidation:
         cfg = SolverConfig(dt=0.5, sample_times=np.array([5.0]))
         with pytest.raises(ValueError):
             evolve_path(psi0, zero_family(grid), constant_path(T=2.0), None, cfg)
+
+    def test_family_grid_must_match_field_grid(self):
+        # same number of points, different box: the wavenumbers differ
+        grid = SpatialGrid(1, 64, 20.0)
+        psi0 = WaveField(grid, free_gaussian(grid, 1.0, 0.0))
+        cfg = SolverConfig(dt=0.5, sample_times=np.array([1.0]))
+        other = zero_family(SpatialGrid(1, 64, 40.0))
+        with pytest.raises(ValueError, match="different grid"):
+            evolve_path(psi0, other, constant_path(T=2.0), None, cfg)
+        kernel = HartreeKernel(grid, shape_field(grid, "gaussian", center=0.0), epsilon=0.05)
+        with pytest.raises(ValueError, match="different grid"):
+            picard_sequence(psi0, other, constant_path(T=2.0), kernel, cfg, n_iters=2)
+
+    def test_picard_horizon_check(self):
+        grid = SpatialGrid(1, 64, 20.0)
+        psi0 = WaveField(grid, free_gaussian(grid, 1.0, 0.0))
+        chi = shape_field(grid, "gaussian", center=0.0)
+        kernel = HartreeKernel(grid, chi, epsilon=0.05)
+        cfg = SolverConfig(dt=0.1, sample_times=np.array([1.0]), epsilon=0.05)
+        with pytest.raises(ValueError, match="horizon"):
+            picard_sequence(psi0, zero_family(grid), constant_path(T=0.3), kernel, cfg,
+                            n_iters=2)
