@@ -12,14 +12,16 @@ with A acting on the state index y.  Here g and f carry the joint
 conserved total mass.  Sources enter on the left-hand side, matching the
 per-path solver's Duhamel convention.
 
-Both solvers use the same symmetric splitting
+Both solvers drive one march with the same symmetric splitting
     kinetic(dt/2) mixing(dt/2) potential(dt) mixing(dt/2) kinetic(dt/2)
 so that for a single state they reduce factor-for-factor to the per-path
 stepping (tensor-factorization oracle), and for V = 0 the composition
-collapses exactly to e^{-tA} composed with the free flow.  The mixing
-factor is the exact matrix exponential e^{-dt A/2}, precomputed once; its
-entries are nonnegative with unit column sums, so Hermiticity, positivity
-and total trace survive every step.
+collapses exactly to e^{-tA} composed with the free flow.  Between sample
+times the march fuses each step's trailing kinetic(dt/2) with the next
+step's leading one, as the per-path march does.  The mixing factor is the
+exact matrix exponential e^{-dt A/2}, precomputed once; its entries are
+nonnegative with unit column sums, so Hermiticity, positivity and total
+trace survive every step.
 
 The Liouville solver stores dense (n x n) kernels per state and is
 restricted to one space dimension; the identities it feeds (trace
@@ -94,8 +96,7 @@ class AveragedDensityMatrix:
         if self.f.shape[1:] != (n, n):
             raise ValueError("kernel shape does not match grid")
         scale = float(np.max(np.abs(self.f), initial=0.0))
-        herm = float(np.max(np.abs(self.f - self.f.conj().transpose(0, 2, 1)),
-                            initial=0.0))
+        herm = self.hermiticity_residual()
         if scale > 0 and herm > 1e-10 * scale:
             raise ValueError(f"kernel is not Hermitian (residual {herm:.3e})")
 
@@ -108,8 +109,50 @@ class AveragedDensityMatrix:
                             initial=0.0))
 
 
-def _mixing_matrix(model: MarkovModel, tau: float) -> np.ndarray:
-    return heat_kernel(model, tau).K
+def _kick(model: MarkovModel, cfg: SolverConfig, potential, source, grid):
+    """A step's middle factors at its midpoint: mixing(dt/2) potential
+    source mixing(dt/2) for Strang order, mixing(dt) potential source for
+    Lie.  The state axis leads; source(grid, t) is injected with weight i*dt."""
+    strang = cfg.order == 2
+    mix = heat_kernel(model, 0.5 * cfg.dt if strang else cfg.dt).K
+
+    def kick(values, t_mid):
+        values = potential(np.tensordot(mix, values, axes=(1, 0)))
+        if source is not None:
+            inject = np.asarray(source(grid, t_mid)).reshape(values.shape)
+            values = values + 1j * cfg.dt * inject
+        return np.tensordot(mix, values, axes=(1, 0)) if strang else values
+    return kick
+
+
+def _march(values: np.ndarray, cfg: SolverConfig, flow, kick, record) -> None:
+    """March values over cfg.sample_times, calling record(t, values) at each.
+
+    A step is flow(dt/2) kick flow(dt/2) (Strang) or flow(dt) kick (Lie);
+    flow(tau) is the free flow's Fourier multiplier and kick(values, t_mid)
+    applies the step's middle factors.  A Strang step's trailing half-flow
+    is fused with the next step's leading one (the multipliers compose
+    exactly), so k steps between sample times cost k + 1 multiplier calls.
+    """
+    dt = cfg.dt
+    half, full = flow(0.5 * dt), flow(dt)
+    strang = cfg.order == 2
+    t = 0.0
+    for target in cfg.sample_times:
+        n_steps = 0 if target <= 1e-15 else int(round((target - t) / dt))
+        if strang and n_steps:
+            values = apply_multiplier(values, half)
+        for j in range(n_steps):
+            last = j == n_steps - 1
+            if strang:
+                values = kick(values, t + 0.5 * dt)
+                values = apply_multiplier(values, half if last else full)
+            else:
+                values = kick(apply_multiplier(values, full), t + 0.5 * dt)
+            t = target if last else t + dt
+        if not np.all(np.isfinite(values.view(np.float64))):
+            raise RuntimeError(f"averaged solve lost finiteness at t={target}")
+        record(target, values)
 
 
 def solve_scalar_averaged(g0: AveragedField, family: PotentialFamily,
@@ -125,49 +168,12 @@ def solve_scalar_averaged(g0: AveragedField, family: PotentialFamily,
     if g0.m != m or family.m != m:
         raise ValueError("state counts of g0, family and model disagree")
     shape = (m,) + grid.shape
-    g = g0.g.reshape(shape).copy()
-    dt = cfg.dt
-    # the state axis is the multiplier's batch axis
-    kin_full = kinetic_phase(grid, dt)
-    kin_half = kinetic_phase(grid, 0.5 * dt)
-    pot_full = np.exp(1j * dt * family.V).reshape(shape)
-    mix_half = _mixing_matrix(model, 0.5 * dt)
-    mix_full = _mixing_matrix(model, dt)
-
-    def mix(a, M):
-        return np.tensordot(M, a, axes=(1, 0))
-
-    t = 0.0
+    pot = np.exp(1j * cfg.dt * family.V).reshape(shape)
     out: list[AveragedField] = []
-
-    def record(time: float) -> None:
-        if not np.all(np.isfinite(g.view(np.float64))):
-            raise RuntimeError(f"averaged field lost finiteness at t={time}")
-        out.append(AveragedField(grid, g.reshape(m, grid.size).copy(), t=time))
-
-    for target in cfg.sample_times:
-        if target <= 1e-15:
-            record(target)
-            continue
-        n_steps = int(round((target - t) / dt))
-        for j in range(n_steps):
-            t_mid = t + 0.5 * dt
-            if cfg.order == 2:
-                g = apply_multiplier(g, kin_half)
-                g = mix(g, mix_half)
-                g = pot_full * g
-                if source is not None:
-                    g = g + 1j * dt * np.asarray(source(grid, t_mid)).reshape(shape)
-                g = mix(g, mix_half)
-                g = apply_multiplier(g, kin_half)
-            else:
-                g = apply_multiplier(g, kin_full)
-                g = mix(g, mix_full)
-                g = pot_full * g
-                if source is not None:
-                    g = g + 1j * dt * np.asarray(source(grid, t_mid)).reshape(shape)
-            t = t + dt if j < n_steps - 1 else target
-        record(target)
+    # the state axis is the multiplier's batch axis
+    _march(g0.g.reshape(shape).copy(), cfg, lambda tau: kinetic_phase(grid, tau),
+           _kick(model, cfg, lambda g: pot * g, source, grid),
+           lambda t, g: out.append(AveragedField(grid, g.reshape(m, -1).copy(), t=t)))
     return out
 
 
@@ -189,7 +195,6 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
         raise ValueError(f"liouville solve capped at n <= {n_cap}, m <= {m_cap}")
     if f0.m != m or family.m != m:
         raise ValueError("state counts of f0, family and model disagree")
-    dt = cfg.dt
 
     def pair_phase(tau):
         # U f U^H is the multiplier exp(i tau (|k1|^2 - |k2|^2)) on the kernel
@@ -197,45 +202,12 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
         p = kinetic_phase(grid, tau)
         return p[:, None] * p.conj()[None, :]
 
-    kin_half = pair_phase(0.5 * dt)
-    kin_full = pair_phase(dt)
-    pot = np.exp(1j * dt * family.V)  # (m, n) phases
+    pot = np.exp(1j * cfg.dt * family.V)  # (m, n) phases
     pot_left, pot_right = pot[:, :, None], pot.conj()[:, None, :]
-    mix_half = _mixing_matrix(model, 0.5 * dt)
-    mix_full = _mixing_matrix(model, dt)
-    f = f0.f.copy()
-
-    t = 0.0
     out: list[AveragedDensityMatrix] = []
-
-    def record(time: float) -> None:
-        if not np.all(np.isfinite(f.view(np.float64))):
-            raise RuntimeError(f"liouville kernels lost finiteness at t={time}")
-        out.append(AveragedDensityMatrix(grid, f.copy(), t=time))
-
-    for target in cfg.sample_times:
-        if target <= 1e-15:
-            record(target)
-            continue
-        n_steps = int(round((target - t) / dt))
-        for j in range(n_steps):
-            t_mid = t + 0.5 * dt
-            if cfg.order == 2:
-                f = apply_multiplier(f, kin_half)
-                f = np.tensordot(mix_half, f, axes=(1, 0))
-                f = pot_left * f * pot_right
-                if source is not None:
-                    f = f + 1j * dt * np.asarray(source(grid, t_mid))
-                f = np.tensordot(mix_half, f, axes=(1, 0))
-                f = apply_multiplier(f, kin_half)
-            else:
-                f = apply_multiplier(f, kin_full)
-                f = np.tensordot(mix_full, f, axes=(1, 0))
-                f = pot_left * f * pot_right
-                if source is not None:
-                    f = f + 1j * dt * np.asarray(source(grid, t_mid))
-            t = t + dt if j < n_steps - 1 else target
-        record(target)
+    _march(f0.f.copy(), cfg, pair_phase,
+           _kick(model, cfg, lambda f: pot_left * f * pot_right, source, grid),
+           lambda t, f: out.append(AveragedDensityMatrix(grid, f.copy(), t=t)))
     return out
 
 

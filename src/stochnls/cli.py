@@ -8,7 +8,8 @@ over a misspelling.
 
 Every run writes into ``<out>/<kind>-<confighash>-seed<seed>/``: the
 artifacts of the experiment plus ``manifest.json`` echoing the config, the
-package and numpy versions, the seed, and the wall time.  Artifacts are
+package and numpy versions, the seed, the wall time and each verify-all
+criterion's ``runtime_s`` (``criterion_runtime_s``).  Artifacts are
 deterministic functions of (config, seed); the manifest is the one file
 that records wall-clock time and is therefore excluded from byte-identity
 comparisons.
@@ -418,6 +419,8 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
         "python_version": sys.version.split()[0],
         "seed": seed_val,
         "wall_time_s": time.time() - started,
+        "criterion_runtime_s": {k: entry["runtime_s"] for k, entry in checks.items()
+                                if "runtime_s" in entry},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

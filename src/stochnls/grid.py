@@ -32,6 +32,7 @@ __all__ = [
     "transform_rows",
     "inverse_transform",
     "spectral_convolution",
+    "dft_matrix",
     "dense_laplacian",
     "lebesgue_norm",
     "lebesgue_norm_rows",
@@ -232,17 +233,20 @@ def spectral_convolution(grid: SpatialGrid, a: np.ndarray, b: np.ndarray) -> np.
     return grid.cell_volume * conv.reshape(*lead, grid.size)
 
 
-def dense_laplacian(grid: SpatialGrid) -> np.ndarray:
-    """The -Laplacian as a dense Hermitian matrix, F^H diag(|k|^2) F.
-
-    Exactly consistent with the propagators' kinetic multiplier; intended
-    for desk-scale dense spectral work (grid.size stays small).
-    """
-    n = grid.points_per_axis
-    F1 = np.fft.fft(np.eye(n), axis=0, norm="ortho")
+def dft_matrix(grid: SpatialGrid) -> np.ndarray:
+    """The unitary DFT F as a dense matrix, so -Lap = F^H diag(|k|^2) F
+    with |k|^2 = laplacian_symbol(grid); for desk-scale dense work."""
+    F1 = np.fft.fft(np.eye(grid.points_per_axis), axis=0, norm="ortho")
     F = F1
     for _ in range(grid.dim - 1):
         F = np.kron(F, F1)
+    return F
+
+
+def dense_laplacian(grid: SpatialGrid) -> np.ndarray:
+    """The -Laplacian as a dense Hermitian matrix, F^H diag(|k|^2) F,
+    exactly consistent with the propagators' kinetic multiplier."""
+    F = dft_matrix(grid)
     L = F.conj().T @ (laplacian_symbol(grid)[:, None] * F)
     return 0.5 * (L + L.conj().T)
 

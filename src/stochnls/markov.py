@@ -215,28 +215,37 @@ def path_rng(seed: int | tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def _cdf(p: np.ndarray, what: str) -> np.ndarray:
+    """Normalized cdf of a probability vector, built as rng.choice builds it,
+    so cdf.searchsorted(rng.random(), side="right") draws what it draws."""
+    if np.any(p < 0) or abs(p.sum() - 1.0) > np.sqrt(np.finfo(float).eps):
+        raise ValueError(f"{what} is not a probability vector: {p}")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def sample_path(model: MarkovModel, T: float, seed: int | tuple[int, ...]) -> PathSample:
     """Exact jump-chain sample of the chain with rate matrix Q = -A on [0, T]."""
     if T <= 0:
         raise ValueError("horizon must be positive")
     rng = path_rng(seed)
-    m = model.m
-    y = int(rng.choice(m, p=model.initial_law))
+    rates = np.diag(model.A)
+    off = np.diag(rates) - model.A  # the off-diagonal jump rates
+    if np.any((rates <= 0.0) & np.any(off > 0, axis=1)):
+        raise ValueError("a state with zero holding rate has off-diagonal mass")
+    # None marks an absorbing state: no more jumps
+    jump_cdfs = [_cdf(off[y] / rate, f"jump law of state {y}") if rate > 0.0 else None
+                 for y, rate in enumerate(rates)]
+    y = int(_cdf(model.initial_law, "initial law").searchsorted(rng.random(), side="right"))
     jump_times: list[float] = []
     states = [y]
     t = 0.0
-    while True:
-        rate = model.A[y, y]
-        off = -model.A[y, :].copy()
-        off[y] = 0.0
-        if rate <= 0.0:
-            if np.any(off > 0):
-                raise ValueError(f"state {y}: zero holding rate with off-diagonal mass")
-            break  # absorbing state; no more jumps
-        t += rng.exponential(1.0 / rate)
+    while jump_cdfs[y] is not None:
+        t += rng.exponential(1.0 / rates[y])
         if t >= T:
             break
-        y = int(rng.choice(m, p=off / rate))
+        y = int(jump_cdfs[y].searchsorted(rng.random(), side="right"))
         jump_times.append(t)
         states.append(y)
     seed_tuple = (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)

@@ -19,6 +19,8 @@ stays invertible and tends to the identity as |lambda| grows.
 Matrices are assembled in state-major layout (index = y * n^d + x), with
 the Laplacian realized exactly as the Fourier conjugation of diag(|k|^2),
 so spectra here and dynamics in the propagators share one discretization.
+The free resolvent R0 is applied in the exact eigenbasis of H0 (DFT
+tensor eigenvectors of A), so KB costs no inverse.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpatialGrid, dense_laplacian
+from .grid import SpatialGrid, dense_laplacian, dft_matrix, laplacian_symbol
 from .markov import MarkovModel
 from .potential import PotentialFamily, split
 
@@ -79,7 +81,8 @@ def assemble_h(family: PotentialFamily, model: MarkovModel,
         raise ValueError(f"matrix size {size} exceeds the cap {cap}")
     if family.m != m:
         raise ValueError("family and model state counts disagree")
-    H = _free_operator(grid, model)
+    H = np.kron(np.eye(m), dense_laplacian(grid)).astype(complex) \
+        + 1j * np.kron(model.A, np.eye(grid.size))
     H += np.diag(family.V.reshape(-1).astype(complex))
     return DiscreteHamiltonian(grid=grid, m=m, H=H, well_window=_well_window(family))
 
@@ -131,32 +134,41 @@ class KBOperator:
         return float(np.linalg.svd(self.KB, compute_uv=False)[-1])
 
 
-def _free_operator(grid: SpatialGrid, model: MarkovModel) -> np.ndarray:
-    """Dense H0 = (-Lap x I_y) + i (I_x x A) in state-major layout."""
-    L = dense_laplacian(grid)
-    return np.kron(np.eye(model.m), L).astype(complex) \
-        + 1j * np.kron(model.A, np.eye(grid.size))
-
-
 def _kb_setup(family: PotentialFamily, model: MarkovModel):
-    """H0, the identity and the split factors v1, v2 as flat vectors."""
-    H0 = _free_operator(family.grid, model)
+    """The factors of KB(lambda) = I + (v2 W) diag(1/(d - lambda)) (W^H v1).
+
+    H0 = W diag(d) W^H exactly, with W = Q x F^H (Q the orthonormal
+    eigenvectors of the symmetric A, F the unitary DFT) and d = |k|^2 + i mu
+    in state-major order; so R0 needs no inverse.
+    """
+    grid = family.grid
+    mu, Q = np.linalg.eigh(model.A)
+    W = np.kron(Q, dft_matrix(grid).conj().T)
+    d = (laplacian_symbol(grid)[None, :] + 1j * mu[:, None]).reshape(-1)
     w = split(family)
-    return H0, np.eye(H0.shape[0], dtype=complex), w.v1.reshape(-1), w.v2.reshape(-1)
+    return w.v2.reshape(-1)[:, None] * W, W.conj().T * w.v1.reshape(-1)[None, :], d
 
 
-def _kb_matrix(H0, eye, v1, v2, lam: complex) -> np.ndarray:
-    """I + v2 R0(lambda) v1 with R0 = (H0 - lambda)^{-1}."""
+def _kb_matrix(left, right, d, lam: complex) -> np.ndarray | None:
+    """I + v2 R0(lambda) v1, or None when lambda lies in spec(H0), where
+    min |d - lambda| <= 1e-12 max(1, max |d|) and R0 does not exist."""
     if lam.imag > 0:
         raise ValueError("KB is defined on the closed lower half-plane only")
-    R0 = np.linalg.inv(H0 - lam * eye)
-    return eye + v2[:, None] * R0 * v1[None, :]
+    gap = d - lam
+    if np.min(np.abs(gap)) <= 1e-12 * max(1.0, float(np.max(np.abs(d)))):
+        return None
+    KB = left @ (right / gap[:, None])
+    KB.flat[::KB.shape[0] + 1] += 1.0
+    return KB
 
 
 def assemble_kb(family: PotentialFamily, model: MarkovModel,
                 lam: complex) -> KBOperator:
     """KB(lambda) = I + v2 R0(lambda) v1 on the state-major index."""
-    return KBOperator(lam=lam, KB=_kb_matrix(*_kb_setup(family, model), lam))
+    KB = _kb_matrix(*_kb_setup(family, model), lam)
+    if KB is None:
+        raise ValueError(f"lambda = {lam} lies in the spectrum of H0")
+    return KBOperator(lam=lam, KB=KB)
 
 
 def default_lambda_grid(re_span: tuple[float, float] = (-10.0, 10.0),
@@ -176,11 +188,14 @@ def kb_scan(family: PotentialFamily, model: MarkovModel,
         lam_grid = default_lambda_grid()
     lam_grid = np.asarray(lam_grid, dtype=complex).reshape(-1)
     parts = _kb_setup(family, model)
-    mins = np.empty(lam_grid.size)
+    mins = np.full(lam_grid.size, np.nan)  # NaN where lambda lies in spec(H0)
     for i, lam in enumerate(lam_grid):
         KB = _kb_matrix(*parts, lam)
-        mins[i] = float(np.linalg.svd(KB, compute_uv=False)[-1])
-    gmin = int(np.argmin(mins))
+        if KB is not None:
+            mins[i] = float(np.linalg.svd(KB, compute_uv=False)[-1])
+    if np.all(np.isnan(mins)):
+        raise ValueError("every lambda of the scan lies in the spectrum of H0")
+    gmin = int(np.nanargmin(mins))
     return {"lambdas": lam_grid, "min_singular_values": mins,
             "global_min": float(mins[gmin]), "global_min_lambda": complex(lam_grid[gmin])}
 
@@ -188,10 +203,11 @@ def kb_scan(family: PotentialFamily, model: MarkovModel,
 def resolvent_identity_residual(family: PotentialFamily, model: MarkovModel,
                                 lam: complex) -> float:
     """Max-norm defect of (I + v2 R0 v1)(I - v2 R_V v1) = I."""
-    H0, eye, v1, v2 = _kb_setup(family, model)
-    left = _kb_matrix(H0, eye, v1, v2, lam)
-    RV = np.linalg.inv(H0 + np.diag(family.V.reshape(-1)) - lam * eye)
-    right = eye - v2[:, None] * RV * v1[None, :]
+    left = assemble_kb(family, model, lam).KB
+    eye = np.eye(left.shape[0])
+    w = split(family)
+    RV = np.linalg.inv(assemble_h(family, model).H - lam * eye)
+    right = eye - w.v2.reshape(-1)[:, None] * RV * w.v1.reshape(-1)[None, :]
     return float(np.max(np.abs(left @ right - eye)))
 
 
@@ -206,6 +222,7 @@ def write_spectrum_csv(path, report: EigenReport) -> None:
 
 
 def write_scan_csv(path, scan: dict) -> None:
+    """Rows (Re, Im, min singular value); nan where lambda is in spec(H0)."""
     with open(path, "w") as fh:
         fh.write("re_lambda,im_lambda,min_singular_value\n")
         for lam, sv in zip(scan["lambdas"], scan["min_singular_values"]):

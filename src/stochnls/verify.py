@@ -403,14 +403,6 @@ def c8_resonance(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     rep = eigen_analysis(assemble_h(fam, model, cap=4096))
     loc = rep.discrete_subset()
     res_min_im = float(np.min(loc.imag))
-
-    # exploratory: resonance width grows with the amplitude contrast
-    widths = []
-    for contrast in (0.25, 0.5):
-        fc = _switching_family(grid, contrast=contrast)
-        rc = eigen_analysis(assemble_h(fc, model, cap=4096))
-        widths.append(float(np.min(rc.discrete_subset().imag)))
-    widths.append(res_min_im)  # contrast 1.0 is the gated family above
     passed = (loc_triv.size > 0 and triv_min_abs_im <= 1e-8 * rep_triv.norm
               and loc.size > 0 and res_min_im >= 1e-6 * rep.norm)
     return {"id": "C8", "name": "resonance formation",
@@ -418,8 +410,7 @@ def c8_resonance(scale: VerifyScale, seed: int, out_dir=None) -> dict:
             "trivial_min_abs_imag": triv_min_abs_im,
             "trivial_gate": 1e-8 * rep_triv.norm,
             "resonance_min_imag": res_min_im,
-            "resonance_gate": 1e-6 * rep.norm,
-            "widths_by_contrast": dict(zip(("0.25", "0.5", "1.0"), widths))}
+            "resonance_gate": 1e-6 * rep.norm}
 
 
 @_timed

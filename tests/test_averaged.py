@@ -12,7 +12,7 @@ from stochnls.averaged import (
     write_density_csv,
     write_trace_csv,
 )
-from stochnls.grid import SpatialGrid, WaveField
+from stochnls.grid import SpatialGrid, WaveField, apply_multiplier, laplacian_symbol
 from stochnls.markov import MarkovModel, heat_kernel, sample_path
 from stochnls.potential import PotentialFamily, make_amplitude_family, shape_field
 from stochnls.propagator import SolverConfig, evolve_path
@@ -177,6 +177,112 @@ class TestLiouvilleAveraged:
         bad[0, 1] = 1.0
         with pytest.raises(ValueError):
             AveragedDensityMatrix(grid, bad)
+
+
+def stepwise(values, family, model, cfg, source, pair):
+    """The unfused per-step composition: every step applies both of its
+    half-kinetic factors (Strang) or its full one (Lie)."""
+    grid = family.grid
+    dt = cfg.dt
+    k2 = laplacian_symbol(grid)
+
+    def kin(v, tau):
+        p = np.exp(1j * tau * k2)
+        if pair:
+            return np.fft.ifft2(np.outer(p, p.conj()) * np.fft.fft2(v))
+        return np.fft.ifft(p * np.fft.fft(v))
+
+    pot = np.exp(1j * dt * family.V)
+
+    def potential(v):
+        return pot[:, :, None] * v * pot.conj()[:, None, :] if pair else pot * v
+
+    strang = cfg.order == 2
+    mix = heat_kernel(model, 0.5 * dt if strang else dt).K
+    out, t = [], 0.0
+    for target in cfg.sample_times:
+        n_steps = 0 if target <= 1e-15 else int(round((target - t) / dt))
+        for j in range(n_steps):
+            t_mid = t + 0.5 * dt
+            v = kin(values, 0.5 * dt if strang else dt)
+            v = potential(np.tensordot(mix, v, axes=(1, 0)))
+            if source is not None:
+                v = v + 1j * dt * source(grid, t_mid)
+            if strang:
+                v = kin(np.tensordot(mix, v, axes=(1, 0)), 0.5 * dt)
+            values = v
+            t = target if j == n_steps - 1 else t + dt
+        out.append(values.copy())
+    return out
+
+
+class TestFusedMarch:
+    """The fused march against the unfused per-step composition."""
+
+    dt = 0.01
+
+    def setup(self, gap_steps, order, with_source, pair):
+        grid = SpatialGrid(1, 32, 10.0)
+        model = two_state_model(1.1)
+        fam = well_family(grid, contrast=0.7)
+        times = np.round(np.arange(0.0, 11 * gap_steps) * self.dt, 10)[::gap_steps]
+        cfg = SolverConfig(dt=self.dt, sample_times=times, order=order)
+        psi = gaussian(grid)
+        bump = gaussian(grid, 3.0)
+        if pair:
+            values = np.array([0.3 * np.outer(psi, psi.conj()),
+                               0.7 * np.outer(bump, bump.conj())])
+
+            def source(grid, t):
+                # anti-Hermitian, so the injected i*dt*F keeps f Hermitian
+                w = np.cos(3.0 * t) * bump
+                return 0.1j * np.array([np.outer(w, w.conj())] * 2)
+        else:
+            values = np.vstack([psi, 0.5 * bump])
+
+            def source(grid, t):
+                return 0.1 * np.vstack([np.sin(2.0 * t) * bump, np.cos(t) * psi])
+        return grid, model, fam, cfg, values, source if with_source else None
+
+    @pytest.mark.parametrize("pair", [False, True])
+    @pytest.mark.parametrize("with_source", [False, True])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("gap_steps", [1, 5])
+    def test_matches_per_step_composition(self, gap_steps, order, with_source, pair):
+        grid, model, fam, cfg, values, source = self.setup(
+            gap_steps, order, with_source, pair)
+        if pair:
+            got = [s.f for s in solve_liouville_averaged(
+                AveragedDensityMatrix(grid, values), fam, model, cfg, source)]
+        else:
+            got = [s.g for s in solve_scalar_averaged(
+                AveragedField(grid, values), fam, model, cfg, source)]
+        want = stepwise(values, fam, model, cfg, source, pair)
+        assert len(got) == len(want) == cfg.sample_times.size
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("pair", [False, True])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("gap_steps", [1, 5])
+    def test_multiplier_calls_per_interval(self, monkeypatch, gap_steps, order, pair):
+        import stochnls.averaged as averaged
+
+        calls = []
+
+        def counting(values, phase):
+            calls.append(1)
+            return apply_multiplier(values, phase)
+
+        monkeypatch.setattr(averaged, "apply_multiplier", counting)
+        grid, model, fam, cfg, values, _ = self.setup(gap_steps, order, False, pair)
+        if pair:
+            solve_liouville_averaged(AveragedDensityMatrix(grid, values), fam, model, cfg)
+        else:
+            solve_scalar_averaged(AveragedField(grid, values), fam, model, cfg)
+        intervals = cfg.sample_times.size - 1  # the first sample is t = 0
+        per_interval = gap_steps + 1 if order == 2 else gap_steps
+        assert len(calls) == intervals * per_interval
 
 
 class TestDensityTracePsd:

@@ -148,6 +148,29 @@ class TestRunExperiments:
         for d in self.out_dirs(tmp_path):
             files.extend(os.listdir(d))
         assert "spectrum.csv" in files and "scan.csv" in files
+        # lambda = 0 lies in spec(H0): scan.csv carries nan there only
+        scan_dir = next(d for d in self.out_dirs(tmp_path)
+                        if os.path.basename(d).startswith("kb-scan"))
+        rows = open(os.path.join(scan_dir, "scan.csv")).read().split()[1:]
+        assert [r for r in rows if r.endswith(",nan")] == ["0,0,nan"]
+        report = json.loads(open(os.path.join(scan_dir, "report.json")).read())
+        assert report["invertible"]["global_min"] > 0.0
+
+    def test_verify_all_runtimes_go_to_manifest(self, tmp_path, monkeypatch):
+        from stochnls import verify
+
+        monkeypatch.setattr(verify, "CRITERIA",
+                            (verify.c1_unitarity, verify.c3_tensor_oracle))
+        cfg = parse_config(text='experiment.kind = "verify-all"')
+        assert run(cfg, str(tmp_path)) == 0
+        out = self.out_dirs(tmp_path)[0]
+        manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+        runtimes = manifest["criterion_runtime_s"]
+        assert sorted(runtimes) == ["C1", "C3"]
+        assert all(isinstance(v, float) and v >= 0.0 for v in runtimes.values())
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert sorted(report) == ["C1", "C3"]
+        assert not any("runtime_s" in entry for entry in report.values())
 
     def test_average_experiment(self, tmp_path):
         text = SMALL.replace('"path"', '"average"')

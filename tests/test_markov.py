@@ -6,6 +6,7 @@ from stochnls.markov import (
     MarkovModel,
     ground_state,
     heat_kernel,
+    path_rng,
     sample_path,
     state_at,
     validate_generator,
@@ -165,6 +166,48 @@ class TestSamplePath:
         expected = heat_kernel(model, t).K[:, y0]
         for p_emp, p in zip(emp, expected):
             assert abs(p_emp - p) <= 4 * np.sqrt(p * (1 - p) / N)
+
+    @staticmethod
+    def choice_reference(model, T, seed):
+        """The jump chain drawn with rng.choice, state by state."""
+        rng = path_rng(seed)
+        y = int(rng.choice(model.m, p=model.initial_law))
+        times, states, t = [], [y], 0.0
+        while True:
+            rate = model.A[y, y]
+            off = -model.A[y, :].copy()
+            off[y] = 0.0
+            t += rng.exponential(1.0 / rate)
+            if t >= T:
+                return np.array(times), np.array(states)
+            y = int(rng.choice(model.m, p=off / rate))
+            times.append(t)
+            states.append(y)
+
+    @pytest.mark.parametrize("A, law", [
+        (two_state(1.3), np.array([0.2, 0.8])),
+        (np.array([[1.5, -1.0, -0.5], [-1.0, 2.0, -1.0], [-0.5, -1.0, 1.5]]),
+         np.array([0.5, 0.0, 0.5])),
+        (np.array([[0.3, -0.3, 0.0], [-0.3, 1.0, -0.7], [0.0, -0.7, 0.7]]),
+         np.array([0.1, 0.6, 0.3])),
+    ])
+    def test_cdf_draws_match_rng_choice_bitwise(self, A, law):
+        model = MarkovModel(A, initial_law=law)
+        for i in range(300):
+            path = sample_path(model, 20.0, seed=(91, i))
+            times, states = self.choice_reference(model, 20.0, (91, i))
+            np.testing.assert_array_equal(path.jump_times, times)
+            np.testing.assert_array_equal(path.states, states)
+
+    def test_invalid_laws_rejected(self):
+        model = MarkovModel(two_state(), initial_law=np.array([0.5, 0.5]))
+        model.initial_law = np.array([0.7, 0.7])
+        with pytest.raises(ValueError, match="initial law"):
+            sample_path(model, 1.0, seed=0)
+        model = MarkovModel(two_state(), initial_law=0)
+        model.A = np.array([[1.0, -1.5], [-1.0, 1.0]])  # row 0 sums to 1.5
+        with pytest.raises(ValueError, match="jump law of state 0"):
+            sample_path(model, 1.0, seed=0)
 
 
 class TestStateAt:

@@ -179,6 +179,76 @@ class TestKatoBirman:
         assert np.max(np.abs(direct - inv)) <= 1e-6
 
 
+def dense_kb(fam, model, lam):
+    """I + v2 (H0 - lambda)^{-1} v1 with H0 assembled and inverted densely."""
+    from stochnls.potential import split
+
+    grid = fam.grid
+    H0 = np.kron(np.eye(model.m), dense_laplacian(grid)).astype(complex) \
+        + 1j * np.kron(model.A, np.eye(grid.size))
+    eye = np.eye(H0.shape[0])
+    w = split(fam)
+    R0 = np.linalg.inv(H0 - lam * eye)
+    return eye + w.v2.reshape(-1)[:, None] * R0 * w.v1.reshape(-1)[None, :]
+
+
+def c9_setting():
+    grid = SpatialGrid(1, 64, 20.0)
+    well = shape_field(grid, "sech2", amplitude=-2.0, width=1.0)
+    mod = shape_field(grid, "sech2", amplitude=1.0, width=1.0)
+    return make_amplitude_family(well, mod, [-1.0, 1.0], grid), two_state_model()
+
+
+class TestKBEigenbasis:
+    """KB built from H0's eigenbasis against the dense inverse of H0 - lambda."""
+
+    LAMBDAS = (-1.0 - 1.0j, 3.3 - 0.5j, -7.5 + 0.0j, 2.0 - 4.0j, -0.3 - 0.01j, 10.0 + 0.0j)
+
+    def cases(self):
+        g1 = SpatialGrid(1, 32, 12.0)
+        g2 = SpatialGrid(2, 8, 6.0)
+        bump = -np.exp(-sum((c - 3.0) ** 2 for c in g2.coordinates()))
+        g3 = SpatialGrid(1, 16, 8.0)
+        # no symmetry under reversing the states, so Q's row order matters
+        A3 = np.array([[1.3, -1.0, -0.3], [-1.0, 1.7, -0.7], [-0.3, -0.7, 1.0]])
+        return [
+            (sech_family(g1, m=2, contrast=0.8), two_state_model(1.4)),
+            (PotentialFamily(g2, np.vstack([bump, 0.4 * bump])), two_state_model(0.8)),
+            (sech_family(g3, m=3, contrast=1.0), MarkovModel(A3)),
+        ]
+
+    def test_matches_dense_inverse(self):
+        # measured: at most 4.7e-14 over these cases
+        for fam, model in self.cases():
+            for lam in self.LAMBDAS:
+                diff = np.max(np.abs(assemble_kb(fam, model, lam).KB
+                                     - dense_kb(fam, model, lam)))
+                assert diff <= 1e-12, (fam.grid.dim, model.m, lam, diff)
+
+    def test_matches_dense_inverse_on_c9_grid(self):
+        # measured: at most 3.2e-12 over C9's grid (lambda = 0 excluded); the
+        # real points near |k|^2 make R0 large
+        fam, model = c9_setting()
+        for lam in default_lambda_grid():
+            if lam != 0:
+                diff = np.max(np.abs(assemble_kb(fam, model, lam).KB
+                                     - dense_kb(fam, model, lam)))
+                assert diff <= 1e-10, (lam, diff)
+
+    def test_lambda_in_free_spectrum(self):
+        fam, model = c9_setting()
+        with pytest.raises(ValueError, match="spectrum of H0"):
+            assemble_kb(fam, model, 0.0 + 0.0j)
+        lams = default_lambda_grid()
+        scan = kb_scan(fam, model, lams)
+        excluded = np.isnan(scan["min_singular_values"])
+        assert np.array_equal(lams[excluded], [0.0])
+        assert scan["global_min"] == np.nanmin(scan["min_singular_values"]) > 0.0
+        assert scan["global_min_lambda"] == -1.0
+        with pytest.raises(ValueError, match="every lambda"):
+            kb_scan(fam, model, [0.0])
+
+
 class TestResolventIdentity:
     def test_zero_potential_machine_zero(self):
         grid = SpatialGrid(1, 16, 8.0)
@@ -216,3 +286,8 @@ class TestCsvWriters:
         klines = kpath.read_text().strip().split("\n")
         assert klines[0] == "re_lambda,im_lambda,min_singular_value"
         assert len(klines) == 7
+        # lambda = 0 lies in spec(H0): its row carries nan
+        scan = kb_scan(fam, model, [0.0, -1.0])
+        write_scan_csv(kpath, scan)
+        rows = kpath.read_text().strip().split("\n")[1:]
+        assert rows[0] == "0,0,nan" and "nan" not in rows[1]
