@@ -112,16 +112,26 @@ class AveragedDensityMatrix:
 def _kick(model: MarkovModel, cfg: SolverConfig, potential, source, grid):
     """A step's middle factors at its midpoint: mixing(dt/2) potential
     source mixing(dt/2) for Strang order, mixing(dt) potential source for
-    Lie.  The state axis leads; source(grid, t) is injected with weight i*dt."""
+    Lie.  The state axis leads; potential(values) multiplies in place, and
+    source(grid, t) is injected with weight i*dt.
+
+    kick(values, spare, t_mid) mixes from one buffer into the other and
+    returns (result, free buffer); the mixing is np.dot over the state
+    axis, as np.tensordot computes it."""
     strang = cfg.order == 2
     mix = heat_kernel(model, 0.5 * cfg.dt if strang else cfg.dt).K
+    m = mix.shape[0]
 
-    def kick(values, t_mid):
-        values = potential(np.tensordot(mix, values, axes=(1, 0)))
+    def mixed(src, dst):
+        np.dot(mix, src.reshape(m, -1), out=dst.reshape(m, -1))
+        return dst
+
+    def kick(values, spare, t_mid):
+        kicked = potential(mixed(values, spare))
         if source is not None:
-            inject = np.asarray(source(grid, t_mid)).reshape(values.shape)
-            values = values + 1j * cfg.dt * inject
-        return np.tensordot(mix, values, axes=(1, 0)) if strang else values
+            inject = np.asarray(source(grid, t_mid)).reshape(kicked.shape)
+            np.add(kicked, 1j * cfg.dt * inject, out=kicked)
+        return (mixed(kicked, values), kicked) if strang else (kicked, values)
     return kick
 
 
@@ -129,26 +139,31 @@ def _march(values: np.ndarray, cfg: SolverConfig, flow, kick, record) -> None:
     """March values over cfg.sample_times, calling record(t, values) at each.
 
     A step is flow(dt/2) kick flow(dt/2) (Strang) or flow(dt) kick (Lie);
-    flow(tau) is the free flow's Fourier multiplier and kick(values, t_mid)
-    applies the step's middle factors.  A Strang step's trailing half-flow
-    is fused with the next step's leading one (the multipliers compose
-    exactly), so k steps between sample times cost k + 1 multiplier calls.
+    flow(tau) is the free flow's Fourier multiplier and kick(values, spare,
+    t_mid) applies the step's middle factors.  A Strang step's trailing
+    half-flow is fused with the next step's leading one (the multipliers
+    compose exactly), so k steps between sample times cost k + 1 multiplier
+    calls.  The march owns `values` and swaps it with one spare buffer, so
+    it allocates nothing per step; record must copy what it keeps.
     """
     dt = cfg.dt
     half, full = flow(0.5 * dt), flow(dt)
     strang = cfg.order == 2
+    spare = np.empty_like(values)
     t = 0.0
     for target in cfg.sample_times:
         n_steps = 0 if target <= 1e-15 else int(round((target - t) / dt))
         if strang and n_steps:
-            values = apply_multiplier(values, half)
+            values, spare = apply_multiplier(values, half, out=spare), values
         for j in range(n_steps):
             last = j == n_steps - 1
             if strang:
-                values = kick(values, t + 0.5 * dt)
-                values = apply_multiplier(values, half if last else full)
+                values, spare = kick(values, spare, t + 0.5 * dt)
+                values, spare = apply_multiplier(values, half if last else full,
+                                                 out=spare), values
             else:
-                values = kick(apply_multiplier(values, full), t + 0.5 * dt)
+                values, spare = apply_multiplier(values, full, out=spare), values
+                values, spare = kick(values, spare, t + 0.5 * dt)
             t = target if last else t + dt
         if not np.all(np.isfinite(values.view(np.float64))):
             raise RuntimeError(f"averaged solve lost finiteness at t={target}")
@@ -172,7 +187,7 @@ def solve_scalar_averaged(g0: AveragedField, family: PotentialFamily,
     out: list[AveragedField] = []
     # the state axis is the multiplier's batch axis
     _march(g0.g.reshape(shape).copy(), cfg, lambda tau: kinetic_phase(grid, tau),
-           _kick(model, cfg, lambda g: pot * g, source, grid),
+           _kick(model, cfg, lambda g: np.multiply(pot, g, out=g), source, grid),
            lambda t, g: out.append(AveragedField(grid, g.reshape(m, -1).copy(), t=t)))
     return out
 
@@ -205,8 +220,12 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
     pot = np.exp(1j * cfg.dt * family.V)  # (m, n) phases
     pot_left, pot_right = pot[:, :, None], pot.conj()[:, None, :]
     out: list[AveragedDensityMatrix] = []
-    _march(f0.f.copy(), cfg, pair_phase,
-           _kick(model, cfg, lambda f: pot_left * f * pot_right, source, grid),
+
+    def potential(f):
+        np.multiply(pot_left, f, out=f)
+        return np.multiply(f, pot_right, out=f)
+
+    _march(f0.f.copy(), cfg, pair_phase, _kick(model, cfg, potential, source, grid),
            lambda t, f: out.append(AveragedDensityMatrix(grid, f.copy(), t=t)))
     return out
 
@@ -229,7 +248,7 @@ def trace(f: AveragedDensityMatrix) -> tuple[np.ndarray, float]:
 def psd_check(f: AveragedDensityMatrix) -> np.ndarray:
     """Minimum eigenvalue of each state's kernel (dense Hermitian solve)."""
     hermitized = 0.5 * (f.f + f.f.conj().transpose(0, 2, 1))
-    return np.array([np.linalg.eigvalsh(hermitized[y])[0] for y in range(f.m)])
+    return np.linalg.eigvalsh(hermitized)[:, 0]
 
 
 def write_density_csv(path, series: list[AveragedDensityMatrix]) -> None:

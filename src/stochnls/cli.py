@@ -8,11 +8,12 @@ over a misspelling.
 
 Every run writes into ``<out>/<kind>-<confighash>-seed<seed>/``: the
 artifacts of the experiment plus ``manifest.json`` echoing the config, the
-package and numpy versions, the seed, the wall time and each verify-all
-criterion's ``runtime_s`` (``criterion_runtime_s``).  Artifacts are
-deterministic functions of (config, seed); the manifest is the one file
-that records wall-clock time and is therefore excluded from byte-identity
-comparisons.
+package and numpy versions, the seed, the wall time, each verify-all
+criterion's ``runtime_s`` (``criterion_runtime_s``) and the BLAS thread
+variables (``blas_thread_env``, null when unset).  Artifacts are
+deterministic functions of (config, seed) for a fixed BLAS thread count;
+the manifest is the one file that records wall-clock time and is
+therefore excluded from byte-identity comparisons.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ from .spectral import (
     write_scan_csv,
     write_spectrum_csv,
 )
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 EXPERIMENT_KINDS = ("path", "average", "liouville", "ensemble", "spectrum",
                     "kb-scan", "verify-all")
@@ -421,6 +424,9 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
         "wall_time_s": time.time() - started,
         "criterion_runtime_s": {k: entry["runtime_s"] for k, entry in checks.items()
                                 if "runtime_s" in entry},
+        # LAPACK results can differ in the last bits between BLAS thread
+        # counts, so artifacts are byte-reproducible only for a fixed count
+        "blas_thread_env": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

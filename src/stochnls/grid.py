@@ -164,12 +164,16 @@ def kinetic_phase(grid: SpatialGrid, tau: float) -> np.ndarray:
     return phase
 
 
-def apply_multiplier(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
+def apply_multiplier(values: np.ndarray, phase: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """ifft(phase * fft(values)) over the trailing phase.ndim axes.
 
     Leading axes of `values` are batch axes.  A one-axis phase takes the
     plain fft/ifft pair, which costs about half an fftn/ifftn pair at
-    desk-scale lengths, where a transform is mostly call overhead.
+    desk-scale lengths, where a transform is mostly call overhead.  Given
+    `out` (complex, shaped like `values`, not `values` itself), both
+    transforms write into it and it is returned; the result is bitwise
+    the same.
 
     Complex products here and in the march are explicit np.multiply calls
     into the temporary: for an operand of 256 KiB or more, `x * temporary`
@@ -178,11 +182,11 @@ def apply_multiplier(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
     result would depend on the batch size.
     """
     if phase.ndim == 1:
-        spectrum = np.fft.fft(values)
-        return np.fft.ifft(np.multiply(phase, spectrum, out=spectrum))
+        spectrum = np.fft.fft(values, out=out)
+        return np.fft.ifft(np.multiply(phase, spectrum, out=spectrum), out=out)
     axes = tuple(range(-phase.ndim, 0))
-    spectrum = np.fft.fftn(values, axes=axes)
-    return np.fft.ifftn(np.multiply(phase, spectrum, out=spectrum), axes=axes)
+    spectrum = np.fft.fftn(values, axes=axes, out=out)
+    return np.fft.ifftn(np.multiply(phase, spectrum, out=spectrum), axes=axes, out=out)
 
 
 def free_flow(grid: SpatialGrid, values: np.ndarray, tau: float) -> np.ndarray:

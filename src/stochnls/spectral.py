@@ -21,6 +21,12 @@ the Laplacian realized exactly as the Fourier conjugation of diag(|k|^2),
 so spectra here and dynamics in the propagators share one discretization.
 The free resolvent R0 is applied in the exact eigenbasis of H0 (DFT
 tensor eigenvectors of A), so KB costs no inverse.
+
+-Lap and iA commute with the grid reflection x -> -x on each state, so
+when every state's V is even, H and every KB(lambda) are block-diagonal
+in the orthonormal basis of even and odd functions: the eigensolves and
+singular value decompositions run on the two half-size blocks, and their
+spectra together are the whole operator's.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ class DiscreteHamiltonian:
     m: int
     H: np.ndarray = field(repr=False)
     well_window: np.ndarray = field(repr=False)  # boolean mask over cells
+    V: np.ndarray = field(repr=False)  # (m, grid.size), the diagonal of H - H0
 
     @property
     def size(self) -> int:
@@ -72,9 +79,10 @@ def _well_window(family: PotentialFamily, threshold: float = 0.05) -> np.ndarray
 
 
 def assemble_h(family: PotentialFamily, model: MarkovModel,
-               grid: SpatialGrid | None = None, cap: int = SIZE_CAP) -> DiscreteHamiltonian:
-    """Dense H = (-Lap x I_y) + i (I_x x A) + diag V in state-major layout."""
-    grid = grid or family.grid
+               cap: int = SIZE_CAP) -> DiscreteHamiltonian:
+    """Dense H = (-Lap x I_y) + i (I_x x A) + diag V in state-major layout,
+    on the family's grid."""
+    grid = family.grid
     m = model.m
     size = grid.size * m
     if size > cap:
@@ -84,7 +92,72 @@ def assemble_h(family: PotentialFamily, model: MarkovModel,
     H = np.kron(np.eye(m), dense_laplacian(grid)).astype(complex) \
         + 1j * np.kron(model.A, np.eye(grid.size))
     H += np.diag(family.V.reshape(-1).astype(complex))
-    return DiscreteHamiltonian(grid=grid, m=m, H=H, well_window=_well_window(family))
+    return DiscreteHamiltonian(grid=grid, m=m, H=H, well_window=_well_window(family),
+                               V=family.V)
+
+
+@dataclass(frozen=True)
+class _Block:
+    """An invariant subspace with the orthonormal basis
+    b_a = weight_a (e_{index_a} + sign e_{mirror_a}), mirror_a the reflected
+    index_a on the same state; index None is the whole space in its own
+    basis, on which every map below is the identity."""
+
+    size: int
+    index: np.ndarray | None = None
+    mirror: np.ndarray | None = None
+    weight: np.ndarray | None = None
+    sign: float = 1.0
+
+    def restrict(self, M: np.ndarray) -> np.ndarray:
+        """B^H M B for a matrix M that commutes with the reflection."""
+        if self.index is None:
+            return M
+        rows = M[self.index] + self.sign * M[self.mirror]
+        both = rows[:, self.index] + self.sign * rows[:, self.mirror]
+        return self.weight[:, None] * both * self.weight[None, :]
+
+    def restrict_diagonal(self, d: np.ndarray) -> np.ndarray:
+        """The diagonal of B^H diag(d) B for an even d."""
+        return d if self.index is None else d[self.index]
+
+    def extend(self, X: np.ndarray) -> np.ndarray:
+        """B X: columns in block coordinates back on the full index."""
+        if self.index is None:
+            return X
+        scaled = self.weight[:, None] * X
+        out = np.zeros((self.size, X.shape[1]), dtype=X.dtype)
+        out[self.index] = scaled
+        out[self.mirror] += self.sign * scaled
+        return out
+
+
+def _parity_blocks(grid: SpatialGrid, fields) -> list[_Block]:
+    """The even and odd blocks of the state-major index when every field
+    (each (m, grid.size), one row per state) is even under grid.reflect to
+    1e-12 max(1, max |field|), as HartreeKernel tests chi; the whole space
+    as one block otherwise.
+
+    Even basis: (e_j + e_-j)/sqrt 2 for each pair j != -j, and e_j for the
+    fixed points j = -j (the origin and the half-box points).  Odd basis:
+    (e_j - e_-j)/sqrt 2 for each pair.
+    """
+    mirror_x = grid.reflect(np.arange(grid.size))
+    fields = [np.asarray(f, dtype=float) for f in fields]
+    m = fields[0].shape[0]
+    size = m * grid.size
+    for f in fields:
+        scale = max(1.0, float(np.max(np.abs(f), initial=0.0)))
+        if np.max(np.abs(f - f[:, mirror_x]), initial=0.0) > 1e-12 * scale:
+            return [_Block(size)]
+    index = np.arange(size)
+    mirror = (index // grid.size) * grid.size + mirror_x[index % grid.size]
+    even, odd = index <= mirror, index < mirror
+    fixed = index[even] == mirror[even]
+    return [_Block(size, index[even], mirror[even],
+                   np.where(fixed, 0.5, np.sqrt(0.5)), 1.0),
+            _Block(size, index[odd], mirror[odd],
+                   np.full(int(odd.sum()), np.sqrt(0.5)), -1.0)]
 
 
 @dataclass
@@ -111,16 +184,26 @@ def eigen_analysis(ham: DiscreteHamiltonian) -> EigenReport:
 
     Dissipativity puts the spectrum in the (numerically closed) upper
     half-plane; a violation beyond 1e-8 * ||H|| is a hard error.
+
+    For an even V the solve runs per parity block, and the eigenvalues come
+    even block first.  An eigenvalue shared by both blocks then gets
+    pure-parity eigenvectors, so its localization can differ from that of
+    an unsplit solve's mixed eigenvectors; only simple localized levels
+    enter C8's gates.
     """
-    eigvals, eigvecs = np.linalg.eig(ham.H)
+    window = np.tile(ham.well_window, ham.m)
+    eigvals, loc = [], []
+    for block in _parity_blocks(ham.grid, (ham.V,)):
+        vals, vecs = np.linalg.eig(block.restrict(ham.H))
+        mass = np.abs(block.extend(vecs)) ** 2
+        eigvals.append(vals)
+        loc.append(mass[window].sum(axis=0) / mass.sum(axis=0))
+    eigvals, loc = np.concatenate(eigvals), np.concatenate(loc)
     norm = float(np.max(np.abs(eigvals)))
     min_imag = float(np.min(eigvals.imag))
     if min_imag < -1e-8 * max(norm, 1.0):
         raise RuntimeError(
             f"spectrum leaked into the lower half-plane: min Im = {min_imag:.3e}")
-    mass = np.abs(eigvecs) ** 2
-    window = np.tile(ham.well_window, ham.m)
-    loc = mass[window].sum(axis=0) / mass.sum(axis=0)
     return EigenReport(eigenvalues=eigvals, localization=loc,
                        min_imag=min_imag, norm=norm)
 
@@ -149,15 +232,17 @@ def _kb_setup(family: PotentialFamily, model: MarkovModel):
     return w.v2.reshape(-1)[:, None] * W, W.conj().T * w.v1.reshape(-1)[None, :], d
 
 
-def _kb_matrix(left, right, d, lam: complex) -> np.ndarray | None:
-    """I + v2 R0(lambda) v1, or None when lambda lies in spec(H0), where
-    min |d - lambda| <= 1e-12 max(1, max |d|) and R0 does not exist."""
+def _in_free_spectrum(d: np.ndarray, lam: complex) -> bool:
+    """Whether lambda lies in spec(H0), min |d - lambda| <= 1e-12 max(1, max |d|),
+    where R0 does not exist."""
     if lam.imag > 0:
         raise ValueError("KB is defined on the closed lower half-plane only")
-    gap = d - lam
-    if np.min(np.abs(gap)) <= 1e-12 * max(1.0, float(np.max(np.abs(d)))):
-        return None
-    KB = left @ (right / gap[:, None])
+    return bool(np.min(np.abs(d - lam)) <= 1e-12 * max(1.0, float(np.max(np.abs(d)))))
+
+
+def _kb_matrix(left, right, d, lam: complex) -> np.ndarray:
+    """I + left diag(1/(d - lambda)) right, for lambda outside spec(H0)."""
+    KB = left @ (right / (d - lam)[:, None])
     KB.flat[::KB.shape[0] + 1] += 1.0
     return KB
 
@@ -165,10 +250,10 @@ def _kb_matrix(left, right, d, lam: complex) -> np.ndarray | None:
 def assemble_kb(family: PotentialFamily, model: MarkovModel,
                 lam: complex) -> KBOperator:
     """KB(lambda) = I + v2 R0(lambda) v1 on the state-major index."""
-    KB = _kb_matrix(*_kb_setup(family, model), lam)
-    if KB is None:
+    parts = _kb_setup(family, model)
+    if _in_free_spectrum(parts[2], lam):
         raise ValueError(f"lambda = {lam} lies in the spectrum of H0")
-    return KBOperator(lam=lam, KB=KB)
+    return KBOperator(lam=lam, KB=_kb_matrix(*parts, lam))
 
 
 def default_lambda_grid(re_span: tuple[float, float] = (-10.0, 10.0),
@@ -183,16 +268,25 @@ def default_lambda_grid(re_span: tuple[float, float] = (-10.0, 10.0),
 
 def kb_scan(family: PotentialFamily, model: MarkovModel,
             lam_grid: np.ndarray | None = None) -> dict:
-    """Min singular value of KB over a lambda grid, plus the global minimum."""
+    """Min singular value of KB over a lambda grid, plus the global minimum.
+
+    For even v1 and v2 the spatial and the spectral index split alike (the
+    DFT maps even to even and |k|^2 is even), so each KB block is assembled
+    and decomposed at half size.
+    """
     if lam_grid is None:
         lam_grid = default_lambda_grid()
     lam_grid = np.asarray(lam_grid, dtype=complex).reshape(-1)
-    parts = _kb_setup(family, model)
+    left, right, d = _kb_setup(family, model)
+    w = split(family)
+    blocks = [(b.restrict(left), b.restrict(right), b.restrict_diagonal(d))
+              for b in _parity_blocks(family.grid, (w.v1, w.v2))]
     mins = np.full(lam_grid.size, np.nan)  # NaN where lambda lies in spec(H0)
     for i, lam in enumerate(lam_grid):
-        KB = _kb_matrix(*parts, lam)
-        if KB is not None:
-            mins[i] = float(np.linalg.svd(KB, compute_uv=False)[-1])
+        if not _in_free_spectrum(d, lam):
+            mins[i] = min(float(np.linalg.svd(_kb_matrix(*parts, lam),
+                                              compute_uv=False)[-1])
+                          for parts in blocks)
     if np.all(np.isnan(mins)):
         raise ValueError("every lambda of the scan lies in the spectrum of H0")
     gmin = int(np.nanargmin(mins))

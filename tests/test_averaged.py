@@ -270,9 +270,9 @@ class TestFusedMarch:
 
         calls = []
 
-        def counting(values, phase):
+        def counting(values, phase, out=None):
             calls.append(1)
-            return apply_multiplier(values, phase)
+            return apply_multiplier(values, phase, out=out)
 
         monkeypatch.setattr(averaged, "apply_multiplier", counting)
         grid, model, fam, cfg, values, _ = self.setup(gap_steps, order, False, pair)
@@ -323,6 +323,15 @@ class TestDensityTracePsd:
         grid = SpatialGrid(1, 32, 8.0)
         f = self.rank_one(grid, gaussian(grid))
         assert psd_check(f)[0] >= -1e-12
+
+    def test_stacked_solve_matches_per_state_loop(self):
+        grid = SpatialGrid(1, 32, 8.0)
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((3, 32, 32)) + 1j * rng.standard_normal((3, 32, 32))
+        f = AveragedDensityMatrix(grid, a + a.conj().transpose(0, 2, 1))
+        hermitized = 0.5 * (f.f + f.f.conj().transpose(0, 2, 1))
+        loop = [np.linalg.eigvalsh(hermitized[y])[0] for y in range(f.m)]
+        assert np.array_equal(psd_check(f), loop)
 
 
 class TestCsvOutput:

@@ -172,6 +172,19 @@ class TestRunExperiments:
         assert sorted(report) == ["C1", "C3"]
         assert not any("runtime_s" in entry for entry in report.values())
 
+    def test_manifest_records_blas_thread_env(self, tmp_path, monkeypatch):
+        # report.json depends on the BLAS thread count, so the manifest
+        # says which count a run had; an unset variable reads null
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert run(parse_config(text=SMALL), str(tmp_path)) == 0
+        out = self.out_dirs(tmp_path)[0]
+        manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+        assert manifest["blas_thread_env"] == {"OPENBLAS_NUM_THREADS": "1",
+                                               "OMP_NUM_THREADS": "2",
+                                               "MKL_NUM_THREADS": None}
+
     def test_average_experiment(self, tmp_path):
         text = SMALL.replace('"path"', '"average"')
         assert run(parse_config(text=text), str(tmp_path)) == 0

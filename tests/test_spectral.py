@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from stochnls.grid import SpatialGrid, dense_laplacian, laplacian_symbol
 from stochnls.markov import MarkovModel
-from stochnls.potential import PotentialFamily, make_amplitude_family, shape_field
+from stochnls.potential import (
+    PotentialFamily,
+    make_amplitude_family,
+    make_translate_family,
+    shape_field,
+)
 from stochnls.spectral import (
+    _parity_blocks,
     assemble_h,
     assemble_kb,
     default_lambda_grid,
@@ -247,6 +256,113 @@ class TestKBEigenbasis:
         assert scan["global_min_lambda"] == -1.0
         with pytest.raises(ValueError, match="every lambda"):
             kb_scan(fam, model, [0.0])
+
+
+def graph_model(weights, m):
+    """The weighted graph Laplacian on m states with the given edge weights."""
+    A = np.zeros((m, m))
+    A[np.triu_indices(m, 1)] = weights
+    A = -(A + A.T)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    return MarkovModel(A)
+
+
+GRIDS = [SpatialGrid(1, 16, 8.0), SpatialGrid(1, 32, 12.0),
+         SpatialGrid(2, 4, 4.0), SpatialGrid(2, 8, 6.0)]
+SPLIT_LAMBDAS = default_lambda_grid(re_span=(-6.0, 6.0), n_re=4, im_span=(-2.0, -0.5),
+                                    n_im=2)
+
+
+@st.composite
+def families(draw):
+    """A grid, a weighted-graph generator on m states and a seed for V."""
+    grid = draw(st.sampled_from(GRIDS))
+    m = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.floats(0.1, 3.0), min_size=m * (m - 1) // 2,
+                            max_size=m * (m - 1) // 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    V = np.random.default_rng(seed).standard_normal((m, grid.size))
+    return grid, graph_model(weights, m), V
+
+
+def unsplit_eigen(ham):
+    """The whole-space eigensolve and localization, as before the split."""
+    eigvals, eigvecs = np.linalg.eig(ham.H)
+    mass = np.abs(eigvecs) ** 2
+    window = np.tile(ham.well_window, ham.m)
+    return eigvals, mass[window].sum(axis=0) / mass.sum(axis=0)
+
+
+def unsplit_kb_mins(fam, model):
+    return np.array([np.linalg.svd(assemble_kb(fam, model, lam).KB, compute_uv=False)[-1]
+                     for lam in SPLIT_LAMBDAS])
+
+
+split_settings = settings(max_examples=12, deadline=None, derandomize=True,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestParitySplit:
+    """For an even V the eigensolve and the KB scan run on the even and odd
+    blocks; their union must be the whole operator's spectrum, and an
+    uneven V must take the unsplit path unchanged."""
+
+    @split_settings
+    @given(families())
+    def test_even_family_splits_and_keeps_the_spectrum(self, drawn):
+        grid, model, V = drawn
+        fam = PotentialFamily(grid, V + np.array([grid.reflect(v) for v in V]))
+        blocks = _parity_blocks(grid, (fam.V,))
+        fixed = 2 ** grid.dim  # the origin and the half-box points, per axis
+        assert [b.index.size for b in blocks] == [
+            model.m * (grid.size + fixed) // 2, model.m * (grid.size - fixed) // 2]
+        ham = assemble_h(fam, model)
+        report = eigen_analysis(ham)
+        want, want_loc = unsplit_eigen(ham)
+        assert report.eigenvalues.size == want.size
+        tol = 1e-10 * report.norm
+        rows, cols = linear_sum_assignment(np.abs(report.eigenvalues[:, None] - want[None, :]))
+        assert np.max(np.abs(report.eigenvalues[rows] - want[cols])) <= tol
+        # a well separated level has one eigenvector up to phase, so the same
+        # localization in either basis
+        gaps = np.abs(want[:, None] - want[None, :]) + np.eye(want.size) * report.norm
+        simple = np.min(gaps, axis=1)[cols] > 1e-3 * report.norm
+        np.testing.assert_allclose(report.localization[rows][simple],
+                                   want_loc[cols][simple], rtol=0, atol=1e-8)
+        mins = kb_scan(fam, model, SPLIT_LAMBDAS)["min_singular_values"]
+        np.testing.assert_allclose(mins, unsplit_kb_mins(fam, model), rtol=1e-12)
+
+    @split_settings
+    @given(families(), st.sampled_from([1, 3]))
+    def test_uneven_family_takes_the_unsplit_path(self, drawn, shift):
+        grid, model, V = drawn
+        # base is even; a shift by 1 or 3 cells (never 0 or n/2, which keep
+        # it even) breaks the symmetry of state 0
+        base = V[0] + grid.reflect(V[0])
+        shifts = [(shift + y,) + (0,) * (grid.dim - 1) for y in range(model.m)]
+        fam = make_translate_family(base, grid, shifts)
+        assert len(_parity_blocks(grid, (fam.V,))) == 1
+        ham = assemble_h(fam, model)
+        report = eigen_analysis(ham)
+        want, want_loc = unsplit_eigen(ham)
+        assert np.array_equal(report.eigenvalues, want)
+        assert np.array_equal(report.localization, want_loc)
+        mins = kb_scan(fam, model, SPLIT_LAMBDAS)["min_singular_values"]
+        assert np.array_equal(mins, unsplit_kb_mins(fam, model))
+
+    def test_blocks_decouple_the_c8_operator(self):
+        # the coupling between the blocks is the dense Laplacian's roundoff
+        grid = SpatialGrid(1, 64, 40.0)
+        fam = sech_family(grid, m=2, contrast=1.0)
+        ham = assemble_h(fam, two_state_model())
+        even, odd = _parity_blocks(grid, (fam.V,))
+        B = np.zeros((ham.size, even.index.size))
+        cols = np.arange(even.index.size)
+        B[even.index, cols] = even.weight
+        B[even.mirror, cols] += even.weight
+        np.testing.assert_allclose(B.T @ B, np.eye(cols.size), atol=1e-15)
+        P = B @ B.T  # projector onto the even functions
+        assert np.max(np.abs(P @ ham.H - ham.H @ P)) <= 1e-12 * np.max(np.abs(ham.H))
 
 
 class TestResolventIdentity:
