@@ -143,7 +143,6 @@ def _parity_blocks(grid: SpatialGrid, fields) -> list[_Block]:
     (e_j - e_-j)/sqrt 2 for each pair.
     """
     mirror_x = grid.reflect(np.arange(grid.size))
-    fields = [np.asarray(f, dtype=float) for f in fields]
     m = fields[0].shape[0]
     size = m * grid.size
     for f in fields:
