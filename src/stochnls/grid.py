@@ -31,6 +31,7 @@ __all__ = [
     "transform",
     "transform_rows",
     "inverse_transform",
+    "convolution_spectrum",
     "spectral_convolution",
     "dft_matrix",
     "dense_laplacian",
@@ -165,15 +166,18 @@ def kinetic_phase(grid: SpatialGrid, tau: float) -> np.ndarray:
 
 
 def apply_multiplier(values: np.ndarray, phase: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """ifft(phase * fft(values)) over the trailing phase.ndim axes.
+                     out: np.ndarray | None = None, ndim: int | None = None) -> np.ndarray:
+    """ifft(phase * fft(values)) over the trailing `ndim` axes (phase.ndim
+    by default).
 
-    Leading axes of `values` are batch axes.  A one-axis phase takes the
-    plain fft/ifft pair, which costs about half an fftn/ifftn pair at
-    desk-scale lengths, where a transform is mostly call overhead.  Given
-    `out` (complex, shaped like `values`, not `values` itself), both
-    transforms write into it and it is returned; the result is bitwise
-    the same.
+    Leading axes of `values` are batch axes.  A phase with more axes than
+    `ndim` carries its own batch axes, one multiplier per row: a (B, n)
+    phase on a one-axis grid takes ndim=1, or its rows would be transformed
+    into each other.  A one-axis transform takes the plain fft/ifft pair,
+    which costs about half an fftn/ifftn pair at desk-scale lengths, where
+    a transform is mostly call overhead.  Given `out` (complex, shaped like
+    `values`, not `values` itself), both transforms write into it and it is
+    returned; the result is bitwise the same.
 
     Complex products here and in the march are explicit np.multiply calls
     into the temporary: for an operand of 256 KiB or more, `x * temporary`
@@ -181,10 +185,11 @@ def apply_multiplier(values: np.ndarray, phase: np.ndarray,
     elision), and a complex product is not bitwise commutative, so a row's
     result would depend on the batch size.
     """
-    if phase.ndim == 1:
+    ndim = phase.ndim if ndim is None else ndim
+    if ndim == 1:
         spectrum = np.fft.fft(values, out=out)
         return np.fft.ifft(np.multiply(phase, spectrum, out=spectrum), out=out)
-    axes = tuple(range(-phase.ndim, 0))
+    axes = tuple(range(-ndim, 0))
     spectrum = np.fft.fftn(values, axes=axes, out=out)
     return np.fft.ifftn(np.multiply(phase, spectrum, out=spectrum), axes=axes, out=out)
 
@@ -215,25 +220,24 @@ def inverse_transform(grid: SpatialGrid, spectrum: np.ndarray) -> WaveField:
     return WaveField(grid, a.reshape(-1))
 
 
-def spectral_convolution(grid: SpatialGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def convolution_spectrum(grid: SpatialGrid, a: np.ndarray) -> np.ndarray:
+    """The (unnormalized) transform of one flat field `a`, shaped like the
+    grid: the multiplier :func:`spectral_convolution` convolves with."""
+    return np.fft.fftn(np.asarray(a).reshape(grid.shape))
+
+
+def spectral_convolution(grid: SpatialGrid, a_spectrum: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Periodic convolution (a*b)(x) ~ int a(x-y) b(y) dy via FFT.
 
-    `a` is one flat field; `b` is flat, shape (..., grid.size), and its
-    leading axes are batch axes, each row convolved with `a`.  Carries the
-    cell-volume weight so it approximates the continuum convolution of the
-    sampled functions.  A one-axis grid takes the plain fft/ifft pair, as
-    :func:`apply_multiplier` does.
+    `a_spectrum` is :func:`convolution_spectrum` of one flat field a, so a
+    kernel used many times is transformed once; `b` is flat, shape
+    (..., grid.size), and its leading axes are batch axes, each row
+    convolved with a.  Carries the cell-volume weight so it approximates
+    the continuum convolution of the sampled functions.
     """
     b = np.asarray(b)
     lead = b.shape[:-1]
-    rows = b.reshape(*lead, *grid.shape)
-    if grid.dim == 1:
-        A, spectra = np.fft.fft(np.asarray(a)), np.fft.fft(rows)
-        conv = np.fft.ifft(np.multiply(A, spectra, out=spectra))
-    else:
-        axes = tuple(range(-grid.dim, 0))
-        A, spectra = np.fft.fftn(np.asarray(a).reshape(grid.shape)), np.fft.fftn(rows, axes=axes)
-        conv = np.fft.ifftn(np.multiply(A, spectra, out=spectra), axes=axes)
+    conv = apply_multiplier(b.reshape(*lead, *grid.shape), a_spectrum)
     return grid.cell_volume * conv.reshape(*lead, grid.size)
 
 

@@ -17,6 +17,7 @@ reproduces the same path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +139,23 @@ class MarkovModel:
             self.initial_law = law
         self._eigvals, self._eigvecs = np.linalg.eigh(self.A)
 
+    def __setattr__(self, name, value) -> None:
+        super().__setattr__(name, value)
+        if name in ("A", "initial_law"):  # a law set again is checked again
+            self.__dict__.pop("_jump_laws", None)
+
+    @cached_property
+    def _jump_laws(self) -> tuple[np.ndarray, list, np.ndarray]:
+        """(holding rates, each state's jump cdf or None when absorbing, the
+        initial-law cdf): built once, for every path :func:`sample_path` draws."""
+        rates = np.diag(self.A).copy()
+        off = np.diag(rates) - self.A  # the off-diagonal jump rates
+        if np.any((rates <= 0.0) & np.any(off > 0, axis=1)):
+            raise ValueError("a state with zero holding rate has off-diagonal mass")
+        jump_cdfs = [_cdf(off[y] / rate, f"jump law of state {y}") if rate > 0.0 else None
+                     for y, rate in enumerate(rates)]
+        return rates, jump_cdfs, _cdf(self.initial_law, "initial law")
+
     @property
     def m(self) -> int:
         return self.A.shape[0]
@@ -229,19 +247,13 @@ def sample_path(model: MarkovModel, T: float, seed: int | tuple[int, ...]) -> Pa
     """Exact jump-chain sample of the chain with rate matrix Q = -A on [0, T]."""
     if T <= 0:
         raise ValueError("horizon must be positive")
+    rates, jump_cdfs, initial_cdf = model._jump_laws
     rng = path_rng(seed)
-    rates = np.diag(model.A)
-    off = np.diag(rates) - model.A  # the off-diagonal jump rates
-    if np.any((rates <= 0.0) & np.any(off > 0, axis=1)):
-        raise ValueError("a state with zero holding rate has off-diagonal mass")
-    # None marks an absorbing state: no more jumps
-    jump_cdfs = [_cdf(off[y] / rate, f"jump law of state {y}") if rate > 0.0 else None
-                 for y, rate in enumerate(rates)]
-    y = int(_cdf(model.initial_law, "initial law").searchsorted(rng.random(), side="right"))
+    y = int(initial_cdf.searchsorted(rng.random(), side="right"))
     jump_times: list[float] = []
     states = [y]
     t = 0.0
-    while jump_cdfs[y] is not None:
+    while jump_cdfs[y] is not None:  # None: an absorbing state
         t += rng.exponential(1.0 / rates[y])
         if t >= T:
             break

@@ -10,10 +10,11 @@ and the averaged field A[hV] that enters the energy-flux hypothesis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .grid import SpatialGrid, WaveField, lorentz_norm
+from .grid import SpatialGrid, WaveField, convolution_spectrum, lorentz_norm
 from .markov import MarkovModel, PathSample, state_at
 
 __all__ = [
@@ -76,7 +77,8 @@ class HartreeKernel:
     """Even convolution kernel chi and coupling constant for the Hartree term.
 
     chi is checked to be even (to 1e-12) once, here, and kept as a
-    read-only copy, so the check holds for the kernel's lifetime.
+    read-only copy, so the check holds for the kernel's lifetime.  Its
+    transform, :attr:`chi_spectrum`, is taken once and is read-only too.
     """
 
     grid: SpatialGrid
@@ -91,6 +93,18 @@ class HartreeKernel:
         if np.max(np.abs(self.chi - self.grid.reflect(self.chi))) > 1e-12 * scale:
             raise ValueError("chi must be even under the grid reflection")
         self.chi.flags.writeable = False
+
+    def __setattr__(self, name, value) -> None:
+        super().__setattr__(name, value)
+        if name == "chi":  # a chi set again takes its own spectrum
+            self.__dict__.pop("chi_spectrum", None)
+
+    @cached_property
+    def chi_spectrum(self) -> np.ndarray:
+        """chi as :func:`grid.spectral_convolution` takes it."""
+        spectrum = convolution_spectrum(self.grid, self.chi)
+        spectrum.flags.writeable = False
+        return spectrum
 
 
 def _centered_offsets(grid: SpatialGrid, center: float | tuple) -> np.ndarray:

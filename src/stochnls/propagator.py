@@ -18,20 +18,23 @@ Stepping is split-step spectral (Lie or Strang).  Steps are subdivided
 exactly at the path's jump times, so within every substep the potential is
 autonomous and each factor is an exact phase; the evolution is therefore
 exactly unitary (up to roundoff) whenever no source is present.  Many paths
-march together as the rows of one array (:func:`evolve_paths`), each row
-bitwise what marching its path alone gives.
+march together as the rows of one array (:func:`evolve_paths`): all rows
+take each base step at once, a row cut by a jump with its own substep
+lengths, and the later substeps of cut steps march as sub-batches.  Each
+row is bitwise what marching its path alone gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .diagnostics import energy_rows
-from .grid import SpatialGrid, WaveField, free_flow, lebesgue_norm, lebesgue_norm_rows, \
-    spectral_convolution, sum_norm_rows
+from .grid import SpatialGrid, WaveField, apply_multiplier, free_flow, kinetic_phase, \
+    laplacian_symbol, lebesgue_norm, lebesgue_norm_rows, spectral_convolution, sum_norm_rows
 from .markov import PathSample, state_at
 from .potential import HartreeKernel, PotentialFamily, realize
 
@@ -122,7 +125,7 @@ def _hartree_rows(grid: SpatialGrid, values: np.ndarray, kernel: HartreeKernel) 
     """:func:`hartree_potential` of each row of values, shape (B, ...), as
     (B, grid.size); one row-wise convolution, the imaginary part checked
     per row."""
-    conv = spectral_convolution(grid, kernel.chi,
+    conv = spectral_convolution(grid, kernel.chi_spectrum,
                                 np.abs(values.reshape(len(values), -1)) ** 2)
     bound = 1e-12 * np.maximum(1.0, np.max(np.abs(conv.real), axis=-1))
     if np.any(np.max(np.abs(conv.imag), axis=-1) > bound):
@@ -130,47 +133,58 @@ def _hartree_rows(grid: SpatialGrid, values: np.ndarray, kernel: HartreeKernel) 
     return kernel.epsilon * conv.real
 
 
-def _interval_edges(t0: float, t1: float, dt: float, jump_times: np.ndarray) -> np.ndarray:
-    """All substep boundaries over [t0, t1]: base steps plus jump times."""
+def _interval_edges(t0: float, t1: float, dt: float) -> np.ndarray:
+    """The base step boundaries over [t0, t1]: t0, t0 + dt, ..., t1."""
     n_steps = int(round((t1 - t0) / dt))
-    base = t0 + dt * np.arange(1, max(n_steps, 1))
-    jumps = jump_times[(jump_times > t0) & (jump_times < t1)]
-    edges = np.unique(np.concatenate(([t0], base, jumps, [t1])))
-    if np.any(np.diff(edges) <= 0):
-        raise RuntimeError("jump-time subdivision produced a degenerate substep")
-    return edges
+    return np.concatenate(([t0], t0 + dt * np.arange(1, max(n_steps, 1)), [t1]))
 
 
-def _march_interval(grid: SpatialGrid, order: int, values: np.ndarray,
-                    edges: np.ndarray, kick, lead: bool = True,
-                    next_tau: float | None = None) -> np.ndarray:
-    """Advance across the substeps delimited by `edges`.
+def _cut_schedule(edges: np.ndarray, order: int, y_start: np.ndarray, r: np.ndarray,
+                  tj: np.ndarray, y_entered: np.ndarray):
+    """The substeps of an interval's base steps, cut at the rows' jumps.
 
-    kick(tau, t_mid, values) applies one substep's potential phase and
-    source at its midpoint.  For Strang order the trailing half-kinetic
-    factor of each substep is fused with the leading one of the next (the
-    multipliers compose exactly), halving the transform count; the
-    potential still sees the true midpoint state of every substep.  A
-    Strang march that resumes inside a longer one passes lead=False (the
-    values already carry the first substep's leading half-step) and the
-    length of the substep that follows as next_tau.
+    y_start holds each row's state at the interval's start; r, tj and
+    y_entered the row, time and entered state of each jump in (start, end],
+    by row and then time.  Returns over (rows, base steps): substep 0's
+    state (and the state at the end), length and Strang hop (else None);
+    the rows a jump cuts; the rows whose free flow after substep 0 is their
+    own (for Strang, also rows cut in the next step); and per cut step its
+    later substeps, slot by slot, as (rows, tau, mid, state, hop) arrays.
     """
-    taus = np.diff(edges)
-    if order == 2:
-        if lead:
-            values = free_flow(grid, values, 0.5 * taus[0])
-        for k in range(taus.size):
-            tau = taus[k]
-            values = kick(tau, edges[k] + 0.5 * tau, values)
-            following = taus[k + 1] if k + 1 < taus.size else next_tau
-            hop = 0.5 * tau if following is None else 0.5 * (tau + following)
-            values = free_flow(grid, values, hop)
-        return values
-    for k in range(taus.size):
-        tau = taus[k]
-        values = free_flow(grid, values, tau)
-        values = kick(tau, edges[k] + 0.5 * tau, values)
-    return values
+    B, S = y_start.size, edges.size - 1
+    j = edges.searchsorted(tj, side="right") - 1  # the base step of each jump, S at the end
+    inside = tj != edges[j]  # a jump on a base edge only switches the state
+    switched = np.bincount(r * (S + 1) + j + inside, minlength=B * (S + 1))
+    y0 = y_start[:, None] + np.cumsum(switched.reshape(B, S + 1), axis=1)
+    r, j, tj, y = r[inside], j[inside], tj[inside], y_entered[inside]
+    new = np.ones(tj.size, dtype=bool)  # the first cut of its row's step
+    new[1:] = (r[1:] != r[:-1]) | (j[1:] != j[:-1])
+    last = np.append(new[1:], True)
+    end = np.where(last, edges[j + 1], np.append(tj[1:], 0.0))
+    tau, first = end - tj, np.zeros((B, S + 1))  # substep 0 of each row's steps, 0 past the end
+    first[:, :S], cell = np.diff(edges), (r[new], j[new])
+    first[cell] = tj[new] - edges[j[new]]
+    # a midpoint rounded onto the substep's end sees the state from there, as state_at does
+    y0[cell] = np.where(edges[j[new]] + 0.5 * first[cell] < tj[new], y0[cell], y[new])
+    y = np.where(tj + 0.5 * tau < end, y, np.where(last, y0[r, j + 1], np.append(y[1:], 0)))
+    cut = np.zeros((B, S + 1), dtype=bool)
+    cut[r, j] = True
+    hop0 = hop = None
+    if order == 2:  # a fused hop reaches into the row's next substep (0 past the end)
+        following = first[:, 1:].copy()
+        following[cell] = tau[new]
+        hop0 = 0.5 * (first[:, :S] + following)
+        hop = 0.5 * (tau + np.where(last, first[r, j + 1], np.append(tau[1:], 0.0)))
+    index = np.arange(tj.size)
+    slot = index - np.maximum.accumulate(np.where(new, index, 0))
+    by_slot = np.lexsort((slot, j))
+    bounds = np.flatnonzero((np.diff(j[by_slot]) != 0) | (np.diff(slot[by_slot]) != 0)) + 1
+    later: dict[int, list] = {}
+    for e in np.split(by_slot, bounds) if tj.size else ():
+        later.setdefault(int(j[e[0]]), []).append(
+            (r[e], tau[e], tj[e] + 0.5 * tau[e], y[e], None if hop is None else hop[e]))
+    own = cut[:, :S] | cut[:, 1:] if order == 2 else cut[:, :S]
+    return y0, first[:, :S], hop0, cut[:, :S], own, later
 
 
 def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample],
@@ -179,106 +193,120 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample],
     """Yield (t, values) at each of cfg.sample_times, marching the rows of
     values, shape (B, *grid.shape), along their paths in lockstep.
 
-    Every interval between sample times is cut into the common base steps
-    of length about dt.  Rows with no jump inside a base step (and, for
-    Strang, none inside the next one) share that step's potential phase
-    exp(i tau V[y]), cached per step length for the march, and one batched
-    free flow.  A row whose step holds a jump redoes that step by
-    itself, cut at its jump times, so each row is bitwise what marching it
-    alone gives.  V is the (m, *grid.shape) potential table; extra(t_mid,
-    rows, values) returns a real potential added for those rows (a Hartree
-    field, a frozen Picard field), or extra is None.  cfg.source is
-    injected at substep midpoints and sees each row's path only up to
-    then; a field that loses finiteness is an error.  The yielded array is
-    the march's own state: copy it to keep it.
-    """
-    potential_phases: dict[float, np.ndarray] = {}  # exp(i tau V), all states
+    Every interval between sample times is cut into common base steps of
+    length about dt, and a row's base step further at its jump times
+    (:func:`_cut_schedule`; an interval without jumps builds none).
+    Substep 0 of a base step marches all B rows together: the potential
+    phase exp(i tau V[y]) is cached per step length, a cut row's is its
+    own, and the free flow is one batched transform pair, with the step's
+    phase on all rows but those whose substep (for Strang, or next
+    substep) differs.  Substep k >= 1 marches the rows cut at least k
+    times in that step as one sub-batch.  Each row is bitwise what
+    marching it alone gives.
 
-    def kick(tau, t_mid, vals, rows, states, shared):
-        """One substep's potential phase and source, for the given rows."""
-        if extra is None and shared:
-            phase = potential_phases.get(tau)
-            if phase is None:
-                phase = potential_phases[tau] = np.exp(1j * tau * V)
-            rows_phase = phase[states]
-        else:
-            pot = V[states] if extra is None else V[states] + extra(t_mid, rows, vals)
-            rows_phase = np.exp(1j * tau * pot)
+    V is the (m, *grid.shape) potential table; extra(mid, values) returns a
+    real potential added for those rows at the substep midpoint, shared or
+    one per row (a Hartree field, a frozen Picard field), or extra is None.
+    cfg.source is injected at substep midpoints and sees each row's path
+    only up to then; a field that loses finiteness is an error.  The
+    yielded array is the march's own state: copy it to keep it.
+    """
+    order, B = cfg.order, len(paths)
+    every, none = np.arange(B), np.arange(0)
+    col = (-1,) + (1,) * grid.dim  # one scalar per row
+    symbol = laplacian_symbol(grid).reshape(grid.shape)
+
+    @lru_cache(maxsize=None)
+    def potential_phase(tau):
+        """exp(i tau V) for all states, once per step length for the march."""
+        return np.exp(1j * tau * V)
+
+    def kick(vals, rows, tau, mid, y, phase=None):
+        """One substep's potential phase (unless given) and source for the
+        given rows, at length tau and midpoint mid: shared, or one per row."""
+        tau = tau if np.isscalar(tau) else tau.reshape(col)
+        if phase is None:
+            pot = V[y] if extra is None else V[y] + extra(mid, vals)
+            phase = np.exp(1j * tau * pot)
         # an explicit product, as in grid.apply_multiplier
-        vals = np.multiply(vals, rows_phase, out=rows_phase)
+        vals = np.multiply(vals, phase, out=phase)
         if cfg.source is not None:
-            src = np.array([np.asarray(cfg.source(grid, t_mid, paths[r].restricted(t_mid)),
-                                       dtype=complex).reshape(grid.shape) for r in rows])
+            src = np.array([np.asarray(cfg.source(grid, m, paths[r].restricted(m)),
+                                       dtype=complex).reshape(grid.shape)
+                            for r, m in zip(rows, np.broadcast_to(mid, rows.size))])
             vals = vals + 1j * tau * src
         return vals
 
-    order = cfg.order
-    every = np.arange(len(paths))
+    def flow(vals, tau, base=None, own=none):
+        """Free flow by tau per row: the cached phase of the shared length
+        base on all rows but own, or every row's own when base is None."""
+        if base is not None and not own.size:
+            return free_flow(grid, vals, base)
+        if base is None:
+            phase = np.exp(1j * tau.reshape(col) * symbol)
+        else:
+            phase = np.repeat(kinetic_phase(grid, base)[None], len(vals), axis=0)
+            phase[own] = np.exp(1j * tau[own].reshape(col) * symbol)
+        return apply_multiplier(vals, phase, ndim=grid.dim)
+
+    # every row's jumps in one flat array, row by row: jump g of row r
+    # enters state g + r + 1 of the flat state array
+    counts = np.array([p.jump_times.size for p in paths])
+    jump_times = np.concatenate([p.jump_times for p in paths])
+    owner = np.repeat(every, counts)
+    states = np.concatenate([p.states for p in paths])
+    in_time = np.argsort(jump_times, kind="stable")
+    sorted_times = jump_times[in_time]
+    y_now = np.cumsum(counts) - counts + every  # each row's state at t
     t = 0.0
     for target in cfg.sample_times:
         if target > 1e-15:
-            edges = _interval_edges(t, target, cfg.dt, np.empty(0))
+            edges = _interval_edges(t, target, cfg.dt)
             taus = np.diff(edges)
-            S = taus.size
             mids = edges[:-1] + 0.5 * taus
             hops = np.append(0.5 * (taus[:-1] + taus[1:]), 0.5 * taus[-1])
-            states = np.array([p.states[np.searchsorted(p.jump_times, mids, side="right")]
-                               for p in paths])
-            # rows cut by a jump: their own edges, and where the base edges sit in them
-            own = {}
-            dirty = np.zeros((len(paths), S + 1), dtype=bool)
-            for r, p in enumerate(paths):
-                jt = p.jump_times
-                if np.searchsorted(jt, target) > np.searchsorted(jt, t, side="right"):
-                    row_edges = _interval_edges(t, target, cfg.dt, jt)
-                    at = np.searchsorted(row_edges, edges)
-                    own[r] = (row_edges, at)
-                    dirty[r, :S] = np.diff(at) > 1
-            # a Strang step's trailing hop also depends on the next step's cut
-            alone = dirty[:, :S] | dirty[:, 1:] if order == 2 else dirty[:, :S]
-            any_alone = alone.any(axis=0)
 
-            def shared_step(vals, rows, j):
-                st = states[rows, j]
-                if order == 2:
-                    return free_flow(grid, kick(taus[j], mids[j], vals, rows, st, True),
-                                     hops[j])
-                return kick(taus[j], mids[j], free_flow(grid, vals, taus[j]), rows, st, True)
+            def step(vals, j, y, tau=None, hop=None, cut=none, own=none):
+                """Substep 0 of base step j for all rows: the shared step, or
+                with per-row tau and hop, which differ on the rows cut and own."""
+                if order == 1:
+                    vals = flow(vals, tau, taus[j], cut)
+                phase = None if extra is not None else potential_phase(taus[j])[y]
+                if phase is not None and cut.size:
+                    phase[cut] = np.exp(1j * tau[cut].reshape(col) * V[y[cut]])
+                vals = kick(vals, every, taus[j] if tau is None else tau,
+                            mids[j] if tau is None else edges[j] + 0.5 * tau, y, phase)
+                return flow(vals, hop, hops[j], own) if order == 2 else vals
 
+            lo, past = sorted_times.searchsorted([t, target], side="right")
+            shared, lead = np.ones(taus.size, dtype=bool), none
+            if lo == past:  # no jump: every step is shared
+                y0 = np.repeat(y_now[:, None], taus.size + 1, axis=1)
+            else:
+                g = np.sort(in_time[lo:past])
+                y0, tau0, hop0, cut, own, later = _cut_schedule(
+                    edges, order, y_now, owner[g], jump_times[g], g + owner[g] + 1)
+                shared, lead = ~own.any(axis=0), np.flatnonzero(cut[:, 0])
             if order == 2:
-                values = _on_rows(values, every[~dirty[:, 0]],
-                                  lambda v: free_flow(grid, v, 0.5 * taus[0]))
-            for j in range(S):
-                if not any_alone[j]:
-                    values = shared_step(values, every, j)
+                values = flow(values, 0.5 * tau0[:, 0] if lead.size else None, 0.5 * taus[0], lead)
+            for j in range(taus.size):
+                if shared[j]:
+                    values = step(values, j, states[y0[:, j]])
                     continue
-                rows = every[~alone[:, j]]
-                values = _on_rows(values, rows, lambda v: shared_step(v, rows, j))
-                for r in every[alone[:, j]]:
-                    row_edges, at = own[r]
-                    lo, hi = at[j], at[j + 1]
-                    row_next = row_edges[hi + 1] - row_edges[hi] if j + 1 < S else None
-
-                    def row_kick(tau, t_mid, vals, r=r):
-                        y = np.array([state_at(paths[r], t_mid)])
-                        return kick(tau, t_mid, vals, [r], y, False)
-
-                    values[r:r + 1] = _march_interval(
-                        grid, order, values[r:r + 1], row_edges[lo:hi + 1], row_kick,
-                        lead=(j == 0 and dirty[r, 0]), next_tau=row_next)
+                values = step(values, j, states[y0[:, j]], tau0[:, j],
+                              None if hop0 is None else hop0[:, j],
+                              np.flatnonzero(cut[:, j]), np.flatnonzero(own[:, j]))
+                for rows, tau, mid, y, hop in later.get(j, ()):
+                    sub = values[rows]
+                    if order == 1:
+                        sub = flow(sub, tau)
+                    sub = kick(sub, rows, tau, mid, states[y])
+                    values[rows] = flow(sub, hop) if order == 2 else sub
+            y_now = y0[:, -1]
             t = target
             if not np.all(np.isfinite(values.view(float))):
                 raise RuntimeError(f"solution lost finiteness at t={t}")
         yield target, values
-
-
-def _on_rows(values: np.ndarray, rows: np.ndarray, step) -> np.ndarray:
-    """values with step applied to the given rows (all rows: no copies)."""
-    if rows.size == len(values):
-        return step(values)
-    if rows.size:
-        values[rows] = step(values[rows])
-    return values
 
 
 def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSample],
@@ -309,7 +337,7 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
         if kernel.epsilon != eps:
             kernel = HartreeKernel(grid, kernel.chi, epsilon=eps)
 
-        def extra(t_mid, rows, vals):
+        def extra(mid, vals):
             return _hartree_rows(grid, vals, kernel).reshape(vals.shape)
 
     states = np.array([p.states[np.searchsorted(
@@ -429,12 +457,12 @@ def picard_sequence(psi0: WaveField, family: PotentialFamily, path: PathSample,
         fields = _hartree_rows(grid, np.array([snap.values for snap in prev.snapshots]),
                                frozen_kernel)
 
-        def extra(t_mid: float, _rows, _values: np.ndarray) -> np.ndarray:
-            x = min(max(t_mid / cfg.dt, 0.0), n_total - 1e-9)
-            j = int(x)
-            w = x - j
-            return ((1.0 - w) * fields[j] + w * fields[min(j + 1, n_total)]) \
-                .reshape(1, *grid.shape)
+        def extra(mid, _values: np.ndarray) -> np.ndarray:
+            x = np.clip(np.atleast_1d(mid) / cfg.dt, 0.0, n_total - 1e-9)
+            j = x.astype(int)
+            w = (x - j)[:, None]
+            return ((1.0 - w) * fields[j] + w * fields[np.minimum(j + 1, n_total)]) \
+                .reshape(x.size, *grid.shape)
         return extra
 
     trajectories: list[TrajectoryOutput] = []

@@ -14,6 +14,8 @@ from stochnls.ensemble import EnsembleConfig, run_ensemble, write_summary_json
 from stochnls.grid import (
     SpatialGrid,
     WaveField,
+    convolution_spectrum,
+    free_flow,
     lebesgue_norm,
     lebesgue_norm_rows,
     lorentz_norm,
@@ -27,7 +29,6 @@ from stochnls.potential import HartreeKernel, make_amplitude_family, shape_field
 from stochnls.propagator import (
     SolverConfig,
     _interval_edges,
-    _march_interval,
     evolve_path,
     evolve_paths,
     hartree_potential,
@@ -35,6 +36,7 @@ from stochnls.propagator import (
 
 GRID = SpatialGrid(1, 32, 12.0)
 DT = 0.05
+SAMPLE_TIMES = np.array([0.0, 0.5, 0.75, 1.0])
 # base steps of [0, 0.5] are [0, 0.05], ..., [0.45, 0.5]
 JUMPS = {
     "none": [],
@@ -43,6 +45,12 @@ JUMPS = {
     "two-in-one-step": [0.61, 0.63],
     "on-sample-time": [0.5],
     "many": [0.01, 0.26, 0.49, 0.52, 0.97],
+    # the base edges 0 + 3 dt and 0.5 + 2 dt, as the march computes them
+    "on-base-edge": [DT * 3, 0.5 + DT * 2],
+    # step 1 is cut, step 0 not: under Strang, step 0's hop reaches into it
+    "next-step-cut": [0.07],
+    # the last step of one interval and the first step of the next
+    "across-intervals": [0.47, 0.53],
 }
 
 
@@ -52,13 +60,13 @@ def two_state_path(jumps, horizon=1.0):
                       states=np.arange(jumps.size + 1) % 2, seed=(0,))
 
 
-def family():
-    well = shape_field(GRID, "sech2", amplitude=-2.0, width=1.0)
-    return make_amplitude_family(well, well, [-1.0, 1.0], GRID)
+def family(grid=GRID):
+    well = shape_field(grid, "sech2", amplitude=-2.0, width=1.0)
+    return make_amplitude_family(well, well, [-1.0, 1.0], grid)
 
 
-def initial_field(shift=0.0):
-    x = GRID.centered_coordinates()[0]
+def initial_field(shift=0.0, grid=GRID):
+    x = grid.centered_coordinates()[0]
     return np.exp(-((x - shift) ** 2) / 2).astype(complex)
 
 
@@ -73,40 +81,71 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def march_interval(grid, order, values, edges, kick):
+    """Advance one path across the substeps delimited by `edges`, each
+    kicked by kick(tau, t_mid, values) at its midpoint.  For Strang order
+    the trailing half-kinetic factor of each substep is fused with the
+    leading one of the next."""
+    taus = np.diff(edges)
+    if order == 2:
+        values = free_flow(grid, values, 0.5 * taus[0])
+        for k, tau in enumerate(taus):
+            values = kick(tau, edges[k] + 0.5 * tau, values)
+            hop = 0.5 * (tau + taus[k + 1]) if k + 1 < taus.size else 0.5 * tau
+            values = free_flow(grid, values, hop)
+        return values
+    for k, tau in enumerate(taus):
+        values = kick(tau, edges[k] + 0.5 * tau, free_flow(grid, values, tau))
+    return values
+
+
 def plain_march(psi0, fam, path, kernel, cfg):
     """One path marched by itself over each interval's own jump-cut edges:
     the per-path scheme the lockstep march must reproduce bit for bit."""
+    grid = fam.grid
+
     def kick(tau, t_mid, vals):
         pot = fam.V[[state_at(path, t_mid)]]
         if kernel is not None:
-            pot = pot + hartree_potential(WaveField(GRID, vals[0]), kernel)
-        vals = vals * np.exp(1j * tau * pot)
+            pot = pot + hartree_potential(WaveField(grid, vals[0]), kernel)
+        vals = vals * np.exp(1j * tau * pot.reshape(vals.shape))
         if cfg.source is not None:
-            vals = vals + 1j * tau * cfg.source(GRID, t_mid, path.restricted(t_mid))
+            src = cfg.source(grid, t_mid, path.restricted(t_mid))
+            vals = vals + 1j * tau * np.reshape(src, vals.shape)
         return vals
 
-    vals, t, out = psi0[None].copy(), 0.0, []
+    vals, t, out = psi0.reshape(1, *grid.shape).copy(), 0.0, []
     for target in cfg.sample_times:
         if target > 0:
-            edges = _interval_edges(t, target, cfg.dt, path.jump_times)
-            vals = _march_interval(GRID, cfg.order, vals, edges, kick)
+            jumps = path.jump_times[(path.jump_times > t) & (path.jump_times < target)]
+            edges = np.unique(np.concatenate((_interval_edges(t, target, cfg.dt), jumps)))
+            vals = march_interval(grid, cfg.order, vals, edges, kick)
             t = target
-        out.append(vals[0])
+        out.append(vals.reshape(-1))
     return np.array(out)
 
 
-def assert_rows_match_single(paths, psi0, cfg, kernel):
+def assert_rows_match_single(paths, psi0, cfg, kernel, fam=None):
     """Each row of one batched march against evolve_path on that row alone,
     and against the plain per-path march."""
-    fam = family()
+    fam = family() if fam is None else fam
     fields, states, scalars = evolve_paths(psi0, fam, paths, kernel, cfg)
     for b, path in enumerate(paths):
-        alone = evolve_path(WaveField(GRID, psi0[b]), fam, path, kernel, cfg)
+        alone = evolve_path(WaveField(fam.grid, psi0[b]), fam, path, kernel, cfg)
         assert same_bits(fields[b], np.array([s.values for s in alone.snapshots]))
         assert same_bits(fields[b], plain_march(psi0[b], fam, path, kernel, cfg))
         assert same_bits(states[b], alone.states)
         for name, series in scalars.items():
             assert same_bits(series[b], alone.scalars[name]), name
+
+
+def test_edge_cases_are_what_they_say():
+    edges = [_interval_edges(t0, t1, DT) for t0, t1 in zip(SAMPLE_TIMES, SAMPLE_TIMES[1:])]
+    on_edge = JUMPS["on-base-edge"]
+    assert on_edge[0] in edges[0][1:-1] and on_edge[1] in edges[1][1:-1]
+    assert edges[0][1] < JUMPS["next-step-cut"][0] < edges[0][2]
+    late, early = JUMPS["across-intervals"]
+    assert edges[0][-2] < late < edges[0][-1] and edges[1][0] < early < edges[1][1]
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -115,7 +154,7 @@ def assert_rows_match_single(paths, psi0, cfg, kernel):
 def test_batched_rows_match_single_path_march(order, epsilon, source):
     chi = shape_field(GRID, "gaussian", amplitude=1.0, width=1.0, center=0.0)
     kernel = HartreeKernel(GRID, chi, epsilon=epsilon) if epsilon else None
-    cfg = SolverConfig(dt=DT, sample_times=np.array([0.0, 0.5, 0.75, 1.0]),
+    cfg = SolverConfig(dt=DT, sample_times=SAMPLE_TIMES,
                        order=order, epsilon=epsilon, source=source)
     paths = [two_state_path(j) for j in JUMPS.values()]
     psi0 = np.array([initial_field(0.3 * b) for b in range(len(paths))])
@@ -147,17 +186,39 @@ def test_rows_of_a_large_batch_match_single_path_march():
         assert same_bits(fields[b], np.array([s.values for s in alone.snapshots]))
 
 
-@settings(max_examples=25, deadline=None,
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("epsilon,source", [(0.0, None), (0.3, adapted_source)])
+def test_two_dimensional_batch_matches_single_path_march(order, epsilon, source):
+    """A per-row kinetic phase on a d = 2 grid is transformed over each
+    row's own two axes, never across the row axis."""
+    grid = SpatialGrid(2, 16, 12.0)
+    chi = shape_field(grid, "gaussian", amplitude=1.0, width=1.0, center=0.0)
+    kernel = HartreeKernel(grid, chi, epsilon=epsilon) if epsilon else None
+    cfg = SolverConfig(dt=DT, sample_times=SAMPLE_TIMES, order=order,
+                       epsilon=epsilon, source=source)
+    paths = [two_state_path(j) for j in JUMPS.values()]
+    psi0 = np.array([initial_field(0.3 * b, grid) for b in range(len(paths))])
+    assert_rows_match_single(paths, psi0, cfg, kernel, family(grid))
+
+
+# jump times anywhere in (0, 1), or on a base edge k dt, as the march computes it
+JUMP_TIMES = st.one_of(st.floats(min_value=1e-3, max_value=0.999, allow_nan=False),
+                       st.integers(min_value=1, max_value=19).map(lambda k: DT * k))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.lists(st.floats(min_value=1e-3, max_value=0.999,
-                                   allow_nan=False), max_size=6, unique=True),
-                min_size=1, max_size=4),
-       st.sampled_from([1, 2]))
-def test_random_jump_sets_batch_invariant(jump_sets, order):
+@given(st.lists(st.lists(JUMP_TIMES, max_size=6, unique=True), min_size=1, max_size=4),
+       st.sampled_from([1, 2]), st.booleans())
+def test_random_jump_sets_batch_invariant(jump_sets, order, hartree):
     paths = [two_state_path(sorted(j)) for j in jump_sets]
     psi0 = np.array([initial_field(0.5 * b) for b in range(len(paths))])
-    cfg = SolverConfig(dt=DT, sample_times=np.array([0.25, 1.0]), order=order)
-    assert_rows_match_single(paths, psi0, cfg, None)
+    epsilon = 0.3 if hartree else 0.0
+    chi = shape_field(GRID, "gaussian", amplitude=1.0, width=1.0, center=0.0)
+    kernel = HartreeKernel(GRID, chi, epsilon=epsilon) if hartree else None
+    cfg = SolverConfig(dt=DT, sample_times=np.array([0.25, 1.0]), order=order,
+                       epsilon=epsilon)
+    assert_rows_match_single(paths, psi0, cfg, kernel)
 
 
 def ensemble_setup():
@@ -231,8 +292,9 @@ def test_spectral_convolution_rows_and_one_axis_fast_path():
     rng = np.random.default_rng(4)
     chi = shape_field(GRID, "gaussian", amplitude=1.0, width=1.0, center=0.0)
     dens = rng.random((5, GRID.size))
-    batched = spectral_convolution(GRID, chi, dens)
+    chi_hat = convolution_spectrum(GRID, chi)
+    batched = spectral_convolution(GRID, chi_hat, dens)
     for row, out in zip(dens, batched):
-        assert same_bits(out, spectral_convolution(GRID, chi, row))
+        assert same_bits(out, spectral_convolution(GRID, chi_hat, row))
         fftn_form = GRID.cell_volume * np.fft.ifftn(np.fft.fftn(chi) * np.fft.fftn(row))
         assert same_bits(out, fftn_form)

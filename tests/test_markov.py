@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stochnls import markov
 from stochnls.markov import (
     HeatKernel,
     MarkovModel,
@@ -198,6 +199,21 @@ class TestSamplePath:
             times, states = self.choice_reference(model, 20.0, (91, i))
             np.testing.assert_array_equal(path.jump_times, times)
             np.testing.assert_array_equal(path.states, states)
+
+    def test_jump_laws_built_once_per_model(self, monkeypatch):
+        built, original = [], markov._cdf
+
+        def counting(p, what):
+            built.append(what)
+            return original(p, what)
+        monkeypatch.setattr(markov, "_cdf", counting)
+        model = MarkovModel(ring_laplacian(3), initial_law=np.full(3, 1 / 3))
+        for i in range(20):
+            sample_path(model, 5.0, seed=(3, i))
+        assert len(built) == 4  # three jump laws and the initial law
+        model.initial_law = np.array([0.2, 0.3, 0.5])  # a law set again is built again
+        sample_path(model, 5.0, seed=0)
+        assert len(built) == 8
 
     def test_invalid_laws_rejected(self):
         model = MarkovModel(two_state(), initial_law=np.array([0.5, 0.5]))

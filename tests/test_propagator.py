@@ -11,7 +11,6 @@ from stochnls.potential import (
 )
 from stochnls.propagator import (
     SolverConfig,
-    _march_interval,
     dump_snapshot,
     duhamel_residual,
     evolve_path,
@@ -21,6 +20,7 @@ from stochnls.propagator import (
     wave_operator_estimate,
     write_scalars_csv,
 )
+from test_batch import march_interval  # the per-path reference march
 
 
 def free_gaussian(grid, a, t, center=None):
@@ -140,8 +140,8 @@ class TestUnitarity:
             return v * np.exp(1j * tau * (W if t < 0.09 else -0.5 * W))
         # unequal substeps, so every fused half-step hop has its own length
         edges = np.array([0.0, 0.05, 0.08, 0.1, 0.13, 0.2])
-        fwd = _march_interval(grid, 2, vals, edges, kick)
-        back = _march_interval(grid, 2, fwd, edges[::-1], kick)
+        fwd = march_interval(grid, 2, vals, edges, kick)
+        back = march_interval(grid, 2, fwd, edges[::-1], kick)
         assert np.max(np.abs(fwd - vals)) > 1e-3 * np.max(np.abs(vals))
         assert np.max(np.abs(back - vals)) <= 1e-12 * np.max(np.abs(vals))
 
@@ -244,6 +244,19 @@ class TestHartreePotential:
             kernel.chi[1] = 5.0  # would break the evenness checked at construction
         with pytest.raises(ValueError, match="even"):
             HartreeKernel(grid, chi, epsilon=0.5)
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    def test_chi_spectrum_is_kept_read_only_and_bitwise_fresh(self, dim, n):
+        grid = SpatialGrid(dim, n, 16.0)
+        kernel = HartreeKernel(grid, shape_field(grid, "gaussian", center=0.0), 0.5)
+        spectrum = kernel.chi_spectrum
+        assert kernel.chi_spectrum is spectrum
+        fresh = np.fft.fftn(kernel.chi.reshape(grid.shape))
+        if dim == 1:
+            assert np.fft.fft(kernel.chi).tobytes() == fresh.tobytes()
+        assert spectrum.shape == fresh.shape and spectrum.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
 
     def test_imaginary_part_still_checked(self):
         grid = SpatialGrid(1, 64, 16.0)
