@@ -186,6 +186,29 @@ def test_rows_of_a_large_batch_match_single_path_march():
         assert same_bits(fields[b], np.array([s.values for s in alone.snapshots]))
 
 
+def rounds_onto_end(start, end):
+    return start + 0.5 * (end - start) == end
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_substeps_shorter_than_an_ulp_follow_state_at(order):
+    """A substep one ulp long has its midpoint rounded onto its end, where
+    state_at already counts the jump there: the march must see that
+    state too, whether the end is another jump, a base edge holding a jump,
+    or a sample time holding one."""
+    a = 0.31  # inside the base step [6 dt, 7 dt]
+    edge = DT * 4
+    # a base edge of [0.5, 0.75] whose substep up to a jump one ulp later rounds
+    later = next(e for e in 0.5 + DT * np.arange(1, 5) if rounds_onto_end(e, np.nextafter(e, 1)))
+    ends = [(a, np.nextafter(a, 1.0)), (np.nextafter(edge, 0.0), edge),
+            (np.nextafter(0.5, 0.0), 0.5), (later, np.nextafter(later, 1.0))]
+    assert all(rounds_onto_end(start, end) for start, end in ends)
+    paths = [two_state_path(jumps) for jumps in ends[:3]] + [two_state_path(ends[3][1:])]
+    psi0 = np.array([initial_field(0.3 * b) for b in range(len(paths))])
+    cfg = SolverConfig(dt=DT, sample_times=SAMPLE_TIMES, order=order)
+    assert_rows_match_single(paths, psi0, cfg, None)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("epsilon,source", [(0.0, None), (0.3, adapted_source)])
 def test_two_dimensional_batch_matches_single_path_march(order, epsilon, source):
