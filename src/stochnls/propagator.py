@@ -183,8 +183,8 @@ def _cut_schedule(edges: np.ndarray, order: int, y_start: np.ndarray, r: np.ndar
     for e in np.split(by_slot, bounds) if tj.size else ():
         later.setdefault(int(j[e[0]]), []).append(
             (r[e], tau[e], tj[e] + 0.5 * tau[e], y[e], None if hop is None else hop[e]))
-    own = cut[:, :S] | cut[:, 1:] if order == 2 else cut[:, :S]
-    return y0, first[:, :S], hop0, cut[:, :S], own, later
+    alone = cut[:, :S] | cut[:, 1:] if order == 2 else cut[:, :S]
+    return y0, first[:, :S], hop0, cut[:, :S], alone, later
 
 
 def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample],
@@ -284,9 +284,9 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample],
                 y0 = np.repeat(y_now[:, None], taus.size + 1, axis=1)
             else:
                 g = np.sort(in_time[lo:past])
-                y0, tau0, hop0, cut, own, later = _cut_schedule(
+                y0, tau0, hop0, cut, alone, later = _cut_schedule(
                     edges, order, y_now, owner[g], jump_times[g], g + owner[g] + 1)
-                shared, lead = ~own.any(axis=0), np.flatnonzero(cut[:, 0])
+                shared, lead = ~alone.any(axis=0), np.flatnonzero(cut[:, 0])
             if order == 2:
                 values = flow(values, 0.5 * tau0[:, 0] if lead.size else None, 0.5 * taus[0], lead)
             for j in range(taus.size):
@@ -295,7 +295,7 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample],
                     continue
                 values = step(values, j, states[y0[:, j]], tau0[:, j],
                               None if hop0 is None else hop0[:, j],
-                              np.flatnonzero(cut[:, j]), np.flatnonzero(own[:, j]))
+                              np.flatnonzero(cut[:, j]), np.flatnonzero(alone[:, j]))
                 for rows, tau, mid, y, hop in later.get(j, ()):
                     sub = values[rows]
                     if order == 1:
