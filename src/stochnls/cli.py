@@ -1,10 +1,11 @@
 """Configuration, experiment orchestration, and artifact emission.
 
-Config files are flat ``key = value`` lines (a TOML-compatible subset):
-comments start with ``#``, keys are dotted (``grid.n = 256``), values are
-ints, floats, booleans, quoted strings, or (nested) arrays.  Unknown keys
-are hard errors with a best-guess suggestion; silent defaults never paper
-over a misspelling.
+Config files are TOML with dotted keys (``grid.n = 256``) or tables
+(``[grid]``, inline ``grid = {n = 256}``), flattened to one {dotted key:
+value} mapping.  A float needs a digit after the point (``40.0``); put a
+Windows path in single quotes, as backslashes in double quotes are escapes.
+Unknown keys are hard errors with a best-guess suggestion; silent defaults
+never paper over a misspelling.
 
 Every run writes into ``<out>/<kind>-<confighash>-seed<seed>/``: the
 artifacts of the experiment plus ``manifest.json`` echoing the config, the
@@ -102,50 +103,15 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    if text.startswith("["):
-        depth = 0
-        items, buf = [], ""
-        body = text[1:-1] if text.endswith("]") else None
-        if body is None:
-            raise ConfigError(f"unterminated array: {text!r}")
-        for ch in body:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            if ch == "," and depth == 0:
-                items.append(buf)
-                buf = ""
-            else:
-                buf += ch
-        if buf.strip():
-            items.append(buf)
-        return [_parse_value(item) for item in items]
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse value {text!r}")
-
-
-def _strip_comment(line: str) -> str:
-    out, in_string = [], False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
+def _flatten(table: dict, prefix: str = "") -> dict:
+    """Nested TOML tables as one {dotted key: value} mapping."""
+    flat = {}
+    for key, value in table.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
 
 
 def _check_type(key: str, value, tag: str):
@@ -165,40 +131,35 @@ def _check_type(key: str, value, tag: str):
 def parse_config(path: str | None = None, text: str | None = None) -> dict:
     """Read, validate and default-fill an experiment config.
 
-    Returns the flat {dotted key: value} mapping.  Violations are collected
-    and reported together; unknown keys name their closest known key.
+    Returns the flat {dotted key: value} mapping.  Unknown-key, type and
+    cross-key violations are collected and reported together; unknown keys
+    name their closest known key.  A TOML syntax error stops at once.
     """
+    import tomllib
+
     if text is None:
         if path is None:
             text = ""
         else:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
+    try:
+        table = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"invalid config: {exc}") from None
     values: dict = {}
     errors: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if "=" not in line:
-            errors.append(f"line {lineno}: expected 'key = value', got {raw!r}")
-            continue
-        key, _, rhs = line.partition("=")
-        key = key.strip()
+    for key, value in _flatten(table).items():
         if key not in KNOWN_KEYS:
             hint = difflib.get_close_matches(key, KNOWN_KEYS, n=1)
             suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
-            errors.append(f"line {lineno}: unknown key {key!r}{suffix}")
-            continue
-        if key in values:
-            errors.append(f"line {lineno}: duplicate key {key!r}")
+            errors.append(f"unknown key {key!r}{suffix}")
             continue
         try:
-            value = _parse_value(rhs)
             _check_type(key, value, KNOWN_KEYS[key][0])
             values[key] = value
         except ConfigError as exc:
-            errors.append(f"line {lineno}: {exc}")
+            errors.append(str(exc))
     for key, (_tag, default) in KNOWN_KEYS.items():
         values.setdefault(key, default)
     errors.extend(_cross_validate(values))
@@ -459,7 +420,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
-        p.add_argument("--config", default=None, help="config file (key = value)")
+        p.add_argument("--config", default=None, help="config file (TOML)")
         p.add_argument("--out", default="out", help="output root directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--threads", type=int,

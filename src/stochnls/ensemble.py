@@ -214,12 +214,7 @@ def run_ensemble(psi0_law, family: PotentialFamily, model: MarkovModel,
         sums=sums, sums_sq=sums_sq, counts=counts, outer_sums=outer,
     )
     series = PathScalarSeries(sample_times=cfg.sample_times.copy(), state=states,
-                              weighted_mass=scalars["weighted_mass"],
-                              l2=scalars["l2"], suml2linf=scalars["suml2linf"],
-                              energy_kinetic=scalars["energy_kinetic"],
-                              energy_potential=scalars["energy_potential"],
-                              energy_hartree=scalars["energy_hartree"],
-                              lorentz62=scalars["lorentz62"])
+                              **scalars)
     return avg, series
 
 
@@ -332,19 +327,9 @@ def estimate_f(avg: ConditionalAverage, weighting: str = "joint") -> DensityMatr
                                  counts=avg.counts.copy(), flags=flags)
 
 
-def feynman_kac_lhs(series: PathScalarSeries | list[TrajectoryOutput],
-                    family: PotentialFamily | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Ensemble mean and standard error of int |V_omega| |psi|^2 dx.
-
-    Accepts either the scalar table from run_ensemble or an explicit list
-    of per-path trajectories (then `family` must be given).
-    """
-    if isinstance(series, PathScalarSeries):
-        table = series.weighted_mass
-    else:
-        if family is None:
-            raise ValueError("family required when passing raw trajectories")
-        table = np.array([weighted_mass_series(out, family) for out in series])
+def feynman_kac_lhs(series: PathScalarSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble mean and standard error of int |V_omega| |psi|^2 dx."""
+    table = series.weighted_mass
     mean = table.mean(axis=0)
     n = table.shape[0]
     se = table.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)

@@ -182,14 +182,11 @@ class HeatKernel:
         self.K = K
 
 
-def heat_kernel(model: MarkovModel | np.ndarray, t: float) -> HeatKernel:
-    """e^{-tA} by symmetric eigendecomposition."""
+def heat_kernel(model: MarkovModel, t: float) -> HeatKernel:
+    """e^{-tA} from the model's symmetric eigendecomposition."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if isinstance(model, MarkovModel):
-        eigvals, eigvecs = model._eigvals, model._eigvecs
-    else:
-        eigvals, eigvecs = np.linalg.eigh(np.asarray(model, dtype=float))
+    eigvals, eigvecs = model._eigvals, model._eigvecs
     K = (eigvecs * np.exp(-t * eigvals)) @ eigvecs.T
     return HeatKernel(t=float(t), K=K)
 

@@ -52,17 +52,6 @@ class PotentialFamily:
     def m(self) -> int:
         return self.V.shape[0]
 
-    def state_field(self, y: int) -> np.ndarray:
-        return self.V[y]
-
-    def norms_report(self) -> dict:
-        """Per-state L^1 and L^inf norms (finite by construction on a grid)."""
-        vol = self.grid.cell_volume
-        return {
-            "l1": (np.abs(self.V).sum(axis=1) * vol).tolist(),
-            "linf": np.abs(self.V).max(axis=1, initial=0.0).tolist(),
-        }
-
 
 @dataclass
 class SplitWeights:

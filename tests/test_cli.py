@@ -54,7 +54,46 @@ class TestParseConfig:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config(text="grid.n = 32\ngrid.n = 64\n")
-        assert "duplicate" in str(err.value)
+        assert "line 2" in str(err.value)
+
+    def test_syntax_error_names_its_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text="grid.n = \n")
+        assert "line 1" in str(err.value)
+
+    def test_key_type_and_cross_key_errors_reported_together(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text='x = 1\ngrid.n = "lots"\nsolver.dt = -1\n')
+        msg = str(err.value)
+        assert "unknown key 'x'" in msg
+        assert "'grid.n': expected int" in msg
+        assert "solver.dt must be positive" in msg
+
+    def test_tables_match_dotted_keys(self):
+        dotted = parse_config(text=SMALL)
+        tables = parse_config(text="""
+ensemble = {N = 5, seed = 3}  # inline table, before any header
+
+[experiment]
+kind = "path"
+
+[grid]
+n = 32
+L = 16.0
+
+[solver]
+dt = 0.01
+T = 0.5
+sample_count = 6
+""")
+        assert tables == dotted
+        assert config_hash(tables) == config_hash(dotted)
+
+    def test_hashes_pinned(self):
+        # output directory names derive from these; a parser change that
+        # moved them would orphan every earlier run's artifacts
+        assert config_hash(parse_config(text="")) == "44e999e40354"
+        assert config_hash(parse_config(text=SMALL)) == "cad5054c9718"
 
     def test_type_errors_reported(self):
         with pytest.raises(ConfigError):
@@ -227,6 +266,13 @@ class TestMainEntry:
         bad.write_text("grid.m = 12\n")
         code = main(["path", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
+
+    def test_syntax_error_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.toml"
+        bad.write_text("grid.n = \n")
+        code = main(["path", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
 
     def test_path_via_main(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
