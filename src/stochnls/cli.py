@@ -312,7 +312,14 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
                     l2 = float(np.sqrt(grid.cell_volume
                                        * np.sum(np.abs(snap.g[y]) ** 2)))
                     fh.write(f"{snap.t:.17g},{y},{l2:.17g}\n")
-        checks["finite"] = {"passed": True}
+        # the flows are unitary and the mixing e^{-tau A} contracts, so the
+        # total ||g||_2 never grows; a non-finite norm fails the comparison too
+        norms = np.array([np.sqrt(grid.cell_volume * np.sum(np.abs(s.g) ** 2))
+                          for s in series])
+        checks["l2_nonincreasing"] = {
+            "passed": bool(np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-12))),
+            "max_step_increase": float(np.max(np.diff(norms), initial=0.0)),
+        }
     elif kind == "liouville":
         f0 = np.array([model.initial_law[y]
                        * np.outer(psi0.values, psi0.values.conj())

@@ -219,15 +219,25 @@ def run_ensemble(psi0_law, family: PotentialFamily, model: MarkovModel,
 
 
 def _reduce(batches, sums, sums_sq, counts, outer, states, scalars) -> None:
-    """Fixed-order reduction over (first path index, batch payload) pairs."""
+    """Fixed-order reduction over (first path index, batch payload) pairs.
+
+    Each path is added in one pass over its sample times: its (time, state)
+    pairs are distinct, so every accumulator entry still takes one add per
+    path, in path order.  The outer products go through one reused
+    (T, size, size) buffer, not a block of them: that would cost a batch's
+    worth of memory.
+    """
+    at = np.arange(sums.shape[0])
+    buf = None if outer is None else np.empty((at.size, *outer.shape[2:]), dtype=complex)
     for lo, (batch_states, fields, batch_scalars) in batches:
         for path_states, path_fields in zip(batch_states, fields):
-            for j, (y, vals) in enumerate(zip(path_states, path_fields)):
-                sums[j, y] += vals
-                sums_sq[j, y] += np.abs(vals) ** 2
-                counts[j, y] += 1
-                if outer is not None:
-                    outer[j, y] += np.outer(vals, vals.conj())
+            sums[at, path_states] += path_fields
+            sums_sq[at, path_states] += np.abs(path_fields) ** 2
+            counts[at, path_states] += 1
+            if outer is not None:  # the operands of np.outer, in its order
+                np.multiply(path_fields[:, :, None], path_fields.conj()[:, None, :], out=buf)
+                for j, y in enumerate(path_states):
+                    np.add(outer[j, y], buf[j], out=outer[j, y])
         hi = lo + len(batch_states)
         states[lo:hi] = batch_states
         for k, table in scalars.items():

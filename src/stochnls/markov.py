@@ -213,6 +213,15 @@ class PathSample:
             if np.any(self.states[1:] == self.states[:-1]):
                 raise ValueError("consecutive states must differ")
 
+    @classmethod
+    def _sampled(cls, horizon: float, jump_times: np.ndarray, states: np.ndarray,
+                 seed: tuple[int, ...]) -> "PathSample":
+        """A path as :func:`sample_path` builds it, whose invariants hold by
+        construction (see there), so they are not checked again."""
+        path = object.__new__(cls)
+        path.horizon, path.jump_times, path.states, path.seed = horizon, jump_times, states, seed
+        return path
+
     def restricted(self, t: float) -> "PathSample":
         """The path on [0, t]; used to enforce adaptedness of source callbacks."""
         keep = self.jump_times < t
@@ -241,7 +250,13 @@ def _cdf(p: np.ndarray, what: str) -> np.ndarray:
 
 
 def sample_path(model: MarkovModel, T: float, seed: int | tuple[int, ...]) -> PathSample:
-    """Exact jump-chain sample of the chain with rate matrix Q = -A on [0, T]."""
+    """Exact jump-chain sample of the chain with rate matrix Q = -A on [0, T].
+
+    The path is built valid: a jump law puts no mass on its own state, so
+    consecutive states differ; a jump is kept only before T; and a jump
+    time that does not exceed the one before (a holding time of 0, or one
+    lost to rounding) is rejected here with PathSample's own errors.
+    """
     if T <= 0:
         raise ValueError("horizon must be positive")
     rates, jump_cdfs, initial_cdf = model._jump_laws
@@ -251,15 +266,18 @@ def sample_path(model: MarkovModel, T: float, seed: int | tuple[int, ...]) -> Pa
     states = [y]
     t = 0.0
     while jump_cdfs[y] is not None:  # None: an absorbing state
-        t += rng.exponential(1.0 / rates[y])
+        previous, t = t, t + rng.exponential(1.0 / rates[y])
         if t >= T:
             break
+        if t <= previous:
+            raise ValueError("jump times must be strictly increasing" if jump_times
+                             else "jump times must lie strictly inside (0, T)")
         y = int(jump_cdfs[y].searchsorted(rng.random(), side="right"))
         jump_times.append(t)
         states.append(y)
     seed_tuple = (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
-    return PathSample(horizon=float(T), jump_times=np.array(jump_times),
-                      states=np.array(states), seed=seed_tuple)
+    return PathSample._sampled(float(T), np.array(jump_times, dtype=float),
+                               np.array(states, dtype=np.int64), seed_tuple)
 
 
 def state_at(path: PathSample, t: float) -> int:

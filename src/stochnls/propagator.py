@@ -18,10 +18,10 @@ Stepping is split-step spectral (Lie or Strang).  Steps are subdivided
 exactly at the path's jump times, so within every substep the potential is
 autonomous and each factor is an exact phase; the evolution is therefore
 exactly unitary (up to roundoff) whenever no source is present.  Many paths
-march together as the rows of one array (:func:`evolve_paths`): all rows
-take each base step at once, a row cut by a jump with its own substep
-lengths, and the later substeps of cut steps march as sub-batches.  Each
-row is bitwise what marching its path alone gives.
+march together as the rows of one array (:func:`evolve_paths`), each
+interval by one schedule that builds its substeps' own phases up front:
+all rows take each base step at once, and the later substeps of cut steps
+march as sub-batches.  Each row is bitwise what marching it alone gives.
 """
 
 from __future__ import annotations
@@ -139,115 +139,135 @@ def _interval_edges(t0: float, t1: float, dt: float) -> np.ndarray:
     return np.concatenate(([t0], t0 + dt * np.arange(1, max(n_steps, 1)), [t1]))
 
 
-def _cut_schedule(edges: np.ndarray, order: int, y_start: np.ndarray, r: np.ndarray,
-                  tj: np.ndarray, y_entered: np.ndarray):
-    """The substeps of an interval's base steps, cut at the rows' jumps.
+class _Schedule:
+    """One interval's substeps for B rows, cut at the rows' jumps, and the
+    phases they take besides the cached shared ones: one exp per kind, over
+    cells in step-major order, for the cut rows' substep-0 potential, the
+    flows whose length is the row's own, and each later substep.
 
-    y_start holds each row's state at the interval's start; r, tj and
-    y_entered the row, time and entered state of each jump in (start, end],
-    by row and then time.  Returns over (rows, base steps): substep 0's
-    state (and the state at the end), length and Strang hop (else None);
-    the rows a jump cuts; the rows whose free flow after substep 0 is their
-    own (for Strang, also rows cut in the next step); and per cut step its
-    later substeps, slot by slot, as (rows, tau, mid, state, hop) arrays.
+    edges are the base edges; y_now holds each row's flat state index at
+    the start, and r, tj and y_entered the row, time and entered flat state
+    index of each jump in (start, end], by row and then time; without jumps
+    the schedule is empty.  Flow f is the free flow before substep 0 of
+    step f (Lie), or the leading half step (f = 0) and the hop after
+    substep 0 of step f - 1 (Strang).
     """
-    B, S = y_start.size, edges.size - 1
-    j = edges.searchsorted(tj, side="right") - 1  # the base step of each jump, S at the end
-    inside = tj != edges[j]  # a jump on a base edge only switches the state
-    switched = np.bincount(r * (S + 1) + j + inside, minlength=B * (S + 1))
-    y0 = y_start[:, None] + np.cumsum(switched.reshape(B, S + 1), axis=1)
-    r, j, tj, y = r[inside], j[inside], tj[inside], y_entered[inside]
-    new = np.ones(tj.size, dtype=bool)  # the first cut of its row's step
-    new[1:] = (r[1:] != r[:-1]) | (j[1:] != j[:-1])
-    last = np.append(new[1:], True)
-    end = np.where(last, edges[j + 1], np.append(tj[1:], 0.0))
-    tau, first = end - tj, np.zeros((B, S + 1))  # substep 0 of each row's steps, 0 past the end
-    first[:, :S], cell = np.diff(edges), (r[new], j[new])
-    first[cell] = tj[new] - edges[j[new]]
-    # a midpoint rounded onto the substep's end sees the state from there, as state_at does
-    y0[cell] = np.where(edges[j[new]] + 0.5 * first[cell] < tj[new], y0[cell], y[new])
-    y = np.where(tj + 0.5 * tau < end, y, np.where(last, y0[r, j + 1], np.append(y[1:], 0)))
-    cut = np.zeros((B, S + 1), dtype=bool)
-    cut[r, j] = True
-    hop0 = hop = None
-    if order == 2:  # a fused hop reaches into the row's next substep (0 past the end)
-        following = first[:, 1:].copy()
-        following[cell] = tau[new]
-        hop0 = 0.5 * (first[:, :S] + following)
-        hop = 0.5 * (tau + np.where(last, first[r, j + 1], np.append(tau[1:], 0.0)))
-    index = np.arange(tj.size)
-    slot = index - np.maximum.accumulate(np.where(new, index, 0))
-    by_slot = np.lexsort((slot, j))
-    bounds = np.flatnonzero((np.diff(j[by_slot]) != 0) | (np.diff(slot[by_slot]) != 0)) + 1
-    later: dict[int, list] = {}
-    for e in np.split(by_slot, bounds) if tj.size else ():
-        later.setdefault(int(j[e[0]]), []).append(
-            (r[e], tau[e], tj[e] + 0.5 * tau[e], y[e], None if hop is None else hop[e]))
-    alone = cut[:, :S] | cut[:, 1:] if order == 2 else cut[:, :S]
-    return y0, first[:, :S], hop0, cut[:, :S], alone, later
+
+    def __init__(self, grid: SpatialGrid, V: np.ndarray, states: np.ndarray, order: int,
+                 edges: np.ndarray, y_now: np.ndarray, r, tj, y_entered) -> None:
+        B, S = y_now.size, edges.size - 1
+        self.grid, self.B, self.order = grid, B, order
+        self.taus = taus = np.diff(edges)
+        self.mids = edges[:-1] + 0.5 * taus
+        self.flows = taus if order == 1 else np.concatenate(
+            ([0.5 * taus[0]], 0.5 * (taus[:-1] + taus[1:]), [0.5 * taus[-1]]))
+        self.y, self.y_end, self.later = np.broadcast_to(states[y_now], (S, B)), y_now, {}
+        self.shared, self.cut_at = np.ones(S, dtype=bool), [0] * (S + 1)
+        self.own_at = [0] * (self.flows.size + 1)
+        if not tj.size:  # the empty schedule: every step is shared
+            return
+        col = (-1,) + (1,) * grid.dim  # one scalar per cell
+        symbol = laplacian_symbol(grid).reshape(grid.shape)
+        j = edges.searchsorted(tj, side="right") - 1  # the base step of each jump, S at the end
+        inside = tj != edges[j]  # a jump on a base edge only switches the state
+        switched = np.bincount(r * (S + 1) + j + inside, minlength=B * (S + 1))
+        y0 = y_now[:, None] + np.cumsum(switched.reshape(B, S + 1), axis=1)
+        r, j, tj, y = r[inside], j[inside], tj[inside], y_entered[inside]
+        new = np.ones(tj.size, dtype=bool)  # the first cut of its row's step
+        new[1:] = (r[1:] != r[:-1]) | (j[1:] != j[:-1])
+        last = np.append(new[1:], True)
+        end = np.where(last, edges[j + 1], np.append(tj[1:], 0.0))
+        tau, first = end - tj, np.zeros((B, S + 1))  # substep 0 of each row's steps, 0 past the end
+        first[:, :S], cell = taus, (r[new], j[new])
+        first[cell] = tj[new] - edges[j[new]]
+        # a midpoint rounded onto the substep's end sees the state from there, as state_at does
+        y0[cell] = np.where(edges[j[new]] + 0.5 * first[cell] < tj[new], y0[cell], y[new])
+        y = np.where(tj + 0.5 * tau < end, y, np.where(last, y0[r, j + 1], np.append(y[1:], 0)))
+        cut = np.zeros((B, S + 1), dtype=bool)
+        cut[r, j] = True
+        if order == 1:
+            own, length, hop = cut[:, :S], first[:, :S], tau
+        else:  # a fused hop reaches into the row's next substep (0 past the end)
+            following = first[:, 1:].copy()
+            following[cell] = tau[new]
+            own = np.concatenate((cut[:, :1], cut[:, :S] | cut[:, 1:]), axis=1)
+            length = np.concatenate((0.5 * first[:, :1], 0.5 * (first[:, :S] + following)), axis=1)
+            hop = 0.5 * (tau + np.where(last, first[r, j + 1], np.append(tau[1:], 0.0)))
+        self.y, self.y_end = states[y0[:, :S].T], y0[:, -1]
+        self.tau0, self.mid0 = first[:, :S].T.reshape(S, *col), (edges[:-1] + 0.5 * first[:, :S]).T
+        self.shared = ~own[:, order - 1:].any(axis=0)
+        steps, self.cut_rows = np.nonzero(cut[:, :S].T)
+        self.cut_pot = np.exp(1j * first[self.cut_rows, steps].reshape(col)
+                              * V[states[y0[self.cut_rows, steps]]])
+        self.cut_at = steps.searchsorted(np.arange(S + 1)).tolist()
+        f, self.own_rows = np.nonzero(own.T)  # each own cell's flow
+        self.own_kin = np.exp(1j * length[self.own_rows, f].reshape(col) * symbol)
+        self.own_at = f.searchsorted(np.arange(self.flows.size + 1)).tolist()
+        index = np.arange(tj.size)
+        slot = index - np.maximum.accumulate(np.where(new, index, 0))
+        by_slot = np.lexsort((slot, j))
+        j, slot, r, tj, tau, y, hop = (a[by_slot] for a in (j, slot, r, tj, tau, y, hop))
+        kin = np.exp(1j * hop.reshape(col) * symbol)
+        # the march multiplies into the potential phases: a schedule is marched once
+        later = (r, tau.reshape(col), tj + 0.5 * tau, states[y],
+                 *((kin, None) if order == 1 else (None, kin)),
+                 np.exp(1j * tau.reshape(col) * V[states[y]]))
+        bounds = [0, *(np.flatnonzero((np.diff(j) != 0) | (np.diff(slot) != 0)) + 1), j.size]
+        for lo, hi in zip(bounds[:-1], bounds[1:]) if j.size else ():
+            self.later.setdefault(int(j[lo]), []).append(
+                tuple(None if a is None else a[lo:hi] for a in later))
+
+    def kinetic(self, f: int) -> np.ndarray:
+        """Flow f's phase: the cached shared one, with the own rows' written in."""
+        phase = kinetic_phase(self.grid, self.flows[f])
+        lo, hi = self.own_at[f], self.own_at[f + 1]
+        if lo < hi:
+            phase = np.repeat(phase[None], self.B, axis=0)
+            phase[self.own_rows[lo:hi]] = self.own_kin[lo:hi]
+        return phase
+
+    def substeps(self, potential_phase) -> Iterator[tuple]:
+        """The substeps in order as (rows, tau, midpoint, states, flows before
+        and after the kick, potential phase), None where there is none: each
+        base step's substep 0 on all rows (rows None), with potential_phase
+        (tau)[y] and the cut rows' own written in, then its sub-batches."""
+        for j, (y, tau, mid) in enumerate(zip(self.y, self.taus, self.mids)):
+            pot = None if potential_phase is None else potential_phase(tau)[y]
+            lo, hi = self.cut_at[j], self.cut_at[j + 1]
+            if pot is not None and lo < hi:
+                pot[self.cut_rows[lo:hi]] = self.cut_pot[lo:hi]
+            flows = (self.kinetic(j), None) if self.order == 1 else \
+                (self.kinetic(0) if j == 0 else None, self.kinetic(j + 1))
+            if not self.shared[j]:
+                tau, mid = self.tau0[j], self.mid0[j]
+            yield None, tau, mid, y, *flows, pot
+            yield from self.later.get(j, ())
 
 
-def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample],
-           cfg: SolverConfig, V: np.ndarray,
-           extra=None) -> Iterator[tuple[float, np.ndarray]]:
+def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: SolverConfig,
+           V: np.ndarray, extra=None) -> Iterator[tuple[float, np.ndarray]]:
     """Yield (t, values) at each of cfg.sample_times, marching the rows of
     values, shape (B, *grid.shape), along their paths in lockstep.
 
-    Every interval between sample times is cut into common base steps of
-    length about dt, and a row's base step further at its jump times
-    (:func:`_cut_schedule`; an interval without jumps builds none).
-    Substep 0 of a base step marches all B rows together: the potential
-    phase exp(i tau V[y]) is cached per step length, a cut row's is its
-    own, and the free flow is one batched transform pair, with the step's
-    phase on all rows but those whose substep (for Strang, or next
-    substep) differs.  Substep k >= 1 marches the rows cut at least k
-    times in that step as one sub-batch.  Each row is bitwise what
-    marching it alone gives.
+    Each interval between sample times is cut into base steps of length
+    about dt, and each row's steps at its jumps, by its :class:`_Schedule`.
+    Every substep takes one loop body: substep 0 of a base step on all B
+    rows, a later one on the rows cut that often in the step.  Each row is
+    bitwise what marching it alone gives.
 
     V is the (m, *grid.shape) potential table; extra(mid, values) returns a
     real potential added for those rows at the substep midpoint, shared or
     one per row (a Hartree field, a frozen Picard field), or extra is None.
-    cfg.source is injected at substep midpoints and sees each row's path
-    only up to then; a field that loses finiteness is an error.  The
-    yielded array is the march's own state: copy it to keep it.
+    It depends on the field, so its phase is taken per substep.  cfg.source
+    is injected at substep midpoints and sees each row's path only up to
+    then; a field that loses finiteness is an error.  The yielded array is
+    the march's own state: copy it to keep it.
     """
-    order, B = cfg.order, len(paths)
-    every, none = np.arange(B), np.arange(0)
-    col = (-1,) + (1,) * grid.dim  # one scalar per row
-    symbol = laplacian_symbol(grid).reshape(grid.shape)
+    every = np.arange(len(paths))
 
-    @lru_cache(maxsize=None)
-    def potential_phase(tau):
-        """exp(i tau V) for all states, once per step length for the march."""
-        return np.exp(1j * tau * V)
-
-    def kick(vals, rows, tau, mid, y, phase=None):
-        """One substep's potential phase (unless given) and source for the
-        given rows, at length tau and midpoint mid: shared, or one per row."""
-        tau = tau if np.isscalar(tau) else tau.reshape(col)
-        if phase is None:
-            pot = V[y] if extra is None else V[y] + extra(mid, vals)
-            phase = np.exp(1j * tau * pot)
-        # an explicit product, as in grid.apply_multiplier
-        vals = np.multiply(vals, phase, out=phase)
-        if cfg.source is not None:
-            src = np.array([np.asarray(cfg.source(grid, m, paths[r].restricted(m)),
-                                       dtype=complex).reshape(grid.shape)
-                            for r, m in zip(rows, np.broadcast_to(mid, rows.size))])
-            vals = vals + 1j * tau * src
-        return vals
-
-    def flow(vals, tau, base=None, own=none):
-        """Free flow by tau per row: the cached phase of the shared length
-        base on all rows but own, or every row's own when base is None."""
-        if base is not None and not own.size:
-            return free_flow(grid, vals, base)
-        if base is None:
-            phase = np.exp(1j * tau.reshape(col) * symbol)
-        else:
-            phase = np.repeat(kinetic_phase(grid, base)[None], len(vals), axis=0)
-            phase[own] = np.exp(1j * tau[own].reshape(col) * symbol)
-        return apply_multiplier(vals, phase, ndim=grid.dim)
+    # exp(i tau V) for all states, once per step length; extra's phase is per substep
+    potential_phase = None if extra is not None else \
+        lru_cache(maxsize=None)(lambda tau: np.exp(1j * tau * V))
 
     # every row's jumps in one flat array, row by row: jump g of row r
     # enters state g + r + 1 of the flat state array
@@ -261,49 +281,28 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample],
     t = 0.0
     for target in cfg.sample_times:
         if target > 1e-15:
-            edges = _interval_edges(t, target, cfg.dt)
-            taus = np.diff(edges)
-            mids = edges[:-1] + 0.5 * taus
-            hops = np.append(0.5 * (taus[:-1] + taus[1:]), 0.5 * taus[-1])
-
-            def step(vals, j, y, tau=None, hop=None, cut=none, own=none):
-                """Substep 0 of base step j for all rows: the shared step, or
-                with per-row tau and hop, which differ on the rows cut and own."""
-                if order == 1:
-                    vals = flow(vals, tau, taus[j], cut)
-                phase = None if extra is not None else potential_phase(taus[j])[y]
-                if phase is not None and cut.size:
-                    phase[cut] = np.exp(1j * tau[cut].reshape(col) * V[y[cut]])
-                vals = kick(vals, every, taus[j] if tau is None else tau,
-                            mids[j] if tau is None else edges[j] + 0.5 * tau, y, phase)
-                return flow(vals, hop, hops[j], own) if order == 2 else vals
-
             lo, past = sorted_times.searchsorted([t, target], side="right")
-            shared, lead = np.ones(taus.size, dtype=bool), none
-            if lo == past:  # no jump: every step is shared
-                y0 = np.repeat(y_now[:, None], taus.size + 1, axis=1)
-            else:
-                g = np.sort(in_time[lo:past])
-                y0, tau0, hop0, cut, alone, later = _cut_schedule(
-                    edges, order, y_now, owner[g], jump_times[g], g + owner[g] + 1)
-                shared, lead = ~alone.any(axis=0), np.flatnonzero(cut[:, 0])
-            if order == 2:
-                values = flow(values, 0.5 * tau0[:, 0] if lead.size else None, 0.5 * taus[0], lead)
-            for j in range(taus.size):
-                if shared[j]:
-                    values = step(values, j, states[y0[:, j]])
-                    continue
-                values = step(values, j, states[y0[:, j]], tau0[:, j],
-                              None if hop0 is None else hop0[:, j],
-                              np.flatnonzero(cut[:, j]), np.flatnonzero(alone[:, j]))
-                for rows, tau, mid, y, hop in later.get(j, ()):
-                    sub = values[rows]
-                    if order == 1:
-                        sub = flow(sub, tau)
-                    sub = kick(sub, rows, tau, mid, states[y])
-                    values[rows] = flow(sub, hop) if order == 2 else sub
-            y_now = y0[:, -1]
-            t = target
+            g = np.sort(in_time[lo:past])
+            plan = _Schedule(grid, V, states, cfg.order, _interval_edges(t, target, cfg.dt),
+                             y_now, owner[g], jump_times[g], g + owner[g] + 1)
+            for rows, tau, mid, y, before, after, potential in plan.substeps(potential_phase):
+                sub = values if rows is None else values[rows]
+                if before is not None:
+                    sub = apply_multiplier(sub, before, ndim=grid.dim)
+                # explicit products in this order, as in grid.apply_multiplier
+                phase = potential if extra is None else np.exp(1j * tau * (V[y] + extra(mid, sub)))
+                sub = np.multiply(sub, phase, out=phase)
+                if cfg.source is not None:
+                    src = [cfg.source(grid, m, paths[r].restricted(m)) for r, m in zip(
+                        every if rows is None else rows, np.broadcast_to(mid, len(sub)))]
+                    sub = sub + 1j * tau * np.array(src, dtype=complex).reshape(sub.shape)
+                if after is not None:
+                    sub = apply_multiplier(sub, after, ndim=grid.dim)
+                if rows is None:
+                    values = sub
+                else:
+                    values[rows] = sub
+            y_now, t = plan.y_end, target
             if not np.all(np.isfinite(values.view(float))):
                 raise RuntimeError(f"solution lost finiteness at t={t}")
         yield target, values

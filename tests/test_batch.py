@@ -224,6 +224,24 @@ def test_two_dimensional_batch_matches_single_path_march(order, epsilon, source)
     assert_rows_match_single(paths, psi0, cfg, kernel, family(grid))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("hartree", [False, True])
+def test_every_base_edge_a_sample_time(order, hartree):
+    """Picard's dense schedule: each interval is one base step, so a jump on
+    a base edge ends an interval, and a cut step is a whole interval."""
+    epsilon = 0.3 if hartree else 0.0
+    chi = shape_field(GRID, "gaussian", amplitude=1.0, width=1.0, center=0.0)
+    kernel = HartreeKernel(GRID, chi, epsilon=epsilon) if hartree else None
+    dense = DT * np.arange(21)
+    dense[-1] = 1.0
+    cfg = SolverConfig(dt=DT, sample_times=dense, order=order, epsilon=epsilon)
+    jump_sets = [*JUMPS.values(), [dense[4], dense[5], 0.33, dense[13]]]
+    paths = [two_state_path(j) for j in jump_sets]
+    assert any(set(j) & set(dense) for j in jump_sets)
+    psi0 = np.array([initial_field(0.3 * b) for b in range(len(paths))])
+    assert_rows_match_single(paths, psi0, cfg, kernel)
+
+
 # jump times anywhere in (0, 1), or on a base edge k dt, as the march computes it
 JUMP_TIMES = st.one_of(st.floats(min_value=1e-3, max_value=0.999, allow_nan=False),
                        st.integers(min_value=1, max_value=19).map(lambda k: DT * k))
@@ -277,6 +295,45 @@ def test_ensemble_independent_of_batch_size_and_workers(tmp_path, monkeypatch,
     assert summary == ref_summary
     for name, value in reference.items():
         assert same_bits(arrays[name], value), name
+
+
+def reduce_one_sample_at_a_time(states, fields, m):
+    """The path-order reference: each (path, sample) added on its own."""
+    T, size = fields.shape[1:]
+    sums = np.zeros((T, m, size), dtype=complex)
+    sums_sq = np.zeros((T, m, size))
+    counts = np.zeros((T, m), dtype=np.int64)
+    outer = np.zeros((T, m, size, size), dtype=complex)
+    for path_states, path_fields in zip(states, fields):
+        for j, (y, vals) in enumerate(zip(path_states, path_fields)):
+            sums[j, y] += vals
+            sums_sq[j, y] += np.abs(vals) ** 2
+            counts[j, y] += 1
+            outer[j, y] += np.outer(vals, vals.conj())
+    return sums, sums_sq, counts, outer
+
+
+@pytest.mark.parametrize("rows", [1, 3, 23])
+def test_reduce_matches_one_sample_at_a_time(rows):
+    rng = np.random.default_rng(8)
+    N, T, m, size = 23, 5, 3, GRID.size
+    states = rng.integers(0, m, size=(N, T))
+    scale = 10.0 ** rng.uniform(-3, 3, size=(N, T, 1))  # sums that round
+    fields = scale * (rng.standard_normal((N, T, size))
+                      + 1j * rng.standard_normal((N, T, size)))
+    scalar = rng.standard_normal((N, T))
+    sums = np.zeros((T, m, size), dtype=complex)
+    sums_sq = np.zeros((T, m, size))
+    counts = np.zeros((T, m), dtype=np.int64)
+    outer = np.zeros((T, m, size, size), dtype=complex)
+    out_states, out_scalar = np.empty_like(states), np.empty_like(scalar)
+    batches = [(lo, (states[lo:lo + rows], fields[lo:lo + rows], {"x": scalar[lo:lo + rows]}))
+               for lo in range(0, N, rows)]
+    ensemble._reduce(batches, sums, sums_sq, counts, outer, out_states, {"x": out_scalar})
+    for got, want in zip((sums, sums_sq, counts, outer),
+                         reduce_one_sample_at_a_time(states, fields, m)):
+        assert same_bits(got, want)
+    assert same_bits(out_states, states) and same_bits(out_scalar, scalar)
 
 
 def one_field_lorentz(values, p, q):

@@ -227,6 +227,24 @@ class TestRunExperiments:
     def test_average_experiment(self, tmp_path):
         text = SMALL.replace('"path"', '"average"')
         assert run(parse_config(text=text), str(tmp_path)) == 0
+        out = self.out_dirs(tmp_path)[0]
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert report["l2_nonincreasing"]["passed"]
+
+    def test_average_experiment_fails_on_a_growing_norm(self, tmp_path, monkeypatch):
+        from stochnls import cli
+        from stochnls.averaged import AveragedField
+
+        def growing(g0, family, model, cfg):
+            return [AveragedField(g0.grid, g0.g * (1.0 + 1e-9 * k), t=t)
+                    for k, t in enumerate(cfg.sample_times)]
+        monkeypatch.setattr(cli, "solve_scalar_averaged", growing)
+        text = SMALL.replace('"path"', '"average"')
+        assert run(parse_config(text=text), str(tmp_path)) == 1
+        out = self.out_dirs(tmp_path)[0]
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert report["l2_nonincreasing"]["passed"] is False
+        assert report["l2_nonincreasing"]["max_step_increase"] > 0.0
 
     def test_seed_override_changes_output_dir(self, tmp_path):
         cfg = parse_config(text=SMALL)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,39 @@ class TestSamplePath:
         model.A = np.array([[1.0, -1.5], [-1.0, 1.0]])  # row 0 sums to 1.5
         with pytest.raises(ValueError, match="jump law of state 0"):
             sample_path(model, 1.0, seed=0)
+
+    def test_sampled_paths_hold_the_path_invariants(self):
+        """sample_path builds its paths without PathSample's check, so every
+        path it draws must pass that check anyway."""
+        A = np.array([[1.5, -1.0, -0.5], [-1.0, 2.0, -1.0], [-0.5, -1.0, 1.5]])
+        model = MarkovModel(A, initial_law=np.full(3, 1 / 3))
+        for i in range(2000):
+            path = sample_path(model, 3.0, seed=(17, i))
+            assert path.states.size == path.jump_times.size + 1
+            assert np.all(path.jump_times > 0) and np.all(path.jump_times < path.horizon)
+            assert np.all(np.diff(path.jump_times) > 0)
+            assert np.all(path.states[1:] != path.states[:-1])
+            assert path.jump_times.dtype == float and path.states.dtype == np.int64
+            dataclasses.replace(path)  # the constructor's own check
+
+    @pytest.mark.parametrize("holds, message", [
+        ([0.0], "strictly inside"),
+        ([0.4, 0.0], "strictly increasing"),
+        ([0.5, 1e-20], "strictly increasing"),  # lost to rounding
+    ])
+    def test_holding_time_that_adds_nothing_rejected(self, monkeypatch, holds, message):
+        class Generator:
+            def __init__(self):
+                self.holds = iter(holds)
+
+            def random(self):
+                return 0.5
+
+            def exponential(self, scale):
+                return next(self.holds)
+        monkeypatch.setattr(markov, "path_rng", lambda seed: Generator())
+        with pytest.raises(ValueError, match=message):
+            sample_path(MarkovModel(two_state(), initial_law=0), 1.0, seed=0)
 
 
 class TestStateAt:
