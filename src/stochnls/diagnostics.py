@@ -85,7 +85,7 @@ def energy_rows(grid: SpatialGrid, values: np.ndarray, V_now: np.ndarray,
     potential = 0.5 * vol * np.sum(V_now * density, axis=-1)
     hartree = np.zeros(values.shape[0])
     if kernel is not None and kernel.epsilon != 0.0:
-        conv = kernel.epsilon * spectral_convolution(grid, kernel.chi_spectrum, density).real
+        conv = kernel.epsilon * spectral_convolution(grid, kernel.chi_spectrum, density)
         hartree = 0.25 * vol * np.sum(conv * density, axis=-1)
     return kinetic, potential, hartree
 

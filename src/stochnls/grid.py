@@ -10,6 +10,8 @@ Conventions used throughout the package:
 * Every solver's free flow U(t) = exp(+i t |k|^2) goes through one
   spectral-multiplier primitive, :func:`apply_multiplier`, with kinetic
   phases from a small per-(grid, t) cache (:func:`free_flow`).
+* The one convolution, :func:`spectral_convolution`, is of real fields on
+  the real-to-complex transform pair, so its result is real by construction.
 * All integral norms carry the cell-volume weight h**d so that values
   converge to their continuum counterparts under refinement.
 """
@@ -221,13 +223,14 @@ def inverse_transform(grid: SpatialGrid, spectrum: np.ndarray) -> WaveField:
 
 
 def convolution_spectrum(grid: SpatialGrid, a: np.ndarray) -> np.ndarray:
-    """The (unnormalized) transform of one flat field `a`, shaped like the
-    grid: the multiplier :func:`spectral_convolution` convolves with."""
-    return np.fft.fftn(np.asarray(a).reshape(grid.shape))
+    """The (unnormalized, complex) half spectrum of one real flat field `a`:
+    the multiplier :func:`spectral_convolution` convolves with."""
+    return np.fft.rfftn(np.asarray(a).reshape(grid.shape))
 
 
 def spectral_convolution(grid: SpatialGrid, a_spectrum: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Periodic convolution (a*b)(x) ~ int a(x-y) b(y) dy via FFT.
+    """Periodic convolution (a*b)(x) ~ int a(x-y) b(y) dy of real fields,
+    via the real-to-complex FFT pair, as a real array.
 
     `a_spectrum` is :func:`convolution_spectrum` of one flat field a, so a
     kernel used many times is transformed once; `b` is flat, shape
@@ -236,8 +239,13 @@ def spectral_convolution(grid: SpatialGrid, a_spectrum: np.ndarray, b: np.ndarra
     the continuum convolution of the sampled functions.
     """
     b = np.asarray(b)
-    lead = b.shape[:-1]
-    conv = apply_multiplier(b.reshape(*lead, *grid.shape), a_spectrum)
+    lead, axes = b.shape[:-1], tuple(range(-grid.dim, 0))
+    if grid.dim == 1:  # the plain pair: an rfftn/irfftn pair costs more call overhead
+        spectrum = np.fft.rfft(b)
+        conv = np.fft.irfft(np.multiply(a_spectrum, spectrum, out=spectrum), n=grid.size)
+    else:
+        spectrum = np.fft.rfftn(b.reshape(*lead, *grid.shape), axes=axes)
+        conv = np.fft.irfftn(np.multiply(a_spectrum, spectrum, out=spectrum), grid.shape, axes)
     return grid.cell_volume * conv.reshape(*lead, grid.size)
 
 

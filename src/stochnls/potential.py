@@ -65,32 +65,34 @@ class SplitWeights:
 class HartreeKernel:
     """Even convolution kernel chi and coupling constant for the Hartree term.
 
-    chi is checked to be even (to 1e-12) once, here, and kept as a
-    read-only copy, so the check holds for the kernel's lifetime.  Its
-    transform, :attr:`chi_spectrum`, is taken once and is read-only too.
+    chi is checked to be real, finite and even (to 1e-12) whenever it is
+    set, at construction or after, and kept as a read-only copy.  Its half
+    spectrum, :attr:`chi_spectrum`, is taken once and is read-only too.
     """
 
     grid: SpatialGrid
     chi: np.ndarray = field(repr=False)
     epsilon: float = 0.0
 
-    def __post_init__(self) -> None:
-        self.chi = np.array(self.chi, dtype=float).reshape(-1)
-        if self.chi.size != self.grid.size:
-            raise ValueError("chi length must match grid")
-        scale = max(1.0, float(np.max(np.abs(self.chi), initial=0.0)))
-        if np.max(np.abs(self.chi - self.grid.reflect(self.chi))) > 1e-12 * scale:
-            raise ValueError("chi must be even under the grid reflection")
-        self.chi.flags.writeable = False
-
     def __setattr__(self, name, value) -> None:
-        super().__setattr__(name, value)
-        if name == "chi":  # a chi set again takes its own spectrum
+        if name == "chi":  # checked whenever set; a new chi takes its own spectrum
+            if np.iscomplexobj(value):
+                raise ValueError("chi must be real: a complex kernel has an imaginary part")
+            value = np.array(value, dtype=float).reshape(-1)
+            if value.size != self.grid.size:
+                raise ValueError("chi length must match grid")
+            if not np.all(np.isfinite(value)):
+                raise ValueError("chi contains non-finite entries")
+            scale = max(1.0, float(np.max(np.abs(value), initial=0.0)))
+            if np.max(np.abs(value - self.grid.reflect(value))) > 1e-12 * scale:
+                raise ValueError("chi must be even under the grid reflection")
+            value.flags.writeable = False
             self.__dict__.pop("chi_spectrum", None)
+        super().__setattr__(name, value)
 
     @cached_property
     def chi_spectrum(self) -> np.ndarray:
-        """chi as :func:`grid.spectral_convolution` takes it."""
+        """chi's half spectrum, as :func:`grid.spectral_convolution` takes it."""
         spectrum = convolution_spectrum(self.grid, self.chi)
         spectrum.flags.writeable = False
         return spectrum

@@ -110,27 +110,16 @@ class TrajectoryOutput:
 
 
 def hartree_potential(psi: WaveField, kernel: HartreeKernel) -> np.ndarray:
-    """eps * (chi convolved with |psi|^2) as a real field.
-
-    chi is even (checked once, to 1e-12, when the kernel is built); the
-    convolution of real even chi with the real density has vanishing
-    imaginary part, which is verified and then discarded.
-    """
-    if kernel.epsilon == 0.0:
-        return np.zeros(psi.grid.size)
+    """eps * (chi convolved with |psi|^2): chi (see :class:`HartreeKernel`)
+    and the density are real, so the field is real by construction."""
     return _hartree_rows(psi.grid, psi.values[None], kernel)[0]
 
 
 def _hartree_rows(grid: SpatialGrid, values: np.ndarray, kernel: HartreeKernel) -> np.ndarray:
     """:func:`hartree_potential` of each row of values, shape (B, ...), as
-    (B, grid.size); one row-wise convolution, the imaginary part checked
-    per row."""
-    conv = spectral_convolution(grid, kernel.chi_spectrum,
-                                np.abs(values.reshape(len(values), -1)) ** 2)
-    bound = 1e-12 * np.maximum(1.0, np.max(np.abs(conv.real), axis=-1))
-    if np.any(np.max(np.abs(conv.imag), axis=-1) > bound):
-        raise ValueError("hartree potential has unexpected imaginary part")
-    return kernel.epsilon * conv.real
+    (B, grid.size); one row-wise convolution."""
+    density = np.abs(values.reshape(len(values), -1)) ** 2
+    return kernel.epsilon * spectral_convolution(grid, kernel.chi_spectrum, density)
 
 
 def _interval_edges(t0: float, t1: float, dt: float) -> np.ndarray:

@@ -368,13 +368,60 @@ def test_row_norms_match_one_field_forms():
         assert same_bits(batched[3:5], lorentz_norm_rows(GRID, rows[3:5], p, q))
 
 
+def direct_convolution(grid, a, b):
+    """h^d sum_y a(x - y) b(y) of flat fields on a grid of one or two axes,
+    summed directly, O(n^2d): along the last axis by a circulant matrix,
+    and (two axes) over the first axis's n offsets."""
+    n = grid.points_per_axis
+    circulant = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    a, b = a.reshape(-1, n), b.reshape(-1, n)
+    conv = sum(np.roll(b, s, axis=0) @ a[s][circulant].T for s in range(len(a)))
+    return grid.cell_volume * conv.reshape(-1)
+
+
 def test_spectral_convolution_rows_and_one_axis_fast_path():
     rng = np.random.default_rng(4)
-    chi = shape_field(GRID, "gaussian", amplitude=1.0, width=1.0, center=0.0)
-    dens = rng.random((5, GRID.size))
-    chi_hat = convolution_spectrum(GRID, chi)
-    batched = spectral_convolution(GRID, chi_hat, dens)
-    for row, out in zip(dens, batched):
-        assert same_bits(out, spectral_convolution(GRID, chi_hat, row))
-        fftn_form = GRID.cell_volume * np.fft.ifftn(np.fft.fftn(chi) * np.fft.fftn(row))
-        assert same_bits(out, fftn_form)
+    for grid in (GRID, SpatialGrid(2, 8, 6.0)):
+        chi = shape_field(grid, "gaussian", amplitude=1.0, width=1.0, center=0.0)
+        skew = rng.random(grid.size)  # not even: the half spectrum keeps its phase
+        dens = rng.random((5, grid.size))
+        for a in (chi, skew):
+            a_hat = convolution_spectrum(grid, a)
+            batched = spectral_convolution(grid, a_hat, dens)
+            assert batched.dtype == np.float64 and batched.shape == dens.shape
+            for row, out in zip(dens, batched):
+                assert same_bits(out, spectral_convolution(grid, a_hat, row))
+                oracle = direct_convolution(grid, a, row)
+                assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+                # one axis takes the plain pair, bitwise the rfftn/irfftn form
+                a_grid, row_grid = a.reshape(grid.shape), row.reshape(grid.shape)
+                rfftn_form = grid.cell_volume * np.fft.irfftn(
+                    np.fft.rfftn(a_grid) * np.fft.rfftn(row_grid), s=grid.shape,
+                    axes=tuple(range(grid.dim)))
+                assert same_bits(out, rfftn_form.reshape(-1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([32, 64]), st.sampled_from([1, 2]), st.sampled_from([1, 2]),
+       st.sampled_from([0.01, 0.02, 0.05]), st.sampled_from([0.05, 0.3]))
+def test_hartree_rows_keep_their_norm_and_energy(n, dim, order, dt, epsilon):
+    """Unitarity with the Hartree term on, row by row in a batch that mixes
+    shared and jump-cut steps; the sampled Hartree energy against the direct
+    double sum (eps/4) h^d sum_x (chi * rho)(x) rho(x)."""
+    grid = SpatialGrid(dim, n, 12.0)
+    chi = shape_field(grid, "gaussian", amplitude=1.0, width=1.0, center=0.0)
+    kernel = HartreeKernel(grid, chi, epsilon=epsilon)
+    cfg = SolverConfig(dt=dt, sample_times=np.array([0.0, 0.1, 0.2]), order=order,
+                       epsilon=epsilon)
+    paths = [two_state_path(j) for j in ([], [0.03], [0.07, 0.15])]
+    r2 = sum(c**2 for c in grid.centered_coordinates())
+    x = grid.centered_coordinates()[0]
+    psi0 = np.array([np.exp(-r2 / (2 + b) + 1j * b * x) for b in range(len(paths))])
+    fields, _, scalars = evolve_paths(psi0, family(grid), paths, kernel, cfg)
+    l2 = scalars["l2"]
+    assert np.all(np.abs(l2 - l2[:, :1]) <= 1e-10 * l2[:, :1])
+    for row, energy in zip(np.abs(fields[:, -1]) ** 2, scalars["energy_hartree"][:, -1]):
+        oracle = 0.25 * epsilon * grid.cell_volume * np.sum(
+            direct_convolution(grid, chi, row) * row)
+        assert abs(energy - oracle) <= 1e-12 * oracle

@@ -177,6 +177,34 @@ class TestRunExperiments:
         doc = json.loads(open(os.path.join(out, "summary.json")).read())
         assert doc["N"] == 5
         assert sum(doc["per_time"][0]["counts"]) == 5
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert sorted(report) == ["exact_conditioning"]
+        assert report["exact_conditioning"]["passed"] is True
+        norms = json.loads(open(os.path.join(out, "spacetime_norms.json")).read())
+        assert sorted(norms) == ["l2_omega_l2_t_l62", "per_path_mean_l2_t_l62",
+                                 "per_path_std_l2_t_l62"]
+
+    def test_ensemble_experiment_fails_on_lost_paths(self, tmp_path, monkeypatch):
+        from stochnls import cli
+
+        run_ensemble = cli.run_ensemble
+
+        def losing(*args, **kwargs):
+            avg, series = run_ensemble(*args, **kwargs)
+            avg.counts[-1, 0] -= 1  # the counts at the last time no longer sum to N
+            return avg, series
+        monkeypatch.setattr(cli, "run_ensemble", losing)
+        text = SMALL.replace('"path"', '"ensemble"')
+        assert run(parse_config(text=text), str(tmp_path)) == 1
+        out = self.out_dirs(tmp_path)[0]
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert report["exact_conditioning"]["passed"] is False
+
+    def test_entry_without_a_verdict_fails(self, tmp_path, monkeypatch):
+        from stochnls import verify
+
+        monkeypatch.setattr(verify, "CRITERIA", (lambda scale, seed, out_dir: {"id": "C0"},))
+        assert run(parse_config(text='experiment.kind = "verify-all"'), str(tmp_path)) == 1
 
     def test_spectrum_and_kb_scan(self, tmp_path):
         for kind in ("spectrum", "kb-scan"):

@@ -251,20 +251,35 @@ class TestHartreePotential:
         kernel = HartreeKernel(grid, shape_field(grid, "gaussian", center=0.0), 0.5)
         spectrum = kernel.chi_spectrum
         assert kernel.chi_spectrum is spectrum
-        fresh = np.fft.fftn(kernel.chi.reshape(grid.shape))
+        fresh = np.fft.rfftn(kernel.chi.reshape(grid.shape))
         if dim == 1:
-            assert np.fft.fft(kernel.chi).tobytes() == fresh.tobytes()
-        assert spectrum.shape == fresh.shape and spectrum.tobytes() == fresh.tobytes()
+            assert np.fft.rfft(kernel.chi).tobytes() == fresh.tobytes()
+        assert spectrum.shape == (*grid.shape[:-1], n // 2 + 1)
+        assert spectrum.dtype == np.complex128 and spectrum.tobytes() == fresh.tobytes()
         with pytest.raises(ValueError):
             spectrum[0] = 0.0
+        kernel.chi = shape_field(grid, "gaussian", width=2.0, center=0.0)
+        assert kernel.chi_spectrum is not spectrum  # the new chi's own spectrum
+        fresh = np.fft.rfftn(kernel.chi.reshape(grid.shape))
+        assert kernel.chi_spectrum.tobytes() == fresh.tobytes() != spectrum.tobytes()
 
     def test_imaginary_part_still_checked(self):
         grid = SpatialGrid(1, 64, 16.0)
-        kernel = HartreeKernel(grid, shape_field(grid, "gaussian", center=0.0), 0.5)
-        kernel.chi = 1j * kernel.chi  # a complex kernel, set past construction
-        psi = WaveField(grid, free_gaussian(grid, 1.0, 0.0))
+        chi = shape_field(grid, "gaussian", center=0.0)
+        kernel = HartreeKernel(grid, chi, 0.5)
         with pytest.raises(ValueError, match="imaginary"):
-            hartree_potential(psi, kernel)
+            kernel.chi = 1j * kernel.chi  # a complex kernel, set past construction
+        with pytest.raises(ValueError, match="imaginary"):
+            HartreeKernel(grid, chi + 0j, 0.5)  # even a zero imaginary part
+        odd = np.sin(2 * np.pi * grid.centered_coordinates()[0] / grid.box_length)
+        bad = chi.copy()
+        bad[0] = np.nan
+        for value, message in ((odd, "even"), (bad, "finite")):
+            with pytest.raises(ValueError, match=message):
+                kernel.chi = value
+            with pytest.raises(ValueError, match=message):
+                HartreeKernel(grid, value, 0.5)
+        assert kernel.chi.tobytes() == chi.tobytes()  # a refused chi leaves the old one
 
 
 class TestPicard:
