@@ -48,6 +48,7 @@ __all__ = [
     "density",
     "trace",
     "psd_check",
+    "structure_table",
     "write_density_csv",
     "write_trace_csv",
 ]
@@ -251,6 +252,19 @@ def psd_check(f: AveragedDensityMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(hermitized)[:, 0]
 
 
+def structure_table(series: list[AveragedDensityMatrix]) -> np.ndarray:
+    """The trace / Hermiticity / positivity audit of a Liouville solve, one
+    row per snapshot: t, each state's trace, their total, the Hermiticity
+    residual and the least eigenvalue over the states, shape (len(series),
+    m + 4).  Each snapshot's kernels are solved once, by :func:`psd_check`."""
+    rows = []
+    for snap in series:
+        per_state, total = trace(snap)
+        rows.append([snap.t, *per_state, total, snap.hermiticity_residual(),
+                     float(psd_check(snap).min())])
+    return np.array(rows)
+
+
 def write_density_csv(path, series: list[AveragedDensityMatrix]) -> None:
     """Rows (t, y, rho(x_0), ..., rho(x_{n-1})) for every state and time."""
     n = series[0].grid.points_per_axis
@@ -263,15 +277,12 @@ def write_density_csv(path, series: list[AveragedDensityMatrix]) -> None:
                 fh.write(f"{snap.t:.17g},{y},{row}\n")
 
 
-def write_trace_csv(path, series: list[AveragedDensityMatrix]) -> None:
-    """Trace / Hermiticity / positivity series for a Liouville solve."""
-    m = series[0].m
+def write_trace_csv(path, table: np.ndarray) -> None:
+    """The rows of a :func:`structure_table` under their column names."""
+    m = table.shape[1] - 4
     header = ["t"] + [f"trace{y}" for y in range(m)] + [
         "trace_total", "hermiticity_residual", "min_eigenvalue"]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for snap in series:
-            per_state, total = trace(snap)
-            row = [snap.t, *per_state, total, snap.hermiticity_residual(),
-                   float(psd_check(snap).min())]
+        for row in table:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -35,6 +35,7 @@ from .averaged import (
     AveragedField,
     solve_liouville_averaged,
     solve_scalar_averaged,
+    structure_table,
     write_density_csv,
     write_trace_csv,
 )
@@ -327,13 +328,12 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
         series = solve_liouville_averaged(AveragedDensityMatrix(grid, f0),
                                           family, model, solver_cfg)
         write_density_csv(os.path.join(out_dir, "density.csv"), series)
-        write_trace_csv(os.path.join(out_dir, "trace.csv"), series)
-        from .averaged import psd_check, trace as trace_of
-
-        totals = np.array([trace_of(s)[1] for s in series])
-        herm = max(s.hermiticity_residual() for s in series)
+        table = structure_table(series)
+        write_trace_csv(os.path.join(out_dir, "trace.csv"), table)
+        totals, herms, min_eigs = table[:, -3:].T
+        herm = float(herms.max())
         scale = max(float(np.max(np.abs(s.f))) for s in series)
-        min_eig = min(float(psd_check(s).min()) for s in series)
+        min_eig = float(min_eigs.min())
         checks["trace_conservation"] = {
             "passed": bool(np.max(np.abs(totals - totals[0]))
                            <= 1e-8 * abs(totals[0])),

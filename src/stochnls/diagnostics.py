@@ -10,7 +10,7 @@ asserting continuum rates directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,23 +92,11 @@ def energy_rows(grid: SpatialGrid, values: np.ndarray, V_now: np.ndarray,
 
 @dataclass
 class IdentityResidualSeries:
-    """LHS/RHS pairs of a pointwise-in-time identity plus their residuals."""
+    """LHS/RHS pairs of a pointwise-in-time identity."""
 
     times: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
-
-    @property
-    def residual(self) -> np.ndarray:
-        return np.abs(self.lhs - self.rhs)
-
-    def relative_residual(self, scale: float | None = None) -> np.ndarray:
-        if scale is None:
-            scale = float(np.max(np.abs(self.rhs), initial=0.0))
-            scale = max(scale, float(np.max(np.abs(self.lhs), initial=0.0)))
-        denom = np.maximum(np.maximum(np.abs(self.lhs), np.abs(self.rhs)),
-                           max(scale, RESIDUAL_FLOOR))
-        return self.residual / denom
 
 
 def energy_derivative_identity(f_series, family: PotentialFamily,
@@ -200,9 +188,6 @@ def feynman_kac_residual(times: np.ndarray, mc_lhs: np.ndarray,
 class DecayFit:
     """Power-law fit value ~ C * t^slope on a log-log window."""
 
-    times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    window: tuple[float, float]
     slope: float
     intercept: float
     residual: float
@@ -235,8 +220,7 @@ def decay_fit(times, values, window: tuple[float, float]) -> DecayFit:
     dof = max(x.size - 2, 1)
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = np.sqrt(np.sum(res**2) / dof / sxx) if sxx > 0 else np.inf
-    return DecayFit(times=t, values=v, window=(float(lo), float(hi)),
-                    slope=float(slope), intercept=float(intercept),
+    return DecayFit(slope=float(slope), intercept=float(intercept),
                     residual=rms, confidence_halfwidth=2.0 * float(se))
 
 

@@ -30,9 +30,7 @@ __all__ = [
     "kinetic_phase",
     "apply_multiplier",
     "free_flow",
-    "transform",
     "transform_rows",
-    "inverse_transform",
     "convolution_spectrum",
     "spectral_convolution",
     "dft_matrix",
@@ -43,8 +41,6 @@ __all__ = [
     "lorentz_norm_rows",
     "sum_norm",
     "sum_norm_rows",
-    "intersection_norm",
-    "v_norm",
 ]
 
 
@@ -144,7 +140,7 @@ def laplacian_symbol(grid: SpatialGrid) -> np.ndarray:
     """Multiplier |k|^2 of -Laplacian in the FFT frequency layout, flattened.
 
     Entry for multi-index j is sum_a (2*pi*m_a/L)^2 with m_a the signed
-    frequency of index j_a; ordering matches :func:`transform`.
+    frequency of index j_a; ordering matches :func:`transform_rows`.
     """
     k = grid.axis_frequencies()
     sym = np.zeros(grid.shape)
@@ -201,25 +197,12 @@ def free_flow(grid: SpatialGrid, values: np.ndarray, tau: float) -> np.ndarray:
     return apply_multiplier(values, kinetic_phase(grid, tau))
 
 
-def transform(psi: WaveField) -> np.ndarray:
-    """Unitary discrete Fourier transform of a field, flat spectral array."""
-    return transform_rows(psi.grid, psi.values[None])[0]
-
-
 def transform_rows(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
-    """:func:`transform` of each row of values, shape (B, grid.size)."""
+    """Unitary discrete Fourier transform of each row of values, shape
+    (B, grid.size), as flat spectral rows."""
     axes = tuple(range(-grid.dim, 0))
     spectra = np.fft.fftn(values.reshape(-1, *grid.shape), axes=axes, norm="ortho")
     return spectra.reshape(values.shape)
-
-
-def inverse_transform(grid: SpatialGrid, spectrum: np.ndarray) -> WaveField:
-    """Inverse of :func:`transform`."""
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
-    if spectrum.size != grid.size:
-        raise ValueError("spectral array length does not match grid")
-    a = np.fft.ifftn(spectrum.reshape(grid.shape), norm="ortho")
-    return WaveField(grid, a.reshape(-1))
 
 
 def convolution_spectrum(grid: SpatialGrid, a: np.ndarray) -> np.ndarray:
@@ -368,45 +351,3 @@ def sum_norm_rows(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     candidates = np.sqrt(np.take_along_axis(sq, keep, axis=-1)) + mags
     return np.minimum(np.sqrt(sq[:, -1]), candidates.min(axis=-1))
 
-
-def intersection_norm(psi: WaveField) -> float:
-    """The L^1 cap L^2 norm, max(||f||_1, ||f||_2)."""
-    return max(lebesgue_norm(psi, 1), lebesgue_norm(psi, 2))
-
-
-def v_norm(fields: list[WaveField] | list[np.ndarray], d: int,
-           grid: SpatialGrid | None = None) -> float:
-    """Dyadic shell norm sum_n sup_y ||1_{|v| in [2^n, 2^{n+1})} v||_{L^d}.
-
-    `fields` is one real field per Markov state; the sup runs over states
-    and the sum over the (finitely many) nonempty dyadic shells.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    arrays = []
-    for f in fields:
-        if isinstance(f, WaveField):
-            grid = f.grid
-            arrays.append(np.abs(f.values))
-        else:
-            arrays.append(np.abs(np.asarray(f, dtype=float)).reshape(-1))
-    if grid is None:
-        raise ValueError("grid required when passing raw arrays")
-    vol = grid.cell_volume
-    positive = [a[a > 0] for a in arrays]
-    if all(a.size == 0 for a in positive):
-        return 0.0
-    lo = min(a.min() for a in positive if a.size)
-    hi = max(a.max() for a in positive if a.size)
-    n_lo = int(np.floor(np.log2(lo)))
-    n_hi = int(np.floor(np.log2(hi)))
-    total = 0.0
-    for n in range(n_lo, n_hi + 1):
-        shell_lo, shell_hi = 2.0**n, 2.0 ** (n + 1)
-        best = 0.0
-        for a in arrays:
-            mask = (a >= shell_lo) & (a < shell_hi)
-            if np.any(mask):
-                best = max(best, float((np.sum(a[mask] ** d) * vol) ** (1.0 / d)))
-        total += best
-    return total

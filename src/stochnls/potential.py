@@ -165,10 +165,7 @@ class NontrivialityReport:
     verdict: str  # "trivial_case_1" | "trivial_case_2" | "nontrivial"
     condition1: bool
     condition2: bool
-    tol: float
-    witness_cells_1: np.ndarray = field(repr=False, default=None)
-    witness_cells_2: np.ndarray = field(repr=False, default=None)
-    fraction_required: float = 0.01
+    witness_cells_2: np.ndarray = field(repr=False)
 
 
 def check_nontriviality(family: PotentialFamily, h: np.ndarray,
@@ -194,11 +191,8 @@ def check_nontriviality(family: PotentialFamily, h: np.ndarray,
     Vs = family.V[support]
 
     spread = Vs.max(axis=0) - Vs.min(axis=0)
-    witness1 = np.flatnonzero(spread > tol)
-    cond1 = witness1.size > 0
-    if not cond1:
-        return NontrivialityReport("trivial_case_1", False, False, tol,
-                                   witness1, np.array([], dtype=int), fraction)
+    if not np.any(spread > tol):
+        return NontrivialityReport("trivial_case_1", False, False, np.array([], dtype=int))
 
     # condition 2: the differences D(x; y1, y2) = V(x,y1) - V(x,y2) must vary
     # in x for some state pair.  A cell x1 qualifies when, for at least
@@ -223,8 +217,7 @@ def check_nontriviality(family: PotentialFamily, h: np.ndarray,
     witness2 = np.asarray(witness2, dtype=int)
     cond2 = witness2.size > 0
     verdict = "nontrivial" if cond2 else "trivial_case_2"
-    return NontrivialityReport(verdict, cond1, cond2, tol,
-                               witness1, witness2, fraction)
+    return NontrivialityReport(verdict, True, cond2, witness2)
 
 
 def a_of_hv(family: PotentialFamily, model: MarkovModel) -> tuple[np.ndarray, float]:

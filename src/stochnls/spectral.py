@@ -41,7 +41,6 @@ from .potential import PotentialFamily, split
 
 __all__ = [
     "DiscreteHamiltonian",
-    "KBOperator",
     "EigenReport",
     "assemble_h",
     "eigen_analysis",
@@ -207,15 +206,6 @@ def eigen_analysis(ham: DiscreteHamiltonian) -> EigenReport:
                        min_imag=min_imag, norm=norm)
 
 
-@dataclass
-class KBOperator:
-    lam: complex
-    KB: np.ndarray = field(repr=False)
-
-    def min_singular_value(self) -> float:
-        return float(np.linalg.svd(self.KB, compute_uv=False)[-1])
-
-
 def _kb_setup(family: PotentialFamily, model: MarkovModel):
     """The factors of KB(lambda) = I + (v2 W) diag(1/(d - lambda)) (W^H v1).
 
@@ -247,12 +237,13 @@ def _kb_matrix(left, right, d, lam: complex) -> np.ndarray:
 
 
 def assemble_kb(family: PotentialFamily, model: MarkovModel,
-                lam: complex) -> KBOperator:
-    """KB(lambda) = I + v2 R0(lambda) v1 on the state-major index."""
+                lam: complex) -> np.ndarray:
+    """The dense matrix KB(lambda) = I + v2 R0(lambda) v1 on the
+    state-major index."""
     parts = _kb_setup(family, model)
     if _in_free_spectrum(parts[2], lam):
         raise ValueError(f"lambda = {lam} lies in the spectrum of H0")
-    return KBOperator(lam=lam, KB=_kb_matrix(*parts, lam))
+    return _kb_matrix(*parts, lam)
 
 
 def default_lambda_grid(re_span: tuple[float, float] = (-10.0, 10.0),
@@ -296,7 +287,7 @@ def kb_scan(family: PotentialFamily, model: MarkovModel,
 def resolvent_identity_residual(family: PotentialFamily, model: MarkovModel,
                                 lam: complex) -> float:
     """Max-norm defect of (I + v2 R0 v1)(I - v2 R_V v1) = I."""
-    left = assemble_kb(family, model, lam).KB
+    left = assemble_kb(family, model, lam)
     eye = np.eye(left.shape[0])
     w = split(family)
     RV = np.linalg.inv(assemble_h(family, model).H - lam * eye)

@@ -103,6 +103,17 @@ def test_c08_resonance():
     print(f"  resonance widths by contrast 0.25/0.5/1.0 (exploratory): {widths}")
 
 
+def test_c08_fails_on_trivial_randomness(monkeypatch):
+    # the nontriviality precondition is part of C8's gate; the default
+    # scale suffices to see it
+    from stochnls import verify
+    from stochnls.potential import NontrivialityReport
+
+    monkeypatch.setattr(verify, "check_nontriviality", lambda family, h: NontrivialityReport(
+        "trivial_case_2", True, False, np.array([], dtype=int)))
+    assert c8_resonance(verify.DEFAULT_SCALE, SEED)["passed"] is False
+
+
 def test_c09_kato_birman():
     entry = report(c9_kato_birman(FULL_SCALE, SEED),
                    "scan_global_min", "identity_defect_at_minus_1e4i",

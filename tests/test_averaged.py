@@ -8,6 +8,7 @@ from stochnls.averaged import (
     psd_check,
     solve_liouville_averaged,
     solve_scalar_averaged,
+    structure_table,
     trace,
     write_density_csv,
     write_trace_csv,
@@ -335,17 +336,28 @@ class TestDensityTracePsd:
 
 
 class TestCsvOutput:
-    def test_writers(self, tmp_path):
+    def series(self):
         grid = SpatialGrid(1, 32, 10.0)
-        model = two_state_model()
-        fam = well_family(grid)
         cfg = SolverConfig(dt=0.05, sample_times=np.array([0.0, 0.5]))
         psi = gaussian(grid)
         f0 = AveragedDensityMatrix(grid, 0.5 * np.array([np.outer(psi, psi.conj())] * 2))
-        series = solve_liouville_averaged(f0, fam, model, cfg)
+        return solve_liouville_averaged(f0, well_family(grid), two_state_model(), cfg)
+
+    def test_structure_table_is_the_per_snapshot_audit(self):
+        series = self.series()
+        table = structure_table(series)
+        assert table.shape == (2, 2 + 4)
+        for row, snap in zip(table, series, strict=True):
+            per_state, total = trace(snap)
+            audit = [snap.t, *per_state, total, snap.hermiticity_residual(),
+                     psd_check(snap).min()]
+            assert np.array_equal(row, audit)
+
+    def test_writers(self, tmp_path):
+        series = self.series()
         dpath, tpath = tmp_path / "density.csv", tmp_path / "trace.csv"
         write_density_csv(dpath, series)
-        write_trace_csv(tpath, series)
+        write_trace_csv(tpath, structure_table(series))
         dlines = dpath.read_text().strip().split("\n")
         assert dlines[0].startswith("t,y,rho0")
         assert len(dlines) == 1 + 2 * 2  # two times, two states

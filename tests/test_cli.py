@@ -169,6 +169,66 @@ class TestRunExperiments:
         assert report["hermiticity"]["passed"]
         assert report["positivity"]["passed"]
 
+    def failed_report(self, tmp_path, kind):
+        """Run the kind on SMALL; require exit code 1 and return report.json."""
+        text = SMALL.replace('"path"', f'"{kind}"')
+        assert run(parse_config(text=text), str(tmp_path)) == 1
+        out = self.out_dirs(tmp_path)[0]
+        return json.loads(open(os.path.join(out, "report.json")).read())
+
+    def test_path_experiment_fails_on_a_growing_norm(self, tmp_path, monkeypatch):
+        from stochnls import cli
+
+        evolve_path = cli.evolve_path
+
+        def growing(*args, **kwargs):
+            out = evolve_path(*args, **kwargs)
+            l2 = out.scalars["l2"]
+            out.scalars["l2"] = l2 * (1.0 + 1e-6 * np.arange(l2.size))
+            return out
+        monkeypatch.setattr(cli, "evolve_path", growing)
+        assert self.failed_report(tmp_path, "path")["unitarity"]["passed"] is False
+
+    def test_liouville_experiment_fails_on_a_lost_trace(self, tmp_path, monkeypatch):
+        from stochnls import cli
+        from stochnls.averaged import AveragedDensityMatrix
+
+        solve = cli.solve_liouville_averaged
+
+        def scaled(*args, **kwargs):
+            series = solve(*args, **kwargs)
+            last = series[-1]  # scaled, it stays Hermitian and positive
+            series[-1] = AveragedDensityMatrix(last.grid, 1.01 * last.f, t=last.t)
+            return series
+        monkeypatch.setattr(cli, "solve_liouville_averaged", scaled)
+        report = self.failed_report(tmp_path, "liouville")
+        assert report["trace_conservation"]["passed"] is False
+        assert report["hermiticity"]["passed"] and report["positivity"]["passed"]
+
+    def test_spectrum_experiment_fails_below_the_real_axis(self, tmp_path, monkeypatch):
+        # eigen_analysis itself raises on such a spectrum, so the gate is
+        # reached only through a substitute
+        from stochnls import cli
+        from stochnls.spectral import EigenReport
+
+        def leaked(ham):
+            return EigenReport(eigenvalues=np.array([1.0 - 1e-3j]),
+                               localization=np.array([0.0]), min_imag=-1e-3, norm=1.0)
+        monkeypatch.setattr(cli, "eigen_analysis", leaked)
+        assert self.failed_report(tmp_path, "spectrum")["upper_half_plane"]["passed"] is False
+
+    def test_kb_scan_experiment_fails_on_a_singular_point(self, tmp_path, monkeypatch):
+        from stochnls import cli
+
+        kb_scan = cli.kb_scan
+
+        def singular(*args, **kwargs):
+            scan = kb_scan(*args, **kwargs)
+            scan["global_min"] = 0.0
+            return scan
+        monkeypatch.setattr(cli, "kb_scan", singular)
+        assert self.failed_report(tmp_path, "kb-scan")["invertible"]["passed"] is False
+
     def test_ensemble_experiment(self, tmp_path):
         text = SMALL.replace('"path"', '"ensemble"')
         code = run(parse_config(text=text), str(tmp_path))

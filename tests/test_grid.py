@@ -6,15 +6,12 @@ from stochnls.grid import (
     WaveField,
     apply_multiplier,
     free_flow,
-    intersection_norm,
-    inverse_transform,
     kinetic_phase,
     laplacian_symbol,
     lebesgue_norm,
     lorentz_norm,
     sum_norm,
-    transform,
-    v_norm,
+    transform_rows,
 )
 
 
@@ -71,7 +68,7 @@ class TestLaplacianSymbol:
         x = g.axis_coordinates()
         k = g.axis_frequencies()[5]
         f = WaveField(g, np.exp(1j * k * x))
-        spec = np.abs(transform(f))
+        spec = np.abs(transform_rows(g, f.values))
         assert np.argmax(spec) == 5
         assert laplacian_symbol(g)[5] == pytest.approx(k**2)
 
@@ -79,27 +76,16 @@ class TestLaplacianSymbol:
 class TestTransform:
     def test_constant_concentrates_in_zero_mode(self):
         g = SpatialGrid(2, 16, 1.0)
-        spec = transform(WaveField(g, np.full(g.size, 3.0 + 0j)))
+        spec = transform_rows(g, np.full(g.size, 3.0 + 0j))
         assert abs(spec[0]) == pytest.approx(3.0 * np.sqrt(g.size))
         assert np.max(np.abs(spec[1:])) < 1e-12
-
-    def test_round_trip(self):
-        g = SpatialGrid(2, 16, 2.5)
-        f = random_field(g, 1)
-        back = inverse_transform(g, transform(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(np.abs(f.values))
 
     def test_parseval(self):
         g = SpatialGrid(1, 64, 3.0)
         f = random_field(g, 2)
         l2_phys = np.linalg.norm(f.values)
-        l2_spec = np.linalg.norm(transform(f))
+        l2_spec = np.linalg.norm(transform_rows(g, f.values))
         assert abs(l2_phys - l2_spec) < 1e-12 * l2_phys
-
-    def test_length_mismatch(self):
-        g = SpatialGrid(1, 8, 1.0)
-        with pytest.raises(ValueError):
-            inverse_transform(g, np.zeros(7, dtype=complex))
 
 
 class TestFreeFlow:
@@ -278,37 +264,3 @@ class TestSumNorm:
                 )
             assert sum_norm(f) >= 0.5 * best
 
-
-class TestIntersectionNorm:
-    def test_values(self):
-        g = SpatialGrid(1, 16, 4.0)
-        assert intersection_norm(WaveField(g, np.zeros(16))) == 0.0
-        vals = np.zeros(16)
-        vals[0] = 1.0
-        f = WaveField(g, vals)
-        h = g.cell_volume
-        assert intersection_norm(f) == pytest.approx(max(h, np.sqrt(h)))
-        scaled = WaveField(g, 2.5 * vals)
-        assert intersection_norm(scaled) == pytest.approx(2.5 * intersection_norm(f))
-
-
-class TestVNorm:
-    def test_zero_family(self):
-        g = SpatialGrid(1, 16, 1.0)
-        assert v_norm([WaveField(g, np.zeros(16))], d=1) == 0.0
-
-    def test_single_shell_indicator(self):
-        # constant 1 on a set of measure m sits in the shell [1, 2)
-        g = SpatialGrid(1, 32, 8.0)
-        vals = np.zeros(g.size)
-        vals[4:12] = 1.0
-        m = 8 * g.cell_volume
-        for d in (1, 2, 3):
-            assert v_norm([WaveField(g, vals)], d=d) == pytest.approx(m ** (1.0 / d))
-
-    def test_duplicate_state_invariance(self):
-        g = SpatialGrid(1, 32, 2.0)
-        rng = np.random.default_rng(11)
-        a = WaveField(g, rng.standard_normal(g.size))
-        b = WaveField(g, rng.standard_normal(g.size))
-        assert v_norm([a, b], d=2) == pytest.approx(v_norm([a, b, b.copy()], d=2))

@@ -48,11 +48,6 @@ class TestValidateGenerator:
         assert report.kernel_dimension == 2
         assert not report.passes
 
-    def test_limit_kernel_is_ground_projection(self):
-        A = ring_laplacian(5)
-        report = validate_generator(A)
-        np.testing.assert_allclose(report.limit_kernel, np.full((5, 5), 0.2), atol=1e-12)
-
     def test_positive_offdiagonal_rejected(self):
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
         assert validate_generator(A).offdiag_sign_violations == 2
