@@ -298,7 +298,7 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
         out = evolve_path(psi0, family, path, kernel, solver_cfg)
         write_scalars_csv(os.path.join(out_dir, "scalars.csv"), out)
         dump_snapshot(os.path.join(out_dir, "final_snapshot.bin"),
-                      out.snapshots[-1], float(out.sample_times[-1]))
+                      WaveField(grid, out.fields[-1]), float(out.sample_times[-1]))
         drift = float(np.max(np.abs(out.scalars["l2"] - out.scalars["l2"][0])))
         rel = drift / out.scalars["l2"][0]
         checks["unitarity"] = {"passed": bool(rel <= 1e-10), "relative_drift": rel}

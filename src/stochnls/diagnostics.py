@@ -116,7 +116,7 @@ def energy_derivative_identity(f_series, family: PotentialFamily,
     the O(dt^2) discretization of both the solver and the difference.
     """
     if len(f_series) < 3:
-        raise ValueError("need at least three snapshots for a centered difference")
+        raise ValueError("need at least three sample times for a centered difference")
     times = np.array([snap.t for snap in f_series])
     gaps = np.diff(times)
     if np.max(np.abs(gaps - gaps[0])) > 1e-10 * gaps[0]:
@@ -237,7 +237,7 @@ def strichartz_norm(fields: list[WaveField], dt: float, p_t: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     if len(fields) < 2:
-        raise ValueError("need at least two snapshots")
+        raise ValueError("need at least two fields")
     p_x, q_x = space_exponents
     vals = np.array([lorentz_norm(f, p_x, q_x) for f in fields])
     weights = np.full(vals.size, dt)

@@ -126,8 +126,7 @@ class PathScalarSeries:
 
 def weighted_mass_series(output: TrajectoryOutput, family: PotentialFamily) -> np.ndarray:
     """int |V(x, X_t)| |psi(x,t)|^2 dx along one trajectory."""
-    fields = np.array([snap.values for snap in output.snapshots])
-    return _weighted_mass(family, output.states, fields)
+    return _weighted_mass(family, output.states, output.fields)
 
 
 def _weighted_mass(family: PotentialFamily, states: np.ndarray,

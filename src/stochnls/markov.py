@@ -17,7 +17,6 @@ reproduces the same path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -103,48 +102,46 @@ def ground_state(A: np.ndarray) -> np.ndarray:
     return h
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarkovModel:
-    """Validated generator plus an initial law (vector or Dirac state index)."""
+    """Validated generator plus an initial law (vector or Dirac state index).
+
+    Both are checked once, at construction, and kept as read-only arrays
+    (the law as a vector); the model cannot be changed afterwards, so its
+    eigendecomposition and jump laws always belong to its A.
+    """
 
     A: np.ndarray
     initial_law: np.ndarray | int = 0
 
     def __post_init__(self) -> None:
-        self.A = np.asarray(self.A, dtype=float)
-        report = validate_generator(self.A)
+        A = np.array(self.A, dtype=float)
+        report = validate_generator(A)
         if not report.passes:
             raise ValueError(f"generator fails validation: {report}")
-        m = self.A.shape[0]
+        m = A.shape[0]
         if isinstance(self.initial_law, (int, np.integer)):
             if not 0 <= self.initial_law < m:
                 raise ValueError("Dirac initial state out of range")
             law = np.zeros(m)
             law[self.initial_law] = 1.0
-            self.initial_law = law
         else:
-            law = np.asarray(self.initial_law, dtype=float)
+            law = np.array(self.initial_law, dtype=float)
             if law.shape != (m,) or np.any(law < 0) or abs(law.sum() - 1.0) > 1e-12:
                 raise ValueError("initial law must be a probability vector of length m")
-            self.initial_law = law
-        self._eigvals, self._eigvecs = np.linalg.eigh(self.A)
-
-    def __setattr__(self, name, value) -> None:
-        super().__setattr__(name, value)
-        if name in ("A", "initial_law"):  # a law set again is checked again
-            self.__dict__.pop("_jump_laws", None)
-
-    @cached_property
-    def _jump_laws(self) -> tuple[np.ndarray, list, np.ndarray]:
-        """(holding rates, each state's jump cdf or None when absorbing, the
-        initial-law cdf): built once, for every path :func:`sample_path` draws."""
-        rates = np.diag(self.A).copy()
-        off = np.diag(rates) - self.A  # the off-diagonal jump rates
+        rates = np.diag(A).copy()
+        off = np.diag(rates) - A  # the off-diagonal jump rates
         if np.any((rates <= 0.0) & np.any(off > 0, axis=1)):
             raise ValueError("a state with zero holding rate has off-diagonal mass")
-        jump_cdfs = [_cdf(off[y] / rate, f"jump law of state {y}") if rate > 0.0 else None
-                     for y, rate in enumerate(rates)]
-        return rates, jump_cdfs, _cdf(self.initial_law, "initial law")
+        # (holding rates, each state's jump cdf or None when absorbing, the
+        # initial-law cdf), for every path sample_path draws
+        jump_laws = (rates, [_cdf(off[y] / rate, f"jump law of state {y}") if rate > 0.0
+                             else None for y, rate in enumerate(rates)],
+                     _cdf(law, "initial law"))
+        A.flags.writeable = law.flags.writeable = False
+        for name, value in (("A", A), ("initial_law", law), ("_jump_laws", jump_laws),
+                            ("_eigh", np.linalg.eigh(A))):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -176,7 +173,7 @@ def heat_kernel(model: MarkovModel, t: float) -> HeatKernel:
     """e^{-tA} from the model's symmetric eigendecomposition."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    eigvals, eigvecs = model._eigvals, model._eigvecs
+    eigvals, eigvecs = model._eigh
     K = (eigvecs * np.exp(-t * eigvals)) @ eigvecs.T
     return HeatKernel(t=float(t), K=K)
 
@@ -270,9 +267,12 @@ def sample_path(model: MarkovModel, T: float, seed: int | tuple[int, ...]) -> Pa
                                np.array(states, dtype=np.int64), seed_tuple)
 
 
-def state_at(path: PathSample, t: float) -> int:
-    """Right-continuous evaluation: at a jump time the post-jump state counts."""
-    if t < 0 or t > path.horizon:
+def state_at(path: PathSample, t: float | np.ndarray) -> int | np.ndarray:
+    """Right-continuous evaluation: at a jump time the post-jump state counts.
+
+    For an array of times, the states at each of them as an array."""
+    t = np.asarray(t, dtype=float)
+    if t.min() < 0 or t.max() > path.horizon:
         raise ValueError(f"t={t} outside [0, {path.horizon}]")
-    idx = int(np.searchsorted(path.jump_times, t, side="right"))
-    return int(path.states[idx])
+    states = path.states[np.searchsorted(path.jump_times, t, side="right")]
+    return int(states) if t.ndim == 0 else states

@@ -2,9 +2,9 @@
 
 A family holds one real field per state.  Besides constructors for the two
 standard shapes of randomness (translated wells, amplitude modulation) this
-module provides the realized time-dependent potential along a path, the
-symmetric square-root split V = v1*v2, the degenerate-randomness checker,
-and the averaged field A[hV] that enters the energy-flux hypothesis.
+module provides the symmetric square-root split V = v1*v2, the
+degenerate-randomness checker, and the averaged field A[hV] that enters the
+energy-flux hypothesis.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import SpatialGrid, WaveField, convolution_spectrum, lorentz_norm
-from .markov import MarkovModel, PathSample, state_at
+from .markov import MarkovModel
 
 __all__ = [
     "PotentialFamily",
@@ -25,7 +25,6 @@ __all__ = [
     "shape_field",
     "make_translate_family",
     "make_amplitude_family",
-    "realize",
     "check_nontriviality",
     "a_of_hv",
     "split",
@@ -61,34 +60,33 @@ class SplitWeights:
     v2: np.ndarray = field(repr=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HartreeKernel:
     """Even convolution kernel chi and coupling constant for the Hartree term.
 
-    chi is checked to be real, finite and even (to 1e-12) whenever it is
-    set, at construction or after, and kept as a read-only copy.  Its half
-    spectrum, :attr:`chi_spectrum`, is taken once and is read-only too.
+    chi is checked to be real, finite and even (to 1e-12) at construction
+    and kept as a read-only copy; the kernel cannot be changed afterwards.
+    Its half spectrum, :attr:`chi_spectrum`, is taken once and is read-only
+    too.
     """
 
     grid: SpatialGrid
     chi: np.ndarray = field(repr=False)
     epsilon: float = 0.0
 
-    def __setattr__(self, name, value) -> None:
-        if name == "chi":  # checked whenever set; a new chi takes its own spectrum
-            if np.iscomplexobj(value):
-                raise ValueError("chi must be real: a complex kernel has an imaginary part")
-            value = np.array(value, dtype=float).reshape(-1)
-            if value.size != self.grid.size:
-                raise ValueError("chi length must match grid")
-            if not np.all(np.isfinite(value)):
-                raise ValueError("chi contains non-finite entries")
-            scale = max(1.0, float(np.max(np.abs(value), initial=0.0)))
-            if np.max(np.abs(value - self.grid.reflect(value))) > 1e-12 * scale:
-                raise ValueError("chi must be even under the grid reflection")
-            value.flags.writeable = False
-            self.__dict__.pop("chi_spectrum", None)
-        super().__setattr__(name, value)
+    def __post_init__(self) -> None:
+        if np.iscomplexobj(self.chi):
+            raise ValueError("chi must be real: a complex kernel has an imaginary part")
+        chi = np.array(self.chi, dtype=float).reshape(-1)
+        if chi.size != self.grid.size:
+            raise ValueError("chi length must match grid")
+        if not np.all(np.isfinite(chi)):
+            raise ValueError("chi contains non-finite entries")
+        scale = max(1.0, float(np.max(np.abs(chi), initial=0.0)))
+        if np.max(np.abs(chi - self.grid.reflect(chi))) > 1e-12 * scale:
+            raise ValueError("chi must be even under the grid reflection")
+        chi.flags.writeable = False
+        object.__setattr__(self, "chi", chi)
 
     @cached_property
     def chi_spectrum(self) -> np.ndarray:
@@ -153,11 +151,6 @@ def make_amplitude_family(V1: np.ndarray, V2: np.ndarray, amplitudes,
     V2 = np.asarray(V2, dtype=float).reshape(-1)
     amps = np.asarray(amplitudes, dtype=float)
     return PotentialFamily(grid, V1[None, :] + amps[:, None] * V2[None, :])
-
-
-def realize(family: PotentialFamily, path: PathSample, t: float) -> np.ndarray:
-    """The time-dependent potential V(., omega(t)) along the given path."""
-    return family.V[state_at(path, t)]
 
 
 @dataclass
@@ -242,5 +235,6 @@ def split(family: PotentialFamily) -> SplitWeights:
     weights = SplitWeights(v1=root, v2=root * np.sign(family.V))
     recon = weights.v1 * weights.v2
     scale = max(1.0, float(np.max(np.abs(family.V), initial=0.0)))
-    assert np.max(np.abs(recon - family.V)) <= 1e-12 * scale
+    if not np.max(np.abs(recon - family.V)) <= 1e-12 * scale:
+        raise RuntimeError("v1 * v2 does not reconstruct V")
     return weights

@@ -26,6 +26,7 @@ march as sub-batches.  Each row is bitwise what marching it alone gives.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -36,7 +37,7 @@ from .diagnostics import energy_rows
 from .grid import SpatialGrid, WaveField, apply_multiplier, free_flow, kinetic_phase, \
     laplacian_symbol, lebesgue_norm, lebesgue_norm_rows, spectral_convolution, sum_norm_rows
 from .markov import PathSample, state_at
-from .potential import HartreeKernel, PotentialFamily, realize
+from .potential import HartreeKernel, PotentialFamily
 
 # Not used here: the benchmark's tracer (perfbench/layers.py) wraps these
 # one-field diagnostics under this module's names.
@@ -59,6 +60,9 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = b"WFLD"
+# magic, d, n, precision (bits per complex value), L, time: 32 bytes, no padding
+SNAPSHOT_HEADER = struct.Struct("<4sIII d d")
+_SNAPSHOT_DTYPES = {64: np.dtype("<c8"), 128: np.dtype("<c16")}
 
 
 @dataclass
@@ -94,19 +98,21 @@ class SolverConfig:
 
 @dataclass
 class TrajectoryOutput:
-    """Snapshots at the sample times plus per-time scalar series."""
+    """One path's fields at the sample times, shape (T, grid.size), its
+    states there (T,) and the scalar series of :func:`evolve_paths`."""
 
     grid: SpatialGrid
     sample_times: np.ndarray
-    snapshots: list[WaveField]
+    fields: np.ndarray = field(repr=False)
     states: np.ndarray
     scalars: dict[str, np.ndarray] = field(repr=False)
 
-    def snapshot_at(self, t: float) -> WaveField:
+    def index(self, t: float) -> int:
+        """The row of sample time t."""
         idx = np.flatnonzero(np.abs(self.sample_times - t) <= 1e-12)
         if idx.size != 1:
             raise ValueError(f"t={t} is not a sample time")
-        return self.snapshots[int(idx[0])]
+        return int(idx[0])
 
 
 def hartree_potential(psi: WaveField, kernel: HartreeKernel) -> np.ndarray:
@@ -304,9 +310,10 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
     paths in one lockstep march, sampling at cfg.sample_times.
 
     Returns (fields, states, scalars): the fields (B, T, grid.size), the
-    path states at the sample times (B, T), and the scalar series of
-    :func:`evolve_path` other than "t" as (B, T) arrays.  Row b is bitwise
-    what evolve_path gives for row b alone, whatever the other rows are.
+    path states at the sample times (B, T), and the scalar series l2,
+    suml2linf, energy_kinetic, energy_potential and energy_hartree, in that
+    order, as (B, T) arrays.  Row b is bitwise what evolve_path gives for
+    row b alone, whatever the other rows are.
     """
     grid = family.grid
     B, T = len(paths), cfg.sample_times.size
@@ -328,9 +335,8 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
         def extra(mid, vals):
             return _hartree_rows(grid, vals, kernel).reshape(vals.shape)
 
-    states = np.array([p.states[np.searchsorted(
-        p.jump_times, np.minimum(cfg.sample_times, p.horizon), side="right")]
-        for p in paths], dtype=np.int64).reshape(B, T)
+    states = np.array([state_at(p, np.minimum(cfg.sample_times, p.horizon)) for p in paths],
+                      dtype=np.int64).reshape(B, T)
     names = ("l2", "suml2linf", "energy_kinetic", "energy_potential", "energy_hartree")
     scalars = {k: np.empty((B, T)) for k in names}
     fields = np.empty((B, T, grid.size), dtype=complex)
@@ -352,17 +358,15 @@ def evolve_path(psi0: WaveField, family: PotentialFamily, path: PathSample,
     if family.grid != psi0.grid:
         raise ValueError("potential family lives on a different grid")
     fields, states, scalars = evolve_paths(psi0.values[None], family, [path], kernel, cfg)
-    columns = {"t": cfg.sample_times.copy()}
-    columns.update({k: v[0] for k, v in scalars.items()})
     return TrajectoryOutput(grid=psi0.grid, sample_times=cfg.sample_times.copy(),
-                            snapshots=[WaveField(psi0.grid, f) for f in fields[0]],
-                            states=states[0], scalars=columns)
+                            fields=fields[0], states=states[0],
+                            scalars={k: v[0] for k, v in scalars.items()})
 
 
 def duhamel_residual(output: TrajectoryOutput, family: PotentialFamily,
                      path: PathSample, kernel: HartreeKernel | None,
                      cfg: SolverConfig, t: float) -> float:
-    """L2 norm of psi(t) minus its Duhamel reconstruction from snapshots.
+    """L2 norm of psi(t) minus its Duhamel reconstruction from the fields.
 
     The integral term is evaluated by the trapezoid rule over the stored
     sample times in [0, t]; for a Strang run with a smooth-in-time
@@ -371,37 +375,25 @@ def duhamel_residual(output: TrajectoryOutput, family: PotentialFamily,
     times = output.sample_times
     if abs(times[0]) > 1e-12:
         raise ValueError("duhamel residual needs t=0 among the sample times")
-    idx = np.flatnonzero(np.abs(times - t) <= 1e-12)
-    if idx.size != 1:
-        raise ValueError(f"t={t} is not a sample time")
-    idx = int(idx[0])
-    grid = output.grid
-    eps = cfg.epsilon
-    psi0 = output.snapshots[0].values.reshape(grid.shape)
-    acc = free_flow(grid, psi0, t)
-    if kernel is not None and eps != 0.0:
-        kernel = HartreeKernel(grid, kernel.chi, eps)
+    idx = output.index(t)
+    grid, rows = output.grid, output.fields[: idx + 1]
+    acc = free_flow(grid, rows[0].reshape(grid.shape), t)
     if idx > 0:
-        integrand = []
-        for j in range(idx + 1):
-            s = times[j]
-            snap = output.snapshots[j]
-            V = realize(family, path, s)
-            G = V * snap.values
-            if kernel is not None and eps != 0.0:
-                G = G + hartree_potential(snap, kernel) * snap.values
-            if cfg.source is not None:
-                G = G + np.asarray(cfg.source(grid, s, path.restricted(s))).reshape(-1)
-            integrand.append(free_flow(grid, G.reshape(grid.shape), t - s))
-        integrand = np.array(integrand)
+        G = family.V[output.states[: idx + 1]] * rows
+        if kernel is not None and cfg.epsilon != 0.0:
+            G = G + _hartree_rows(grid, rows, HartreeKernel(grid, kernel.chi, cfg.epsilon)) * rows
+        if cfg.source is not None:
+            G = G + np.array([np.asarray(cfg.source(grid, s, path.restricted(s))).reshape(-1)
+                              for s in times[: idx + 1]])
+        integrand = np.array([free_flow(grid, g.reshape(grid.shape), t - s)
+                              for g, s in zip(G, times)])
         acc = acc + 1j * np.trapezoid(integrand, times[: idx + 1], axis=0)
-    diff = WaveField(grid, (output.snapshots[idx].values - acc.reshape(-1)))
-    return lebesgue_norm(diff, 2)
+    return lebesgue_norm(WaveField(grid, rows[idx] - acc.reshape(-1)), 2)
 
 
 @dataclass
 class PicardResult:
-    trajectories: list[TrajectoryOutput]
+    fields: np.ndarray  # fields[n-1]: iterate n at cfg.sample_times, (T, grid.size)
     deltas: np.ndarray  # deltas[n-1] = sup_t ||psi_n - psi_{n-1}||_2
     diverged: bool
 
@@ -414,7 +406,7 @@ def picard_sequence(psi0: WaveField, family: PotentialFamily, path: PathSample,
     Iterate 0 is identically zero; iterate n solves the linear equation
     with potential V_omega + eps (chi * |psi_{n-1}|^2), the previous
     iterate's Hartree field interpolated linearly in time between its
-    per-step snapshots.  Returns Delta_n = sup over sample times of the L2
+    per-step fields.  Returns Delta_n = sup over sample times of the L2
     difference of consecutive iterates; divergence (three consecutive
     increases) is reported, not silently accepted.
     """
@@ -434,16 +426,14 @@ def picard_sequence(psi0: WaveField, family: PotentialFamily, path: PathSample,
     dense_times[-1] = T
     dense_cfg = SolverConfig(dt=cfg.dt, sample_times=dense_times, order=cfg.order,
                              epsilon=0.0, source=cfg.source)
-    states = np.array([state_at(path, min(s, path.horizon)) for s in dense_times])
     V = family.V.reshape(family.m, *grid.shape)
+    frozen = None if cfg.epsilon == 0.0 else HartreeKernel(grid, kernel.chi, cfg.epsilon)
 
-    def frozen_field(prev: TrajectoryOutput | None):
+    def frozen_field(prev: np.ndarray | None):
         """The previous iterate's Hartree field, interpolated in time, or None."""
-        if prev is None or cfg.epsilon == 0.0:
+        if prev is None or frozen is None:
             return None
-        frozen_kernel = HartreeKernel(grid, kernel.chi, cfg.epsilon)
-        fields = _hartree_rows(grid, np.array([snap.values for snap in prev.snapshots]),
-                               frozen_kernel)
+        fields = _hartree_rows(grid, prev, frozen)
 
         def extra(mid, _values: np.ndarray) -> np.ndarray:
             x = np.clip(np.atleast_1d(mid) / cfg.dt, 0.0, n_total - 1e-9)
@@ -453,29 +443,22 @@ def picard_sequence(psi0: WaveField, family: PotentialFamily, path: PathSample,
                 .reshape(x.size, *grid.shape)
         return extra
 
-    trajectories: list[TrajectoryOutput] = []
-    deltas = []
+    sample_idx = np.rint(cfg.sample_times / cfg.dt).astype(int)
+    iterates = np.empty((n_iters, sample_idx.size, grid.size), dtype=complex)
+    deltas = np.empty(n_iters)
     prev = None  # iterate 0 is the zero field
-    sample_idx = np.rint(np.asarray(cfg.sample_times) / cfg.dt).astype(int)
-    for n in range(1, n_iters + 1):
-        marched = _march(grid, psi0.values.reshape(1, *grid.shape).copy(), [path],
-                         dense_cfg, V, frozen_field(prev))
-        snapshots = [WaveField(grid, values.reshape(-1).copy()) for _, values in marched]
-        out = TrajectoryOutput(grid=grid, sample_times=dense_times.copy(),
-                               snapshots=snapshots, states=states.copy(),
-                               scalars={"t": dense_times.copy()})
-        sup = 0.0
-        for k in sample_idx:
-            ref = prev.snapshots[k].values if prev is not None else 0.0
-            diff = WaveField(grid, snapshots[k].values - ref)
-            sup = max(sup, lebesgue_norm(diff, 2))
-        deltas.append(sup)
-        trajectories.append(out)
-        prev = out
-    deltas = np.array(deltas)
+    for n in range(n_iters):
+        dense = np.empty((dense_times.size, grid.size), dtype=complex)
+        for j, (_, values) in enumerate(_march(grid, psi0.values.reshape(1, *grid.shape).copy(),
+                                               [path], dense_cfg, V, frozen_field(prev))):
+            dense[j] = values.reshape(-1)
+        iterates[n] = dense[sample_idx]
+        step = iterates[n] if prev is None else iterates[n] - prev[sample_idx]
+        deltas[n] = lebesgue_norm_rows(grid, step, 2).max()
+        prev = dense
     increases = np.diff(deltas) > 0
     diverged = any(np.all(increases[i:i + 3]) for i in range(len(increases) - 2))
-    return PicardResult(trajectories=trajectories, deltas=deltas, diverged=diverged)
+    return PicardResult(fields=iterates, deltas=deltas, diverged=diverged)
 
 
 def wave_operator_estimate(output: TrajectoryOutput, times: np.ndarray) -> np.ndarray:
@@ -489,56 +472,46 @@ def wave_operator_estimate(output: TrajectoryOutput, times: np.ndarray) -> np.nd
     if times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("need at least two increasing times")
     grid = output.grid
-    filtered = []
-    for t in times:
-        snap = output.snapshot_at(t)
-        filtered.append(free_flow(grid, snap.values.reshape(grid.shape), -t).reshape(-1))
-    increments = [
-        lebesgue_norm(WaveField(grid, b - a), 2)
-        for a, b in zip(filtered[:-1], filtered[1:])
-    ]
-    return np.array(increments)
+    filtered = np.array([free_flow(grid, output.fields[output.index(t)].reshape(grid.shape), -t)
+                         .reshape(-1) for t in times])
+    return lebesgue_norm_rows(grid, np.diff(filtered, axis=0), 2)
 
 
 def dump_snapshot(path, psi: WaveField, time: float, precision: int = 128) -> None:
-    """Write one field: 32-byte header (magic, d, n, precision, L, time)
-    followed by little-endian complex values."""
-    import struct
-
-    if precision not in (64, 128):
+    """Write one field: the :data:`SNAPSHOT_HEADER` followed by
+    little-endian complex values."""
+    if precision not in _SNAPSHOT_DTYPES:
         raise ValueError("precision must be 64 or 128 (bits per complex value)")
-    header = struct.pack(
-        "<4sIII d d",
-        SNAPSHOT_MAGIC, psi.grid.dim, psi.grid.points_per_axis, precision,
-        psi.grid.box_length, float(time),
-    )
-    assert len(header) == 32
-    dtype = "<c8" if precision == 64 else "<c16"
+    header = SNAPSHOT_HEADER.pack(SNAPSHOT_MAGIC, psi.grid.dim, psi.grid.points_per_axis,
+                                  precision, psi.grid.box_length, float(time))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(psi.values.astype(dtype)).tobytes())
+        fh.write(np.ascontiguousarray(psi.values.astype(_SNAPSHOT_DTYPES[precision])).tobytes())
 
 
 def load_snapshot(path) -> tuple[WaveField, float]:
-    import struct
-
+    """Read a file :func:`dump_snapshot` wrote; anything else is refused."""
     with open(path, "rb") as fh:
-        header = fh.read(32)
-        magic, dim, n, precision, L, time = struct.unpack("<4sIII d d", header)
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError("not a snapshot file")
-        dtype = "<c8" if precision == 64 else "<c16"
-        vals = np.frombuffer(fh.read(), dtype=dtype)
+        header, payload = fh.read(SNAPSHOT_HEADER.size), fh.read()
+    if len(header) != SNAPSHOT_HEADER.size:
+        raise ValueError("not a snapshot file: the header is cut short")
+    magic, dim, n, precision, L, time = SNAPSHOT_HEADER.unpack(header)
+    if magic != SNAPSHOT_MAGIC:
+        raise ValueError("not a snapshot file")
+    if precision not in _SNAPSHOT_DTYPES:
+        raise ValueError(f"precision {precision} is neither 64 nor 128")
     grid = SpatialGrid(int(dim), int(n), float(L))
+    dtype = _SNAPSHOT_DTYPES[precision]
+    if len(payload) != grid.size * dtype.itemsize:
+        raise ValueError(f"payload of {len(payload)} bytes is not n^d = {grid.size} values")
+    vals = np.frombuffer(payload, dtype=dtype)
     return WaveField(grid, vals.astype(np.complex128)), float(time)
 
 
 def write_scalars_csv(path, output: TrajectoryOutput) -> None:
-    """Per-time scalars: t, l2, suml2linf, energy_kinetic, energy_potential,
-    energy_hartree."""
-    cols = ["t", "l2", "suml2linf", "energy_kinetic", "energy_potential",
-            "energy_hartree"]
+    """Per-time scalars: t, then the series in :func:`evolve_paths`' order."""
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(output.sample_times.size):
-            fh.write(",".join(f"{output.scalars[c][i]:.17g}" for c in cols) + "\n")
+        fh.write(",".join(["t", *output.scalars]) + "\n")
+        for i, t in enumerate(output.sample_times):
+            fh.write(",".join(f"{v:.17g}" for v in (t, *(c[i] for c in output.scalars.values())))
+                     + "\n")

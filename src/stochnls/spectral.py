@@ -17,7 +17,7 @@ closed lower half-plane, where the Kato-Birman operator
 stays invertible and tends to the identity as |lambda| grows.
 
 Matrices are assembled in state-major layout (index = y * n^d + x), with
-the Laplacian realized exactly as the Fourier conjugation of diag(|k|^2),
+the Laplacian built exactly as the Fourier conjugation of diag(|k|^2),
 so spectra here and dynamics in the propagators share one discretization.
 The free resolvent R0 is applied in the exact eigenbasis of H0 (DFT
 tensor eigenvectors of A), so KB costs no inverse.

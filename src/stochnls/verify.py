@@ -172,14 +172,13 @@ def c2_free_flow_oracle(scale: VerifyScale, seed: int, out_dir=None) -> dict:
 
     cfg1 = SolverConfig(dt=1e-3, sample_times=np.array([1.0]))
     out1 = evolve_path(psi0, fam, path, None, cfg1)
-    linf_err = float(np.max(np.abs(out1.snapshots[0].values
-                                   - _free_gaussian_exact(grid, 1.0, 1.0))))
+    linf_err = float(np.max(np.abs(out1.fields[0] - _free_gaussian_exact(grid, 1.0, 1.0))))
 
     times = np.arange(0.5, 50.001, 0.5)
     cfg2 = SolverConfig(dt=0.5, sample_times=times)
     out2 = evolve_path(psi0, fam, path, None, cfg2)
-    wrap = wraparound_mass(out2.snapshots[-1])
-    fit = decay_fit(out2.scalars["t"], out2.scalars["suml2linf"], (5.0, 50.0))
+    wrap = wraparound_mass(WaveField(grid, out2.fields[-1]))
+    fit = decay_fit(out2.sample_times, out2.scalars["suml2linf"], (5.0, 50.0))
     passed = (linf_err <= 1e-6 and abs(fit.slope + 0.5) <= 0.05 and wrap < 1e-6)
     return {"id": "C2", "name": "free-flow oracle",
             "passed": bool(passed), "linf_error_t1": linf_err,
@@ -202,8 +201,8 @@ def c3_tensor_oracle(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     f0 = AveragedDensityMatrix(grid, np.outer(psi0.values, psi0.values.conj()))
     series = solve_liouville_averaged(f0, fam, model, cfg)
     worst = max(
-        float(np.max(np.abs(snap_f.f[0] - np.outer(s.values, s.values.conj()))))
-        for snap_f, s in zip(series, out.snapshots)
+        float(np.max(np.abs(snap_f.f[0] - np.outer(s, s.conj()))))
+        for snap_f, s in zip(series, out.fields)
     )
     return {"id": "C3", "name": "tensor-factorization oracle",
             "passed": bool(worst <= 1e-9), "max_norm_discrepancy": worst}
@@ -469,8 +468,7 @@ def c10_picard(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     for delta in (1e-2, 1e-3):
         pert = WaveField(grid, psi0.values + delta * bump)
         out = evolve_path(pert, fam, path, kernel, cfg)
-        diffs = [WaveField(grid, a.values - b.values)
-                 for a, b in zip(out.snapshots, base.snapshots)]
+        diffs = [WaveField(grid, a - b) for a, b in zip(out.fields, base.fields)]
         norm = strichartz_norm(diffs, dt=0.1, p_t=2, space_exponents=(6.0, 2.0))
         lipschitz[delta] = norm / delta
     c_ratio = lipschitz[1e-3] / lipschitz[1e-2]

@@ -51,8 +51,8 @@ class TestScalarAveraged:
         path_out = evolve_path(psi0, fam, path, None, cfg)
         avg_out = solve_scalar_averaged(AveragedField(grid, psi0.values[None, :]),
                                         fam, model, cfg)
-        for snap_path, snap_avg in zip(path_out.snapshots, avg_out):
-            assert np.max(np.abs(snap_path.values - snap_avg.g[0])) <= 1e-10
+        for snap_path, snap_avg in zip(path_out.fields, avg_out):
+            assert np.max(np.abs(snap_path - snap_avg.g[0])) <= 1e-10
 
     def test_free_case_factorizes_exactly(self):
         # V = 0: the solver must equal e^{-tA} composed with the free flow
@@ -114,8 +114,8 @@ class TestLiouvilleAveraged:
         path_out = evolve_path(psi0, fam, path, None, cfg)
         f0 = AveragedDensityMatrix(grid, np.outer(psi0.values, psi0.values.conj()))
         series = solve_liouville_averaged(f0, fam, model, cfg)
-        for snap_f, snap_psi in zip(series, path_out.snapshots):
-            outer = np.outer(snap_psi.values, snap_psi.values.conj())
+        for snap_f, snap_psi in zip(series, path_out.fields):
+            outer = np.outer(snap_psi, snap_psi.conj())
             assert np.max(np.abs(snap_f.f[0] - outer)) <= 1e-9
 
     def test_trace_conserved_and_positivity(self):

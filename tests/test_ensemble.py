@@ -47,7 +47,7 @@ class TestRunEnsemble:
         ref = evolve_path(psi0, fam, path, None, cfg)
         for ti in range(3):
             np.testing.assert_allclose(avg.conditional_mean(ti)[0],
-                                       ref.snapshots[ti].values, atol=1e-14)
+                                       ref.fields[ti], atol=1e-14)
             assert avg.counts[ti, 0] == 7
 
     def test_single_path_occupies_one_bin(self):

@@ -205,22 +205,43 @@ class TestSamplePath:
             return original(p, what)
         monkeypatch.setattr(markov, "_cdf", counting)
         model = MarkovModel(ring_laplacian(3), initial_law=np.full(3, 1 / 3))
+        assert len(built) == 4  # three jump laws and the initial law, at construction
         for i in range(20):
             sample_path(model, 5.0, seed=(3, i))
-        assert len(built) == 4  # three jump laws and the initial law
-        model.initial_law = np.array([0.2, 0.3, 0.5])  # a law set again is built again
-        sample_path(model, 5.0, seed=0)
-        assert len(built) == 8
+        assert len(built) == 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.initial_law = np.array([0.2, 0.3, 0.5])  # a model is never changed
+        with pytest.raises(ValueError):
+            model.initial_law[0] = 0.5  # not even in place
+        assert len(built) == 4
 
     def test_invalid_laws_rejected(self):
-        model = MarkovModel(two_state(), initial_law=np.array([0.5, 0.5]))
-        model.initial_law = np.array([0.7, 0.7])
         with pytest.raises(ValueError, match="initial law"):
-            sample_path(model, 1.0, seed=0)
+            MarkovModel(two_state(), initial_law=np.array([0.7, 0.7]))
+        with pytest.raises(ValueError, match="generator fails validation"):
+            MarkovModel(np.array([[1.0, -1.5], [-1.0, 1.0]]))  # row 0 sums to 1.5
         model = MarkovModel(two_state(), initial_law=0)
-        model.A = np.array([[1.0, -1.5], [-1.0, 1.0]])  # row 0 sums to 1.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.A = np.array([[1.0, -1.5], [-1.0, 1.0]])
+        with pytest.raises(ValueError):
+            model.A[0, 1] = -1.5
+        # the cdf check behind each jump law and the initial law
         with pytest.raises(ValueError, match="jump law of state 0"):
-            sample_path(model, 1.0, seed=0)
+            markov._cdf(np.array([1.5, 0.0]), "jump law of state 0")
+        with pytest.raises(ValueError, match="initial law"):
+            markov._cdf(np.array([1.2, -0.2]), "initial law")
+        np.testing.assert_array_equal(markov._cdf(np.array([0.25, 0.75]), "law"), [0.25, 1.0])
+
+    def test_model_arrays_are_copies_and_heat_kernel_follows_A(self):
+        A, law = two_state(), np.array([0.5, 0.5])
+        model = MarkovModel(A, initial_law=law)
+        A[:] = 3.0 * two_state()  # the caller's arrays stay the caller's
+        law[:] = [1.0, 0.0]
+        np.testing.assert_array_equal(model.A, two_state())
+        np.testing.assert_array_equal(model.initial_law, [0.5, 0.5])
+        K = heat_kernel(MarkovModel(A), 0.5).K  # e^{-0.5 A} with A = 3 [[1,-1],[-1,1]]
+        np.testing.assert_allclose(K[:, 0], [0.5 + 0.5 * np.exp(-3.0), 0.5 - 0.5 * np.exp(-3.0)],
+                                   rtol=1e-12)
 
     def test_sampled_paths_hold_the_path_invariants(self):
         """sample_path builds its paths without PathSample's check, so every
@@ -277,3 +298,17 @@ class TestStateAt:
             state_at(self.path(), 10.5)
         with pytest.raises(ValueError):
             state_at(self.path(), -0.1)
+        with pytest.raises(ValueError):
+            state_at(self.path(), np.array([0.0, 10.5]))
+
+    def test_array_of_times_matches_per_time_calls(self):
+        p = self.path()
+        assert p.jump_times.size > 2
+        times = np.concatenate((np.linspace(0.0, 10.0, 41), p.jump_times,
+                                np.nextafter(p.jump_times, 0.0)))
+        states = state_at(p, times)
+        assert states.shape == times.shape and states.dtype == np.int64
+        assert states.tolist() == [state_at(p, t) for t in times]
+        assert all(type(state_at(p, t)) is int for t in times[:3])
+        grid_of_times = times[:40].reshape(4, 10)
+        assert state_at(p, grid_of_times).tolist() == states[:40].reshape(4, 10).tolist()

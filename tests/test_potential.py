@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochnls.grid import SpatialGrid
-from stochnls.markov import MarkovModel, sample_path
+from stochnls.markov import MarkovModel
 from stochnls.potential import (
     HartreeKernel,
     PotentialFamily,
@@ -10,7 +10,6 @@ from stochnls.potential import (
     check_nontriviality,
     make_amplitude_family,
     make_translate_family,
-    realize,
     shape_field,
     split,
 )
@@ -56,37 +55,6 @@ class TestConstructors:
     def test_nonfinite_rejected(self, grid):
         with pytest.raises(ValueError):
             PotentialFamily(grid, np.full((1, grid.size), np.inf))
-
-
-class TestRealize:
-    def test_single_state(self, grid):
-        fam = PotentialFamily(grid, bump(grid)[None, :])
-        model = MarkovModel(np.zeros((1, 1)))
-        path = sample_path(model, 2.0, seed=0)
-        np.testing.assert_array_equal(realize(fam, path, 1.3), fam.V[0])
-
-    def test_before_first_jump_and_reproducible(self, grid):
-        A = np.array([[2.0, -2.0], [-2.0, 2.0]])
-        model = MarkovModel(A, initial_law=0)
-        fam = make_amplitude_family(np.zeros(grid.size), bump(grid), [-1, 1], grid)
-        p1 = sample_path(model, 5.0, seed=31)
-        p2 = sample_path(model, 5.0, seed=31)
-        assert p1.jump_times.size > 0
-        t0 = 0.5 * p1.jump_times[0]
-        np.testing.assert_array_equal(realize(fam, p1, t0), fam.V[p1.states[0]])
-        for t in np.linspace(0, 5, 11):
-            np.testing.assert_array_equal(realize(fam, p1, t), realize(fam, p2, t))
-
-    def test_piecewise_constant_between_jumps(self, grid):
-        A = np.array([[3.0, -3.0], [-3.0, 3.0]])
-        model = MarkovModel(A, initial_law=0)
-        fam = make_amplitude_family(np.zeros(grid.size), bump(grid), [-1, 1], grid)
-        path = sample_path(model, 4.0, seed=5)
-        edges = np.concatenate(([0.0], path.jump_times, [4.0]))
-        for a, b in zip(edges[:-1], edges[1:]):
-            for t in np.linspace(a, b, 5, endpoint=False):
-                np.testing.assert_array_equal(realize(fam, path, t),
-                                              realize(fam, path, a))
 
 
 class TestNontriviality:
@@ -180,6 +148,12 @@ class TestSplit:
         w = split(fam)
         assert np.max(np.abs(w.v1 * w.v2 - fam.V)) <= 1e-12 * np.max(np.abs(fam.V))
         assert np.min(w.v1) >= 0.0
+
+    def test_failed_reconstruction_raises(self, grid):
+        fam = PotentialFamily(grid, bump(grid)[None, :])
+        fam.V[0, 3] = np.nan  # set past the family's finiteness check
+        with pytest.raises(RuntimeError, match="reconstruct"):
+            split(fam)
 
 
 class TestHartreeKernel:

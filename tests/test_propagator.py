@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stochnls.grid import SpatialGrid, WaveField, lebesgue_norm
+from stochnls.grid import SpatialGrid, WaveField, lebesgue_norm, lebesgue_norm_rows
 from stochnls.markov import MarkovModel, PathSample, sample_path
 from stochnls.potential import (
     HartreeKernel,
@@ -10,6 +12,7 @@ from stochnls.potential import (
     shape_field,
 )
 from stochnls.propagator import (
+    SNAPSHOT_HEADER,
     SolverConfig,
     dump_snapshot,
     duhamel_residual,
@@ -54,7 +57,7 @@ class TestFreeEvolution:
         psi0 = WaveField(grid, free_gaussian(grid, 1.0, 0.0))
         cfg = SolverConfig(dt=0.1, sample_times=np.array([0.0]))
         out = evolve_path(psi0, zero_family(grid), constant_path(), None, cfg)
-        np.testing.assert_array_equal(out.snapshots[0].values, psi0.values)
+        np.testing.assert_array_equal(out.fields[0], psi0.values)
 
     def test_gaussian_oracle(self):
         grid = SpatialGrid(1, 1024, 80.0)
@@ -63,7 +66,7 @@ class TestFreeEvolution:
         cfg = SolverConfig(dt=1e-3, sample_times=np.array([1.0]))
         out = evolve_path(psi0, zero_family(grid), constant_path(), None, cfg)
         exact = free_gaussian(grid, a, 1.0)
-        err = np.max(np.abs(out.snapshots[0].values - exact))
+        err = np.max(np.abs(out.fields[0] - exact))
         assert err <= 1e-6
 
     def test_constant_potential_is_pure_gauge(self):
@@ -78,8 +81,7 @@ class TestFreeEvolution:
         out_0 = evolve_path(psi0, zero_family(grid), constant_path(), None, cfg)
         for j, t in enumerate(times[1:]):
             gauge = np.exp(1j * c * t)
-            diff = np.max(np.abs(out_c.snapshots[j].values
-                                 - gauge * out_0.snapshots[j].values))
+            diff = np.max(np.abs(out_c.fields[j] - gauge * out_0.fields[j]))
             assert diff <= 1e-10
             assert abs(out_c.scalars["l2"][j] - out_0.scalars["l2"][j]) <= 1e-10
             assert abs(out_c.scalars["suml2linf"][j]
@@ -107,9 +109,8 @@ class TestGaugeTriviality:
         for key in ("l2", "suml2linf"):
             np.testing.assert_allclose(random_run.scalars[key],
                                        static_run.scalars[key], atol=1e-11)
-        for a, b in zip(random_run.snapshots, static_run.snapshots):
-            np.testing.assert_allclose(np.abs(a.values), np.abs(b.values),
-                                       atol=1e-11)
+        np.testing.assert_allclose(np.abs(random_run.fields), np.abs(static_run.fields),
+                                   atol=1e-11)
 
 
 class TestUnitarity:
@@ -158,7 +159,7 @@ class TestConvergenceOrder:
         def run(dt):
             cfg = SolverConfig(dt=dt, sample_times=np.array([T]))
             out = evolve_path(psi0, fam, constant_path(), None, cfg)
-            return out.snapshots[0].values
+            return out.fields[0]
 
         ref = run(dts[-1] / 4.0)
         errs = [np.sqrt(grid.cell_volume) * np.linalg.norm(run(dt) - ref)
@@ -258,28 +259,29 @@ class TestHartreePotential:
         assert spectrum.dtype == np.complex128 and spectrum.tobytes() == fresh.tobytes()
         with pytest.raises(ValueError):
             spectrum[0] = 0.0
-        kernel.chi = shape_field(grid, "gaussian", width=2.0, center=0.0)
-        assert kernel.chi_spectrum is not spectrum  # the new chi's own spectrum
-        fresh = np.fft.rfftn(kernel.chi.reshape(grid.shape))
-        assert kernel.chi_spectrum.tobytes() == fresh.tobytes() != spectrum.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kernel.chi = shape_field(grid, "gaussian", width=2.0, center=0.0)
+        wider = HartreeKernel(grid, shape_field(grid, "gaussian", width=2.0, center=0.0), 0.5)
+        fresh = np.fft.rfftn(wider.chi.reshape(grid.shape))
+        assert wider.chi_spectrum.tobytes() == fresh.tobytes() != spectrum.tobytes()
 
     def test_imaginary_part_still_checked(self):
         grid = SpatialGrid(1, 64, 16.0)
         chi = shape_field(grid, "gaussian", center=0.0)
         kernel = HartreeKernel(grid, chi, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kernel.chi = 1j * kernel.chi  # nothing is set past construction
         with pytest.raises(ValueError, match="imaginary"):
-            kernel.chi = 1j * kernel.chi  # a complex kernel, set past construction
+            HartreeKernel(grid, 1j * chi, 0.5)
         with pytest.raises(ValueError, match="imaginary"):
             HartreeKernel(grid, chi + 0j, 0.5)  # even a zero imaginary part
         odd = np.sin(2 * np.pi * grid.centered_coordinates()[0] / grid.box_length)
         bad = chi.copy()
         bad[0] = np.nan
-        for value, message in ((odd, "even"), (bad, "finite")):
-            with pytest.raises(ValueError, match=message):
-                kernel.chi = value
+        for value, message in ((odd, "even"), (bad, "finite"), (chi[:-1], "length")):
             with pytest.raises(ValueError, match=message):
                 HartreeKernel(grid, value, 0.5)
-        assert kernel.chi.tobytes() == chi.tobytes()  # a refused chi leaves the old one
+        assert kernel.chi.tobytes() == chi.tobytes()
 
 
 class TestPicard:
@@ -326,11 +328,11 @@ class TestPicard:
                             initial_law=np.array([0.5, 0.5]))
         path = sample_path(model, 1.0, seed=3)
         assert path.jump_times.size > 0
-        first = picard_sequence(psi0, fam, path, kernel, cfg, n_iters=2).trajectories[0]
+        first = picard_sequence(psi0, fam, path, kernel, cfg, n_iters=2).fields[0]
         ref = evolve_path(psi0, fam, path, None, cfg)
-        for t, snap in zip(cfg.sample_times, ref.snapshots):
-            diff = WaveField(grid, first.snapshot_at(t).values - snap.values)
-            assert lebesgue_norm(diff, 2) <= 1e-12 * lebesgue_norm(snap, 2)
+        assert first.shape == ref.fields.shape
+        assert np.all(lebesgue_norm_rows(grid, first - ref.fields, 2)
+                      <= 1e-12 * lebesgue_norm_rows(grid, ref.fields, 2))
 
     def test_epsilon_threshold_enforced(self):
         _, psi0, fam, kernel, cfg = self.setup_case(0.2)
@@ -405,6 +407,41 @@ class TestSnapshotIO:
         assert loaded.grid == grid
         np.testing.assert_array_equal(loaded.values, psi.values)
         assert f.stat().st_size == 32 + 16 * grid.size
+
+    def test_header_is_32_bytes(self, tmp_path):
+        assert SNAPSHOT_HEADER.size == 32
+        grid = SpatialGrid(2, 8, 6.0)
+        f = tmp_path / "snap.bin"
+        dump_snapshot(f, WaveField(grid, np.ones(grid.size)), time=1.5, precision=64)
+        assert f.stat().st_size == 32 + 8 * grid.size
+        loaded, t = load_snapshot(f)
+        assert (loaded.grid, t) == (grid, 1.5)
+
+    def test_bad_precision_rejected(self, tmp_path):
+        grid = SpatialGrid(1, 16, 4.0)
+        psi = WaveField(grid, np.ones(grid.size))
+        f = tmp_path / "snap.bin"
+        with pytest.raises(ValueError, match="precision"):
+            dump_snapshot(f, psi, time=0.0, precision=32)
+        dump_snapshot(f, psi, time=0.0)
+        raw = bytearray(f.read_bytes())
+        raw[12:16] = (96).to_bytes(4, "little")  # the precision field
+        f.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="precision 96"):
+            load_snapshot(f)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        grid = SpatialGrid(1, 16, 4.0)
+        f = tmp_path / "snap.bin"
+        dump_snapshot(f, WaveField(grid, np.ones(grid.size)), time=0.0)
+        raw = f.read_bytes()
+        for cut in (raw[:-16], raw[:-1], raw + b"\0" * 16):
+            f.write_bytes(cut)
+            with pytest.raises(ValueError, match="payload"):
+                load_snapshot(f)
+        f.write_bytes(raw[:20])
+        with pytest.raises(ValueError, match="header"):
+            load_snapshot(f)
 
     def test_scalars_csv(self, tmp_path):
         grid = SpatialGrid(1, 64, 20.0)

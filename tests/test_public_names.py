@@ -1,4 +1,4 @@
-"""Every public function of stochnls has a caller.
+"""Every public function of stochnls has a caller, and no check is an assert.
 
 A function named in a module's ``__all__`` must be referenced in the
 package or in the benchmark harness somewhere other than its own body and
@@ -50,3 +50,13 @@ def test_every_public_function_is_referenced():
         if not any(ref == name and (mod, owner) != (module, name)
                    for mod, owner, ref in references))
     assert dead == []
+
+
+def test_no_assert_statements_in_the_package():
+    """A check the package relies on must raise: ``python -O`` strips asserts."""
+    sources = sorted((ROOT / "src" / "stochnls").glob("*.py"))
+    assert len(sources) >= 10
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
