@@ -349,6 +349,14 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
         write_summary_json(os.path.join(out_dir, "summary.json"), avg, series, ecfg)
         checks["exact_conditioning"] = {
             "passed": bool(np.all(avg.counts.sum(axis=1) == ecfg.N))}
+        if avg.outer_sums is not None:
+            # a path's outer product has trace ||psi||_2^2 / cell volume, so
+            # the traces over all states average to the mean of l2^2
+            traces = np.trace(avg.outer_sums, axis1=2, axis2=3).real.sum(axis=1)
+            mass = np.mean(series.l2 ** 2, axis=0)
+            rel = float(np.max(np.abs(grid.cell_volume * traces / ecfg.N - mass) / mass))
+            checks["density_trace"] = {"passed": bool(rel <= 1e-12),
+                                       "max_relative_deviation": rel}
         try:
             norms = strichartz_orders(series)
         except ValueError:

@@ -20,7 +20,7 @@ from .grid import (
     dense_laplacian,
     laplacian_symbol,
     lebesgue_norm,
-    lorentz_norm,
+    lorentz_norm_rows,
     spectral_convolution,
     transform_rows,
 )
@@ -224,9 +224,10 @@ def decay_fit(times, values, window: tuple[float, float]) -> DecayFit:
                     residual=rms, confidence_halfwidth=2.0 * float(se))
 
 
-def strichartz_norm(fields: list[WaveField], dt: float, p_t: float,
+def strichartz_norm(grid: SpatialGrid, fields: np.ndarray, dt: float, p_t: float,
                     space_exponents: tuple[float, float]) -> float:
-    """Discrete L^{p_t}_t L^{p,q}_x norm of a uniformly sampled series.
+    """Discrete L^{p_t}_t L^{p,q}_x norm of a uniformly sampled series,
+    fields of shape (T, grid.size), one row per sample time.
 
     Time integration uses trapezoid weights over the sampled interval, so
     a time-constant field on [0, T] gives exactly T^{1/p_t} times its
@@ -239,7 +240,7 @@ def strichartz_norm(fields: list[WaveField], dt: float, p_t: float,
     if len(fields) < 2:
         raise ValueError("need at least two fields")
     p_x, q_x = space_exponents
-    vals = np.array([lorentz_norm(f, p_x, q_x) for f in fields])
+    vals = lorentz_norm_rows(grid, fields, p_x, q_x)
     weights = np.full(vals.size, dt)
     weights[0] = weights[-1] = 0.5 * dt
     return float(np.sum(weights * vals**p_t) ** (1.0 / p_t))

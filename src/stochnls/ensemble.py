@@ -11,10 +11,13 @@ sample time (the state space is finite).  Two weightings are exposed:
   probability, and is what the identity checks use.
 
 Path i of an ensemble uses the seed pair (master_seed, i); paths are
-marched in lockstep batches, each path bitwise as if alone, and
-accumulation runs in fixed path order, so a (configs, master_seed) pair
-reproduces the reduction bit-for-bit regardless of worker count and batch
-size.
+marched in lockstep batches, each path bitwise as if alone.  The sums of
+the fields, their squared moduli and the counts accumulate one path at a
+time in path order; the outer products accumulate one matrix product per
+(sample time, state) bin over fixed chunks of paths, taken in chunk order.
+Chunk boundaries are fixed path indices, not batch boundaries, so a
+(configs, master_seed) pair reproduces the reduction bit-for-bit
+regardless of worker count and batch size.
 """
 
 from __future__ import annotations
@@ -147,6 +150,8 @@ def _resolve_initial(psi0_law, grid, state0: int) -> WaveField:
 
 # Paths marched together at most; memory grows as rows * sample times * grid size.
 _BATCH_ROWS = 256
+# Paths per chunk of the outer-product sums (see _reduce).
+_CHUNK = 128
 
 
 def _solve_batch(lo: int, hi: int, psi0_law, family, model, kernel, cfg, ecfg):
@@ -158,8 +163,8 @@ def _solve_batch(lo: int, hi: int, psi0_law, family, model, kernel, cfg, ecfg):
                      for p in paths])
     fields, states, scalars = evolve_paths(psi0, family, paths, kernel, cfg)
     scalars["weighted_mass"] = _weighted_mass(family, states, fields)
-    scalars["lorentz62"] = np.stack([lorentz_norm_rows(grid, fields[:, j], 6.0, 2.0)
-                                     for j in range(states.shape[1])], axis=1)
+    scalars["lorentz62"] = lorentz_norm_rows(
+        grid, fields.reshape(-1, grid.size), 6.0, 2.0).reshape(states.shape)
     return states, fields, scalars
 
 
@@ -220,27 +225,52 @@ def run_ensemble(psi0_law, family: PotentialFamily, model: MarkovModel,
 def _reduce(batches, sums, sums_sq, counts, outer, states, scalars) -> None:
     """Fixed-order reduction over (first path index, batch payload) pairs.
 
-    Each path is added in one pass over its sample times: its (time, state)
-    pairs are distinct, so every accumulator entry still takes one add per
-    path, in path order.  The outer products go through one reused
-    (T, size, size) buffer, not a block of them: that would cost a batch's
-    worth of memory.
+    Each path is added to sums, sums_sq and counts in one pass over its
+    sample times: its (time, state) pairs are distinct, so every entry
+    still takes one add per path, in path order.  The outer products are
+    added per chunk of _CHUNK paths, chunk c holding paths
+    [c * _CHUNK, (c + 1) * _CHUNK): one matrix product per (sample time,
+    state) bin, the chunks in order.  A chunk inside one batch is read
+    from the batch in place; the rows of a chunk that goes on into the
+    next batch are copied until that batch arrives.
     """
     at = np.arange(sums.shape[0])
-    buf = None if outer is None else np.empty((at.size, *outer.shape[2:]), dtype=complex)
+    pending = []  # (states, fields) pieces of the chunk not yet complete
     for lo, (batch_states, fields, batch_scalars) in batches:
         for path_states, path_fields in zip(batch_states, fields):
             sums[at, path_states] += path_fields
             sums_sq[at, path_states] += np.abs(path_fields) ** 2
             counts[at, path_states] += 1
-            if outer is not None:  # the operands of np.outer, in its order
-                np.multiply(path_fields[:, :, None], path_fields.conj()[:, None, :], out=buf)
-                for j, y in enumerate(path_states):
-                    np.add(outer[j, y], buf[j], out=outer[j, y])
         hi = lo + len(batch_states)
         states[lo:hi] = batch_states
         for k, table in scalars.items():
             table[lo:hi] = batch_scalars[k]
+        if outer is None:
+            continue
+        if pending:  # the previous batch's piece: keep a copy, not the batch
+            pending[-1] = tuple(a.copy() for a in pending[-1])
+        start = lo
+        while start < hi:
+            end = min(hi, (start // _CHUNK + 1) * _CHUNK)
+            pending.append((batch_states[start - lo:end - lo], fields[start - lo:end - lo]))
+            if end % _CHUNK == 0:
+                _add_outer(outer, pending)
+                pending = []
+            start = end
+    if pending:
+        _add_outer(outer, pending)
+
+
+def _add_outer(outer, pieces) -> None:
+    """Add one chunk's outer products, given as (states, fields) pieces in
+    path order: per (sample time, state) bin, the rows psi_i of the chunk's
+    paths in that bin add sum_i psi_i psi_i^* as one product."""
+    for j in range(outer.shape[0]):
+        for y in range(outer.shape[1]):
+            rows = [f[s[:, j] == y, j] for s, f in pieces]
+            rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+            if len(rows):
+                outer[j, y] += rows.T @ rows.conj()
 
 
 @dataclass

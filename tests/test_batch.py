@@ -286,6 +286,7 @@ def ensemble_outputs(tmp_path, name, workers=1):
 @pytest.mark.parametrize("rows,workers", [(1, 1), (64, 1), (70, 1), (1, 2), (64, 2)])
 def test_ensemble_independent_of_batch_size_and_workers(tmp_path, monkeypatch,
                                                         rows, workers):
+    monkeypatch.setattr(ensemble, "_CHUNK", 16)  # chunks that straddle batches
     reference, ref_summary = ensemble_outputs(tmp_path, "reference.json")
     monkeypatch.setattr(ensemble, "_BATCH_ROWS", rows)
     try:
@@ -298,25 +299,31 @@ def test_ensemble_independent_of_batch_size_and_workers(tmp_path, monkeypatch,
 
 
 def reduce_one_sample_at_a_time(states, fields, m):
-    """The path-order reference: each (path, sample) added on its own."""
+    """The path-order reference: each (path, sample) added on its own.  Also
+    returns sum_i |psi_i(a)| |psi_i(b)| per bin, the scale of the outer
+    sums' rounding."""
     T, size = fields.shape[1:]
     sums = np.zeros((T, m, size), dtype=complex)
     sums_sq = np.zeros((T, m, size))
     counts = np.zeros((T, m), dtype=np.int64)
     outer = np.zeros((T, m, size, size), dtype=complex)
+    outer_abs = np.zeros((T, m, size, size))
     for path_states, path_fields in zip(states, fields):
         for j, (y, vals) in enumerate(zip(path_states, path_fields)):
             sums[j, y] += vals
             sums_sq[j, y] += np.abs(vals) ** 2
             counts[j, y] += 1
             outer[j, y] += np.outer(vals, vals.conj())
-    return sums, sums_sq, counts, outer
+            outer_abs[j, y] += np.outer(np.abs(vals), np.abs(vals))
+    return sums, sums_sq, counts, outer, outer_abs
 
 
-@pytest.mark.parametrize("rows", [1, 3, 23])
-def test_reduce_matches_one_sample_at_a_time(rows):
+def check_reduce(N, rows):
+    """sums, sums_sq, counts, states and scalars bitwise as the path-order
+    reference; outer_sums within the forward error bound of any order of
+    the k terms of a bin, 2 (k + 2) eps sum_i |psi_i(a)| |psi_i(b)|."""
     rng = np.random.default_rng(8)
-    N, T, m, size = 23, 5, 3, GRID.size
+    T, m, size = 5, 3, GRID.size
     states = rng.integers(0, m, size=(N, T))
     scale = 10.0 ** rng.uniform(-3, 3, size=(N, T, 1))  # sums that round
     fields = scale * (rng.standard_normal((N, T, size))
@@ -330,10 +337,26 @@ def test_reduce_matches_one_sample_at_a_time(rows):
     batches = [(lo, (states[lo:lo + rows], fields[lo:lo + rows], {"x": scalar[lo:lo + rows]}))
                for lo in range(0, N, rows)]
     ensemble._reduce(batches, sums, sums_sq, counts, outer, out_states, {"x": out_scalar})
-    for got, want in zip((sums, sums_sq, counts, outer),
-                         reduce_one_sample_at_a_time(states, fields, m)):
-        assert same_bits(got, want)
+    *want, want_outer, outer_abs = reduce_one_sample_at_a_time(states, fields, m)
+    for got, expected in zip((sums, sums_sq, counts), want):
+        assert same_bits(got, expected)
     assert same_bits(out_states, states) and same_bits(out_scalar, scalar)
+    k = counts[:, :, None, None]
+    bound = 2 * (k + 2) * np.finfo(float).eps * outer_abs
+    assert np.all(np.abs(outer - want_outer) <= bound)
+    return outer
+
+
+@pytest.mark.parametrize("rows", [1, 3, 23])
+def test_reduce_matches_one_sample_at_a_time(rows):
+    check_reduce(23, rows)
+
+
+def test_outer_sums_over_chunks_independent_of_row_cap():
+    # 300 paths are chunks [0, 128), [128, 256), [256, 300); row caps 7 and
+    # 100 cut chunks across batches, and 1 cuts every chunk into 1-row pieces
+    outers = [check_reduce(300, rows) for rows in (300, 1, 7, 100, 256)]
+    assert all(same_bits(outer, outers[0]) for outer in outers[1:])
 
 
 def one_field_lorentz(values, p, q):

@@ -260,6 +260,30 @@ class TestRunExperiments:
         report = json.loads(open(os.path.join(out, "report.json")).read())
         assert report["exact_conditioning"]["passed"] is False
 
+    def test_ensemble_density_trace(self, tmp_path, monkeypatch):
+        from stochnls import cli
+
+        text = SMALL.replace('"path"', '"ensemble"') + "ensemble.store_density_matrix = true\n"
+        assert run(parse_config(text=text), str(tmp_path / "exact")) == 0
+        report = json.loads(open(os.path.join(self.out_dirs(tmp_path / "exact")[0],
+                                              "report.json")).read())
+        assert sorted(report) == ["density_trace", "exact_conditioning"]
+        assert report["density_trace"]["passed"] is True
+        assert report["density_trace"]["max_relative_deviation"] <= 1e-12
+
+        run_ensemble = cli.run_ensemble
+
+        def inflated(*args, **kwargs):
+            avg, series = run_ensemble(*args, **kwargs)
+            avg.outer_sums *= 1.0 + 1e-9  # the trace no longer matches l2
+            return avg, series
+        monkeypatch.setattr(cli, "run_ensemble", inflated)
+        assert run(parse_config(text=text), str(tmp_path / "inflated")) == 1
+        report = json.loads(open(os.path.join(self.out_dirs(tmp_path / "inflated")[0],
+                                              "report.json")).read())
+        assert report["density_trace"]["passed"] is False
+        assert report["exact_conditioning"]["passed"] is True
+
     def test_entry_without_a_verdict_fails(self, tmp_path, monkeypatch):
         from stochnls import verify
 
