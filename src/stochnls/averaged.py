@@ -177,7 +177,9 @@ def solve_scalar_averaged(g0: AveragedField, family: PotentialFamily,
     """March the scalar averaged equation, sampling at cfg.sample_times.
 
     `source(grid, t)` returns the (m, n^d) inhomogeneity; it is injected at
-    step midpoints with weight i*dt, like the per-path solver's source.
+    step midpoints with weight i*dt.  No caller in the package passes one;
+    the parameter stays because the benchmark's count probes
+    (perfbench/layers.py) bind it by name.
     """
     grid = g0.grid
     m = model.m

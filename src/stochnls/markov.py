@@ -209,16 +209,6 @@ class PathSample:
         path.horizon, path.jump_times, path.states, path.seed = horizon, jump_times, states, seed
         return path
 
-    def restricted(self, t: float) -> "PathSample":
-        """The path on [0, t]; used to enforce adaptedness of source callbacks."""
-        keep = self.jump_times < t
-        return PathSample(
-            horizon=t,
-            jump_times=self.jump_times[keep],
-            states=self.states[: int(np.count_nonzero(keep)) + 1],
-            seed=self.seed,
-        )
-
 
 def path_rng(seed: int | tuple[int, ...]) -> np.random.Generator:
     """PCG64 generator keyed by the documented seed-splitting scheme."""

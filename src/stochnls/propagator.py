@@ -2,11 +2,11 @@
 
 The equation solved along a fixed Markov path omega is
 
-    i psi_t - Lap psi + V(x, omega(t)) psi + eps (chi * |psi|^2) psi + Src = 0,
+    i psi_t - Lap psi + V(x, omega(t)) psi + eps (chi * |psi|^2) psi = 0,
 
 whose Duhamel form is
 
-    psi(t) = U(t) psi0 + i int_0^t U(t-s) [V psi + eps (chi*|psi|^2) psi + Src] ds,
+    psi(t) = U(t) psi0 + i int_0^t U(t-s) [V psi + eps (chi*|psi|^2) psi] ds,
 
 with U(t) the free flow, a spectral multiplier exp(+i t |k|^2).  Note the
 sign convention: the Laplacian enters with a minus sign on the left, so
@@ -17,7 +17,7 @@ and is caught by the free-Gaussian oracle test.
 Stepping is split-step spectral (Lie or Strang).  Steps are subdivided
 exactly at the path's jump times, so within every substep the potential is
 autonomous and each factor is an exact phase; the evolution is therefore
-exactly unitary (up to roundoff) whenever no source is present.  Many paths
+exactly unitary (up to roundoff).  Many paths
 march together as the rows of one array (:func:`evolve_paths`), each
 interval by one schedule that builds its substeps' own phases up front:
 all rows take each base step at once, and the later substeps of cut steps
@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -67,18 +67,12 @@ _SNAPSHOT_DTYPES = {64: np.dtype("<c8"), 128: np.dtype("<c16")}
 
 @dataclass
 class SolverConfig:
-    """Step size, splitting order, coupling, source and output times.
-
-    `source(grid, t, path_prefix)` must return the inhomogeneity evaluated
-    at time t; the solver hands it only the path restricted to [0, t], so
-    an adapted source cannot peek at future jumps.
-    """
+    """Step size, splitting order, coupling and output times."""
 
     dt: float
     sample_times: np.ndarray
     order: int = 2
     epsilon: float = 0.0
-    source: Callable[[SpatialGrid, float, PathSample], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -253,10 +247,9 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: 
     V is the (m, *grid.shape) potential table; extra(mid, values) returns a
     real potential added for those rows at the substep midpoint, shared or
     one per row (a Hartree field, a frozen Picard field), or extra is None.
-    It depends on the field, so its phase is taken per substep.  cfg.source
-    is injected at substep midpoints and sees each row's path only up to
-    then; a field that loses finiteness is an error.  The yielded array is
-    the march's own state: copy it to keep it.
+    It depends on the field, so its phase is taken per substep.  A field
+    that loses finiteness is an error.  The yielded array is the march's
+    own state: copy it to keep it.
     """
     every = np.arange(len(paths))
 
@@ -287,10 +280,6 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: 
                 # explicit products in this order, as in grid.apply_multiplier
                 phase = potential if extra is None else np.exp(1j * tau * (V[y] + extra(mid, sub)))
                 sub = np.multiply(sub, phase, out=phase)
-                if cfg.source is not None:
-                    src = [cfg.source(grid, m, paths[r].restricted(m)) for r, m in zip(
-                        every if rows is None else rows, np.broadcast_to(mid, len(sub)))]
-                    sub = sub + 1j * tau * np.array(src, dtype=complex).reshape(sub.shape)
                 if after is not None:
                     sub = apply_multiplier(sub, after, ndim=grid.dim)
                 if rows is None:
@@ -364,8 +353,7 @@ def evolve_path(psi0: WaveField, family: PotentialFamily, path: PathSample,
 
 
 def duhamel_residual(output: TrajectoryOutput, family: PotentialFamily,
-                     path: PathSample, kernel: HartreeKernel | None,
-                     cfg: SolverConfig, t: float) -> float:
+                     kernel: HartreeKernel | None, cfg: SolverConfig, t: float) -> float:
     """L2 norm of psi(t) minus its Duhamel reconstruction from the fields.
 
     The integral term is evaluated by the trapezoid rule over the stored
@@ -382,9 +370,6 @@ def duhamel_residual(output: TrajectoryOutput, family: PotentialFamily,
         G = family.V[output.states[: idx + 1]] * rows
         if kernel is not None and cfg.epsilon != 0.0:
             G = G + _hartree_rows(grid, rows, HartreeKernel(grid, kernel.chi, cfg.epsilon)) * rows
-        if cfg.source is not None:
-            G = G + np.array([np.asarray(cfg.source(grid, s, path.restricted(s))).reshape(-1)
-                              for s in times[: idx + 1]])
         integrand = np.array([free_flow(grid, g.reshape(grid.shape), t - s)
                               for g, s in zip(G, times)])
         acc = acc + 1j * np.trapezoid(integrand, times[: idx + 1], axis=0)
@@ -425,7 +410,7 @@ def picard_sequence(psi0: WaveField, family: PotentialFamily, path: PathSample,
     dense_times = cfg.dt * np.arange(n_total + 1)
     dense_times[-1] = T
     dense_cfg = SolverConfig(dt=cfg.dt, sample_times=dense_times, order=cfg.order,
-                             epsilon=0.0, source=cfg.source)
+                             epsilon=0.0)
     V = family.V.reshape(family.m, *grid.shape)
     frozen = None if cfg.epsilon == 0.0 else HartreeKernel(grid, kernel.chi, cfg.epsilon)
 

@@ -70,12 +70,6 @@ def initial_field(shift=0.0, grid=GRID):
     return np.exp(-((x - shift) ** 2) / 2).astype(complex)
 
 
-def adapted_source(grid, t, prefix):
-    assert prefix.horizon == t and np.all(prefix.jump_times < t)
-    x = grid.centered_coordinates()[0]
-    return 0.01 * np.exp(-(x**2)) * (1 + prefix.states[-1]) * np.exp(1j * t)
-
-
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -108,11 +102,7 @@ def plain_march(psi0, fam, path, kernel, cfg):
         pot = fam.V[[state_at(path, t_mid)]]
         if kernel is not None:
             pot = pot + hartree_potential(WaveField(grid, vals[0]), kernel)
-        vals = vals * np.exp(1j * tau * pot.reshape(vals.shape))
-        if cfg.source is not None:
-            src = cfg.source(grid, t_mid, path.restricted(t_mid))
-            vals = vals + 1j * tau * np.reshape(src, vals.shape)
-        return vals
+        return vals * np.exp(1j * tau * pot.reshape(vals.shape))
 
     vals, t, out = psi0.reshape(1, *grid.shape).copy(), 0.0, []
     for target in cfg.sample_times:
@@ -150,12 +140,10 @@ def test_edge_cases_are_what_they_say():
 
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("epsilon", [0.0, 0.3])
-@pytest.mark.parametrize("source", [None, adapted_source])
-def test_batched_rows_match_single_path_march(order, epsilon, source):
+def test_batched_rows_match_single_path_march(order, epsilon):
     chi = shape_field(GRID, "gaussian", amplitude=1.0, width=1.0, center=0.0)
     kernel = HartreeKernel(GRID, chi, epsilon=epsilon) if epsilon else None
-    cfg = SolverConfig(dt=DT, sample_times=SAMPLE_TIMES,
-                       order=order, epsilon=epsilon, source=source)
+    cfg = SolverConfig(dt=DT, sample_times=SAMPLE_TIMES, order=order, epsilon=epsilon)
     paths = [two_state_path(j) for j in JUMPS.values()]
     psi0 = np.array([initial_field(0.3 * b) for b in range(len(paths))])
     for rows in ([[b] for b in range(len(paths))],                       # 1 row
@@ -210,15 +198,14 @@ def test_substeps_shorter_than_an_ulp_follow_state_at(order):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("epsilon,source", [(0.0, None), (0.3, adapted_source)])
-def test_two_dimensional_batch_matches_single_path_march(order, epsilon, source):
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_two_dimensional_batch_matches_single_path_march(order, epsilon):
     """A per-row kinetic phase on a d = 2 grid is transformed over each
     row's own two axes, never across the row axis."""
     grid = SpatialGrid(2, 16, 12.0)
     chi = shape_field(grid, "gaussian", amplitude=1.0, width=1.0, center=0.0)
     kernel = HartreeKernel(grid, chi, epsilon=epsilon) if epsilon else None
-    cfg = SolverConfig(dt=DT, sample_times=SAMPLE_TIMES, order=order,
-                       epsilon=epsilon, source=source)
+    cfg = SolverConfig(dt=DT, sample_times=SAMPLE_TIMES, order=order, epsilon=epsilon)
     paths = [two_state_path(j) for j in JUMPS.values()]
     psi0 = np.array([initial_field(0.3 * b, grid) for b in range(len(paths))])
     assert_rows_match_single(paths, psi0, cfg, kernel, family(grid))

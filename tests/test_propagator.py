@@ -175,7 +175,7 @@ class TestDuhamelResidual:
         times = np.linspace(0.0, 1.0, 11)
         cfg = SolverConfig(dt=0.1, sample_times=times)
         out = evolve_path(psi0, zero_family(grid), constant_path(), None, cfg)
-        res = duhamel_residual(out, zero_family(grid), constant_path(), None, cfg, 1.0)
+        res = duhamel_residual(out, zero_family(grid), None, cfg, 1.0)
         assert res <= 1e-10
 
     def test_zero_time_residual(self):
@@ -185,7 +185,7 @@ class TestDuhamelResidual:
         fam = PotentialFamily(grid, well[None, :])
         cfg = SolverConfig(dt=0.05, sample_times=np.array([0.0, 0.5]))
         out = evolve_path(psi0, fam, constant_path(), None, cfg)
-        assert duhamel_residual(out, fam, constant_path(), None, cfg, 0.0) <= 1e-14
+        assert duhamel_residual(out, fam, None, cfg, 0.0) <= 1e-14
 
     def test_second_order_shrink_on_smooth_run(self):
         grid = SpatialGrid(1, 64, 20.0)
@@ -200,7 +200,7 @@ class TestDuhamelResidual:
             times = dt * np.arange(int(round(T / dt)) + 1)
             cfg = SolverConfig(dt=dt, sample_times=times, epsilon=0.3)
             out = evolve_path(psi0, fam, constant_path(), kernel, cfg)
-            return duhamel_residual(out, fam, constant_path(), kernel, cfg, T)
+            return duhamel_residual(out, fam, kernel, cfg, T)
 
         r1, r2 = residual(0.02), residual(0.01)
         assert 3.5 <= r1 / r2 <= 4.5
@@ -368,32 +368,6 @@ class TestWaveOperator:
         out = evolve_path(psi0, fam, constant_path(), None, cfg)
         incs = wave_operator_estimate(out, times)
         assert incs[-1] > 0.1  # no Cauchy decay for a stationary state
-
-
-class TestSourceAdaptedness:
-    def test_callback_sees_only_the_past(self):
-        grid = SpatialGrid(1, 64, 20.0)
-        seen = []
-
-        def source(g, t, prefix):
-            seen.append((t, prefix.horizon, prefix.jump_times.size))
-            assert prefix.horizon == t
-            assert np.all(prefix.jump_times < t)
-            x = g.centered_coordinates()[0]
-            return 0.01 * np.exp(-(x**2)) * np.exp(1j * t)
-
-        model = MarkovModel(np.array([[2.0, -2.0], [-2.0, 2.0]]),
-                            initial_law=np.array([0.5, 0.5]))
-        path = sample_path(model, 2.0, seed=3)
-        fam = make_amplitude_family(
-            np.zeros(grid.size), shape_field(grid, "gaussian", width=1.0),
-            [-1.0, 1.0], grid)
-        psi0 = WaveField(grid, free_gaussian(grid, 1.0, 0.0))
-        cfg = SolverConfig(dt=0.05, sample_times=np.array([1.0, 2.0]), source=source)
-        out = evolve_path(psi0, fam, path, None, cfg)
-        assert len(seen) >= 40
-        # the source breaks unitarity, so it demonstrably entered the flow
-        assert abs(out.scalars["l2"][-1] - out.scalars["l2"][0]) > 1e-6
 
 
 class TestSnapshotIO:
