@@ -17,11 +17,26 @@ and is caught by the free-Gaussian oracle test.
 Stepping is split-step spectral (Lie or Strang).  Steps are subdivided
 exactly at the path's jump times, so within every substep the potential is
 autonomous and each factor is an exact phase; the evolution is therefore
-exactly unitary (up to roundoff).  Many paths
-march together as the rows of one array (:func:`evolve_paths`), each
-interval by one schedule that builds its substeps' own phases up front:
-all rows take each base step at once, and the later substeps of cut steps
-march as sub-batches.  Each row is bitwise what marching it alone gives.
+exactly unitary (up to roundoff).  Many paths march together as the rows
+of one array (:func:`evolve_paths`), on one of two engines that take the
+same substeps:
+
+* the march (:func:`_march`), each interval by one schedule that builds
+  its substeps' own phases up front: all rows take each base step at once,
+  and the later substeps of cut steps march as sub-batches;
+* the eigenbasis engine (:func:`_march_eigenbasis`), for linear Strang
+  rows on a one-axis grid of at most 512 points whose step phases span
+  less than 0.9 pi (dt (max |k|^2 + max V_y - min V_y), every state y).
+  Between two jumps every base step applies the same unitary Strang step
+  S_y, so the engine diagonalises S_y once, O_y diag(exp(i theta_y)) O_y^T
+  with O_y real, and takes an uncut run of k steps as one phase multiply
+  in that basis; the substeps cut at jumps go by FFT phases.  It is the
+  same scheme as the march to roundoff, so dt and order keep their
+  meaning.
+
+Hartree rows, Picard's frozen fields, Lie rows, d = 2, larger grids and
+wider arcs go to the march.  On either engine each row is bitwise what
+marching it alone gives.
 """
 
 from __future__ import annotations
@@ -292,6 +307,161 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: 
         yield target, values
 
 
+# The eigenbasis engine (_march_eigenbasis) takes linear Strang rows on one-axis
+# grids of at most this many points, whose step phases span less than this arc
+# (see _step_basis); the march takes the rest.
+_EIGEN_N_CAP = 512
+_ARC_LIMIT = 0.9 * np.pi
+# Rows per FFT block while a basis is built.
+_BASIS_ROWS = 64
+
+
+def _step_arc(grid: SpatialGrid, V: np.ndarray, dt: float) -> float:
+    """The widest arc dt (max |k|^2 + max V_y - min V_y) over the states y of
+    V, shape (m, grid.size), that a Strang step's eigenphases lie in."""
+    return dt * (float(laplacian_symbol(grid).max()) + float(np.ptp(V, axis=1).max()))
+
+
+@lru_cache(maxsize=4)
+def _step_basis(grid: SpatialGrid, dt: float, v_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(O, theta) with S = O diag(exp(i theta)) O^T, O real orthogonal, for
+    the Strang step S = K(dt/2) P(dt) K(dt/2) in the potential v (its
+    float64 bytes) on a one-axis grid: the discrete step, not the exact
+    flow of -Lap + v.
+
+    K is a circulant with an even symbol and P diagonal, so S is complex
+    symmetric as well as unitary: its real and imaginary parts commute and
+    share a real orthogonal eigenbasis.  S's eigenphases lie in the arc
+    [dt min v, dt (max |k|^2 + max v)]; below a half turn, sin(theta - phi)
+    with phi the arc's middle is increasing on it, so the real symmetric
+    Im(exp(-i phi) S) has S's eigenvectors.  Its rows are S applied to the
+    identity's rows by FFTs, a block at a time, and theta is read from
+    D_j = o_j^T S o_j = sum_x (K o_j)(x)^2 P(x), so no complex n x n array
+    is ever held.  Cached per key, as a kinetic phase is, and read-only.
+    """
+    v = np.frombuffer(v_bytes)
+    n = v.size
+    half, pot = kinetic_phase(grid, 0.5 * dt), np.exp(1j * dt * v)
+    tilt = np.exp(-0.5j * dt * (float(laplacian_symbol(grid).max()) + v.max() + v.min()))
+    im = np.empty((n, n))
+    for lo in range(0, n, _BASIS_ROWS):
+        block = np.eye(min(_BASIS_ROWS, n - lo), n, lo, dtype=complex)
+        block = apply_multiplier(block, half)
+        block = apply_multiplier(np.multiply(block, pot, out=block), half)
+        im[lo:lo + len(block)] = np.multiply(block, tilt, out=block).imag
+    O = np.ascontiguousarray(np.linalg.eigh(im)[1])
+    del im
+    D = np.empty(n, dtype=complex)
+    for lo in range(0, n, _BASIS_ROWS):
+        kinetic = apply_multiplier(O.T[lo:lo + _BASIS_ROWS].astype(complex), half)
+        D[lo:lo + len(kinetic)] = np.multiply(kinetic, kinetic, out=kinetic) @ pot
+    theta = np.angle(D)
+    O.flags.writeable = theta.flags.writeable = False
+    return O, theta
+
+
+def _phase_run(values: np.ndarray, O: np.ndarray, Ot: np.ndarray, theta: np.ndarray,
+               k: np.ndarray) -> np.ndarray:
+    """S^k_b applied to each row b of values, shape (r, n): O (exp(i k_b
+    theta) * (O^T psi_b)), as two real dgemms on the stacked real and
+    imaginary parts, padded with zero rows to at least four, each with a
+    C-contiguous right operand (Ot is O^T's contiguous copy).  A row of
+    such a product is bitwise independent of the row count from four rows
+    on; a one-row product takes gemv, two or three rows differ too, and so
+    do rows of a product whose right operand is a transposed view."""
+    r, n = values.shape
+    stacked = np.zeros((max(2 * r, 4), n))
+    stacked[:r], stacked[r:2 * r] = values.real, values.imag
+    coeffs = stacked @ O  # rows: (O^T psi_b)^T, real then imaginary parts
+    ks = np.unique(k)  # rows often share their k
+    turn = np.exp(1j * (ks[:, None] * theta))
+    which = ks.searchsorted(k)
+    cos, sin = turn.real[which], turn.imag[which]
+    re, im = coeffs[:r], coeffs[r:2 * r]
+    np.subtract(re * cos, im * sin, out=stacked[:r])
+    np.add(re * sin, im * cos, out=stacked[r:2 * r])
+    back = stacked @ Ot
+    out = np.empty((r, n), dtype=complex)
+    out.real, out.imag = back[:r], back[r:2 * r]
+    return out
+
+
+def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample],
+                      cfg: SolverConfig, V: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
+    """:func:`_march` for linear Strang rows on a one-axis grid, values of
+    shape (B, n) and V of shape (m, n): the same substeps, with each row's
+    uncut run of k base steps in state y as one multiply by exp(i k
+    theta_y) in the eigenbasis of the step (:func:`_step_basis`).
+
+    Each interval is marched in jump rounds.  Round rho of a row spans its
+    rho-th to its (rho + 1)-th jump inside the interval (the interval's
+    ends standing in): a head substep by FFT phases up to the first base
+    edge, for a row that starts off one; then the run of whole base steps,
+    one :func:`_phase_run` per state; then a tail substep from the last
+    base edge, for a row that ends off one.  Two jumps inside one base step
+    make one substep between them.  Each substep takes the state at its
+    midpoint, as :func:`_march` does, so a sub-ulp substep whose midpoint
+    rounds onto a jump takes the state entered there.  A run takes each
+    base step as dt, where the march takes the difference of its edges.
+    Rows meet only in the dgemms, so each row is bitwise what marching it
+    alone gives.
+    """
+    every = np.arange(len(paths))
+    counts = np.array([p.jump_times.size for p in paths])
+    jump_times = np.concatenate([p.jump_times for p in paths])
+    after = np.append(jump_times, np.inf)  # index -1: no jump left
+    owner = np.repeat(every, counts)
+    states = np.concatenate([p.states for p in paths])
+    row_end = np.cumsum(counts)  # past each row's last jump in jump_times
+    y_now = row_end - counts + every  # each row's flat state index, as in _march
+    symbol, bases = laplacian_symbol(grid), {}
+
+    def substeps(rows, start, tau, y, nxt):
+        """Strang substeps [start, start + tau] of the rows with tau > 0, each
+        in the state at its midpoint: y, or the one entered at nxt."""
+        cut = tau > 0
+        if cut.any():
+            rows, tau, mid = rows[cut], tau[cut], start[cut] + 0.5 * tau[cut]
+            half = np.exp(1j * (0.5 * tau)[:, None] * symbol)
+            pot = np.exp(1j * tau[:, None] * V[states[y[cut] + (mid >= nxt[cut])]])
+            sub = apply_multiplier(values[rows], half, ndim=1)
+            values[rows] = apply_multiplier(np.multiply(sub, pot, out=pot), half, ndim=1)
+
+    t = 0.0
+    for target in cfg.sample_times:
+        if target > 1e-15:
+            edges = _interval_edges(t, target, cfg.dt)
+            closed = np.bincount(owner[(jump_times > t) & (jump_times <= target)],
+                                 minlength=len(paths))
+            inside = closed - np.bincount(owner[jump_times == target], minlength=len(paths))
+            for rho in range(int(inside.max(initial=0)) + 1):
+                rows = np.flatnonzero(inside >= rho)
+                g = y_now[rows] - rows + rho  # the round's closing jump in jump_times
+                nxt = after[np.where(g < row_end[rows], g, -1)]
+                start = after[g - 1] if rho else np.full(rows.size, t)
+                end = np.where(inside[rows] > rho, nxt, target)
+                ih = edges.searchsorted(start, side="left")
+                il = edges.searchsorted(end, side="right") - 1
+                single = ih > il  # both ends inside one base step
+                y = y_now[rows] + rho
+                substeps(rows, start, np.where(single, end, edges[ih]) - start, y, nxt)
+                k = np.where(single, 0, il - ih)
+                in_state = np.where(k > 0, states[y], -1)
+                for state in range(len(V)):
+                    run = in_state == state
+                    if not run.any():
+                        continue
+                    if state not in bases:
+                        O, theta = _step_basis(grid, cfg.dt, V[state].tobytes())
+                        bases[state] = O, np.ascontiguousarray(O.T), theta
+                    values[rows[run]] = _phase_run(values[rows[run]], *bases[state], k[run])
+                substeps(rows, edges[il], np.where(single, 0.0, end - edges[il]), y, nxt)
+            y_now, t = y_now + closed, target
+            if not np.all(np.isfinite(values.view(float))):
+                raise RuntimeError(f"solution lost finiteness at t={t}")
+        yield target, values
+
+
 def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSample],
                  kernel: HartreeKernel | None, cfg: SolverConfig) \
         -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
@@ -302,7 +472,10 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
     path states at the sample times (B, T), and the scalar series l2,
     suml2linf, energy_kinetic, energy_potential and energy_hartree, in that
     order, as (B, T) arrays.  Row b is bitwise what evolve_path gives for
-    row b alone, whatever the other rows are.
+    row b alone, whatever the other rows are.  Linear Strang rows on a
+    one-axis grid of at most _EIGEN_N_CAP points, whose step phases span
+    less than _ARC_LIMIT, take the eigenbasis engine; the rest take the
+    march (see the module docstring).
     """
     grid = family.grid
     B, T = len(paths), cfg.sample_times.size
@@ -329,8 +502,12 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
     names = ("l2", "suml2linf", "energy_kinetic", "energy_potential", "energy_hartree")
     scalars = {k: np.empty((B, T)) for k in names}
     fields = np.empty((B, T, grid.size), dtype=complex)
-    marched = _march(grid, psi0.reshape(B, *grid.shape).copy(), paths, cfg,
-                     family.V.reshape(family.m, *grid.shape), extra)
+    if extra is None and grid.dim == 1 and cfg.order == 2 and grid.size <= _EIGEN_N_CAP \
+            and _step_arc(grid, family.V, cfg.dt) < _ARC_LIMIT:
+        marched = _march_eigenbasis(grid, psi0.copy(), paths, cfg, family.V)
+    else:
+        marched = _march(grid, psi0.reshape(B, *grid.shape).copy(), paths, cfg,
+                         family.V.reshape(family.m, *grid.shape), extra)
     for j, (_, values) in enumerate(marched):
         rows = values.reshape(B, grid.size)
         fields[:, j] = rows

@@ -133,14 +133,19 @@ def test_c11_bound_state_decay():
     assert entry["passed"]
 
 
-def test_c12_verify_all_determinism(tmp_path):
+def test_c12_verify_all_determinism(tmp_path, monkeypatch):
     # the CLI battery, run twice with one seed, must write byte-identical
-    # artifacts; manifest.json is the one file that records wall time
+    # artifacts; manifest.json is the one file that records wall time.  The
+    # second run marches its ensembles in batches of 7 paths, so the
+    # comparison also covers "regardless of batch size"
+    from stochnls import ensemble
     from stochnls.cli import parse_config, run
 
     cfg = parse_config(text="")  # shipped defaults: verify-all, default scale
     assert cfg["experiment.kind"] == "verify-all"
-    codes = [run(cfg, str(tmp_path / sub), seed=SEED) for sub in ("a", "b")]
+    codes = [run(cfg, str(tmp_path / "a"), seed=SEED)]
+    monkeypatch.setattr(ensemble, "_BATCH_ROWS", 7)
+    codes.append(run(cfg, str(tmp_path / "b"), seed=SEED))
     dirs = [os.path.join(tmp_path, sub, os.listdir(tmp_path / sub)[0])
             for sub in ("a", "b")]
     compared = []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stochnls import ensemble
+from stochnls import ensemble, propagator
 from stochnls.ensemble import EnsembleConfig, run_ensemble, write_summary_json
 from stochnls.grid import (
     SpatialGrid,
@@ -115,18 +115,25 @@ def plain_march(psi0, fam, path, kernel, cfg):
     return np.array(out)
 
 
-def assert_rows_match_single(paths, psi0, cfg, kernel, fam=None):
-    """Each row of one batched march against evolve_path on that row alone,
-    and against the plain per-path march."""
-    fam = family() if fam is None else fam
+def assert_rows_match_alone(paths, psi0, cfg, kernel, fam):
+    """Each row of one batched solve against evolve_path on that row alone."""
     fields, states, scalars = evolve_paths(psi0, fam, paths, kernel, cfg)
     for b, path in enumerate(paths):
         alone = evolve_path(WaveField(fam.grid, psi0[b]), fam, path, kernel, cfg)
         assert same_bits(fields[b], alone.fields)
-        assert same_bits(fields[b], plain_march(psi0[b], fam, path, kernel, cfg))
         assert same_bits(states[b], alone.states)
         for name, series in scalars.items():
             assert same_bits(series[b], alone.scalars[name]), name
+    return fields
+
+
+def assert_rows_match_single(paths, psi0, cfg, kernel, fam=None):
+    """Each row of one batched march against evolve_path on that row alone,
+    and against the plain per-path march."""
+    fam = family() if fam is None else fam
+    fields = assert_rows_match_alone(paths, psi0, cfg, kernel, fam)
+    for b, path in enumerate(paths):
+        assert same_bits(fields[b], plain_march(psi0[b], fam, path, kernel, cfg))
 
 
 def test_edge_cases_are_what_they_say():
@@ -249,6 +256,116 @@ def test_random_jump_sets_batch_invariant(jump_sets, order, hartree):
     assert_rows_match_single(paths, psi0, cfg, kernel)
 
 
+# The eigenbasis engine's regime: at this grid and dt the Strang step's
+# phases span 1.06 rad, under propagator._ARC_LIMIT, where GRID at DT spans
+# 3.5 rad, so every test above stays on the march.
+ENGINE_GRID = SpatialGrid(1, 64, 20.0)
+ENGINE_DT = 0.01
+# base steps of [0, 0.5] are [0, 0.01], ..., [0.49, 0.5]
+ENGINE_JUMPS = {
+    "none": [],
+    "first-step": [0.003],
+    "last-step": [0.497],
+    "two-in-one-step": [0.613, 0.617],
+    "on-sample-time": [0.5],
+    "many": [0.003, 0.26, 0.493, 0.52, 0.97],
+    # the base edges 0 + 30 dt and 0.5 + 12 dt, as the march computes them
+    "on-base-edge": [ENGINE_DT * 30, 0.5 + ENGINE_DT * 12],
+    "next-step-cut": [0.013],
+    "across-intervals": [0.497, 0.503],
+    "round-per-step": [0.203, 0.213, 0.226, 0.234],
+}
+
+
+def sub_ulp_jump_sets():
+    """Substeps one ulp long whose midpoints round onto their ends: inside a
+    base step, onto a base edge and onto a sample time, each end a jump."""
+    inside = next(a for a in 0.311 + 1e-4 * np.arange(20)
+                  if rounds_onto_end(a, np.nextafter(a, 1.0)))
+    edge = next(e for e in ENGINE_DT * np.arange(31, 49)
+                if rounds_onto_end(np.nextafter(e, 0.0), e))
+    sets = [[inside, np.nextafter(inside, 1.0)], [np.nextafter(edge, 0.0), edge],
+            [np.nextafter(0.5, 0.0), 0.5]]
+    assert all(rounds_onto_end(*pair) for pair in sets)
+    return sets
+
+
+def engine_calls(monkeypatch):
+    """A list that records the rows of every eigenbasis-engine solve."""
+    calls, engine = [], propagator._march_eigenbasis
+
+    def spy(grid, values, *args):
+        calls.append(len(values))
+        return engine(grid, values, *args)
+
+    monkeypatch.setattr(propagator, "_march_eigenbasis", spy)
+    return calls
+
+
+def test_engine_edge_cases_are_what_they_say():
+    edges = [_interval_edges(t0, t1, ENGINE_DT) for t0, t1 in zip(SAMPLE_TIMES, SAMPLE_TIMES[1:])]
+    on_edge = ENGINE_JUMPS["on-base-edge"]
+    assert on_edge[0] in edges[0][1:-1] and on_edge[1] in edges[1][1:-1]
+    late, early = ENGINE_JUMPS["across-intervals"]
+    assert edges[0][-2] < late < edges[0][-1] and edges[1][0] < early < edges[1][1]
+    first, second = ENGINE_JUMPS["two-in-one-step"]
+    assert np.searchsorted(edges[2], first) == np.searchsorted(edges[2], second)
+    rounds = np.searchsorted(edges[0], ENGINE_JUMPS["round-per-step"])
+    assert np.all(np.diff(rounds) == 1)  # one jump in each of consecutive steps
+    assert propagator._step_arc(ENGINE_GRID, family(ENGINE_GRID).V, ENGINE_DT) \
+        < propagator._ARC_LIMIT < propagator._step_arc(GRID, family().V, DT)
+
+
+def test_eigenbasis_rows_match_single_path(monkeypatch):
+    """The engine's jump rounds, head and tail substeps and per-state dgemms
+    on 1, 2, 3 and all rows of one batch, each row against itself alone."""
+    calls = engine_calls(monkeypatch)
+    fam = family(ENGINE_GRID)
+    jump_sets = [*ENGINE_JUMPS.values(), *sub_ulp_jump_sets()]
+    paths = [two_state_path(j) for j in jump_sets]
+    psi0 = np.array([initial_field(0.3 * b, ENGINE_GRID) for b in range(len(paths))])
+    cfg = SolverConfig(dt=ENGINE_DT, sample_times=SAMPLE_TIMES)
+    B = len(paths)
+    for batches in ([[b, (b + 1) % B] for b in range(B)],
+                    [[b, (b + 5) % B, (b + 9) % B] for b in range(B)],
+                    [list(range(B))]):
+        for batch in batches:
+            assert_rows_match_alone([paths[b] for b in batch], psi0[batch], cfg, None, fam)
+    assert calls and all(calls)
+
+
+def test_eigenbasis_rows_of_a_large_batch_match_single_path(monkeypatch):
+    """260 rows, 520 stacked real rows in a dgemm and operands over 256 KiB,
+    with jumps that cut the rows into runs of different lengths."""
+    calls = engine_calls(monkeypatch)
+    fam = family(ENGINE_GRID)
+    cfg = SolverConfig(dt=ENGINE_DT, sample_times=np.array([0.1, 0.2]))
+    B = 260
+    paths = [two_state_path([] if b % 3 else [0.0123 + 1e-3 * (b % 7)]) for b in range(B)]
+    x = ENGINE_GRID.centered_coordinates()[0]
+    psi0 = np.array([np.exp(-((x - 0.01 * b) ** 2)) for b in range(B)], dtype=complex)
+    fields, _, _ = evolve_paths(psi0, fam, paths, None, cfg)
+    for b in (0, 1, 3, B - 1):
+        alone = evolve_path(WaveField(ENGINE_GRID, psi0[b]), fam, paths[b], None, cfg)
+        assert same_bits(fields[b], alone.fields)
+    assert B in calls
+
+
+def test_eigenbasis_rows_at_the_size_cap_match_single_path(monkeypatch):
+    """At n = 512 a dgemm of two or three rows differs from the same rows
+    inside a larger one: one row alone, two rows and three rows in one
+    state must still give each row's bits."""
+    calls = engine_calls(monkeypatch)
+    grid = SpatialGrid(1, propagator._EIGEN_N_CAP, 120.0)
+    cfg = SolverConfig(dt=ENGINE_DT, sample_times=np.array([0.05, 0.1]))
+    paths = [two_state_path([], horizon=0.1), two_state_path([], horizon=0.1),
+             two_state_path([0.073], horizon=0.1)]
+    psi0 = np.array([initial_field(0.3 * b, grid) for b in range(len(paths))])
+    for batch in ([0, 1], [0, 1, 2]):
+        assert_rows_match_alone([paths[b] for b in batch], psi0[batch], cfg, None, family(grid))
+    assert calls and all(calls)
+
+
 def ensemble_setup():
     well = shape_field(GRID, "sech2", amplitude=-2.0, width=1.0)
     fam = make_amplitude_family(well, well, [-1.0, 1.0], GRID)
@@ -261,8 +378,18 @@ def ensemble_setup():
     return WaveField(GRID, initial_field()), fam, model, kernel, cfg, ecfg
 
 
-def ensemble_outputs(tmp_path, name, workers=1):
-    psi0, fam, model, kernel, cfg, ecfg = ensemble_setup()
+def engine_ensemble_setup():
+    """Linear rows in the eigenbasis engine's regime."""
+    fam = family(ENGINE_GRID)
+    model = MarkovModel(np.array([[2.0, -2.0], [-2.0, 2.0]]),
+                        initial_law=np.array([0.5, 0.5]))
+    cfg = SolverConfig(dt=ENGINE_DT, sample_times=np.array([0.0, 0.25, 0.5]))
+    ecfg = EnsembleConfig(N=40, master_seed=9, horizon=0.5, store_density_matrix=True)
+    return WaveField(ENGINE_GRID, initial_field(grid=ENGINE_GRID)), fam, model, None, cfg, ecfg
+
+
+def ensemble_outputs(tmp_path, name, workers=1, setup=ensemble_setup):
+    psi0, fam, model, kernel, cfg, ecfg = setup()
     avg, series = run_ensemble(psi0, fam, model, kernel, cfg, ecfg, workers=workers)
     write_summary_json(tmp_path / name, avg, series, ecfg)
     arrays = {k: getattr(avg, k) for k in ("sums", "sums_sq", "counts", "outer_sums")}
@@ -278,6 +405,24 @@ def test_ensemble_independent_of_batch_size_and_workers(tmp_path, monkeypatch,
     monkeypatch.setattr(ensemble, "_BATCH_ROWS", rows)
     try:
         arrays, summary = ensemble_outputs(tmp_path, "batched.json", workers)
+    except (OSError, PermissionError) as exc:  # pragma: no cover
+        pytest.skip(f"process pool unavailable in this environment: {exc}")
+    assert summary == ref_summary
+    for name, value in reference.items():
+        assert same_bits(arrays[name], value), name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rows", [1, 2, 7, 40])
+def test_eigenbasis_ensemble_independent_of_batch_size_and_workers(tmp_path, monkeypatch,
+                                                                   rows, workers):
+    monkeypatch.setattr(ensemble, "_CHUNK", 16)
+    reference, ref_summary = ensemble_outputs(tmp_path, "reference.json",
+                                              setup=engine_ensemble_setup)
+    monkeypatch.setattr(ensemble, "_BATCH_ROWS", rows)
+    try:
+        arrays, summary = ensemble_outputs(tmp_path, "batched.json", workers,
+                                           setup=engine_ensemble_setup)
     except (OSError, PermissionError) as exc:  # pragma: no cover
         pytest.skip(f"process pool unavailable in this environment: {exc}")
     assert summary == ref_summary

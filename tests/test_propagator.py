@@ -3,12 +3,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stochnls.grid import SpatialGrid, WaveField, lebesgue_norm, lebesgue_norm_rows
-from stochnls.markov import MarkovModel, PathSample, sample_path
+from stochnls import propagator
+from stochnls.grid import (
+    SpatialGrid,
+    WaveField,
+    dense_laplacian,
+    free_flow,
+    laplacian_symbol,
+    lebesgue_norm,
+    lebesgue_norm_rows,
+)
+from stochnls.markov import MarkovModel, PathSample, sample_path, state_at
 from stochnls.potential import (
     HartreeKernel,
     PotentialFamily,
     make_amplitude_family,
+    make_translate_family,
     shape_field,
 )
 from stochnls.propagator import (
@@ -17,6 +27,7 @@ from stochnls.propagator import (
     dump_snapshot,
     duhamel_residual,
     evolve_path,
+    evolve_paths,
     hartree_potential,
     load_snapshot,
     picard_sequence,
@@ -368,6 +379,171 @@ class TestWaveOperator:
         out = evolve_path(psi0, fam, constant_path(), None, cfg)
         incs = wave_operator_estimate(out, times)
         assert incs[-1] > 0.1  # no Cauchy decay for a stationary state
+
+
+def switching_family(grid):
+    well = shape_field(grid, "sech2", amplitude=-2.0, width=1.0)
+    mod = shape_field(grid, "sech2", amplitude=1.0, width=1.0)
+    return make_amplitude_family(well, mod, [-1.0, 1.0], grid)
+
+
+def translate_family(grid):
+    well = shape_field(grid, "sech2", amplitude=-2.0, width=1.0)
+    return make_translate_family(well, grid, [0, grid.points_per_axis // 8])
+
+
+def sampled_paths(T, count, rate=1.0, seed=11):
+    model = MarkovModel(rate * np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                        initial_law=np.array([0.5, 0.5]))
+    return [sample_path(model, T, seed=(seed, i)) for i in range(count)]
+
+
+def gaussian_rows(grid, count):
+    x = grid.centered_coordinates()[0]
+    return np.array([np.pi ** -0.25 * np.exp(-(x - 0.2 * b) ** 2 / 2.0)
+                     for b in range(count)], dtype=complex)
+
+
+def record_engines(monkeypatch):
+    """A list that names the engine each evolve_paths call marches on."""
+    used = []
+    for name in ("_march", "_march_eigenbasis"):
+        engine = getattr(propagator, name)
+
+        def spy(*args, _engine=engine, _name=name):
+            used.append(_name)
+            return _engine(*args)
+        monkeypatch.setattr(propagator, name, spy)
+    return used
+
+
+class TestEigenbasisEngine:
+    def test_basis_diagonalises_the_discrete_step(self):
+        grid, dt = SpatialGrid(1, 32, 12.0), 0.02
+        for v in switching_family(grid).V:
+            O, theta = propagator._step_basis(grid, dt, v.tobytes())
+            # the Strang step S applied to the identity's columns
+            half = free_flow(grid, np.eye(grid.size, dtype=complex), 0.5 * dt)
+            S = free_flow(grid, half * np.exp(1j * dt * v), 0.5 * dt).T
+            assert np.max(np.abs(O.T @ O - np.eye(grid.size))) <= 1e-13
+            assert np.max(np.abs((O * np.exp(1j * theta)) @ O.T - S)) <= 1e-13
+            # the phases lie in the arc [dt min v, dt (max |k|^2 + max v)]
+            lo = dt * v.min()
+            arc = np.mod(theta - lo + 1e-12, 2 * np.pi) - 1e-12
+            assert np.all(arc >= -1e-12)
+            assert np.all(arc <= dt * (laplacian_symbol(grid).max() + np.ptp(v)) + 1e-12)
+
+    def march_rows(self, fam, psi0, paths, cfg):
+        return np.array([v.copy() for _, v in propagator._march(
+            fam.grid, psi0.copy(), paths, cfg, fam.V)]).transpose(1, 0, 2)
+
+    @pytest.mark.parametrize("n,L,times,count", [
+        (64, 20.0, np.arange(0.0, 2.001, 0.25), 100),  # the mc-ensemble shape
+        (256, 120.0, np.array([20.0]), 30),             # the long-paths shape
+    ])
+    def test_rows_agree_with_the_march(self, monkeypatch, n, L, times, count):
+        """The same scheme to roundoff: each row within 1e-10 ||psi0|| of
+        the march's, in L2 at every sample time."""
+        used = record_engines(monkeypatch)
+        grid = SpatialGrid(1, n, L)
+        fam = switching_family(grid)
+        paths = sampled_paths(times[-1], count)
+        assert sum(p.jump_times.size for p in paths) >= count
+        psi0 = gaussian_rows(grid, count)
+        cfg = SolverConfig(dt=0.01, sample_times=times)
+        fields, _, _ = evolve_paths(psi0, fam, paths, None, cfg)
+        assert used == ["_march_eigenbasis"]
+        marched = self.march_rows(fam, psi0, paths, cfg)
+        n0 = lebesgue_norm_rows(grid, psi0, 2)
+        for j in range(times.size):
+            gap = lebesgue_norm_rows(grid, fields[:, j] - marched[:, j], 2)
+            assert np.all(gap <= 1e-10 * n0)
+
+    def test_dispatch(self, monkeypatch):
+        used = record_engines(monkeypatch)
+        times = np.array([0.1, 0.2])
+        grid = SpatialGrid(1, 64, 20.0)
+        chi = shape_field(grid, "gaussian", amplitude=1.0, width=1.0, center=0.0)
+        cases = {
+            "linear Strang": (grid, None, SolverConfig(dt=0.01, sample_times=times)),
+            "zero coupling": (grid, HartreeKernel(grid, chi, epsilon=0.05),
+                              SolverConfig(dt=0.01, sample_times=times)),
+            "Hartree": (grid, HartreeKernel(grid, chi, epsilon=0.05),
+                        SolverConfig(dt=0.01, sample_times=times, epsilon=0.05)),
+            "Lie": (grid, None, SolverConfig(dt=0.01, sample_times=times, order=1)),
+            "wide arc": (grid, None, SolverConfig(dt=0.05, sample_times=times)),
+            "over the size cap": (SpatialGrid(1, 2 * propagator._EIGEN_N_CAP, 400.0), None,
+                                  SolverConfig(dt=0.01, sample_times=times)),
+            "two axes": (SpatialGrid(2, 16, 12.0), None,
+                         SolverConfig(dt=0.01, sample_times=times)),
+        }
+        engines = {}
+        for label, (g, kernel, cfg) in cases.items():
+            used.clear()
+            fam = switching_family(g)
+            evolve_paths(gaussian_rows(g, 2), fam, sampled_paths(0.2, 2, rate=5.0), kernel, cfg)
+            engines[label] = used[0]
+            if label == "over the size cap":  # the arc alone would admit it
+                assert propagator._step_arc(g, fam.V, cfg.dt) < propagator._ARC_LIMIT
+        assert engines == {label: "_march_eigenbasis" if label in ("linear Strang", "zero coupling")
+                           else "_march" for label in cases}
+
+
+class TestExactPropagator:
+    """Both engines against the exact flow along sampled paths with jumps:
+    between jumps psi evolves by exp(i tau H_y), H_y = -Lap_h + V_y with
+    Lap_h the spectral Laplacian of grid.dense_laplacian, so each segment
+    is one product with Q_y exp(i tau lambda_y) Q_y^T."""
+
+    grid = SpatialGrid(1, 64, 20.0)
+    times = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
+
+    def exact_rows(self, fam, paths, psi0):
+        eigen = [np.linalg.eigh(dense_laplacian(self.grid).real + np.diag(v)) for v in fam.V]
+        out = []
+        for path, psi in zip(paths, psi0):
+            rows, t = [], 0.0
+            for target in self.times:
+                inside = path.jump_times[(path.jump_times > t) & (path.jump_times < target)]
+                cuts = np.concatenate(([t], inside, [target]))
+                for s, e in zip(cuts[:-1], cuts[1:]):
+                    lam, Q = eigen[state_at(path, 0.5 * (s + e))]
+                    psi = Q @ (np.exp(1j * (e - s) * lam) * (Q.T @ psi))
+                rows.append(psi)
+                t = target
+            out.append(rows)
+        return np.array(out)
+
+    def errors(self, fam, order, dts):
+        paths = sampled_paths(1.0, 6, rate=2.0, seed=5)
+        assert sum(p.jump_times.size for p in paths) >= 6
+        psi0 = gaussian_rows(self.grid, len(paths))
+        exact = self.exact_rows(fam, paths, psi0)
+        errs = []
+        for dt in dts:
+            cfg = SolverConfig(dt=dt, sample_times=self.times, order=order)
+            fields, _, _ = evolve_paths(psi0, fam, paths, None, cfg)
+            errs.append(lebesgue_norm_rows(self.grid, (fields - exact).reshape(-1, self.grid.size),
+                                           2).max())
+        return np.array(errs)
+
+    @pytest.mark.parametrize("make_family", [switching_family, translate_family])
+    @pytest.mark.parametrize("engine", ["_march_eigenbasis", "_march"])
+    def test_strang_converges_at_order_two(self, monkeypatch, make_family, engine):
+        used = record_engines(monkeypatch)
+        if engine == "_march":
+            monkeypatch.setattr(propagator, "_EIGEN_N_CAP", 0)
+        errs = self.errors(make_family(self.grid), 2, [0.02, 0.01, 0.005])
+        assert set(used) == {engine}
+        assert errs[-1] > 1e-10  # the splitting error, not roundoff
+        assert np.all((3.7 <= errs[:-1] / errs[1:]) & (errs[:-1] / errs[1:] <= 4.3))
+
+    @pytest.mark.parametrize("make_family", [switching_family, translate_family])
+    def test_lie_converges_at_order_one(self, monkeypatch, make_family):
+        used = record_engines(monkeypatch)
+        errs = self.errors(make_family(self.grid), 1, [0.01, 0.005, 0.0025])
+        assert set(used) == {"_march"}
+        assert np.all((1.85 <= errs[:-1] / errs[1:]) & (errs[:-1] / errs[1:] <= 2.15))
 
 
 class TestSnapshotIO:
