@@ -248,6 +248,17 @@ class _Schedule:
             yield from self.later.get(j, ())
 
 
+def _flat_paths(paths: list[PathSample]) -> tuple[np.ndarray, ...]:
+    """Every row's jumps in one flat array, row by row, as (jump_times,
+    owner, states, y0): jump g of row r enters state g + r + 1 of the flat
+    state array, and y0 holds each row's flat state index at t = 0."""
+    counts = np.array([p.jump_times.size for p in paths])
+    y0 = np.cumsum(counts) - counts + np.arange(len(paths))
+    return (np.concatenate([p.jump_times for p in paths]),
+            np.repeat(np.arange(len(paths)), counts),
+            np.concatenate([p.states for p in paths]), y0)
+
+
 def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: SolverConfig,
            V: np.ndarray, extra=None) -> Iterator[tuple[float, np.ndarray]]:
     """Yield (t, values) at each of cfg.sample_times, marching the rows of
@@ -266,21 +277,13 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: 
     that loses finiteness is an error.  The yielded array is the march's
     own state: copy it to keep it.
     """
-    every = np.arange(len(paths))
-
     # exp(i tau V) for all states, once per step length; extra's phase is per substep
     potential_phase = None if extra is not None else \
         lru_cache(maxsize=None)(lambda tau: np.exp(1j * tau * V))
 
-    # every row's jumps in one flat array, row by row: jump g of row r
-    # enters state g + r + 1 of the flat state array
-    counts = np.array([p.jump_times.size for p in paths])
-    jump_times = np.concatenate([p.jump_times for p in paths])
-    owner = np.repeat(every, counts)
-    states = np.concatenate([p.states for p in paths])
+    jump_times, owner, states, y_now = _flat_paths(paths)
     in_time = np.argsort(jump_times, kind="stable")
     sorted_times = jump_times[in_time]
-    y_now = np.cumsum(counts) - counts + every  # each row's state at t
     t = 0.0
     for target in cfg.sample_times:
         if target > 1e-15:
@@ -314,6 +317,9 @@ _EIGEN_N_CAP = 512
 _ARC_LIMIT = 0.9 * np.pi
 # Rows per FFT block while a basis is built.
 _BASIS_ROWS = 64
+# Step bases kept across calls, one per (grid, dt, state): a family of two
+# states takes two, and eight hold at most 16 MiB, at the size cap.
+_BASES_KEPT = 8
 
 
 def _step_arc(grid: SpatialGrid, V: np.ndarray, dt: float) -> float:
@@ -322,7 +328,7 @@ def _step_arc(grid: SpatialGrid, V: np.ndarray, dt: float) -> float:
     return dt * (float(laplacian_symbol(grid).max()) + float(np.ptp(V, axis=1).max()))
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=_BASES_KEPT)
 def _step_basis(grid: SpatialGrid, dt: float, v_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     """(O, theta) with S = O diag(exp(i theta)) O^T, O real orthogonal, for
     the Strang step S = K(dt/2) P(dt) K(dt/2) in the potential v (its
@@ -406,14 +412,9 @@ def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSam
     Rows meet only in the dgemms, so each row is bitwise what marching it
     alone gives.
     """
-    every = np.arange(len(paths))
-    counts = np.array([p.jump_times.size for p in paths])
-    jump_times = np.concatenate([p.jump_times for p in paths])
+    jump_times, owner, states, y_now = _flat_paths(paths)
     after = np.append(jump_times, np.inf)  # index -1: no jump left
-    owner = np.repeat(every, counts)
-    states = np.concatenate([p.states for p in paths])
-    row_end = np.cumsum(counts)  # past each row's last jump in jump_times
-    y_now = row_end - counts + every  # each row's flat state index, as in _march
+    row_end = np.bincount(owner, minlength=len(paths)).cumsum()  # past each row's last jump
     symbol, bases = laplacian_symbol(grid), {}
 
     def substeps(rows, start, tau, y, nxt):
