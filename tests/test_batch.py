@@ -257,8 +257,8 @@ def test_random_jump_sets_batch_invariant(jump_sets, order, hartree):
 
 
 # The eigenbasis engine's regime: at this grid and dt the Strang step's
-# phases span 1.06 rad, under propagator._ARC_LIMIT, where GRID at DT spans
-# 3.5 rad, so every test above stays on the march.
+# phases span 1.05 rad, under propagator._ARC_LIMIT, where GRID at DT spans
+# 3.71 rad, so every test above stays on the march.
 ENGINE_GRID = SpatialGrid(1, 64, 20.0)
 ENGINE_DT = 0.01
 # base steps of [0, 0.5] are [0, 0.01], ..., [0.49, 0.5]
@@ -290,16 +290,17 @@ def sub_ulp_jump_sets():
     return sets
 
 
-def engine_calls(monkeypatch):
-    """A list that records the rows of every eigenbasis-engine solve."""
-    calls, engine = [], propagator._march_eigenbasis
+def record_engines(monkeypatch):
+    """A list that names the engine each evolve_paths call marches on."""
+    used = []
+    for name in ("_march", "_march_eigenbasis"):
+        engine = getattr(propagator, name)
 
-    def spy(grid, values, *args):
-        calls.append(len(values))
-        return engine(grid, values, *args)
-
-    monkeypatch.setattr(propagator, "_march_eigenbasis", spy)
-    return calls
+        def spy(*args, _engine=engine, _name=name):
+            used.append(_name)
+            return _engine(*args)
+        monkeypatch.setattr(propagator, name, spy)
+    return used
 
 
 def test_engine_edge_cases_are_what_they_say():
@@ -319,7 +320,7 @@ def test_engine_edge_cases_are_what_they_say():
 def test_eigenbasis_rows_match_single_path(monkeypatch):
     """The engine's jump rounds, head and tail substeps and per-state dgemms
     on 1, 2, 3 and all rows of one batch, each row against itself alone."""
-    calls = engine_calls(monkeypatch)
+    used = record_engines(monkeypatch)
     fam = family(ENGINE_GRID)
     jump_sets = [*ENGINE_JUMPS.values(), *sub_ulp_jump_sets()]
     paths = [two_state_path(j) for j in jump_sets]
@@ -331,13 +332,13 @@ def test_eigenbasis_rows_match_single_path(monkeypatch):
                     [list(range(B))]):
         for batch in batches:
             assert_rows_match_alone([paths[b] for b in batch], psi0[batch], cfg, None, fam)
-    assert calls and all(calls)
+    assert set(used) == {"_march_eigenbasis"}
 
 
 def test_eigenbasis_rows_of_a_large_batch_match_single_path(monkeypatch):
     """260 rows, 520 stacked real rows in a dgemm and operands over 256 KiB,
     with jumps that cut the rows into runs of different lengths."""
-    calls = engine_calls(monkeypatch)
+    used = record_engines(monkeypatch)
     fam = family(ENGINE_GRID)
     cfg = SolverConfig(dt=ENGINE_DT, sample_times=np.array([0.1, 0.2]))
     B = 260
@@ -348,14 +349,14 @@ def test_eigenbasis_rows_of_a_large_batch_match_single_path(monkeypatch):
     for b in (0, 1, 3, B - 1):
         alone = evolve_path(WaveField(ENGINE_GRID, psi0[b]), fam, paths[b], None, cfg)
         assert same_bits(fields[b], alone.fields)
-    assert B in calls
+    assert used == ["_march_eigenbasis"] * 5
 
 
 def test_eigenbasis_rows_at_the_size_cap_match_single_path(monkeypatch):
     """At n = 512 a dgemm of two or three rows differs from the same rows
     inside a larger one: one row alone, two rows and three rows in one
     state must still give each row's bits."""
-    calls = engine_calls(monkeypatch)
+    used = record_engines(monkeypatch)
     grid = SpatialGrid(1, propagator._EIGEN_N_CAP, 120.0)
     cfg = SolverConfig(dt=ENGINE_DT, sample_times=np.array([0.05, 0.1]))
     paths = [two_state_path([], horizon=0.1), two_state_path([], horizon=0.1),
@@ -363,7 +364,7 @@ def test_eigenbasis_rows_at_the_size_cap_match_single_path(monkeypatch):
     psi0 = np.array([initial_field(0.3 * b, grid) for b in range(len(paths))])
     for batch in ([0, 1], [0, 1, 2]):
         assert_rows_match_alone([paths[b] for b in batch], psi0[batch], cfg, None, family(grid))
-    assert calls and all(calls)
+    assert set(used) == {"_march_eigenbasis"}
 
 
 def ensemble_setup():

@@ -34,7 +34,7 @@ from stochnls.propagator import (
     wave_operator_estimate,
     write_scalars_csv,
 )
-from test_batch import march_interval  # the per-path reference march
+from test_batch import march_interval, record_engines  # the per-path march; an engine spy
 
 
 def free_gaussian(grid, a, t, center=None):
@@ -402,19 +402,6 @@ def gaussian_rows(grid, count):
     x = grid.centered_coordinates()[0]
     return np.array([np.pi ** -0.25 * np.exp(-(x - 0.2 * b) ** 2 / 2.0)
                      for b in range(count)], dtype=complex)
-
-
-def record_engines(monkeypatch):
-    """A list that names the engine each evolve_paths call marches on."""
-    used = []
-    for name in ("_march", "_march_eigenbasis"):
-        engine = getattr(propagator, name)
-
-        def spy(*args, _engine=engine, _name=name):
-            used.append(_name)
-            return _engine(*args)
-        monkeypatch.setattr(propagator, name, spy)
-    return used
 
 
 class TestEigenbasisEngine:
