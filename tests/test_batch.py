@@ -25,7 +25,12 @@ from stochnls.grid import (
     sum_norm_rows,
 )
 from stochnls.markov import MarkovModel, PathSample, state_at
-from stochnls.potential import HartreeKernel, make_amplitude_family, shape_field
+from stochnls.potential import (
+    HartreeKernel,
+    make_amplitude_family,
+    make_translate_family,
+    shape_field,
+)
 from stochnls.propagator import (
     SolverConfig,
     _interval_edges,
@@ -63,6 +68,13 @@ def two_state_path(jumps, horizon=1.0):
 def family(grid=GRID):
     well = shape_field(grid, "sech2", amplitude=-2.0, width=1.0)
     return make_amplitude_family(well, well, [-1.0, 1.0], grid)
+
+
+def translate_family(grid=GRID):
+    """The well and its shift by a quarter of the box along every axis."""
+    well = shape_field(grid, "sech2", amplitude=-2.0, width=1.0)
+    return make_translate_family(well, grid, [(0,) * grid.dim,
+                                              (grid.points_per_axis // 4,) * grid.dim])
 
 
 def initial_field(shift=0.0, grid=GRID):
@@ -147,7 +159,10 @@ def test_edge_cases_are_what_they_say():
 
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("epsilon", [0.0, 0.3])
-def test_batched_rows_match_single_path_march(order, epsilon):
+@pytest.mark.parametrize("make_family", [None, translate_family])
+def test_batched_rows_match_single_path_march(order, epsilon, make_family):
+    """make_family None marches the amplitude family."""
+    fam = None if make_family is None else make_family(GRID)
     chi = shape_field(GRID, "gaussian", amplitude=1.0, width=1.0, center=0.0)
     kernel = HartreeKernel(GRID, chi, epsilon=epsilon) if epsilon else None
     cfg = SolverConfig(dt=DT, sample_times=SAMPLE_TIMES, order=order, epsilon=epsilon)
@@ -157,7 +172,7 @@ def test_batched_rows_match_single_path_march(order, epsilon):
                  [[b, (b + 1) % len(paths)] for b in range(len(paths))],  # 2 rows
                  [list(range(len(paths)))]):                              # all rows
         for batch in rows:
-            assert_rows_match_single([paths[b] for b in batch], psi0[batch], cfg, kernel)
+            assert_rows_match_single([paths[b] for b in batch], psi0[batch], cfg, kernel, fam)
 
 
 def test_rows_of_a_large_batch_match_single_path_march():
@@ -205,17 +220,18 @@ def test_substeps_shorter_than_an_ulp_follow_state_at(order):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("epsilon", [0.0, 0.3])
-def test_two_dimensional_batch_matches_single_path_march(order, epsilon):
+@pytest.mark.parametrize("epsilon,make_family", [(0.0, None), (0.3, translate_family)])
+def test_two_dimensional_batch_matches_single_path_march(order, epsilon, make_family):
     """A per-row kinetic phase on a d = 2 grid is transformed over each
-    row's own two axes, never across the row axis."""
+    row's own two axes, never across the row axis.  make_family None
+    marches the amplitude family."""
     grid = SpatialGrid(2, 16, 12.0)
     chi = shape_field(grid, "gaussian", amplitude=1.0, width=1.0, center=0.0)
     kernel = HartreeKernel(grid, chi, epsilon=epsilon) if epsilon else None
     cfg = SolverConfig(dt=DT, sample_times=SAMPLE_TIMES, order=order, epsilon=epsilon)
     paths = [two_state_path(j) for j in JUMPS.values()]
     psi0 = np.array([initial_field(0.3 * b, grid) for b in range(len(paths))])
-    assert_rows_match_single(paths, psi0, cfg, kernel, family(grid))
+    assert_rows_match_single(paths, psi0, cfg, kernel, (make_family or family)(grid))
 
 
 @pytest.mark.parametrize("order", [1, 2])
