@@ -12,9 +12,9 @@ sample time (the state space is finite).  Two weightings are exposed:
 
 Path i of an ensemble uses the seed pair (master_seed, i); paths are
 marched in lockstep batches, each path bitwise as if alone.  The sums of
-the fields, their squared moduli and the counts accumulate one path at a
-time in path order; the outer products accumulate one matrix product per
-(sample time, state) bin over fixed chunks of paths, taken in chunk order.
+the fields, their squared moduli and the counts take one add per path in
+path order, per (sample time, state) bin; the outer products take one
+matrix product per bin over fixed chunks of paths, in chunk order.
 Chunk boundaries are fixed path indices, not batch boundaries, so a
 (configs, master_seed) pair reproduces the reduction bit-for-bit
 regardless of worker count and batch size.
@@ -225,22 +225,25 @@ def run_ensemble(psi0_law, family: PotentialFamily, model: MarkovModel,
 def _reduce(batches, sums, sums_sq, counts, outer, states, scalars) -> None:
     """Fixed-order reduction over (first path index, batch payload) pairs.
 
-    Each path is added to sums, sums_sq and counts in one pass over its
-    sample times: its (time, state) pairs are distinct, so every entry
-    still takes one add per path, in path order.  The outer products are
+    Per (sample time, state) bin, a batch's rows in it are added to sums
+    and sums_sq as one axis-0 reduction of the entry stacked on them, a
+    sequential left fold: every entry takes one add per path, in path
+    order, across batches.  The outer products are
     added per chunk of _CHUNK paths, chunk c holding paths
     [c * _CHUNK, (c + 1) * _CHUNK): one matrix product per (sample time,
     state) bin, the chunks in order.  A chunk inside one batch is read
     from the batch in place; the rows of a chunk that goes on into the
     next batch are copied until that batch arrives.
     """
-    at = np.arange(sums.shape[0])
     pending = []  # (states, fields) pieces of the chunk not yet complete
     for lo, (batch_states, fields, batch_scalars) in batches:
-        for path_states, path_fields in zip(batch_states, fields):
-            sums[at, path_states] += path_fields
-            sums_sq[at, path_states] += np.abs(path_fields) ** 2
-            counts[at, path_states] += 1
+        moduli = np.abs(fields) ** 2
+        for j, y in np.ndindex(counts.shape):
+            in_bin = batch_states[:, j] == y
+            for acc, rows in ((sums, fields), (sums_sq, moduli)):
+                acc[j, y] = np.add.reduce(np.concatenate((acc[j, y][None], rows[in_bin, j])),
+                                          axis=0)
+            counts[j, y] += np.count_nonzero(in_bin)
         hi = lo + len(batch_states)
         states[lo:hi] = batch_states
         for k, table in scalars.items():
@@ -417,20 +420,20 @@ def write_summary_json(path, avg: ConditionalAverage, series: PathScalarSeries,
     import json
 
     n = series.l2.shape[0]
+    moments = {}  # name: (means, standard errors) per time, over each time's contiguous row
+    for name in ("l2", "suml2linf", "energy_kinetic", "energy_potential",
+                 "energy_hartree", "weighted_mass"):
+        table = np.ascontiguousarray(getattr(series, name).T)
+        moments[name] = (table.mean(axis=1), table.std(axis=1, ddof=1) / np.sqrt(n) if n > 1
+                         else np.zeros(len(table)))
     per_time = []
     for j, t in enumerate(avg.sample_times):
         entry = {
             "t": float(t),
             "counts": avg.counts[j].tolist(),
-            "scalars": {},
+            "scalars": {name: {"mean": float(mean[j]), "stderr": float(se[j])}
+                        for name, (mean, se) in moments.items()},
         }
-        for name in ("l2", "suml2linf", "energy_kinetic", "energy_potential",
-                     "energy_hartree", "weighted_mass"):
-            col = getattr(series, name)[:, j]
-            entry["scalars"][name] = {
-                "mean": float(col.mean()),
-                "stderr": float(col.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-            }
         if residuals is not None:
             entry["identity_residuals"] = {
                 k: (float(v[j]) if np.ndim(v) else float(v))
@@ -440,4 +443,4 @@ def write_summary_json(path, avg: ConditionalAverage, series: PathScalarSeries,
     doc = {"N": ecfg.N, "seed": ecfg.master_seed, "horizon": ecfg.horizon,
            "per_time": per_time}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(doc, indent=2, sort_keys=True))  # one write, the same encoder

@@ -312,18 +312,15 @@ def lorentz_norm_rows(grid: SpatialGrid, values: np.ndarray, p: float,
         expo = q / p
         weight = t[1:] ** expo - t[:-1] ** expo
         full = np.sum(mags**q * weight, axis=-1)
-    out = np.empty(mags.shape[0])
-    for b, row in enumerate(mags):
-        s = full[b]
-        if row[-1] == 0.0:
-            nz = row > 0
-            if not np.any(nz):
-                out[b] = 0.0
-                continue
-            s = (np.max(weight[nz] * row[nz]) if q == np.inf
-                 else np.sum(row[nz] ** q * weight[nz]))
-        out[b] = s if q == np.inf else ((p / q) * s) ** (1.0 / q)
-    return out
+    for b in np.flatnonzero(mags[:, -1] == 0.0):
+        row = mags[b]
+        nz = row > 0
+        full[b] = 0.0 if not nz.any() else (np.max(weight[nz] * row[nz]) if q == np.inf
+                                            else np.sum(row[nz] ** q * weight[nz]))
+    if q == np.inf:
+        return full
+    # roots per row on scalars, as in lebesgue_norm_rows
+    return np.array([x ** (1.0 / q) for x in (p / q) * full])
 
 
 def sum_norm(psi: WaveField) -> float:
@@ -342,12 +339,9 @@ def sum_norm_rows(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     mags, _ = _rearrangement(grid, values)
     sq = np.zeros((mags.shape[0], mags.shape[1] + 1))
     sq[:, 1:] = np.cumsum(mags**2, axis=-1) * grid.cell_volume
-    # threshold lam = mags[i] keeps cells with |f| > mags[i]: the cells
-    # before the first one tied with cell i
-    index = np.arange(mags.shape[1])
-    first = np.ones(mags.shape, dtype=bool)
-    first[:, 1:] = mags[:, 1:] != mags[:, :-1]
-    keep = np.maximum.accumulate(np.where(first, index, 0), axis=-1)
-    candidates = np.sqrt(np.take_along_axis(sq, keep, axis=-1)) + mags
+    # threshold lam = mags[i] keeps the cells before the first one tied with
+    # cell i; sq is nondecreasing, so a later tied cell's sqrt(sq[i]) + mags[i]
+    # is no smaller than the first's and the min needs no tie bookkeeping
+    candidates = np.sqrt(sq[:, :-1]) + mags
     return np.minimum(np.sqrt(sq[:, -1]), candidates.min(axis=-1))
 

@@ -29,7 +29,7 @@ __all__ = [
     "ground_state",
     "heat_kernel",
     "sample_path",
-    "state_at",
+    "states_at",
     "path_rng",
 ]
 
@@ -257,12 +257,27 @@ def sample_path(model: MarkovModel, T: float, seed: int | tuple[int, ...]) -> Pa
                                np.array(states, dtype=np.int64), seed_tuple)
 
 
-def state_at(path: PathSample, t: float | np.ndarray) -> int | np.ndarray:
-    """Right-continuous evaluation: at a jump time the post-jump state counts.
+def _flat_paths(paths: list[PathSample]) -> tuple[np.ndarray, ...]:
+    """Every row's jumps in one flat array, row by row, as (jump_times,
+    owner, states, y0): jump g of row r enters state g + r + 1 of the flat
+    state array, and y0 holds each row's flat state index at t = 0."""
+    counts = np.array([p.jump_times.size for p in paths])
+    y0 = np.cumsum(counts) - counts + np.arange(len(paths))
+    return (np.concatenate([p.jump_times for p in paths]),
+            np.repeat(np.arange(len(paths)), counts),
+            np.concatenate([p.states for p in paths]), y0)
 
-    For an array of times, the states at each of them as an array."""
-    t = np.asarray(t, dtype=float)
-    if t.min() < 0 or t.max() > path.horizon:
-        raise ValueError(f"t={t} outside [0, {path.horizon}]")
-    states = path.states[np.searchsorted(path.jump_times, t, side="right")]
-    return int(states) if t.ndim == 0 else states
+
+def states_at(paths: list[PathSample], t: np.ndarray) -> np.ndarray:
+    """Right-continuous evaluation of B paths at T times t, shape (T,) or
+    (B, T): at a jump time the post-jump state counts.  The (B, T) states
+    come from one count of each row's jumps at or before each time."""
+    jump_times, owner, states, y0 = _flat_paths(paths)
+    t = np.broadcast_to(np.asarray(t, dtype=float), (len(paths), np.shape(t)[-1]))
+    horizons = np.array([p.horizon for p in paths])
+    if t.min() < 0 or np.any(t > horizons[:, None]):
+        raise ValueError("a time lies outside [0, horizon] of its path")
+    passed = np.zeros((jump_times.size + 1, t.shape[1]), dtype=np.int64)
+    np.cumsum(jump_times[:, None] <= t[owner], axis=0, out=passed[1:])
+    first = y0 - np.arange(len(paths))  # each row's first jump in jump_times
+    return states[y0[:, None] + passed[np.append(first[1:], jump_times.size)] - passed[first]]

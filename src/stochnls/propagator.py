@@ -30,9 +30,11 @@ same substeps:
   Between two jumps every base step applies the same unitary Strang step
   S_y, so the engine diagonalises S_y once, O_y diag(exp(i theta_y)) O_y^T
   with O_y real, and takes an uncut run of k steps as one phase multiply
-  in that basis; the substeps cut at jumps go by FFT phases.  It is the
-  same scheme as the march to roundoff, so dt and order keep their
-  meaning.
+  in that basis; the substeps cut at jumps go by FFT phases.  It marches
+  whole paths in rounds, the rows' segments between consecutive jumps and
+  sample times taken one per row per round, and fills the sample-time
+  fields itself.  It is the same scheme as the march to roundoff, so dt
+  and order keep their meaning.
 
 Hartree rows, Picard's frozen fields, Lie rows, d = 2, larger grids and
 wider arcs go to the march.  On either engine each row is bitwise what
@@ -51,7 +53,7 @@ import numpy as np
 from .diagnostics import energy_rows
 from .grid import SpatialGrid, WaveField, apply_multiplier, free_flow, kinetic_phase, \
     laplacian_symbol, lebesgue_norm, lebesgue_norm_rows, spectral_convolution, sum_norm_rows
-from .markov import PathSample, state_at
+from .markov import PathSample, _flat_paths, states_at
 from .potential import HartreeKernel, PotentialFamily
 
 # Not used here: the benchmark's tracer (perfbench/layers.py) wraps these
@@ -184,7 +186,7 @@ class _Schedule:
         tau, first = end - tj, np.zeros((B, S + 1))  # substep 0 of each row's steps, 0 past the end
         first[:, :S], cell = taus, (r[new], j[new])
         first[cell] = tj[new] - edges[j[new]]
-        # a midpoint rounded onto the substep's end sees the state from there, as state_at does
+        # a midpoint rounded onto the substep's end sees the state from there, as states_at does
         y0[cell] = np.where(edges[j[new]] + 0.5 * first[cell] < tj[new], y0[cell], y[new])
         y = np.where(tj + 0.5 * tau < end, y, np.where(last, y0[r, j + 1], np.append(y[1:], 0)))
         cut = np.zeros((B, S + 1), dtype=bool)
@@ -246,17 +248,6 @@ class _Schedule:
                 tau, mid = self.tau0[j], self.mid0[j]
             yield None, tau, mid, y, *flows, pot
             yield from self.later.get(j, ())
-
-
-def _flat_paths(paths: list[PathSample]) -> tuple[np.ndarray, ...]:
-    """Every row's jumps in one flat array, row by row, as (jump_times,
-    owner, states, y0): jump g of row r enters state g + r + 1 of the flat
-    state array, and y0 holds each row's flat state index at t = 0."""
-    counts = np.array([p.jump_times.size for p in paths])
-    y0 = np.cumsum(counts) - counts + np.arange(len(paths))
-    return (np.concatenate([p.jump_times for p in paths]),
-            np.repeat(np.arange(len(paths)), counts),
-            np.concatenate([p.states for p in paths]), y0)
 
 
 def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: SolverConfig,
@@ -393,18 +384,21 @@ def _phase_run(values: np.ndarray, O: np.ndarray, Ot: np.ndarray, theta: np.ndar
 
 
 def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample],
-                      cfg: SolverConfig, V: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
+                      cfg: SolverConfig, V: np.ndarray, fields: np.ndarray) -> None:
     """:func:`_march` for linear Strang rows on a one-axis grid, values of
     shape (B, n) and V of shape (m, n): the same substeps, with each row's
     uncut run of k base steps in state y as one multiply by exp(i k
-    theta_y) in the eigenbasis of the step (:func:`_step_basis`).
+    theta_y) in the eigenbasis of the step (:func:`_step_basis`), filling
+    fields, shape (B, T, n), with each row at each sample time.
 
-    Each interval is marched in jump rounds.  Round rho of a row spans its
-    rho-th to its (rho + 1)-th jump inside the interval (the interval's
-    ends standing in): a head substep by FFT phases up to the first base
-    edge, for a row that starts off one; then the run of whole base steps,
-    one :func:`_phase_run` per state; then a tail substep from the last
-    base edge, for a row that ends off one.  Two jumps inside one base step
+    A table built up front cuts every row's path into segments at its jumps
+    and at the sample times; a segment takes its interval's base edges.
+    Round sigma marches the sigma-th segment of every row that has one: a
+    head substep by FFT phases up to the first base edge, for a segment
+    that starts off one; then the run of whole base steps, one
+    :func:`_phase_run` per state; then a tail substep from the last base
+    edge, for a segment that ends off one.  A segment that ends at a sample
+    time then copies its row into fields.  Two events inside one base step
     make one substep between them.  Each substep takes the state at its
     midpoint, as :func:`_march` does, so a sub-ulp substep whose midpoint
     rounds onto a jump takes the state entered there.  A run takes each
@@ -412,55 +406,80 @@ def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSam
     Rows meet only in the dgemms, so each row is bitwise what marching it
     alone gives.
     """
-    jump_times, owner, states, y_now = _flat_paths(paths)
+    B, T = fields.shape[:2]
+    M = np.count_nonzero(cfg.sample_times > 1e-15)  # the earlier sample times hold psi0
+    fields[:, :T - M] = values[:, None]
+    if not M:
+        return
+    targets = cfg.sample_times[T - M:]
+    starts = np.append(0.0, targets[:-1])
+    edges = [_interval_edges(t0, t1, cfg.dt) for t0, t1 in zip(starts, targets)]
+    flat_edges, past = np.concatenate(edges), np.cumsum([e.size for e in edges])
+    first = np.append(0, past[:-1])  # each interval's edges are flat_edges[first:past]
+
+    jump_times, owner, states, y0 = _flat_paths(paths)
     after = np.append(jump_times, np.inf)  # index -1: no jump left
-    row_end = np.bincount(owner, minlength=len(paths)).cumsum()  # past each row's last jump
+    row_end = np.bincount(owner, minlength=B).cumsum()  # past each row's last jump
+    # each jump's interval, M past the last sample time: a jump on a sample
+    # time closes its interval, one inside the interval starts a segment
+    ivl = targets.searchsorted(jump_times)
+    closed = np.bincount(owner * (M + 1) + ivl, minlength=B * (M + 1)).reshape(B, M + 1)[:, :M]
+    inside = np.flatnonzero(jump_times < np.append(targets, 0.0)[ivl])
+    # the segments, by row and then time, from each interval's start and each inside jump
+    row = np.concatenate((np.repeat(np.arange(B), M), owner[inside]))
+    ivl = np.concatenate((np.tile(np.arange(M), B), ivl[inside]))
+    start = np.concatenate((np.tile(starts, B), jump_times[inside]))
+    y = np.concatenate(((y0[:, None] + closed.cumsum(axis=1) - closed).ravel(),
+                        inside + owner[inside] + 1))  # the flat state a segment starts in
+    by_row = np.lexsort((start, row))
+    row, ivl, start, y = row[by_row], ivl[by_row], start[by_row], y[by_row]
+    last = np.append((row[1:] != row[:-1]) | (ivl[1:] != ivl[:-1]), True)  # ends its interval
+    end = np.where(last, targets[ivl], np.append(start[1:], 0.0))
+    nxt = after[np.where(y - row < row_end[row], y - row, -1)]  # the row's next jump
+    ih = np.maximum(flat_edges.searchsorted(start, side="left"), first[ivl])
+    il = np.minimum(flat_edges.searchsorted(end, side="right"), past[ivl]) - 1
+    single = ih > il  # both ends inside one base step
+    tail_start = flat_edges[il]
+    head = np.where(single, end, flat_edges[ih]) - start
+    tail = np.where(single, 0.0, end - tail_start)
+    k = np.where(single, 0, il - ih)
+    # a substep's flat state: the one at its midpoint
+    y_head, y_tail = y + (start + 0.5 * head >= nxt), y + (tail_start + 0.5 * tail >= nxt)
+    round_of = np.arange(row.size) - row.searchsorted(row)  # the segment's place in its row
+    by_round = np.argsort(round_of, kind="stable")  # by round, then row
+    row, head, y_head, tail, y_tail, k, in_state, column = (a[by_round] for a in (
+        row, head, y_head, tail, y_tail, k, np.where(k > 0, states[y], -1),
+        np.where(last, T - M + ivl, -1)))
+    bounds = np.append(0, np.bincount(round_of).cumsum())
     symbol, bases = laplacian_symbol(grid), {}
 
-    def substeps(rows, start, tau, y, nxt):
-        """Strang substeps [start, start + tau] of the rows with tau > 0, each
-        in the state at its midpoint: y, or the one entered at nxt."""
+    def substeps(rows, tau, y):
+        """Strang substeps of length tau in the flat states y, on the rows with tau > 0."""
         cut = tau > 0
         if cut.any():
-            rows, tau, mid = rows[cut], tau[cut], start[cut] + 0.5 * tau[cut]
+            rows, tau = rows[cut], tau[cut]
             half = np.exp(1j * (0.5 * tau)[:, None] * symbol)
-            pot = np.exp(1j * tau[:, None] * V[states[y[cut] + (mid >= nxt[cut])]])
+            pot = np.exp(1j * tau[:, None] * V[states[y[cut]]])
             sub = apply_multiplier(values[rows], half, ndim=1)
             values[rows] = apply_multiplier(np.multiply(sub, pot, out=pot), half, ndim=1)
 
-    t = 0.0
-    for target in cfg.sample_times:
-        if target > 1e-15:
-            edges = _interval_edges(t, target, cfg.dt)
-            closed = np.bincount(owner[(jump_times > t) & (jump_times <= target)],
-                                 minlength=len(paths))
-            inside = closed - np.bincount(owner[jump_times == target], minlength=len(paths))
-            for rho in range(int(inside.max(initial=0)) + 1):
-                rows = np.flatnonzero(inside >= rho)
-                g = y_now[rows] - rows + rho  # the round's closing jump in jump_times
-                nxt = after[np.where(g < row_end[rows], g, -1)]
-                start = after[g - 1] if rho else np.full(rows.size, t)
-                end = np.where(inside[rows] > rho, nxt, target)
-                ih = edges.searchsorted(start, side="left")
-                il = edges.searchsorted(end, side="right") - 1
-                single = ih > il  # both ends inside one base step
-                y = y_now[rows] + rho
-                substeps(rows, start, np.where(single, end, edges[ih]) - start, y, nxt)
-                k = np.where(single, 0, il - ih)
-                in_state = np.where(k > 0, states[y], -1)
-                for state in range(len(V)):
-                    run = in_state == state
-                    if not run.any():
-                        continue
-                    if state not in bases:
-                        O, theta = _step_basis(grid, cfg.dt, V[state].tobytes())
-                        bases[state] = O, np.ascontiguousarray(O.T), theta
-                    values[rows[run]] = _phase_run(values[rows[run]], *bases[state], k[run])
-                substeps(rows, edges[il], np.where(single, 0.0, end - edges[il]), y, nxt)
-            y_now, t = y_now + closed, target
-            if not np.all(np.isfinite(values.view(float))):
-                raise RuntimeError(f"solution lost finiteness at t={t}")
-        yield target, values
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = row[lo:hi]
+        substeps(rows, head[lo:hi], y_head[lo:hi])
+        for state in range(len(V)):
+            run = np.flatnonzero(in_state[lo:hi] == state)
+            if not run.size:
+                continue
+            if state not in bases:
+                O, theta = _step_basis(grid, cfg.dt, V[state].tobytes())
+                bases[state] = O, np.ascontiguousarray(O.T), theta
+            values[rows[run]] = _phase_run(values[rows[run]], *bases[state], k[lo:hi][run])
+        substeps(rows, tail[lo:hi], y_tail[lo:hi])
+        done = column[lo:hi] >= 0
+        fields[rows[done], column[lo:hi][done]] = values[rows[done]]
+    lost = ~np.isfinite(fields[:, T - M:].view(float)).all(axis=(0, 2))
+    if lost.any():
+        raise RuntimeError(f"solution lost finiteness at t={targets[lost.argmax()]}")
 
 
 def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSample],
@@ -485,7 +504,8 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
         raise ValueError("psi0 needs one row of the family's grid size per path")
     if np.any(lebesgue_norm_rows(grid, psi0, 2) == 0.0):
         raise ValueError("initial data must have positive L2 norm")
-    if any(p.horizon < cfg.sample_times[-1] - 1e-12 for p in paths):
+    horizons = np.array([p.horizon for p in paths])
+    if np.any(horizons < cfg.sample_times[-1] - 1e-12):
         raise ValueError("path horizon is shorter than the last sample time")
 
     eps = cfg.epsilon
@@ -498,20 +518,20 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
         def extra(mid, vals):
             return _hartree_rows(grid, vals, kernel).reshape(vals.shape)
 
-    states = np.array([state_at(p, np.minimum(cfg.sample_times, p.horizon)) for p in paths],
-                      dtype=np.int64).reshape(B, T)
+    states = states_at(paths, np.minimum(cfg.sample_times, horizons[:, None]))
     names = ("l2", "suml2linf", "energy_kinetic", "energy_potential", "energy_hartree")
     scalars = {k: np.empty((B, T)) for k in names}
     fields = np.empty((B, T, grid.size), dtype=complex)
     if extra is None and grid.dim == 1 and cfg.order == 2 and grid.size <= _EIGEN_N_CAP \
             and _step_arc(grid, family.V, cfg.dt) < _ARC_LIMIT:
-        marched = _march_eigenbasis(grid, psi0.copy(), paths, cfg, family.V)
+        _march_eigenbasis(grid, psi0.copy(), paths, cfg, family.V, fields)
     else:
-        marched = _march(grid, psi0.reshape(B, *grid.shape).copy(), paths, cfg,
-                         family.V.reshape(family.m, *grid.shape), extra)
-    for j, (_, values) in enumerate(marched):
-        rows = values.reshape(B, grid.size)
-        fields[:, j] = rows
+        for j, (_, values) in enumerate(_march(grid, psi0.reshape(B, *grid.shape).copy(), paths,
+                                               cfg, family.V.reshape(family.m, *grid.shape),
+                                               extra)):
+            fields[:, j] = values.reshape(B, grid.size)
+    for j in range(T):
+        rows = np.ascontiguousarray(fields[:, j])
         columns = (lebesgue_norm_rows(grid, rows, 2), sum_norm_rows(grid, rows),
                    *energy_rows(grid, rows, family.V[states[:, j]], kernel))
         for name, column in zip(names, columns):

@@ -24,7 +24,7 @@ from stochnls.grid import (
     sum_norm,
     sum_norm_rows,
 )
-from stochnls.markov import MarkovModel, PathSample, state_at
+from stochnls.markov import MarkovModel, PathSample, states_at
 from stochnls.potential import (
     HartreeKernel,
     make_amplitude_family,
@@ -57,6 +57,11 @@ JUMPS = {
     # the last step of one interval and the first step of the next
     "across-intervals": [0.47, 0.53],
 }
+
+
+def state_at(path, t):
+    """One path's state at one time."""
+    return states_at([path], [t])[0, 0]
 
 
 def two_state_path(jumps, horizon=1.0):
@@ -203,7 +208,7 @@ def rounds_onto_end(start, end):
 @pytest.mark.parametrize("order", [1, 2])
 def test_substeps_shorter_than_an_ulp_follow_state_at(order):
     """A substep one ulp long has its midpoint rounded onto its end, where
-    state_at already counts the jump there: the march must see that
+    the state lookup already counts the jump there: the march must see that
     state too, whether the end is another jump, a base edge holding a jump,
     or a sample time holding one."""
     a = 0.31  # inside the base step [6 dt, 7 dt]
@@ -521,6 +526,15 @@ def one_field_lorentz(values, p, q):
     return float(((p / q) * np.sum(mags[nz] ** q * increments[nz])) ** (1.0 / q))
 
 
+def one_field_sum_norm(values):
+    """The sum norm of one field threshold by threshold: the min over lam in
+    {0} and the |f_i| of ||f 1_{|f| > lam}||_2 + lam, each kept set's
+    squares summed in decreasing order."""
+    mags = np.sort(np.abs(values))[::-1]
+    prefix = np.concatenate(([0.0], np.cumsum(mags**2) * GRID.cell_volume))
+    return min(np.sqrt(prefix[np.count_nonzero(mags > lam)]) + lam for lam in [0.0, *mags])
+
+
 def test_row_norms_match_one_field_forms():
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((40, GRID.size)) + 1j * rng.standard_normal((40, GRID.size))
@@ -533,6 +547,9 @@ def test_row_norms_match_one_field_forms():
         assert same_bits(lebesgue_norm_rows(GRID, rows, p),
                          [lebesgue_norm(f, p) for f in fields])
     assert same_bits(sum_norm_rows(GRID, rows), [sum_norm(f) for f in fields])
+    # moduli tied in groups of eight, besides rows[0]'s pairs and the zero cells
+    ties = np.vstack((rows, np.repeat(rng.random(4), 8) * np.tile([1, -1, 1j, -1j], 8)))
+    assert same_bits(sum_norm_rows(GRID, ties), [one_field_sum_norm(r) for r in ties])
     for p, q in ((6.0, 2.0), (2.5, 1.5), (2.0, np.inf), (0.5, np.inf)):
         batched = lorentz_norm_rows(GRID, rows, p, q)
         assert same_bits(batched, [lorentz_norm(f, p, q) for f in fields])

@@ -11,7 +11,7 @@ from stochnls.markov import (
     heat_kernel,
     path_rng,
     sample_path,
-    state_at,
+    states_at,
     validate_generator,
 )
 
@@ -124,7 +124,7 @@ class TestSamplePath:
         model = MarkovModel(np.zeros((1, 1)))
         path = sample_path(model, 5.0, seed=42)
         assert path.jump_times.size == 0
-        assert state_at(path, 3.3) == 0
+        assert states_at([path], [3.3]).tolist() == [[0]]
 
     def test_determinism(self):
         model = MarkovModel(ring_laplacian(3), initial_law=np.full(3, 1 / 3))
@@ -156,11 +156,8 @@ class TestSamplePath:
         A = np.array([[1.5, -1.0, -0.5], [-1.0, 2.0, -1.0], [-0.5, -1.0, 1.5]])
         y0, t, N = 2, 0.7, 10**4
         model = MarkovModel(A, initial_law=y0)
-        counts = np.zeros(3)
-        for i in range(N):
-            path = sample_path(model, 1.0, seed=(55, i))
-            counts[state_at(path, t)] += 1
-        emp = counts / N
+        paths = [sample_path(model, 1.0, seed=(55, i)) for i in range(N)]
+        emp = np.bincount(states_at(paths, [t])[:, 0], minlength=3) / N
         expected = heat_kernel(model, t).K[:, y0]
         for p_emp, p in zip(emp, expected):
             assert abs(p_emp - p) <= 4 * np.sqrt(p * (1 - p) / N)
@@ -278,37 +275,60 @@ class TestSamplePath:
 
 
 class TestStateAt:
+    """The right-continuous state lookup, states_at, one row per path."""
+
     def path(self):
         return sample_path(MarkovModel(two_state(5.0), initial_law=0), 10.0, seed=9)
 
     def test_initial_state(self):
-        assert state_at(self.path(), 0.0) == 0
+        assert states_at([self.path()], [0.0]).tolist() == [[0]]
 
     def test_just_before_first_jump(self):
         p = self.path()
         assert p.jump_times.size > 0
-        assert state_at(p, np.nextafter(p.jump_times[0], 0.0)) == p.states[0]
+        assert states_at([p], [np.nextafter(p.jump_times[0], 0.0)])[0, 0] == p.states[0]
 
     def test_right_continuity_at_jump(self):
         p = self.path()
-        assert state_at(p, p.jump_times[0]) == p.states[1]
+        assert states_at([p], [p.jump_times[0]])[0, 0] == p.states[1]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            state_at(self.path(), 10.5)
+            states_at([self.path()], [10.5])
         with pytest.raises(ValueError):
-            state_at(self.path(), -0.1)
+            states_at([self.path()], [-0.1])
         with pytest.raises(ValueError):
-            state_at(self.path(), np.array([0.0, 10.5]))
+            states_at([self.path()], np.array([0.0, 10.5]))
+        short = sample_path(MarkovModel(two_state(5.0), initial_law=0), 5.0, seed=9)
+        with pytest.raises(ValueError):  # past the horizon of one path only
+            states_at([self.path(), short], [0.0, 7.5])
+        assert states_at([self.path(), short], [[0.0, 7.5], [0.0, 5.0]]).shape == (2, 2)
 
     def test_array_of_times_matches_per_time_calls(self):
         p = self.path()
         assert p.jump_times.size > 2
         times = np.concatenate((np.linspace(0.0, 10.0, 41), p.jump_times,
                                 np.nextafter(p.jump_times, 0.0)))
-        states = state_at(p, times)
-        assert states.shape == times.shape and states.dtype == np.int64
-        assert states.tolist() == [state_at(p, t) for t in times]
-        assert all(type(state_at(p, t)) is int for t in times[:3])
-        grid_of_times = times[:40].reshape(4, 10)
-        assert state_at(p, grid_of_times).tolist() == states[:40].reshape(4, 10).tolist()
+        states = states_at([p], times)
+        assert states.shape == (1, times.size) and states.dtype == np.int64
+        assert states[0].tolist() == [states_at([p], [t])[0, 0] for t in times]
+
+    def test_rows_match_one_lookup_per_path(self):
+        """Each row against a searchsorted of its own path, at jumps, just
+        before them and on a grid of times, with jumpless paths among them;
+        then with times of their own for each row."""
+        model = MarkovModel(ring_laplacian(3), initial_law=np.full(3, 1 / 3))
+        paths = [sample_path(model, 10.0, seed=s) for s in range(6)]
+        paths.insert(2, sample_path(MarkovModel(np.zeros((1, 1))), 10.0, seed=0))
+        paths.append(sample_path(MarkovModel(np.zeros((1, 1))), 10.0, seed=1))
+        assert sum(p.jump_times.size > 2 for p in paths) >= 4
+        times = np.concatenate((np.linspace(0.0, 10.0, 41), paths[0].jump_times,
+                                np.nextafter(paths[0].jump_times, 0.0), paths[3].jump_times))
+
+        def lookup(path, t):
+            return path.states[np.searchsorted(path.jump_times, t, side="right")].tolist()
+        assert states_at(paths, times).tolist() == [lookup(p, times) for p in paths]
+        own = np.array([np.minimum(times + 0.1 * b, 10.0) for b in range(len(paths))])
+        states = states_at(paths, own)
+        assert states.dtype == np.int64
+        assert states.tolist() == [lookup(p, t) for p, t in zip(paths, own)]

@@ -13,7 +13,7 @@ from stochnls.grid import (
     lebesgue_norm,
     lebesgue_norm_rows,
 )
-from stochnls.markov import MarkovModel, PathSample, sample_path, state_at
+from stochnls.markov import MarkovModel, PathSample, sample_path
 from stochnls.potential import (
     HartreeKernel,
     PotentialFamily,
@@ -34,7 +34,8 @@ from stochnls.propagator import (
     wave_operator_estimate,
     write_scalars_csv,
 )
-from test_batch import march_interval, record_engines  # the per-path march; an engine spy
+# the per-path march, an engine spy and one path's state at one time
+from test_batch import march_interval, record_engines, state_at
 
 
 def free_gaussian(grid, a, t, center=None):
@@ -474,6 +475,20 @@ class TestEigenbasisEngine:
                 assert propagator._step_arc(g, fam.V, cfg.dt) < propagator._ARC_LIMIT
         assert engines == {label: "_march_eigenbasis" if label in ("linear Strang", "zero coupling")
                            else "_march" for label in cases}
+
+    @pytest.mark.parametrize("engine", ["_march_eigenbasis", "_march"])
+    def test_lost_finiteness_names_the_first_marched_time(self, monkeypatch, engine):
+        """A non-finite row is an error at the first sample time past t = 0."""
+        used = record_engines(monkeypatch)
+        if engine == "_march":
+            monkeypatch.setattr(propagator, "_EIGEN_N_CAP", 0)
+        grid = SpatialGrid(1, 64, 20.0)
+        psi0 = gaussian_rows(grid, 3)
+        psi0[1, 5] = np.nan
+        cfg = SolverConfig(dt=0.01, sample_times=np.array([0.0, 0.1, 0.2]))
+        with pytest.raises(RuntimeError, match=r"finiteness at t=0\.1$"):
+            evolve_paths(psi0, switching_family(grid), sampled_paths(0.2, 3, rate=5.0), None, cfg)
+        assert used == [engine]
 
 
 class TestExactPropagator:
