@@ -9,19 +9,21 @@ chain's position, into two deterministic equations:
 
 with A acting on the state index y.  Here g and f carry the joint
 (probability-weighted) bookkeeping: summing tr f(y) over states gives the
-conserved total mass.  Sources enter on the left-hand side, matching the
-per-path solver's Duhamel convention.
+conserved total mass.  A source, which no caller in the package supplies,
+is added at each step's midpoint with weight i*dt.
 
-Both solvers drive one march with the same symmetric splitting
-    kinetic(dt/2) mixing(dt/2) potential(dt) mixing(dt/2) kinetic(dt/2)
-so that for a single state they reduce factor-for-factor to the per-path
-stepping (tensor-factorization oracle), and for V = 0 the composition
-collapses exactly to e^{-tA} composed with the free flow.  Between sample
-times the march fuses each step's trailing kinetic(dt/2) with the next
-step's leading one, as the per-path march does.  The mixing factor is the
-exact matrix exponential e^{-dt A/2}, precomputed once; its entries are
-nonnegative with unit column sums, so Hermiticity, positivity and total
-trace survive every step.
+Both solvers drive one march of the symmetric splitting
+    K(dt/2) M(dt/2) P(dt) M(dt/2) K(dt/2)
+(K the free flow, M the mixing e^{-tA}, P the potential phase), so that for a
+single state they reduce factor-for-factor to the per-path stepping
+(tensor-factorization oracle), and for V = 0 the composition collapses
+exactly to e^{-tA} composed with the free flow.  K acts per state and M
+pointwise in x, so they commute, and the march joins a step's trailing
+M(dt/2) K(dt/2) to the next step's leading pair: one mixing, a real np.dot
+on the float view, and one kinetic call per step.  M is nonnegative with
+unit column sums, so Hermiticity, positivity and total trace survive every
+step; the Liouville K transforms two Hermitian kernels at once, as
+f[2j] + i f[2j+1], and unpacks each Hermitian bit for bit.
 
 The Liouville solver stores dense (n x n) kernels per state and is
 restricted to one space dimension; the identities it feeds (trace
@@ -101,6 +103,13 @@ class AveragedDensityMatrix:
         if scale > 0 and herm > 1e-10 * scale:
             raise ValueError(f"kernel is not Hermitian (residual {herm:.3e})")
 
+    @classmethod
+    def _marched(cls, grid: SpatialGrid, f: np.ndarray, t: float) -> "AveragedDensityMatrix":
+        """A march snapshot: its kernels are Hermitian bit for bit (f0's at t = 0)."""
+        snap = object.__new__(cls)
+        snap.grid, snap.f, snap.t = grid, f, t
+        return snap
+
     @property
     def m(self) -> int:
         return self.f.shape[0]
@@ -110,61 +119,54 @@ class AveragedDensityMatrix:
                             initial=0.0))
 
 
-def _kick(model: MarkovModel, cfg: SolverConfig, potential, source, grid):
-    """A step's middle factors at its midpoint: mixing(dt/2) potential
-    source mixing(dt/2) for Strang order, mixing(dt) potential source for
-    Lie.  The state axis leads; potential(values) multiplies in place, and
-    source(grid, t) is injected with weight i*dt.
-
-    kick(values, spare, t_mid) mixes from one buffer into the other and
-    returns (result, free buffer); the mixing is np.dot over the state
-    axis, as np.tensordot computes it."""
-    strang = cfg.order == 2
-    mix = heat_kernel(model, 0.5 * cfg.dt if strang else cfg.dt).K
-    m = mix.shape[0]
-
-    def mixed(src, dst):
-        np.dot(mix, src.reshape(m, -1), out=dst.reshape(m, -1))
-        return dst
-
-    def kick(values, spare, t_mid):
-        kicked = potential(mixed(values, spare))
+def _kick(cfg: SolverConfig, potential, source, grid):
+    """P in place at a step's midpoint: kick(values, t_mid) multiplies by the
+    potential phase and adds source(grid, t_mid) with weight i*dt."""
+    def kick(values, t_mid):
+        potential(values)
         if source is not None:
-            inject = np.asarray(source(grid, t_mid)).reshape(kicked.shape)
-            np.add(kicked, 1j * cfg.dt * inject, out=kicked)
-        return (mixed(kicked, values), kicked) if strang else (kicked, values)
+            inject = np.asarray(source(grid, t_mid)).reshape(values.shape)
+            np.add(values, 1j * cfg.dt * inject, out=values)
     return kick
 
 
-def _march(values: np.ndarray, cfg: SolverConfig, flow, kick, record) -> None:
+def _march(values: np.ndarray, model: MarkovModel, cfg: SolverConfig, phase,
+           kinetic, kick, record) -> None:
     """March values over cfg.sample_times, calling record(t, values) at each.
 
-    A step is flow(dt/2) kick flow(dt/2) (Strang) or flow(dt) kick (Lie);
-    flow(tau) is the free flow's Fourier multiplier and kick(values, spare,
-    t_mid) applies the step's middle factors.  A Strang step's trailing
-    half-flow is fused with the next step's leading one (the multipliers
-    compose exactly), so k steps between sample times cost k + 1 multiplier
-    calls.  The march owns `values` and swaps it with one spare buffer, so
-    it allocates nothing per step; record must copy what it keeps.
+    M(tau) mixes the state axis by e^{-tau A}: one real np.dot on the float
+    view, since A is real.  K(tau) is kinetic(values, spare, phase(tau)), in
+    place, and P is kick.  As M and K commute, k Strang steps between sample
+    times run, in order of application, as
+        M(dt/2) K(dt/2) [P M(dt) K(dt)]^(k-1) P M(dt/2) K(dt/2),
+    and k Lie steps K(dt) M(dt) P as M(dt) K(dt) [P M(dt) K(dt)]^(k-1) P:
+    k + 1 kinetic calls (Lie: k) and one mixing a step.  The march owns
+    `values` and swaps it with one spare buffer, so it allocates nothing per
+    step; record must copy what it keeps.
     """
-    dt = cfg.dt
-    half, full = flow(0.5 * dt), flow(dt)
+    dt, m = cfg.dt, values.shape[0]
     strang = cfg.order == 2
+    lead = 0.5 * dt if strang else dt
+    factors = {tau: (heat_kernel(model, tau).K, phase(tau)) for tau in (lead, dt)}
     spare = np.empty_like(values)
+
+    def hop(values, spare, tau):  # M(tau) K(tau), into spare
+        mix, flow = factors[tau]
+        np.dot(mix, values.view(np.float64).reshape(m, -1),
+               out=spare.view(np.float64).reshape(m, -1))
+        kinetic(spare, values, flow)
+        return spare, values
+
     t = 0.0
     for target in cfg.sample_times:
         n_steps = 0 if target <= 1e-15 else int(round((target - t) / dt))
-        if strang and n_steps:
-            values, spare = apply_multiplier(values, half, out=spare), values
+        if n_steps:
+            values, spare = hop(values, spare, lead)
         for j in range(n_steps):
+            kick(values, t + 0.5 * dt)
             last = j == n_steps - 1
-            if strang:
-                values, spare = kick(values, spare, t + 0.5 * dt)
-                values, spare = apply_multiplier(values, half if last else full,
-                                                 out=spare), values
-            else:
-                values, spare = apply_multiplier(values, full, out=spare), values
-                values, spare = kick(values, spare, t + 0.5 * dt)
+            if not last or strang:
+                values, spare = hop(values, spare, lead if last else dt)
             t = target if last else t + dt
         if not np.all(np.isfinite(values.view(np.float64))):
             raise RuntimeError(f"averaged solve lost finiteness at t={target}")
@@ -189,8 +191,9 @@ def solve_scalar_averaged(g0: AveragedField, family: PotentialFamily,
     pot = np.exp(1j * cfg.dt * family.V).reshape(shape)
     out: list[AveragedField] = []
     # the state axis is the multiplier's batch axis
-    _march(g0.g.reshape(shape).copy(), cfg, lambda tau: kinetic_phase(grid, tau),
-           _kick(model, cfg, lambda g: np.multiply(pot, g, out=g), source, grid),
+    _march(g0.g.reshape(shape).copy(), model, cfg, lambda tau: kinetic_phase(grid, tau),
+           lambda g, _, flow: apply_multiplier(g, flow, out=g),
+           _kick(cfg, lambda g: np.multiply(pot, g, out=g), source, grid),
            lambda t, g: out.append(AveragedField(grid, g.reshape(m, -1).copy(), t=t)))
     return out
 
@@ -214,23 +217,40 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
     if f0.m != m or family.m != m:
         raise ValueError("state counts of f0, family and model disagree")
 
-    def pair_phase(tau):
-        # U f U^H is the multiplier exp(i tau (|k1|^2 - |k2|^2)) on the kernel
-        # (-Lap_{x1} + Lap_{x2}); the state axis is its batch axis
-        p = kinetic_phase(grid, tau)
-        return p[:, None] * p.conj()[None, :]
-
-    pot = np.exp(1j * cfg.dt * family.V)  # (m, n) phases
-    pot_left, pot_right = pot[:, :, None], pot.conj()[:, None, :]
+    # e^{i dt V(x1)} e^{-i dt V(x2)} of the antisymmetric difference, so that
+    # weights * f is Hermitian bit for bit
+    weights = np.exp(1j * cfg.dt * (family.V[:, :, None] - family.V[:, None, :]))
     out: list[AveragedDensityMatrix] = []
-
-    def potential(f):
-        np.multiply(pot_left, f, out=f)
-        return np.multiply(f, pot_right, out=f)
-
-    _march(f0.f.copy(), cfg, pair_phase, _kick(model, cfg, potential, source, grid),
-           lambda t, f: out.append(AveragedDensityMatrix(grid, f.copy(), t=t)))
+    _march(f0.f.copy(), model, cfg, lambda tau: _pair_phase(grid, tau), _pair_flow,
+           _kick(cfg, lambda f: np.multiply(weights, f, out=f), source, grid),
+           lambda t, f: out.append(AveragedDensityMatrix._marched(grid, f.copy(), t)))
     return out
+
+
+def _pair_phase(grid: SpatialGrid, tau: float) -> np.ndarray:
+    """Half the multiplier exp(i tau (|k1|^2 - |k2|^2)) of U f U^H; the 1/2
+    belongs to :func:`_pair_flow`'s unpacking."""
+    p = kinetic_phase(grid, tau)
+    return 0.5 * p[:, None] * p.conj()[None, :]
+
+
+def _pair_flow(f: np.ndarray, spare: np.ndarray, phase: np.ndarray) -> None:
+    """U f U^H in place for Hermitian kernels f, shape (m, n, n), two per
+    transform: G = f[2j] + i f[2j+1] (an odd last kernel alone) in spare goes
+    to X under the halved phase, and X + X^H and (X - X^H)/i, each Hermitian
+    bit for bit, are the pair's conjugates.  X^H goes first into the odd slot
+    (the lone kernel's own slot)."""
+    m, q = f.shape[0], f.shape[0] // 2
+    g = spare[:m - q]
+    np.multiply(f[1::2], 1j, out=g[:q])
+    np.add(g[:q], f[0:2 * q:2], out=g[:q])
+    g[q:] = f[2 * q:]
+    x = apply_multiplier(g, phase, out=g)
+    np.conjugate(x[:q].transpose(0, 2, 1), out=f[1::2])
+    np.conjugate(x[q:].transpose(0, 2, 1), out=f[2 * q:])
+    np.add(x[q:], f[2 * q:], out=f[2 * q:])
+    np.add(x[:q], f[1::2], out=f[0:2 * q:2])
+    np.multiply(np.subtract(x[:q], f[1::2], out=f[1::2]), -1j, out=f[1::2])
 
 
 def density(f: AveragedDensityMatrix) -> np.ndarray:

@@ -174,7 +174,7 @@ def apply_multiplier(values: np.ndarray, phase: np.ndarray,
     into each other.  A one-axis transform takes the plain fft/ifft pair,
     which costs about half an fftn/ifftn pair at desk-scale lengths, where
     a transform is mostly call overhead.  Given `out` (complex, shaped like
-    `values`, not `values` itself), both transforms write into it and it is
+    `values`, or `values` itself), both transforms write into it and it is
     returned; the result is bitwise the same.
 
     Complex products here and in the march are explicit np.multiply calls

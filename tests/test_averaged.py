@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stochnls.averaged import (
     AveragedDensityMatrix,
     AveragedField,
+    _pair_flow,
+    _pair_phase,
     density,
     psd_check,
     solve_liouville_averaged,
@@ -29,6 +33,18 @@ def gaussian(grid, a=1.0):
 def two_state_model(rate=1.0):
     A = rate * np.array([[1.0, -1.0], [-1.0, 1.0]])
     return MarkovModel(A, initial_law=np.array([0.5, 0.5]))
+
+
+def three_state_model():
+    A = np.array([[1.4, -1.0, -0.4], [-1.0, 1.7, -0.7], [-0.4, -0.7, 1.1]])
+    return MarkovModel(A, initial_law=np.array([0.2, 0.3, 0.5]))
+
+
+def hermitian_kernels(grid, m, seed):
+    rng = np.random.default_rng(seed)
+    n = grid.points_per_axis
+    a = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    return a + a.conj().transpose(0, 2, 1)
 
 
 def well_family(grid, m=2, contrast=0.5):
@@ -223,21 +239,24 @@ class TestFusedMarch:
     dt = 0.01
 
     def setup(self, gap_steps, order, with_source, pair):
+        # pair=3: the Liouville case with three states, one kernel unpaired
         grid = SpatialGrid(1, 32, 10.0)
-        model = two_state_model(1.1)
-        fam = well_family(grid, contrast=0.7)
+        m = 3 if pair == 3 else 2
+        model = two_state_model(1.1) if m == 2 else three_state_model()
+        fam = well_family(grid, m=m, contrast=0.7)
         times = np.round(np.arange(0.0, 11 * gap_steps) * self.dt, 10)[::gap_steps]
         cfg = SolverConfig(dt=self.dt, sample_times=times, order=order)
         psi = gaussian(grid)
         bump = gaussian(grid, 3.0)
         if pair:
             values = np.array([0.3 * np.outer(psi, psi.conj()),
-                               0.7 * np.outer(bump, bump.conj())])
+                               0.7 * np.outer(bump, bump.conj()),
+                               0.2 * np.outer(psi + bump, (psi + bump).conj())][:m])
 
             def source(grid, t):
                 # anti-Hermitian, so the injected i*dt*F keeps f Hermitian
                 w = np.cos(3.0 * t) * bump
-                return 0.1j * np.array([np.outer(w, w.conj())] * 2)
+                return 0.1j * np.array([np.outer(w, w.conj())] * m)
         else:
             values = np.vstack([psi, 0.5 * bump])
 
@@ -245,7 +264,7 @@ class TestFusedMarch:
                 return 0.1 * np.vstack([np.sin(2.0 * t) * bump, np.cos(t) * psi])
         return grid, model, fam, cfg, values, source if with_source else None
 
-    @pytest.mark.parametrize("pair", [False, True])
+    @pytest.mark.parametrize("pair", [False, True, 3])
     @pytest.mark.parametrize("with_source", [False, True])
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("gap_steps", [1, 5])
@@ -263,7 +282,7 @@ class TestFusedMarch:
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
-    @pytest.mark.parametrize("pair", [False, True])
+    @pytest.mark.parametrize("pair", [False, True, 3])
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("gap_steps", [1, 5])
     def test_multiplier_calls_per_interval(self, monkeypatch, gap_steps, order, pair):
@@ -284,6 +303,71 @@ class TestFusedMarch:
         intervals = cfg.sample_times.size - 1  # the first sample is t = 0
         per_interval = gap_steps + 1 if order == 2 else gap_steps
         assert len(calls) == intervals * per_interval
+
+
+class TestPairFlow:
+    """The packed kinetic factor by itself: two Hermitian kernels per complex
+    transform, unpacked on the float views."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_per_state_conjugation(self, m):
+        grid = SpatialGrid(1, 32, 10.0)
+        f = hermitian_kernels(grid, m, seed=m)
+        p = np.exp(0.37j * laplacian_symbol(grid))
+        want = np.array([apply_multiplier(k, np.outer(p, p.conj())) for k in f])
+        got, spare = f.copy(), np.empty_like(f)
+        _pair_flow(got, spare, _pair_phase(grid, 0.37))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(got, got.conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_snapshots_after_time_zero_are_hermitian_bit_for_bit(self, order):
+        grid = SpatialGrid(1, 32, 10.0)
+        f0 = AveragedDensityMatrix(grid, 1e-3 * hermitian_kernels(grid, 3, seed=9))
+        cfg = SolverConfig(dt=0.01, sample_times=np.array([0.0, 0.03, 0.1]), order=order)
+        series = solve_liouville_averaged(f0, well_family(grid, m=3), three_state_model(),
+                                          cfg)
+        for snap in series[1:]:
+            assert np.array_equal(snap.f, snap.f.conj().transpose(0, 2, 1))
+
+
+@st.composite
+def liouville_cases(draw):
+    """A weighted graph-Laplacian generator on m = 2..4 states (a path of
+    positive weights plus any other edges), an initial law, n, order and dt."""
+    m = draw(st.integers(2, 4))
+    weights = np.zeros((m, m))
+    for a in range(m):
+        for b in range(a + 1, m):
+            low = 0.1 if b == a + 1 else 0.0
+            weights[a, b] = weights[b, a] = draw(st.floats(low, 3.0))
+    law = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    return (np.diag(weights.sum(axis=1)) - weights, law / law.sum(),
+            draw(st.sampled_from([32, 64])), draw(st.sampled_from([1, 2])),
+            draw(st.sampled_from([1e-3, 5e-3, 0.02])), draw(st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(liouville_cases())
+def test_liouville_structure_holds_at_c6_gates(case):
+    """Total trace, Hermiticity and positivity of the Liouville solve at C6's
+    gates, for drawn generators, initial laws, grids, orders and steps."""
+    A, law, n, order, dt, contrast = case
+    m = law.size
+    grid = SpatialGrid(1, n, 20.0)
+    model = MarkovModel(A, initial_law=law)
+    kernels = [law[y] * np.outer(psi, psi.conj())
+               for y, psi in enumerate(gaussian(grid, 0.5 + y) for y in range(m))]
+    f0 = AveragedDensityMatrix(grid, np.array(kernels))
+    cfg = SolverConfig(dt=dt, sample_times=dt * np.array([0, 1, 6, 20, 40]), order=order)
+    series = solve_liouville_averaged(f0, well_family(grid, m=m, contrast=contrast),
+                                      model, cfg)
+    table = structure_table(series)
+    totals, herms, min_eigs = table[:, -3:].T
+    assert np.max(np.abs(totals - totals[0])) <= 1e-8 * abs(totals[0])
+    assert herms.max() <= 1e-12 * max(float(np.max(np.abs(s.f))) for s in series)
+    assert min_eigs.min() >= -1e-8 * totals[0]
 
 
 class TestDensityTracePsd:
