@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpatialGrid, apply_multiplier, kinetic_phase
+from .grid import SpatialGrid, apply_multiplier, kinetic_phase, parity_blocks
 from .markov import MarkovModel, heat_kernel
 from .potential import PotentialFamily
 from .propagator import SolverConfig
@@ -268,10 +268,26 @@ def trace(f: AveragedDensityMatrix) -> tuple[np.ndarray, float]:
     return per_state, float(per_state.sum())
 
 
+def _hermitized(f: np.ndarray) -> np.ndarray:
+    return 0.5 * (f + f.conj().swapaxes(-1, -2))
+
+
 def psd_check(f: AveragedDensityMatrix) -> np.ndarray:
-    """Minimum eigenvalue of each state's kernel (dense Hermitian solve)."""
-    hermitized = 0.5 * (f.f + f.f.conj().transpose(0, 2, 1))
-    return np.linalg.eigvalsh(hermitized)[:, 0]
+    """Minimum eigenvalue of each state's kernel (dense Hermitian solve).
+
+    When every kernel commutes with the grid reflection x -> -x, its even-odd
+    coupling block at most 1e-12 times its max |f|, the kernels are solved
+    on their even and odd halves (:func:`stochnls.grid.parity_blocks`), and
+    each state's least eigenvalue is the smaller of its two halves'.
+    Otherwise the whole kernels take one stacked solve.
+    """
+    even, odd = parity_blocks(f.grid)
+    scale = np.abs(f.f).reshape(f.m, -1).max(axis=1)
+    coupling = np.abs(even.restrict(f.f, odd)).reshape(f.m, -1).max(axis=1, initial=0.0)
+    if not np.all(coupling <= 1e-12 * scale):
+        return np.linalg.eigvalsh(_hermitized(f.f))[:, 0]
+    return np.min([np.linalg.eigvalsh(_hermitized(b.restrict(f.f)))[:, 0]
+                   for b in (even, odd) if b.index.size], axis=0)
 
 
 def structure_table(series: list[AveragedDensityMatrix]) -> np.ndarray:

@@ -31,6 +31,8 @@ import numpy as np
 
 from . import __version__
 from .averaged import (
+    LIOUVILLE_M_CAP,
+    LIOUVILLE_N_CAP,
     AveragedDensityMatrix,
     AveragedField,
     solve_liouville_averaged,
@@ -129,12 +131,15 @@ def _check_type(key: str, value, tag: str):
         raise ConfigError(f"key {key!r}: expected {tag}, got {value!r}")
 
 
-def parse_config(path: str | None = None, text: str | None = None) -> dict:
+def parse_config(path: str | None = None, text: str | None = None,
+                 kind: str | None = None) -> dict:
     """Read, validate and default-fill an experiment config.
 
     Returns the flat {dotted key: value} mapping.  Unknown-key, type and
     cross-key violations are collected and reported together; unknown keys
     name their closest known key.  A TOML syntax error stops at once.
+    `kind`, when given, is the experiment to run (the CLI subcommand): it
+    replaces experiment.kind, and the keys are checked against it.
     """
     import tomllib
 
@@ -163,9 +168,11 @@ def parse_config(path: str | None = None, text: str | None = None) -> dict:
             errors.append(str(exc))
     for key, (_tag, default) in KNOWN_KEYS.items():
         values.setdefault(key, default)
-    errors.extend(_cross_validate(values))
+    errors.extend(_cross_validate(values, kind or values["experiment.kind"]))
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+    if kind is not None:
+        values["experiment.kind"] = kind
     return values
 
 
@@ -175,7 +182,7 @@ def _matrix_from_config(cfg: dict) -> np.ndarray:
     return np.asarray(cfg["markov.matrix"], dtype=float)
 
 
-def _cross_validate(cfg: dict) -> list[str]:
+def _cross_validate(cfg: dict, kind: str) -> list[str]:
     errors = []
     if cfg["experiment.kind"] not in EXPERIMENT_KINDS:
         errors.append(f"experiment.kind must be one of {EXPERIMENT_KINDS}")
@@ -197,6 +204,12 @@ def _cross_validate(cfg: dict) -> list[str]:
         errors.append(
             f"potential.shifts has {len(cfg['potential.shifts'])} entries "
             f"but markov.matrix has {m} states")
+    if kind == "liouville" and (cfg["grid.d"] != 1 or cfg["grid.n"] > LIOUVILLE_N_CAP
+                                or m > LIOUVILLE_M_CAP):
+        errors.append(
+            f"the liouville kind needs grid.d = 1, grid.n <= {LIOUVILLE_N_CAP} and at most "
+            f"{LIOUVILLE_M_CAP} markov states; got grid.d = {cfg['grid.d']}, "
+            f"grid.n = {cfg['grid.n']}, {m} states")
     law = cfg["markov.initial_law"]
     if isinstance(law, list) and len(law) != m:
         errors.append(f"markov.initial_law has {len(law)} entries for {m} states")
@@ -451,12 +464,10 @@ def main(argv=None) -> int:
     if args.command == "fit-decay":
         return _cmd_fit_decay(args)
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(args.config, kind=args.command)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    cfg = dict(cfg)
-    cfg["experiment.kind"] = args.command
     return run(cfg, args.out, seed=args.seed, threads=args.threads)
 
 

@@ -14,6 +14,8 @@ Conventions used throughout the package:
   the real-to-complex transform pair, so its result is real by construction.
 * All integral norms carry the cell-volume weight h**d so that values
   converge to their continuum counterparts under refinement.
+* The reflection x -> -x splits the index into even and odd blocks
+  (:func:`parity_blocks`), the one parity basis of the dense solves.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "spectral_convolution",
     "dft_matrix",
     "dense_laplacian",
+    "ParityBlock",
+    "parity_blocks",
     "lebesgue_norm",
     "lebesgue_norm_rows",
     "lorentz_norm",
@@ -248,6 +252,65 @@ def dense_laplacian(grid: SpatialGrid) -> np.ndarray:
     F = dft_matrix(grid)
     L = F.conj().T @ (laplacian_symbol(grid)[:, None] * F)
     return 0.5 * (L + L.conj().T)
+
+
+@dataclass(frozen=True)
+class ParityBlock:
+    """An invariant subspace of the reflection x -> -x with the orthonormal
+    basis b_a = weight_a (e_{index_a} + sign e_{mirror_a}), mirror_a the
+    reflected index_a on the same state; index None is the whole space in
+    its own basis, on which every map below is the identity."""
+
+    size: int
+    index: np.ndarray | None = None
+    mirror: np.ndarray | None = None
+    weight: np.ndarray | None = None
+    sign: float = 1.0
+
+    def restrict(self, M: np.ndarray, right: ParityBlock | None = None) -> np.ndarray:
+        """B^H M C on the last two axes, C the basis of `right` (default: this
+        block): a diagonal block of M, or the coupling between two blocks,
+        which vanishes when M commutes with the reflection."""
+        right = self if right is None else right
+        if self.index is None:
+            return M
+        rows = M[..., self.index, :] + self.sign * M[..., self.mirror, :]
+        both = rows[..., right.index] + right.sign * rows[..., right.mirror]
+        return self.weight[:, None] * both * right.weight[None, :]
+
+    def restrict_diagonal(self, d: np.ndarray) -> np.ndarray:
+        """The diagonal of B^H diag(d) B for an even d."""
+        return d if self.index is None else d[self.index]
+
+    def extend(self, X: np.ndarray) -> np.ndarray:
+        """B X: columns in block coordinates back on the full index."""
+        if self.index is None:
+            return X
+        scaled = self.weight[:, None] * X
+        out = np.zeros((self.size, X.shape[1]), dtype=X.dtype)
+        out[self.index] = scaled
+        out[self.mirror] += self.sign * scaled
+        return out
+
+
+def parity_blocks(grid: SpatialGrid, m: int = 1) -> list[ParityBlock]:
+    """The even and odd blocks of the state-major index over m states
+    (index = y * grid.size + x), reflecting x on each state.
+
+    Even basis: (e_j + e_-j)/sqrt 2 for each pair j != -j, and e_j for the
+    fixed points j = -j (the origin and the half-box points).  Odd basis:
+    (e_j - e_-j)/sqrt 2 for each pair.  Both list their indices ascending.
+    """
+    mirror_x = grid.reflect(np.arange(grid.size))
+    size = m * grid.size
+    index = np.arange(size)
+    mirror = (index // grid.size) * grid.size + mirror_x[index % grid.size]
+    even, odd = index <= mirror, index < mirror
+    fixed = index[even] == mirror[even]
+    return [ParityBlock(size, index[even], mirror[even],
+                        np.where(fixed, 0.5, np.sqrt(0.5)), 1.0),
+            ParityBlock(size, index[odd], mirror[odd],
+                        np.full(int(odd.sum()), np.sqrt(0.5)), -1.0)]
 
 
 def lebesgue_norm(psi: WaveField, p: float) -> float:

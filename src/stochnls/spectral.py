@@ -22,11 +22,20 @@ so spectra here and dynamics in the propagators share one discretization.
 The free resolvent R0 is applied in the exact eigenbasis of H0 (DFT
 tensor eigenvectors of A), so KB costs no inverse.
 
--Lap and iA commute with the grid reflection x -> -x on each state, so
-when every state's V is even, H and every KB(lambda) are block-diagonal
-in the orthonormal basis of even and odd functions: the eigensolves and
-singular value decompositions run on the two half-size blocks, and their
-spectra together are the whole operator's.
+Two exact symmetries split the dense solves into blocks:
+
+* When V does not depend on y (every row equal, every one-state family
+  among them), H is block-diagonal in the basis q_j x e_x, q_j the
+  eigenvectors of the symmetric A, with blocks h + i mu_j, h = -Lap + V
+  real symmetric.  The eigensolve is then one real symmetric solve of h:
+  each level E gives E + i mu_j for every eigenvalue mu_j of A, with real
+  parts exactly equal across j.
+* -Lap and iA commute with the grid reflection x -> -x on each state, so
+  when every state's V is even, H, h and every KB(lambda) are
+  block-diagonal in the orthonormal basis of even and odd functions
+  (:func:`stochnls.grid.parity_blocks`): the eigensolves and singular
+  value decompositions run on the two half-size blocks, and their spectra
+  together are the whole operator's.
 """
 
 from __future__ import annotations
@@ -35,7 +44,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpatialGrid, dense_laplacian, dft_matrix, laplacian_symbol
+from .grid import (
+    ParityBlock,
+    SpatialGrid,
+    dense_laplacian,
+    dft_matrix,
+    laplacian_symbol,
+    parity_blocks,
+)
 from .markov import MarkovModel
 from .potential import PotentialFamily, split
 
@@ -62,6 +78,7 @@ class DiscreteHamiltonian:
     H: np.ndarray = field(repr=False)
     well_window: np.ndarray = field(repr=False)  # boolean mask over cells
     V: np.ndarray = field(repr=False)  # (m, grid.size), the diagonal of H - H0
+    A: np.ndarray = field(repr=False)  # (m, m), the chain's symmetric generator
 
     @property
     def size(self) -> int:
@@ -92,70 +109,21 @@ def assemble_h(family: PotentialFamily, model: MarkovModel,
         + 1j * np.kron(model.A, np.eye(grid.size))
     H += np.diag(family.V.reshape(-1).astype(complex))
     return DiscreteHamiltonian(grid=grid, m=m, H=H, well_window=_well_window(family),
-                               V=family.V)
+                               V=family.V, A=model.A)
 
 
-@dataclass(frozen=True)
-class _Block:
-    """An invariant subspace with the orthonormal basis
-    b_a = weight_a (e_{index_a} + sign e_{mirror_a}), mirror_a the reflected
-    index_a on the same state; index None is the whole space in its own
-    basis, on which every map below is the identity."""
-
-    size: int
-    index: np.ndarray | None = None
-    mirror: np.ndarray | None = None
-    weight: np.ndarray | None = None
-    sign: float = 1.0
-
-    def restrict(self, M: np.ndarray) -> np.ndarray:
-        """B^H M B for a matrix M that commutes with the reflection."""
-        if self.index is None:
-            return M
-        rows = M[self.index] + self.sign * M[self.mirror]
-        both = rows[:, self.index] + self.sign * rows[:, self.mirror]
-        return self.weight[:, None] * both * self.weight[None, :]
-
-    def restrict_diagonal(self, d: np.ndarray) -> np.ndarray:
-        """The diagonal of B^H diag(d) B for an even d."""
-        return d if self.index is None else d[self.index]
-
-    def extend(self, X: np.ndarray) -> np.ndarray:
-        """B X: columns in block coordinates back on the full index."""
-        if self.index is None:
-            return X
-        scaled = self.weight[:, None] * X
-        out = np.zeros((self.size, X.shape[1]), dtype=X.dtype)
-        out[self.index] = scaled
-        out[self.mirror] += self.sign * scaled
-        return out
-
-
-def _parity_blocks(grid: SpatialGrid, fields) -> list[_Block]:
+def _parity_blocks(grid: SpatialGrid, fields) -> list[ParityBlock]:
     """The even and odd blocks of the state-major index when every field
     (each (m, grid.size), one row per state) is even under grid.reflect to
     1e-12 max(1, max |field|), as HartreeKernel tests chi; the whole space
-    as one block otherwise.
-
-    Even basis: (e_j + e_-j)/sqrt 2 for each pair j != -j, and e_j for the
-    fixed points j = -j (the origin and the half-box points).  Odd basis:
-    (e_j - e_-j)/sqrt 2 for each pair.
-    """
+    as one block otherwise."""
     mirror_x = grid.reflect(np.arange(grid.size))
     m = fields[0].shape[0]
-    size = m * grid.size
     for f in fields:
         scale = max(1.0, float(np.max(np.abs(f), initial=0.0)))
         if np.max(np.abs(f - f[:, mirror_x]), initial=0.0) > 1e-12 * scale:
-            return [_Block(size)]
-    index = np.arange(size)
-    mirror = (index // grid.size) * grid.size + mirror_x[index % grid.size]
-    even, odd = index <= mirror, index < mirror
-    fixed = index[even] == mirror[even]
-    return [_Block(size, index[even], mirror[even],
-                   np.where(fixed, 0.5, np.sqrt(0.5)), 1.0),
-            _Block(size, index[odd], mirror[odd],
-                   np.full(int(odd.sum()), np.sqrt(0.5)), -1.0)]
+            return [ParityBlock(m * grid.size)]
+    return parity_blocks(grid, m)
 
 
 @dataclass
@@ -170,33 +138,68 @@ class EigenReport:
 
         When V does not depend on y, H block-diagonalizes over spec(A), so
         each level E of -Lap + V appears here as E + i mu for every mu in
-        spec(A), with real parts equal only up to roundoff.  The bound
+        spec(A), with exactly equal real parts and the same localization
+        (:func:`eigen_analysis` solves the chain modes apart).  The bound
         state is then the localized eigenvalue with the least |Im|, not
         the one with the lowest real part.
         """
         return self.eigenvalues[self.localization > threshold]
 
 
+def _chain_modes(ham: DiscreteHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and localizations of H for a y-independent V, from the
+    real symmetric h = -Lap + V alone.
+
+    With A = Q diag(mu) Q^T, H = (Q x I)(I x h + i diag(mu) x I)(Q x I)^T,
+    so q_j x u is an eigenvector for each eigenpair (E, u) of h, with
+    eigenvalue E + i mu_j and the window fraction of u.  h is the real part
+    of H's first diagonal block (the chain enters H only through i A), and
+    is solved per parity block of V.  The eigenvalues come mu-major, each
+    mu_j's levels even block first.
+    """
+    n = ham.grid.size
+    h = ham.H[:n, :n].real
+    levels, loc = [], []
+    for block in _parity_blocks(ham.grid, (ham.V[:1],)):
+        E, U = np.linalg.eigh(block.restrict(h))
+        mass = block.extend(U) ** 2
+        levels.append(E)
+        loc.append(mass[ham.well_window].sum(axis=0) / mass.sum(axis=0))
+    levels, loc = np.concatenate(levels), np.concatenate(loc)
+    mu = np.linalg.eigvalsh(ham.A)
+    return (levels[None, :] + 1j * mu[:, None]).reshape(-1), np.tile(loc, ham.m)
+
+
 def eigen_analysis(ham: DiscreteHamiltonian) -> EigenReport:
-    """Dense nonsymmetric eigensolve with localization bookkeeping.
+    """Dense eigensolve with localization bookkeeping.
 
     Dissipativity puts the spectrum in the (numerically closed) upper
     half-plane; a violation beyond 1e-8 * ||H|| is a hard error.
 
-    For an even V the solve runs per parity block, and the eigenvalues come
-    even block first.  An eigenvalue shared by both blocks then gets
-    pure-parity eigenvectors, so its localization can differ from that of
-    an unsplit solve's mixed eigenvectors; only simple localized levels
-    enter C8's gates.
+    When every row of V is equal (every one-state family among them), H
+    splits into the chain modes h + i mu_j (:func:`_chain_modes`), and one
+    real symmetric solve per parity block of h gives the whole spectrum.
+    The rows are compared exactly, not to a tolerance: when they differ H
+    is not normal, and a dropped coupling of any size has no bound on its
+    effect on the spectrum.
+
+    Otherwise the solve is nonsymmetric; for an even V it runs per parity
+    block, and the eigenvalues come even block first.  An eigenvalue shared
+    by both blocks then gets pure-parity eigenvectors, so its localization
+    can differ from that of an unsplit solve's mixed eigenvectors; only
+    simple localized levels enter C8's gates.
     """
-    window = np.tile(ham.well_window, ham.m)
-    eigvals, loc = [], []
-    for block in _parity_blocks(ham.grid, (ham.V,)):
-        vals, vecs = np.linalg.eig(block.restrict(ham.H))
-        mass = np.abs(block.extend(vecs)) ** 2
-        eigvals.append(vals)
-        loc.append(mass[window].sum(axis=0) / mass.sum(axis=0))
-    eigvals, loc = np.concatenate(eigvals), np.concatenate(loc)
+    if np.all(ham.V == ham.V[0]):
+        eigvals, loc = _chain_modes(ham)
+    else:
+        window = np.tile(ham.well_window, ham.m)
+        eigvals, loc = [], []
+        for block in _parity_blocks(ham.grid, (ham.V,)):
+            vals, vecs = np.linalg.eig(block.restrict(ham.H))
+            mass = np.abs(block.extend(vecs)) ** 2
+            eigvals.append(vals)
+            loc.append(mass[window].sum(axis=0) / mass.sum(axis=0))
+        eigvals, loc = np.concatenate(eigvals), np.concatenate(loc)
     norm = float(np.max(np.abs(eigvals)))
     min_imag = float(np.min(eigvals.imag))
     if min_imag < -1e-8 * max(norm, 1.0):

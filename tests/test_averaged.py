@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -409,6 +411,19 @@ class TestDensityTracePsd:
         f = self.rank_one(grid, gaussian(grid))
         assert psd_check(f)[0] >= -1e-12
 
+    def test_odd_negative_direction_is_reported(self):
+        # an even kernel whose one negative eigenvector is odd: the odd half
+        # alone holds the least eigenvalue
+        grid = SpatialGrid(1, 32, 8.0)
+        rng = np.random.default_rng(6)
+        u, w = rng.standard_normal((2, grid.size))
+        mirror = grid.reflect(np.arange(grid.size))
+        odd, even = u - u[mirror], w + w[mirror]
+        f = (0.5 * np.eye(grid.size) + np.outer(even, even)
+             - np.outer(odd, odd) / (odd @ odd)).astype(complex)
+        assert np.array_equal(reflected(grid, f[None]), f[None])
+        assert psd_check(AveragedDensityMatrix(grid, f))[0] == pytest.approx(-0.5, abs=1e-12)
+
     def test_stacked_solve_matches_per_state_loop(self):
         grid = SpatialGrid(1, 32, 8.0)
         rng = np.random.default_rng(4)
@@ -417,6 +432,41 @@ class TestDensityTracePsd:
         hermitized = 0.5 * (f.f + f.f.conj().transpose(0, 2, 1))
         loop = [np.linalg.eigvalsh(hermitized[y])[0] for y in range(f.m)]
         assert np.array_equal(psd_check(f), loop)
+
+
+def reflected(grid, f):
+    """R f R for kernels f of shape (m, n, n), R the grid reflection x -> -x."""
+    mirror = grid.reflect(np.arange(grid.size))
+    return f[:, mirror][:, :, mirror]
+
+
+def full_min_eigenvalues(f):
+    """The least eigenvalues of the whole hermitized kernels, one stacked solve."""
+    return np.linalg.eigvalsh(0.5 * (f + f.conj().transpose(0, 2, 1)))[:, 0]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([4, 8, 16, 32, 64]), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.integers(0, 3))
+def test_psd_check_solves_even_kernels_on_their_halves(n, m, seed, rank):
+    """Kernels made even under the reflection are solved on their even and
+    odd halves, to 1e-12 of the whole solve; uneven ones on the whole kernel,
+    bitwise.  Rank 0 draws a Hermitian kernel, rank r > 0 a PSD one of rank r,
+    whose least eigenvalue is a roundoff-size zero."""
+    grid = SpatialGrid(1, n, 8.0)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    f = (a + a.conj().transpose(0, 2, 1) if rank == 0
+         else a[:, :, :rank] @ a[:, :, :rank].conj().transpose(0, 2, 1))
+    even = 0.5 * (f + reflected(grid, f))
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        got = psd_check(AveragedDensityMatrix(grid, even))
+    assert [c.args[0].shape for c in spy.call_args_list] == [
+        (m, n // 2 + 1, n // 2 + 1), (m, n // 2 - 1, n // 2 - 1)]
+    scale = np.max(np.abs(even), axis=(1, 2))
+    assert np.all(np.abs(got - full_min_eigenvalues(even)) <= 1e-12 * scale)
+    assert np.array_equal(psd_check(AveragedDensityMatrix(grid, f)), full_min_eigenvalues(f))
 
 
 class TestCsvOutput:

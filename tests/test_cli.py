@@ -397,6 +397,17 @@ class TestMainEntry:
         code = main(["path", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_liouville_beyond_its_cap_exit_code(self, tmp_path, capsys):
+        # the shipped grid.n = 256 exceeds the Liouville solver's n <= 128
+        code = main(["liouville", "--seed", "7", "--out", str(tmp_path)])
+        assert code == 2
+        assert "grid.n <= 128" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(ConfigError, match="liouville kind"):
+            parse_config(text='experiment.kind = "liouville"\ngrid.d = 2\ngrid.n = 16\n')
+        assert parse_config(text="grid.n = 128\n", kind="liouville")["experiment.kind"] \
+            == "liouville"
+
     def test_syntax_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.toml"
         bad.write_text("grid.n = \n")

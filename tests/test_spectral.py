@@ -301,6 +301,20 @@ split_settings = settings(max_examples=12, deadline=None, derandomize=True,
                           suppress_health_check=[HealthCheck.too_slow])
 
 
+def assert_matches_unsplit(report, ham):
+    """The report's eigenvalues are the whole-space solve's to 1e-10 ||H||,
+    matched one to one, and a well separated level's localization is the
+    same in either basis (its eigenvector is unique up to phase)."""
+    want, want_loc = unsplit_eigen(ham)
+    assert report.eigenvalues.size == want.size
+    rows, cols = linear_sum_assignment(np.abs(report.eigenvalues[:, None] - want[None, :]))
+    assert np.max(np.abs(report.eigenvalues[rows] - want[cols])) <= 1e-10 * report.norm
+    gaps = np.abs(want[:, None] - want[None, :]) + np.eye(want.size) * report.norm
+    simple = np.min(gaps, axis=1)[cols] > 1e-3 * report.norm
+    np.testing.assert_allclose(report.localization[rows][simple],
+                               want_loc[cols][simple], rtol=0, atol=1e-8)
+
+
 class TestParitySplit:
     """For an even V the eigensolve and the KB scan run on the even and odd
     blocks; their union must be the whole operator's spectrum, and an
@@ -316,18 +330,7 @@ class TestParitySplit:
         assert [b.index.size for b in blocks] == [
             model.m * (grid.size + fixed) // 2, model.m * (grid.size - fixed) // 2]
         ham = assemble_h(fam, model)
-        report = eigen_analysis(ham)
-        want, want_loc = unsplit_eigen(ham)
-        assert report.eigenvalues.size == want.size
-        tol = 1e-10 * report.norm
-        rows, cols = linear_sum_assignment(np.abs(report.eigenvalues[:, None] - want[None, :]))
-        assert np.max(np.abs(report.eigenvalues[rows] - want[cols])) <= tol
-        # a well separated level has one eigenvector up to phase, so the same
-        # localization in either basis
-        gaps = np.abs(want[:, None] - want[None, :]) + np.eye(want.size) * report.norm
-        simple = np.min(gaps, axis=1)[cols] > 1e-3 * report.norm
-        np.testing.assert_allclose(report.localization[rows][simple],
-                                   want_loc[cols][simple], rtol=0, atol=1e-8)
+        assert_matches_unsplit(eigen_analysis(ham), ham)
         mins = kb_scan(fam, model, SPLIT_LAMBDAS)["min_singular_values"]
         np.testing.assert_allclose(mins, unsplit_kb_mins(fam, model), rtol=1e-12)
 
@@ -341,11 +344,12 @@ class TestParitySplit:
         shifts = [(shift + y,) + (0,) * (grid.dim - 1) for y in range(model.m)]
         fam = make_translate_family(base, grid, shifts)
         assert len(_parity_blocks(grid, (fam.V,))) == 1
-        ham = assemble_h(fam, model)
-        report = eigen_analysis(ham)
-        want, want_loc = unsplit_eigen(ham)
-        assert np.array_equal(report.eigenvalues, want)
-        assert np.array_equal(report.localization, want_loc)
+        if not np.all(fam.V == fam.V[0]):  # one state takes the chain modes
+            ham = assemble_h(fam, model)
+            report = eigen_analysis(ham)
+            want, want_loc = unsplit_eigen(ham)
+            assert np.array_equal(report.eigenvalues, want)
+            assert np.array_equal(report.localization, want_loc)
         mins = kb_scan(fam, model, SPLIT_LAMBDAS)["min_singular_values"]
         assert np.array_equal(mins, unsplit_kb_mins(fam, model))
 
@@ -362,6 +366,33 @@ class TestParitySplit:
         np.testing.assert_allclose(B.T @ B, np.eye(cols.size), atol=1e-15)
         P = B @ B.T  # projector onto the even functions
         assert np.max(np.abs(P @ ham.H - ham.H @ P)) <= 1e-12 * np.max(np.abs(ham.H))
+
+
+class TestChainModes:
+    """When every row of V is equal, H splits over the eigenvectors of A into
+    h + i mu_j; its spectrum must be the whole operator's, with imaginary
+    parts exactly the mu_j."""
+
+    @split_settings
+    @given(families(), st.booleans())
+    def test_equal_rows_split_into_chain_modes(self, drawn, even):
+        grid, model, V = drawn
+        v = V[0] + grid.reflect(V[0]) if even else V[0]
+        fam = PotentialFamily(grid, np.tile(v, (model.m, 1)))
+        ham = assemble_h(fam, model)
+        report = eigen_analysis(ham)
+        assert_matches_unsplit(report, ham)
+        mu = np.linalg.eigvalsh(model.A)
+        assert np.all(np.any(report.eigenvalues.imag[:, None] == mu[None, :], axis=1))
+        levels = report.eigenvalues.real.reshape(model.m, grid.size)
+        assert np.all(levels == levels[0])  # each level once per mu_j, exactly
+
+    def test_one_state_family_is_real(self):
+        grid = SpatialGrid(1, 64, 40.0)
+        ham = assemble_h(sech_family(grid, m=1), MarkovModel(np.zeros((1, 1))))
+        report = eigen_analysis(ham)
+        assert np.all(report.eigenvalues.imag == 0.0)
+        assert_matches_unsplit(report, ham)
 
 
 class TestResolventIdentity:
