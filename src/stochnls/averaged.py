@@ -19,11 +19,15 @@ single state they reduce factor-for-factor to the per-path stepping
 (tensor-factorization oracle), and for V = 0 the composition collapses
 exactly to e^{-tA} composed with the free flow.  K acts per state and M
 pointwise in x, so they commute, and the march joins a step's trailing
-M(dt/2) K(dt/2) to the next step's leading pair: one mixing, a real np.dot
-on the float view, and one kinetic call per step.  M is nonnegative with
-unit column sums, so Hermiticity, positivity and total trace survive every
-step; the Liouville K transforms two Hermitian kernels at once, as
-f[2j] + i f[2j+1], and unpacks each Hermitian bit for bit.
+M(dt/2) K(dt/2) to the next step's leading pair: one kick, one mixing and
+one kinetic call per step.  M is nonnegative with unit column sums, so
+Hermiticity, positivity and total trace survive every step.  Between sample
+times the Liouville march keeps X_s = U G_s U^H / 2 of the packed kernels
+G_s = f[2s] + i f[2s+1] (an odd last kernel alone) and folds kick, mixing and
+packing into G_t = sum_s A_ts X_s + B_ts X_s^H, with A_ts (B_ts) = c_{t,2s} w_{2s}
+- (+) i c_{t,2s+1} w_{2s+1}, c_{t,z} = M_{2t,z} + i M_{2t+1,z} and w_z the
+potential weight (A = B = c_{t,2s} w_{2s} for a lone slot): no BLAS call a
+step.  Its records unpack X, each kernel Hermitian bit for bit.
 
 The Liouville solver stores dense (n x n) kernels per state and is
 restricted to one space dimension; the identities it feeds (trace
@@ -121,53 +125,44 @@ class AveragedDensityMatrix:
 
 def _kick(cfg: SolverConfig, potential, source, grid):
     """P in place at a step's midpoint: kick(values, t_mid) multiplies by the
-    potential phase and adds source(grid, t_mid) with weight i*dt."""
+    potential phase, adds i*dt source(grid, t_mid) and returns values."""
     def kick(values, t_mid):
-        potential(values)
-        if source is not None:
-            inject = np.asarray(source(grid, t_mid)).reshape(values.shape)
-            np.add(values, 1j * cfg.dt * inject, out=values)
+        if t_mid is not None:
+            potential(values)
+            if source is not None:
+                inject = np.asarray(source(grid, t_mid)).reshape(values.shape)
+                np.add(values, 1j * cfg.dt * inject, out=values)
+        return values
     return kick
 
 
-def _march(values: np.ndarray, model: MarkovModel, cfg: SolverConfig, phase,
-           kinetic, kick, record) -> None:
+def _march(values: np.ndarray, cfg: SolverConfig, prepare, hop, leave, record) -> None:
     """March values over cfg.sample_times, calling record(t, values) at each.
 
-    M(tau) mixes the state axis by e^{-tau A}: one real np.dot on the float
-    view, since A is real.  K(tau) is kinetic(values, spare, phase(tau)), in
-    place, and P is kick.  As M and K commute, k Strang steps between sample
-    times run, in order of application, as
+    hop(state, prepare(tau), t_mid) applies P(t_mid) M(tau) K(tau) and
+    returns the new state, where t_mid None means no P and a state of the
+    last record's values; prepare runs once per step length tau.
+    leave(state, t_mid) returns the values to record, after P(t_mid).
+    As M and K commute, k Strang steps between sample times run, in order of
+    application, as
         M(dt/2) K(dt/2) [P M(dt) K(dt)]^(k-1) P M(dt/2) K(dt/2),
     and k Lie steps K(dt) M(dt) P as M(dt) K(dt) [P M(dt) K(dt)]^(k-1) P:
-    k + 1 kinetic calls (Lie: k) and one mixing a step.  The march owns
-    `values` and swaps it with one spare buffer, so it allocates nothing per
-    step; record must copy what it keeps.
+    k + 1 hops (Lie: k) an interval.  Hops reuse buffers; record copies what it keeps.
     """
-    dt, m = cfg.dt, values.shape[0]
-    strang = cfg.order == 2
+    dt, strang = cfg.dt, cfg.order == 2
     lead = 0.5 * dt if strang else dt
-    factors = {tau: (heat_kernel(model, tau).K, phase(tau)) for tau in (lead, dt)}
-    spare = np.empty_like(values)
-
-    def hop(values, spare, tau):  # M(tau) K(tau), into spare
-        mix, flow = factors[tau]
-        np.dot(mix, values.view(np.float64).reshape(m, -1),
-               out=spare.view(np.float64).reshape(m, -1))
-        kinetic(spare, values, flow)
-        return spare, values
-
+    factors = {tau: prepare(tau) for tau in (lead, dt)}
     t = 0.0
     for target in cfg.sample_times:
         n_steps = 0 if target <= 1e-15 else int(round((target - t) / dt))
         if n_steps:
-            values, spare = hop(values, spare, lead)
-        for j in range(n_steps):
-            kick(values, t + 0.5 * dt)
-            last = j == n_steps - 1
-            if not last or strang:
-                values, spare = hop(values, spare, lead if last else dt)
-            t = target if last else t + dt
+            state = hop(values, factors[lead], None)
+            for _ in range(n_steps - 1):
+                state = hop(state, factors[dt], t + 0.5 * dt)
+                t += dt
+            values = (leave(hop(state, factors[lead], t + 0.5 * dt), None) if strang
+                      else leave(state, t + 0.5 * dt))
+            t = target
         if not np.all(np.isfinite(values.view(np.float64))):
             raise RuntimeError(f"averaged solve lost finiteness at t={target}")
         record(target, values)
@@ -189,11 +184,21 @@ def solve_scalar_averaged(g0: AveragedField, family: PotentialFamily,
         raise ValueError("state counts of g0, family and model disagree")
     shape = (m,) + grid.shape
     pot = np.exp(1j * cfg.dt * family.V).reshape(shape)
+    kick = _kick(cfg, lambda g: np.multiply(pot, g, out=g), source, grid)
+    spare = np.empty(shape, dtype=np.complex128)
+
+    def hop(g, factors, t_mid):  # M is one real np.dot on the float view
+        nonlocal spare
+        mix, flow = factors
+        np.dot(mix, kick(g, t_mid).view(np.float64).reshape(m, -1),
+               out=spare.view(np.float64).reshape(m, -1))
+        g, spare = apply_multiplier(spare, flow, out=spare), g
+        return g
+
     out: list[AveragedField] = []
     # the state axis is the multiplier's batch axis
-    _march(g0.g.reshape(shape).copy(), model, cfg, lambda tau: kinetic_phase(grid, tau),
-           lambda g, _, flow: apply_multiplier(g, flow, out=g),
-           _kick(cfg, lambda g: np.multiply(pot, g, out=g), source, grid),
+    _march(g0.g.reshape(shape).copy(), cfg,
+           lambda tau: (heat_kernel(model, tau).K, kinetic_phase(grid, tau)), hop, kick,
            lambda t, g: out.append(AveragedField(grid, g.reshape(m, -1).copy(), t=t)))
     return out
 
@@ -207,7 +212,8 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
     All factors act as conjugations (kinetic, potential commutator) or as
     mixings with nonnegative weights, so Hermiticity and positive
     semidefiniteness are preserved structurally and the total trace is
-    conserved.  `source(grid, t)` returns (m, n, n) kernels.
+    conserved.  `source(grid, t)` returns (m, n, n) kernels; it is mixed and
+    packed into G.  The march state is x = [X; X^H] (module docstring).
     """
     grid = f0.grid
     n = grid.points_per_axis
@@ -220,37 +226,56 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
     # e^{i dt V(x1)} e^{-i dt V(x2)} of the antisymmetric difference, so that
     # weights * f is Hermitian bit for bit
     weights = np.exp(1j * cfg.dt * (family.V[:, :, None] - family.V[:, None, :]))
+    kick = _kick(cfg, lambda f: np.multiply(weights, f, out=f), source, grid)
+    q = (m + 1) // 2
+    x = np.empty((2 * q, n, n), dtype=np.complex128)
+    g, term = np.empty((2, q, n, n), dtype=np.complex128)
+
+    def prepare(tau):  # c[z, t] = M[2t, z] + i M[2t+1, z], and the fold's A and B
+        c = _pack(heat_kernel(model, tau).K).T[:, :, None, None]
+        cw = c * weights[:, None]
+        return c, np.concatenate([_pack(cw, -1j), _pack(cw)]), _pair_phase(grid, tau)
+
+    def hop(src, factors, t_mid):  # G_t = sum_k coef[k, t] src[k] in g, then X
+        c, fold, flow = factors
+        coef = c if t_mid is None else fold
+        np.multiply(coef[0], src[0], out=g)
+        for k in range(1, len(src)):
+            np.add(g, np.multiply(coef[k], src[k], out=term), out=g)
+        if t_mid is not None and source is not None:
+            inject = 1j * cfg.dt * np.reshape(source(grid, t_mid), (m, 1, n, n))
+            np.add(g, np.sum(c * inject, axis=0), out=g)
+        apply_multiplier(g, flow, out=x[:q])
+        np.conjugate(x[:q].transpose(0, 2, 1), out=x[q:])
+        return x
+
     out: list[AveragedDensityMatrix] = []
-    _march(f0.f.copy(), model, cfg, lambda tau: _pair_phase(grid, tau), _pair_flow,
-           _kick(cfg, lambda f: np.multiply(weights, f, out=f), source, grid),
-           lambda t, f: out.append(AveragedDensityMatrix._marched(grid, f.copy(), t)))
+    _march(f0.f.copy(), cfg, prepare, hop, lambda x, t_mid: kick(_unpack(x, m), t_mid),
+           lambda t, f: out.append(AveragedDensityMatrix._marched(grid, f, t)))
     return out
 
 
 def _pair_phase(grid: SpatialGrid, tau: float) -> np.ndarray:
     """Half the multiplier exp(i tau (|k1|^2 - |k2|^2)) of U f U^H; the 1/2
-    belongs to :func:`_pair_flow`'s unpacking."""
+    belongs to :func:`_unpack`."""
     p = kinetic_phase(grid, tau)
     return 0.5 * p[:, None] * p.conj()[None, :]
 
 
-def _pair_flow(f: np.ndarray, spare: np.ndarray, phase: np.ndarray) -> None:
-    """U f U^H in place for Hermitian kernels f, shape (m, n, n), two per
-    transform: G = f[2j] + i f[2j+1] (an odd last kernel alone) in spare goes
-    to X under the halved phase, and X + X^H and (X - X^H)/i, each Hermitian
-    bit for bit, are the pair's conjugates.  X^H goes first into the odd slot
-    (the lone kernel's own slot)."""
-    m, q = f.shape[0], f.shape[0] // 2
-    g = spare[:m - q]
-    np.multiply(f[1::2], 1j, out=g[:q])
-    np.add(g[:q], f[0:2 * q:2], out=g[:q])
-    g[q:] = f[2 * q:]
-    x = apply_multiplier(g, phase, out=g)
-    np.conjugate(x[:q].transpose(0, 2, 1), out=f[1::2])
-    np.conjugate(x[q:].transpose(0, 2, 1), out=f[2 * q:])
-    np.add(x[q:], f[2 * q:], out=f[2 * q:])
-    np.add(x[:q], f[1::2], out=f[0:2 * q:2])
-    np.multiply(np.subtract(x[:q], f[1::2], out=f[1::2]), -1j, out=f[1::2])
+def _pack(a: np.ndarray, unit: complex = 1j) -> np.ndarray:
+    """a[2s] + unit a[2s+1] along the first axis, an odd last row alone."""
+    q = a.shape[0] // 2
+    return np.concatenate([a[0:2 * q:2] + unit * a[1::2], a[2 * q:]])
+
+
+def _unpack(x: np.ndarray, m: int) -> np.ndarray:
+    """The m kernels of x = [X; X^H]: f[2s] = X_s + X_s^H and f[2s+1] =
+    (X_s - X_s^H)/i (an odd last kernel X + X^H), each Hermitian bit for bit."""
+    q, h = m // 2, x.shape[0] // 2
+    f = np.empty((m,) + x.shape[1:], dtype=np.complex128)
+    np.add(x[:h], x[h:], out=f[0::2])
+    np.multiply(np.subtract(x[:q], x[h:h + q], out=f[1::2]), -1j, out=f[1::2])
+    return f
 
 
 def density(f: AveragedDensityMatrix) -> np.ndarray:

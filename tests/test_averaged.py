@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from stochnls.averaged import (
     AveragedDensityMatrix,
     AveragedField,
-    _pair_flow,
+    _pack,
     _pair_phase,
+    _unpack,
     density,
     psd_check,
     solve_liouville_averaged,
@@ -309,7 +310,8 @@ class TestFusedMarch:
 
 class TestPairFlow:
     """The packed kinetic factor by itself: two Hermitian kernels per complex
-    transform, unpacked on the float views."""
+    transform, X = U G U^H / 2 of G = f[2s] + i f[2s+1], unpacked from
+    [X; X^H]."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_per_state_conjugation(self, m):
@@ -317,8 +319,8 @@ class TestPairFlow:
         f = hermitian_kernels(grid, m, seed=m)
         p = np.exp(0.37j * laplacian_symbol(grid))
         want = np.array([apply_multiplier(k, np.outer(p, p.conj())) for k in f])
-        got, spare = f.copy(), np.empty_like(f)
-        _pair_flow(got, spare, _pair_phase(grid, 0.37))
+        x = apply_multiplier(_pack(f), _pair_phase(grid, 0.37))
+        got = _unpack(np.concatenate([x, x.conj().transpose(0, 2, 1)]), m)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert np.array_equal(got, got.conj().transpose(0, 2, 1))
 
@@ -333,18 +335,59 @@ class TestPairFlow:
             assert np.array_equal(snap.f, snap.f.conj().transpose(0, 2, 1))
 
 
-@st.composite
-def liouville_cases(draw):
-    """A weighted graph-Laplacian generator on m = 2..4 states (a path of
-    positive weights plus any other edges), an initial law, n, order and dt."""
-    m = draw(st.integers(2, 4))
+def graph_laplacian(draw, m):
+    """A weighted graph-Laplacian generator on m states: a path of positive
+    weights plus any other edges."""
     weights = np.zeros((m, m))
     for a in range(m):
         for b in range(a + 1, m):
             low = 0.1 if b == a + 1 else 0.0
             weights[a, b] = weights[b, a] = draw(st.floats(low, 3.0))
+    return np.diag(weights.sum(axis=1)) - weights
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_folded_march_matches_per_step_composition(data):
+    """The folded Liouville march (kick, mixing and packing as multipliers of
+    the packed transform) against the unfused per-step composition, for drawn
+    state counts (a lone slot at m = 1 and 3), generators, orders, sampling
+    gaps, contrasts (0 gives a y-independent V) and sources."""
+    draw = data.draw
+    m = draw(st.integers(1, 4), label="m")
+    order = draw(st.sampled_from([1, 2]), label="order")
+    gap = draw(st.sampled_from([1, 5]), label="gap_steps")
+    contrast = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.5)), label="contrast")
+    with_source = draw(st.booleans(), label="with_source")
+    A = graph_laplacian(draw, m)
+    grid = SpatialGrid(1, 32, 10.0)
+    model = MarkovModel(A, initial_law=np.full(m, 1.0 / m))
+    fam = well_family(grid, m=m, contrast=contrast)
+    cfg = SolverConfig(dt=0.01, sample_times=0.01 * gap * np.arange(5), order=order)
+    values = hermitian_kernels(grid, m, seed=10 * m + gap)
+    bump = gaussian(grid, 3.0)
+
+    def source(grid, t):
+        w = np.cos(3.0 * t) * bump
+        return 0.1j * np.array([(y + 1) * np.outer(w, w.conj()) for y in range(m)])
+
+    source = source if with_source else None
+    got = solve_liouville_averaged(AveragedDensityMatrix(grid, values), fam, model,
+                                   cfg, source)
+    want = stepwise(values, fam, model, cfg, source, True)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g.f - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@st.composite
+def liouville_cases(draw):
+    """A weighted graph-Laplacian generator on m = 2..4 states (a path of
+    positive weights plus any other edges), an initial law, n, order and dt."""
+    m = draw(st.integers(2, 4))
+    A = graph_laplacian(draw, m)
     law = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
-    return (np.diag(weights.sum(axis=1)) - weights, law / law.sum(),
+    return (A, law / law.sum(),
             draw(st.sampled_from([32, 64])), draw(st.sampled_from([1, 2])),
             draw(st.sampled_from([1e-3, 5e-3, 0.02])), draw(st.floats(0.0, 1.0)))
 
