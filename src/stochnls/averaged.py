@@ -109,7 +109,8 @@ class AveragedDensityMatrix:
 
     @classmethod
     def _marched(cls, grid: SpatialGrid, f: np.ndarray, t: float) -> "AveragedDensityMatrix":
-        """A march snapshot: its kernels are Hermitian bit for bit (f0's at t = 0)."""
+        """A kernel built Hermitian bit for bit, so not checked again: a march
+        snapshot (f0's at t = 0) or an ensemble estimate 0.5 (f + f^H)."""
         snap = object.__new__(cls)
         snap.grid, snap.f, snap.t = grid, f, t
         return snap

@@ -29,12 +29,13 @@ import numpy as np
 
 from .averaged import AveragedDensityMatrix, AveragedField
 from .grid import WaveField, lorentz_norm_rows
-from .markov import MarkovModel, sample_path
+from .markov import MarkovModel, sample_paths
 from .potential import HartreeKernel, PotentialFamily
 from .propagator import SolverConfig, TrajectoryOutput, evolve_paths
 
-# Not used here: the benchmark's tracer (perfbench/layers.py) wraps it under
+# Not used here: the benchmark's tracer (perfbench/layers.py) wraps them under
 # this module's name.
+from .markov import sample_path  # noqa: F401
 from .propagator import evolve_path  # noqa: F401
 
 __all__ = [
@@ -157,8 +158,7 @@ _CHUNK = 128
 def _solve_batch(lo: int, hi: int, psi0_law, family, model, kernel, cfg, ecfg):
     """Map phase: everything paths lo..hi-1 contribute to the reduction."""
     grid = psi0_law.grid if isinstance(psi0_law, WaveField) else family.grid
-    paths = [sample_path(model, ecfg.horizon, seed=(ecfg.master_seed, i))
-             for i in range(lo, hi)]
+    paths = sample_paths(model, ecfg.horizon, ecfg.master_seed, range(lo, hi))
     psi0 = np.array([_resolve_initial(psi0_law, grid, int(p.states[0])).values
                      for p in paths])
     fields, states, scalars = evolve_paths(psi0, family, paths, kernel, cfg)
@@ -357,9 +357,9 @@ def estimate_f(avg: ConditionalAverage, weighting: str = "joint") -> DensityMatr
             c = np.maximum(avg.counts[ti], 1).astype(float)
             f = avg.outer_sums[ti] / c[:, None, None]
             denom = c
-        f = 0.5 * (f + f.conj().transpose(0, 2, 1))  # strip roundoff asymmetry
-        matrices.append(AveragedDensityMatrix(avg.grid, f,
-                                              t=float(avg.sample_times[ti])))
+        f = 0.5 * (f + f.conj().transpose(0, 2, 1))  # Hermitian bit for bit
+        matrices.append(AveragedDensityMatrix._marched(avg.grid, f,
+                                                       float(avg.sample_times[ti])))
         # diagonal-scale standard error: sample std of |psi(x)|^2 via moments
         diag = np.ascontiguousarray(np.diagonal(avg.outer_sums[ti],
                                                 axis1=1, axis2=2)).real

@@ -40,7 +40,7 @@ from .ensemble import (
     write_summary_json,
 )
 from .grid import SpatialGrid, WaveField, dense_laplacian, lebesgue_norm
-from .markov import MarkovModel, sample_path
+from .markov import MarkovModel, sample_path, sample_paths
 from .potential import (
     HartreeKernel,
     PotentialFamily,
@@ -500,7 +500,7 @@ def c11_bound_state_decay(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     w0 = windowed_fraction(psi0.values)
     model = _two_state_model()
     cfg = SolverConfig(dt=0.01, sample_times=np.array([20.0]))
-    paths = [sample_path(model, 20.0, seed=(seed, i)) for i in range(scale.decay_N)]
+    paths = sample_paths(model, 20.0, seed, range(scale.decay_N))
     rows = np.repeat(psi0.values[None], scale.decay_N, axis=0)
     results = {}
     for label, fam in (("nontrivial", _switching_family(grid, contrast=1.0)),

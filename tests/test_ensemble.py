@@ -149,6 +149,24 @@ class TestEstimates:
             rho = density(snap)
             assert np.min(rho) >= -np.max(est.stderr[ti])
 
+    @pytest.mark.parametrize("weighting", ["joint", "conditional"])
+    def test_estimate_f_matrices_hermitian_bit_for_bit(self, weighting):
+        """estimate_f builds its matrices without the constructor's check, so
+        they must equal the validating constructor's and be exactly Hermitian."""
+        _, (avg, _) = self.small_run(N=40, store=True)
+        assert not avg.missing_bins()
+        est = estimate_f(avg, weighting)
+        for ti, snap in enumerate(est.matrices):
+            denom = (avg.N if weighting == "joint"
+                     else np.maximum(avg.counts[ti], 1).astype(float)[:, None, None])
+            f = avg.outer_sums[ti] / denom
+            checked = AveragedDensityMatrix(avg.grid, 0.5 * (f + f.conj().transpose(0, 2, 1)),
+                                            t=float(avg.sample_times[ti]))
+            assert snap.f.dtype == checked.f.dtype and snap.f.shape == checked.f.shape
+            assert snap.f.tobytes() == checked.f.tobytes()
+            assert snap.t == checked.t and snap.grid is checked.grid
+            assert snap.hermiticity_residual() == 0.0
+
     def test_estimate_f_requires_outer_sums(self):
         _, (avg, _) = self.small_run(N=10, store=False)
         with pytest.raises(ValueError):

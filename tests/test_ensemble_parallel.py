@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from stochnls import ensemble
 from stochnls.ensemble import EnsembleConfig, run_ensemble, strichartz_orders, \
     write_summary_json
 from stochnls.grid import SpatialGrid, WaveField
-from stochnls.markov import MarkovModel
+from stochnls.markov import MarkovModel, sample_path
 from stochnls.potential import make_amplitude_family, shape_field
 from stochnls.propagator import SolverConfig
 
@@ -45,6 +46,34 @@ def test_parallel_reduction_bit_identical_to_serial(tmp_path):
         write_summary_json(tmp_path / name, avg, series, ecfg)
         summaries.append((tmp_path / name).read_bytes())
     assert summaries[0] == summaries[1]
+
+
+def test_batch_seeding_matches_per_path_seeding(tmp_path, monkeypatch):
+    """run_ensemble seeds each batch in one pass; its bytes must equal those
+    of seeding every path through sample_path, for any batch size and worker
+    count."""
+    psi0, fam, model, cfg, ecfg = setup()
+    ecfg = dataclasses.replace(ecfg, store_density_matrix=True)
+
+    def outputs(name, workers=1):
+        avg, series = run_ensemble(psi0, fam, model, None, cfg, ecfg, workers=workers)
+        write_summary_json(tmp_path / name, avg, series, ecfg)
+        arrays = [avg.sums, avg.sums_sq, avg.counts, avg.outer_sums]
+        arrays += [getattr(series, f.name) for f in dataclasses.fields(series)]
+        return [(a.dtype, a.shape, a.tobytes()) for a in arrays], (tmp_path / name).read_bytes()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ensemble, "sample_paths", lambda model, T, master, indices: [
+            sample_path(model, T, seed=(master, i)) for i in indices])
+        reference = outputs("reference.json")
+    for rows in (1, 7, 256):
+        monkeypatch.setattr(ensemble, "_BATCH_ROWS", rows)
+        for workers in (1, 2):
+            try:
+                got = outputs(f"rows{rows}-workers{workers}.json", workers)
+            except (OSError, PermissionError) as exc:  # pragma: no cover
+                pytest.skip(f"process pool unavailable in this environment: {exc}")
+            assert got == reference, (rows, workers)
 
 
 def test_strichartz_orders_labels_both():

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochnls import markov
 from stochnls.markov import (
@@ -11,6 +13,7 @@ from stochnls.markov import (
     heat_kernel,
     path_rng,
     sample_path,
+    sample_paths,
     states_at,
     validate_generator,
 )
@@ -332,3 +335,76 @@ class TestStateAt:
         states = states_at(paths, own)
         assert states.dtype == np.int64
         assert states.tolist() == [lookup(p, t) for p, t in zip(paths, own)]
+
+
+# Entropy ints at and next to the uint32 word boundaries SeedSequence splits at.
+WORD_EDGES = sorted({max(2**(32 * w) + d, 0) for w in range(5) for d in (-1, 0, 1)})
+masters = st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**130 - 1))
+index_sets = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**70)),
+                      max_size=12).map(lambda drawn: [0, 1, 2**32 - 1] + drawn)
+
+
+class TestSamplePaths:
+    """The batch seeder against numpy's own SeedSequence, state for state,
+    and against sample_path, path for path."""
+
+    MODELS = {
+        "two-state": MarkovModel(two_state(1.3), initial_law=np.array([0.3, 0.7])),
+        "three-state": MarkovModel(np.array([[1.5, -1.0, -0.5], [-1.0, 2.0, -1.0],
+                                             [-0.5, -1.0, 1.5]]),
+                                   initial_law=np.array([0.2, 0.5, 0.3])),
+        "dirac": MarkovModel(ring_laplacian(3, 2.0), initial_law=2),
+        # a generator is a connected graph's Laplacian, so only a one-state
+        # chain has an absorbing state
+        "absorbing": MarkovModel(np.zeros((1, 1))),
+    }
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(master=masters, indices=index_sets)
+    def test_states_equal_seed_sequence(self, master, indices):
+        states = markov._pcg64_states(master, indices)
+        assert len(states) == len(indices)
+        for i, (state, inc) in zip(indices, states):
+            reference = np.random.PCG64(np.random.SeedSequence([master, i])).state
+            assert reference["state"] == {"state": state, "inc": inc}, i
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(MODELS)), master=masters, indices=index_sets,
+           T=st.floats(0.05, 15.0))
+    def test_paths_equal_sample_path(self, name, master, indices, T):
+        model = self.MODELS[name]
+        paths = sample_paths(model, T, master, indices)
+        assert len(paths) == len(indices)
+        for i, path in zip(indices, paths):
+            reference = sample_path(model, T, seed=(master, i))
+            assert path.seed == reference.seed == (master, i)
+            assert path.horizon == reference.horizon
+            for got, want in ((path.jump_times, reference.jump_times),
+                              (path.states, reference.states)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_indices_from_any_integer_iterable(self):
+        model = self.MODELS["three-state"]
+        assert sample_paths(model, 1.0, 4, []) == []
+        by_range = sample_paths(model, 1.0, 4, range(3, 6))
+        by_array = sample_paths(model, 1.0, np.int64(4), np.arange(3, 6))
+        assert [p.seed for p in by_array] == [(4, 3), (4, 4), (4, 5)]
+        assert all(type(s) is int for p in by_array for s in p.seed)
+        for a, b in zip(by_range, by_array):
+            assert a.jump_times.tobytes() == b.jump_times.tobytes()
+            assert a.states.tobytes() == b.states.tobytes()
+
+    @pytest.mark.parametrize("master, indices", [
+        (-1, [0]), (3, [0, 2, -1]), (-(2**40), [5]), (2**64, [-(2**33)]),
+    ])
+    def test_negative_entropy_raises_as_seed_sequence(self, master, indices):
+        with pytest.raises(ValueError) as expected:
+            for i in indices:
+                np.random.SeedSequence([master, i])
+        with pytest.raises(ValueError) as raised:
+            sample_paths(self.MODELS["two-state"], 1.0, master, indices)
+        assert str(raised.value) == str(expected.value)
+
+    def test_horizon_must_be_positive(self):
+        with pytest.raises(ValueError, match="horizon"):
+            sample_paths(self.MODELS["two-state"], 0.0, 1, [0])
