@@ -9,8 +9,7 @@ chain's position, into two deterministic equations:
 
 with A acting on the state index y.  Here g and f carry the joint
 (probability-weighted) bookkeeping: summing tr f(y) over states gives the
-conserved total mass.  A source, which no caller in the package supplies,
-is added at each step's midpoint with weight i*dt.
+conserved total mass.  Neither equation has an inhomogeneity.
 
 Both solvers drive one march of the symmetric splitting
     K(dt/2) M(dt/2) P(dt) M(dt/2) K(dt/2)
@@ -124,31 +123,19 @@ class AveragedDensityMatrix:
                             initial=0.0))
 
 
-def _kick(cfg: SolverConfig, potential, source, grid):
-    """P in place at a step's midpoint: kick(values, t_mid) multiplies by the
-    potential phase, adds i*dt source(grid, t_mid) and returns values."""
-    def kick(values, t_mid):
-        if t_mid is not None:
-            potential(values)
-            if source is not None:
-                inject = np.asarray(source(grid, t_mid)).reshape(values.shape)
-                np.add(values, 1j * cfg.dt * inject, out=values)
-        return values
-    return kick
+def _march(values: np.ndarray, cfg: SolverConfig, prepare, hop, leave):
+    """Yield (t, values) at each of cfg.sample_times.
 
-
-def _march(values: np.ndarray, cfg: SolverConfig, prepare, hop, leave, record) -> None:
-    """March values over cfg.sample_times, calling record(t, values) at each.
-
-    hop(state, prepare(tau), t_mid) applies P(t_mid) M(tau) K(tau) and
-    returns the new state, where t_mid None means no P and a state of the
-    last record's values; prepare runs once per step length tau.
-    leave(state, t_mid) returns the values to record, after P(t_mid).
+    hop(state, prepare(tau), kick) applies P (when kick) M(tau) K(tau) and
+    returns the new state, where a hop that does not kick takes the last
+    sample's values as its state; prepare runs once per step length tau.
+    leave(state, kick) returns the values to yield, after P when kick.
     As M and K commute, k Strang steps between sample times run, in order of
     application, as
         M(dt/2) K(dt/2) [P M(dt) K(dt)]^(k-1) P M(dt/2) K(dt/2),
     and k Lie steps K(dt) M(dt) P as M(dt) K(dt) [P M(dt) K(dt)]^(k-1) P:
-    k + 1 hops (Lie: k) an interval.  Hops reuse buffers; record copies what it keeps.
+    k + 1 hops (Lie: k) an interval.  Hops reuse buffers, so the yielded
+    array is the march's own: copy it to keep it.
     """
     dt, strang = cfg.dt, cfg.order == 2
     lead = 0.5 * dt if strang else dt
@@ -157,16 +144,15 @@ def _march(values: np.ndarray, cfg: SolverConfig, prepare, hop, leave, record) -
     for target in cfg.sample_times:
         n_steps = 0 if target <= 1e-15 else int(round((target - t) / dt))
         if n_steps:
-            state = hop(values, factors[lead], None)
+            state = hop(values, factors[lead], False)
             for _ in range(n_steps - 1):
-                state = hop(state, factors[dt], t + 0.5 * dt)
-                t += dt
-            values = (leave(hop(state, factors[lead], t + 0.5 * dt), None) if strang
-                      else leave(state, t + 0.5 * dt))
+                state = hop(state, factors[dt], True)
+            values = (leave(hop(state, factors[lead], True), False) if strang
+                      else leave(state, True))
             t = target
         if not np.all(np.isfinite(values.view(np.float64))):
             raise RuntimeError(f"averaged solve lost finiteness at t={target}")
-        record(target, values)
+        yield target, values
 
 
 def solve_scalar_averaged(g0: AveragedField, family: PotentialFamily,
@@ -174,34 +160,36 @@ def solve_scalar_averaged(g0: AveragedField, family: PotentialFamily,
                           source=None) -> list[AveragedField]:
     """March the scalar averaged equation, sampling at cfg.sample_times.
 
-    `source(grid, t)` returns the (m, n^d) inhomogeneity; it is injected at
-    step midpoints with weight i*dt.  No caller in the package passes one;
-    the parameter stays because the benchmark's count probes
-    (perfbench/layers.py) bind it by name.
+    `source` must be None: the equation has no inhomogeneity.
     """
+    # Not read: the benchmark's count probes (perfbench/layers.py) bind
+    # `source` by name, here and in solve_liouville_averaged.
+    if source is not None:
+        raise ValueError("the averaged equations take no source term")
     grid = g0.grid
     m = model.m
     if g0.m != m or family.m != m:
         raise ValueError("state counts of g0, family and model disagree")
     shape = (m,) + grid.shape
     pot = np.exp(1j * cfg.dt * family.V).reshape(shape)
-    kick = _kick(cfg, lambda g: np.multiply(pot, g, out=g), source, grid)
     spare = np.empty(shape, dtype=np.complex128)
 
-    def hop(g, factors, t_mid):  # M is one real np.dot on the float view
+    def leave(g, kick):  # P in place
+        return np.multiply(pot, g, out=g) if kick else g
+
+    def hop(g, factors, kick):  # M is one real np.dot on the float view
         nonlocal spare
         mix, flow = factors
-        np.dot(mix, kick(g, t_mid).view(np.float64).reshape(m, -1),
+        np.dot(mix, leave(g, kick).view(np.float64).reshape(m, -1),
                out=spare.view(np.float64).reshape(m, -1))
         g, spare = apply_multiplier(spare, flow, out=spare), g
         return g
 
-    out: list[AveragedField] = []
     # the state axis is the multiplier's batch axis
-    _march(g0.g.reshape(shape).copy(), cfg,
-           lambda tau: (heat_kernel(model, tau).K, kinetic_phase(grid, tau)), hop, kick,
-           lambda t, g: out.append(AveragedField(grid, g.reshape(m, -1).copy(), t=t)))
-    return out
+    marched = _march(g0.g.reshape(shape).copy(), cfg,
+                     lambda tau: (heat_kernel(model, tau).K, kinetic_phase(grid, tau)),
+                     hop, leave)
+    return [AveragedField(grid, g.reshape(m, -1).copy(), t=t) for t, g in marched]
 
 
 def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
@@ -213,9 +201,11 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
     All factors act as conjugations (kinetic, potential commutator) or as
     mixings with nonnegative weights, so Hermiticity and positive
     semidefiniteness are preserved structurally and the total trace is
-    conserved.  `source(grid, t)` returns (m, n, n) kernels; it is mixed and
-    packed into G.  The march state is x = [X; X^H] (module docstring).
+    conserved.  `source` must be None, as for :func:`solve_scalar_averaged`.
+    The march state is x = [X; X^H] (module docstring).
     """
+    if source is not None:  # bound by name only (see solve_scalar_averaged)
+        raise ValueError("the averaged equations take no source term")
     grid = f0.grid
     n = grid.points_per_axis
     m = model.m
@@ -227,7 +217,6 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
     # e^{i dt V(x1)} e^{-i dt V(x2)} of the antisymmetric difference, so that
     # weights * f is Hermitian bit for bit
     weights = np.exp(1j * cfg.dt * (family.V[:, :, None] - family.V[:, None, :]))
-    kick = _kick(cfg, lambda f: np.multiply(weights, f, out=f), source, grid)
     q = (m + 1) // 2
     x = np.empty((2 * q, n, n), dtype=np.complex128)
     g, term = np.empty((2, q, n, n), dtype=np.complex128)
@@ -237,23 +226,22 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
         cw = c * weights[:, None]
         return c, np.concatenate([_pack(cw, -1j), _pack(cw)]), _pair_phase(grid, tau)
 
-    def hop(src, factors, t_mid):  # G_t = sum_k coef[k, t] src[k] in g, then X
+    def hop(src, factors, kick):  # G_t = sum_k coef[k, t] src[k] in g, then X
         c, fold, flow = factors
-        coef = c if t_mid is None else fold
+        coef = fold if kick else c
         np.multiply(coef[0], src[0], out=g)
         for k in range(1, len(src)):
             np.add(g, np.multiply(coef[k], src[k], out=term), out=g)
-        if t_mid is not None and source is not None:
-            inject = 1j * cfg.dt * np.reshape(source(grid, t_mid), (m, 1, n, n))
-            np.add(g, np.sum(c * inject, axis=0), out=g)
         apply_multiplier(g, flow, out=x[:q])
         np.conjugate(x[:q].transpose(0, 2, 1), out=x[q:])
         return x
 
-    out: list[AveragedDensityMatrix] = []
-    _march(f0.f.copy(), cfg, prepare, hop, lambda x, t_mid: kick(_unpack(x, m), t_mid),
-           lambda t, f: out.append(AveragedDensityMatrix._marched(grid, f, t)))
-    return out
+    def leave(x, kick):  # P in place on the unpacked kernels
+        f = _unpack(x, m)
+        return np.multiply(weights, f, out=f) if kick else f
+
+    return [AveragedDensityMatrix._marched(grid, f, t)
+            for t, f in _march(f0.f.copy(), cfg, prepare, hop, leave)]
 
 
 def _pair_phase(grid: SpatialGrid, tau: float) -> np.ndarray:

@@ -137,7 +137,9 @@ def parse_config(path: str | None = None, text: str | None = None,
 
     Returns the flat {dotted key: value} mapping.  Unknown-key, type and
     cross-key violations are collected and reported together; unknown keys
-    name their closest known key.  A TOML syntax error stops at once.
+    name their closest known key.  A TOML syntax error stops at once.  A
+    config without those is built once (:func:`build_objects`), and a
+    constructor's ValueError is reported as the config's error.
     `kind`, when given, is the experiment to run (the CLI subcommand): it
     replaces experiment.kind, and the keys are checked against it.
     """
@@ -169,6 +171,11 @@ def parse_config(path: str | None = None, text: str | None = None,
     for key, (_tag, default) in KNOWN_KEYS.items():
         values.setdefault(key, default)
     errors.extend(_cross_validate(values, kind or values["experiment.kind"]))
+    if not errors:
+        try:
+            build_objects(values)
+        except ValueError as exc:
+            errors.append(str(exc))
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
     if kind is not None:
@@ -425,7 +432,11 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
 
 def _cmd_fit_decay(args) -> int:
     """Fit a power law to a column of a scalars CSV."""
-    rows = np.genfromtxt(args.input, delimiter=",", names=True)
+    try:
+        rows = np.genfromtxt(args.input, delimiter=",", names=True)
+    except OSError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.column not in rows.dtype.names:
         print(f"column {args.column!r} not in {rows.dtype.names}", file=sys.stderr)
         return 2

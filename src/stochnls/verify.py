@@ -127,6 +127,15 @@ def _two_state_model(rate: float = 1.0, dirac: int | None = None) -> MarkovModel
     return MarkovModel(A, initial_law=law)
 
 
+def _desk(dirac: int | None = None):
+    """(grid, family, model, psi0) of the desk-scale switching problem: 64
+    points on a box of 20, the contrast-1 family, the rate-1 two-state chain
+    (started at state `dirac` if given) and the centered Gaussian."""
+    grid = SpatialGrid(1, 64, 20.0)
+    return (grid, _switching_family(grid), _two_state_model(dirac=dirac),
+            _centered_gaussian(grid))
+
+
 def _timed(fn):
     def wrapper(scale: VerifyScale, seed: int, out_dir: str | None = None) -> dict:
         start = time.time()
@@ -235,10 +244,7 @@ def c4_mc_vs_pde_scalar(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     median over disjoint replicates tames the heavy-tailed fluctuation of
     a single error norm without changing its N scaling.
     """
-    grid = SpatialGrid(1, 64, 20.0)
-    fam = _switching_family(grid)
-    model = _two_state_model()
-    psi0 = _centered_gaussian(grid)
+    grid, fam, model, psi0 = _desk()
     times = np.arange(0.0, 2.001, 0.25)
     cfg = SolverConfig(dt=0.025, sample_times=times)
     pde = _pde_reference(grid, fam, model, psi0, cfg)
@@ -277,10 +283,7 @@ def c4_mc_vs_pde_scalar(scale: VerifyScale, seed: int, out_dir=None) -> dict:
 @_timed
 def c5_feynman_kac(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     """MC weighted-mass series against the deterministic trace pairing."""
-    grid = SpatialGrid(1, 64, 20.0)
-    fam = _switching_family(grid)
-    model = _two_state_model(dirac=0)  # Dirac start makes the t=0 check exact
-    psi0 = _centered_gaussian(grid)
+    grid, fam, model, psi0 = _desk(dirac=0)  # Dirac start makes the t=0 check exact
     times = np.arange(0.0, 2.001, 0.25)
     cfg = SolverConfig(dt=0.01, sample_times=times)
     avg, series = run_ensemble(psi0, fam, model, None, cfg,
@@ -310,10 +313,7 @@ def c5_feynman_kac(scale: VerifyScale, seed: int, out_dir=None) -> dict:
 @_timed
 def c6_liouville_structure(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     """Trace conservation, Hermiticity and positivity over a 1000-step solve."""
-    grid = SpatialGrid(1, 64, 20.0)
-    fam = _switching_family(grid)
-    model = _two_state_model()
-    psi0 = _centered_gaussian(grid)
+    grid, fam, model, psi0 = _desk()
     times = np.linspace(0.0, 1.0, 11)
     cfg = SolverConfig(dt=1e-3, sample_times=times)
     f0 = AveragedDensityMatrix(
@@ -358,10 +358,7 @@ def _energy_identity_residual(dt: float, family, model, grid, psi0) -> float:
 @_timed
 def c7_energy_identity(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     """Centered-difference energy flux against the assembled A[hV] pairing."""
-    grid = SpatialGrid(1, 64, 20.0)
-    model = _two_state_model()
-    psi0 = _centered_gaussian(grid)
-    fam = _switching_family(grid)
+    grid, fam, model, psi0 = _desk()
     res_dt = _energy_identity_residual(1e-3, fam, model, grid, psi0)
     res_half = _energy_identity_residual(5e-4, fam, model, grid, psi0)
     shrink = res_dt / max(res_half, 1e-300)
@@ -419,9 +416,7 @@ def c8_resonance(scale: VerifyScale, seed: int, out_dir=None) -> dict:
 def c9_kato_birman(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     """KB invertibility over the default grid, identity limit, and the
     symmetric resolvent identity at random lower-half-plane points."""
-    grid = SpatialGrid(1, 64, 20.0)
-    fam = _switching_family(grid, contrast=1.0)
-    model = _two_state_model()
+    _, fam, model, _ = _desk()
     scan = kb_scan(fam, model, default_lambda_grid())
     kb_far = assemble_kb(fam, model, lam=-1e4j)
     far_defect = float(np.linalg.norm(kb_far - np.eye(kb_far.shape[0]), 2))
@@ -525,10 +520,7 @@ def c12_determinism(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     byte-for-byte."""
     import tempfile
 
-    grid = SpatialGrid(1, 64, 20.0)
-    fam = _switching_family(grid)
-    model = _two_state_model()
-    psi0 = _centered_gaussian(grid)
+    grid, fam, model, psi0 = _desk()
     times = np.linspace(0.0, 1.0, 5)
     cfg = SolverConfig(dt=0.025, sample_times=times)
 

@@ -415,6 +415,32 @@ class TestMainEntry:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("markov.matrix = [[1.0, 1.0], [-1.0, 1.0]]", "generator fails validation"),
+        ("markov.matrix = [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]]", "square matrix"),
+        ("markov.initial_law = [0.7, 0.7]", "probability vector"),
+        ('potential.shape = "triangle"', "unknown potential shape"),
+        ('potential.family = "bogus"', "unknown potential.family"),
+        ("grid.d = 0", "dim must be >= 1"),
+        ("grid.L = -1.0", "box_length must be positive"),
+        (None, "missing.csv"),
+    ], ids=["not-laplacian", "not-square", "law", "shape", "family", "d", "L",
+            "fit-decay-input"])
+    def test_constructor_errors_exit_code(self, tmp_path, capsys, text, message):
+        """A config that passes the key checks but that a constructor
+        refuses, or a missing fit-decay input, exits 2 with the message on
+        stderr and leaves no run directory."""
+        out = tmp_path / "out"
+        if text is None:
+            argv = ["fit-decay", "--input", str(tmp_path / "missing.csv"),
+                    "--t-min", "1", "--t-max", "2"]
+        else:
+            (tmp_path / "run.toml").write_text(text + "\n")
+            argv = ["path", "--config", str(tmp_path / "run.toml"), "--out", str(out)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_path_via_main(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(SMALL.replace('"path"', '"average"'))
