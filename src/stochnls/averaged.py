@@ -20,13 +20,16 @@ exactly to e^{-tA} composed with the free flow.  K acts per state and M
 pointwise in x, so they commute, and the march joins a step's trailing
 M(dt/2) K(dt/2) to the next step's leading pair: one kick, one mixing and
 one kinetic call per step.  M is nonnegative with unit column sums, so
-Hermiticity, positivity and total trace survive every step.  Between sample
-times the Liouville march keeps X_s = U G_s U^H / 2 of the packed kernels
-G_s = f[2s] + i f[2s+1] (an odd last kernel alone) and folds kick, mixing and
-packing into G_t = sum_s A_ts X_s + B_ts X_s^H, with A_ts (B_ts) = c_{t,2s} w_{2s}
-- (+) i c_{t,2s+1} w_{2s+1}, c_{t,z} = M_{2t,z} + i M_{2t+1,z} and w_z the
-potential weight (A = B = c_{t,2s} w_{2s} for a lone slot): no BLAS call a
-step.  Its records unpack X, each kernel Hermitian bit for bit.
+Hermiticity, positivity and total trace survive every step.  The Liouville
+march runs on the even and odd parity blocks (basis B, F = B^H f B) when V
+and f0 are even, else on the whole space, and skips a block that starts at
+zero.  Between sample times it keeps, per block, X_s = K G_s K^H / 2 of the
+packed kernels G_s = F[2s] + i F[2s+1] (an odd last kernel alone), K = B^H U B,
+and folds kick, mixing and packing into G_t = sum_s A_ts X_s + B_ts X_s^H, with
+A_ts (B_ts) = c_{t,2s} w_{2s} - (+) i c_{t,2s+1} w_{2s+1}, c_{t,z} = M_{2t,z} +
+i M_{2t+1,z} and w_z the potential weight (A = B = c_{t,2s} w_{2s} for a lone
+slot), pointwise on a block.  Its records unpack X and extend the blocks, each
+kernel Hermitian and commuting with the reflection bit for bit.
 
 The Liouville solver stores dense (n x n) kernels per state and is
 restricted to one space dimension; the identities it feeds (trace
@@ -40,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpatialGrid, apply_multiplier, kinetic_phase, parity_blocks
+from .grid import (ParityBlock, SpatialGrid, apply_multiplier, free_flow, is_even,
+                   kinetic_phase, parity_blocks)
 from .markov import MarkovModel, heat_kernel
 from .potential import PotentialFamily
 from .propagator import SolverConfig
@@ -150,7 +154,7 @@ def _march(values: np.ndarray, cfg: SolverConfig, prepare, hop, leave):
             values = (leave(hop(state, factors[lead], True), False) if strang
                       else leave(state, True))
             t = target
-        if not np.all(np.isfinite(values.view(np.float64))):
+        if not all(np.isfinite(v).all() for v in values):
             raise RuntimeError(f"averaged solve lost finiteness at t={target}")
         yield target, values
 
@@ -202,7 +206,8 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
     mixings with nonnegative weights, so Hermiticity and positive
     semidefiniteness are preserved structurally and the total trace is
     conserved.  `source` must be None, as for :func:`solve_scalar_averaged`.
-    The march state is x = [X; X^H] (module docstring).
+    The march state is x = [X; X^H] on each block of :func:`_reflection_blocks`
+    whose initial kernels are not all zero (module docstring).
     """
     if source is not None:  # bound by name only (see solve_scalar_averaged)
         raise ValueError("the averaged equations take no source term")
@@ -214,41 +219,66 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
     if f0.m != m or family.m != m:
         raise ValueError("state counts of f0, family and model disagree")
 
+    # a block whose kernels start at zero stays zero: it is not marched
+    marched = [(b, F) for b in _reflection_blocks(f0, family.V)
+               for F in [_hermitized(b.restrict(f0.f))] if F.any()]
+    blocks, start = [b for b, _ in marched], [F for _, F in marched]
     # e^{i dt V(x1)} e^{-i dt V(x2)} of the antisymmetric difference, so that
-    # weights * f is Hermitian bit for bit
-    weights = np.exp(1j * cfg.dt * (family.V[:, :, None] - family.V[:, None, :]))
+    # weights * f is Hermitian bit for bit; an even V takes one value on a
+    # basis vector's {x, -x}, so the kick stays pointwise on a block
+    weights = [np.exp(1j * cfg.dt * (v[:, :, None] - v[:, None, :]))
+               for v in (b.restrict_diagonal(family.V) for b in blocks)]
     q = (m + 1) // 2
-    x = np.empty((2 * q, n, n), dtype=np.complex128)
-    g, term = np.empty((2, q, n, n), dtype=np.complex128)
+    x = [np.empty((2 * q,) + F.shape[1:], dtype=np.complex128) for F in start]
+    g = [np.empty((2, q) + F.shape[1:], dtype=np.complex128) for F in start]
 
-    def prepare(tau):  # c[z, t] = M[2t, z] + i M[2t+1, z], and the fold's A and B
+    def prepare(tau):  # c[z, t] = M[2t, z] + i M[2t+1, z]; per block A and B, K/2, K^H
         c = _pack(heat_kernel(model, tau).K).T[:, :, None, None]
-        cw = c * weights[:, None]
-        return c, np.concatenate([_pack(cw, -1j), _pack(cw)]), _pair_phase(grid, tau)
+        U = free_flow(grid, np.eye(n), tau).T  # column j is U e_j
+        K = [b.restrict(U) for b in blocks]
+        cw = [c * w[:, None] for w in weights]
+        return c, [(np.concatenate([_pack(a, -1j), _pack(a)]), 0.5 * k,
+                    np.ascontiguousarray(k.conj().T)) for a, k in zip(cw, K)]
 
     def hop(src, factors, kick):  # G_t = sum_k coef[k, t] src[k] in g, then X
-        c, fold, flow = factors
-        coef = fold if kick else c
-        np.multiply(coef[0], src[0], out=g)
-        for k in range(1, len(src)):
-            np.add(g, np.multiply(coef[k], src[k], out=term), out=g)
-        apply_multiplier(g, flow, out=x[:q])
-        np.conjugate(x[:q].transpose(0, 2, 1), out=x[q:])
+        c, folds = factors
+        for s, (fold, half, adj), xb, (gb, term) in zip(src, folds, x, g):
+            coef = fold if kick else c
+            np.multiply(coef[0], s[0], out=gb)
+            for k in range(1, len(s)):
+                np.add(gb, np.multiply(coef[k], s[k], out=term), out=gb)
+            _conjugate(gb, half, adj, term, out=xb[:q])
+            np.conjugate(xb[:q].transpose(0, 2, 1), out=xb[q:])
         return x
 
     def leave(x, kick):  # P in place on the unpacked kernels
-        f = _unpack(x, m)
-        return np.multiply(weights, f, out=f) if kick else f
+        fs = [_unpack(xb, m) for xb in x]
+        return [np.multiply(w, f, out=f) for w, f in zip(weights, fs)] if kick else fs
 
-    return [AveragedDensityMatrix._marched(grid, f, t)
-            for t, f in _march(f0.f.copy(), cfg, prepare, hop, leave)]
+    def snapshot(kernels, t):  # B F B^H summed over the marched blocks
+        f = sum(map(ParityBlock.extend_kernels, blocks, kernels), np.zeros((m, n, n), complex))
+        return AveragedDensityMatrix._marched(grid, f, t)
+
+    return [snapshot(kernels, t) for t, kernels in _march(start, cfg, prepare, hop, leave)]
 
 
-def _pair_phase(grid: SpatialGrid, tau: float) -> np.ndarray:
-    """Half the multiplier exp(i tau (|k1|^2 - |k2|^2)) of U f U^H; the 1/2
-    belongs to :func:`_unpack`."""
-    p = kinetic_phase(grid, tau)
-    return 0.5 * p[:, None] * p.conj()[None, :]
+def _conjugate(g: np.ndarray, half: np.ndarray, adj: np.ndarray, tmp: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """The kinetic factor on one block: half @ g @ adj = (K/2) G K^H for each
+    packed kernel of the stack g, through tmp into out."""
+    return np.matmul(np.matmul(half, g, out=tmp), adj, out=out)
+
+
+def _reflection_blocks(f: AveragedDensityMatrix, *fields) -> list[ParityBlock]:
+    """The non-empty blocks of :func:`stochnls.grid.parity_blocks` when every
+    field is even (:func:`stochnls.grid.is_even`) and each kernel's even-odd
+    coupling is at most 1e-12 of its max |f|; else the whole space."""
+    even, odd = parity_blocks(f.grid)
+    scale = np.abs(f.f).reshape(f.m, -1).max(axis=1)
+    coupling = np.abs(even.restrict(f.f, odd)).reshape(f.m, -1).max(axis=1, initial=0.0)
+    if is_even(f.grid, fields) and np.all(coupling <= 1e-12 * scale):
+        return [b for b in (even, odd) if b.index.size]
+    return [ParityBlock(f.grid.size)]
 
 
 def _pack(a: np.ndarray, unit: complex = 1j) -> np.ndarray:
@@ -289,19 +319,13 @@ def _hermitized(f: np.ndarray) -> np.ndarray:
 def psd_check(f: AveragedDensityMatrix) -> np.ndarray:
     """Minimum eigenvalue of each state's kernel (dense Hermitian solve).
 
-    When every kernel commutes with the grid reflection x -> -x, its even-odd
-    coupling block at most 1e-12 times its max |f|, the kernels are solved
-    on their even and odd halves (:func:`stochnls.grid.parity_blocks`), and
-    each state's least eigenvalue is the smaller of its two halves'.
-    Otherwise the whole kernels take one stacked solve.
+    When every kernel commutes with the grid reflection x -> -x
+    (:func:`_reflection_blocks`), the kernels are solved on their even and
+    odd halves, and each state's least eigenvalue is the smaller of its two
+    halves'.  Otherwise the whole kernels take one stacked solve.
     """
-    even, odd = parity_blocks(f.grid)
-    scale = np.abs(f.f).reshape(f.m, -1).max(axis=1)
-    coupling = np.abs(even.restrict(f.f, odd)).reshape(f.m, -1).max(axis=1, initial=0.0)
-    if not np.all(coupling <= 1e-12 * scale):
-        return np.linalg.eigvalsh(_hermitized(f.f))[:, 0]
     return np.min([np.linalg.eigvalsh(_hermitized(b.restrict(f.f)))[:, 0]
-                   for b in (even, odd) if b.index.size], axis=0)
+                   for b in _reflection_blocks(f)], axis=0)
 
 
 def structure_table(series: list[AveragedDensityMatrix]) -> np.ndarray:

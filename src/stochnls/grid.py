@@ -15,7 +15,8 @@ Conventions used throughout the package:
 * All integral norms carry the cell-volume weight h**d so that values
   converge to their continuum counterparts under refinement.
 * The reflection x -> -x splits the index into even and odd blocks
-  (:func:`parity_blocks`), the one parity basis of the dense solves.
+  (:func:`parity_blocks`), the one parity basis of the dense solves and the
+  Liouville march, taken when the fields are even (:func:`is_even`).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "dense_laplacian",
     "ParityBlock",
     "parity_blocks",
+    "is_even",
     "lebesgue_norm",
     "lebesgue_norm_rows",
     "lorentz_norm",
@@ -279,8 +281,8 @@ class ParityBlock:
         return self.weight[:, None] * both * right.weight[None, :]
 
     def restrict_diagonal(self, d: np.ndarray) -> np.ndarray:
-        """The diagonal of B^H diag(d) B for an even d."""
-        return d if self.index is None else d[self.index]
+        """The diagonal of B^H diag(d) B for an even d, on the last axis."""
+        return d if self.index is None else d[..., self.index]
 
     def extend(self, X: np.ndarray) -> np.ndarray:
         """B X: columns in block coordinates back on the full index."""
@@ -291,6 +293,16 @@ class ParityBlock:
         out[self.index] = scaled
         out[self.mirror] += self.sign * scaled
         return out
+
+    def extend_kernels(self, F: np.ndarray) -> np.ndarray:
+        """B F B^H on the last two axes, as B's one entry in row i times its
+        one in row j times F's: Hermitian and commuting with the reflection
+        bit for bit when F is Hermitian bit for bit."""
+        if self.index is None:
+            return F
+        B = self.extend(np.eye(self.index.size))
+        pos, coef = np.argmax(B != 0, axis=1), B.sum(axis=1)
+        return np.multiply.outer(coef, coef) * F[..., pos[:, None], pos[None, :]]
 
 
 def parity_blocks(grid: SpatialGrid, m: int = 1) -> list[ParityBlock]:
@@ -311,6 +323,15 @@ def parity_blocks(grid: SpatialGrid, m: int = 1) -> list[ParityBlock]:
                         np.where(fixed, 0.5, np.sqrt(0.5)), 1.0),
             ParityBlock(size, index[odd], mirror[odd],
                         np.full(int(odd.sum()), np.sqrt(0.5)), -1.0)]
+
+
+def is_even(grid: SpatialGrid, fields) -> bool:
+    """Whether every field (last axis grid.size) is even under
+    :meth:`SpatialGrid.reflect` to 1e-12 max(1, max |field|): the one
+    evenness test that sends a solve to its parity blocks."""
+    mirror_x = grid.reflect(np.arange(grid.size))
+    return not any(np.max(np.abs(f - f[..., mirror_x]), initial=0.0)
+                   > 1e-12 * max(1.0, float(np.max(np.abs(f), initial=0.0))) for f in fields)
 
 
 def lebesgue_norm(psi: WaveField, p: float) -> float:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import SpatialGrid, WaveField, convolution_spectrum, lorentz_norm
+from .grid import SpatialGrid, WaveField, convolution_spectrum, is_even, lorentz_norm
 from .markov import MarkovModel
 
 __all__ = [
@@ -82,8 +82,7 @@ class HartreeKernel:
             raise ValueError("chi length must match grid")
         if not np.all(np.isfinite(chi)):
             raise ValueError("chi contains non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(chi), initial=0.0)))
-        if np.max(np.abs(chi - self.grid.reflect(chi))) > 1e-12 * scale:
+        if not is_even(self.grid, (chi,)):
             raise ValueError("chi must be even under the grid reflection")
         chi.flags.writeable = False
         object.__setattr__(self, "chi", chi)

@@ -49,6 +49,7 @@ from .grid import (
     SpatialGrid,
     dense_laplacian,
     dft_matrix,
+    is_even,
     laplacian_symbol,
     parity_blocks,
 )
@@ -114,16 +115,10 @@ def assemble_h(family: PotentialFamily, model: MarkovModel,
 
 def _parity_blocks(grid: SpatialGrid, fields) -> list[ParityBlock]:
     """The even and odd blocks of the state-major index when every field
-    (each (m, grid.size), one row per state) is even under grid.reflect to
-    1e-12 max(1, max |field|), as HartreeKernel tests chi; the whole space
-    as one block otherwise."""
-    mirror_x = grid.reflect(np.arange(grid.size))
+    (each (m, grid.size), one row per state) is even by
+    :func:`stochnls.grid.is_even`; the whole space as one block otherwise."""
     m = fields[0].shape[0]
-    for f in fields:
-        scale = max(1.0, float(np.max(np.abs(f), initial=0.0)))
-        if np.max(np.abs(f - f[:, mirror_x]), initial=0.0) > 1e-12 * scale:
-            return [ParityBlock(m * grid.size)]
-    return parity_blocks(grid, m)
+    return parity_blocks(grid, m) if is_even(grid, fields) else [ParityBlock(m * grid.size)]
 
 
 @dataclass

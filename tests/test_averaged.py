@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -5,11 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stochnls
 from stochnls.averaged import (
     AveragedDensityMatrix,
     AveragedField,
+    _conjugate,
     _pack,
-    _pair_phase,
+    _reflection_blocks,
     _unpack,
     density,
     psd_check,
@@ -20,7 +25,13 @@ from stochnls.averaged import (
     write_density_csv,
     write_trace_csv,
 )
-from stochnls.grid import SpatialGrid, WaveField, apply_multiplier, laplacian_symbol
+from stochnls.grid import (
+    SpatialGrid,
+    WaveField,
+    apply_multiplier,
+    free_flow,
+    laplacian_symbol,
+)
 from stochnls.markov import MarkovModel, heat_kernel, sample_path
 from stochnls.potential import (
     PotentialFamily,
@@ -53,6 +64,23 @@ def hermitian_kernels(grid, m, seed):
     n = grid.points_per_axis
     a = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
     return a + a.conj().transpose(0, 2, 1)
+
+
+def mirror(grid):
+    """The reflected index of each grid point: v[mirror(grid)] is v(-x)."""
+    return grid.reflect(np.arange(grid.size))
+
+
+def even_kernels(grid, m, seed):
+    """Hermitian kernels that commute with the reflection bit for bit."""
+    a = hermitian_kernels(grid, m, seed)
+    r = mirror(grid)
+    return a + a[:, r][:, :, r]
+
+
+def commutes_with_reflection(f, grid):
+    r = mirror(grid)
+    return np.array_equal(f, f[..., r, :][..., r])
 
 
 def well_family(grid, m=2, contrast=0.5):
@@ -292,15 +320,23 @@ class TestFusedMarch:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("gap_steps", [1, 5])
     def test_multiplier_calls_per_interval(self, monkeypatch, gap_steps, order, pair):
+        """One kinetic call a hop: a multiplier call of the scalar march, a
+        block conjugation of the Liouville march for each marched block.
+        The Liouville kernels here are even, so only the even block marches."""
         import stochnls.averaged as averaged
 
         calls = []
 
         def counting(values, phase, out=None):
-            calls.append(1)
+            calls.append(values.shape[-1])
             return apply_multiplier(values, phase, out=out)
 
+        def conjugating(g, half, adj, tmp, out):
+            calls.append(g.shape[-1])
+            return _conjugate(g, half, adj, tmp, out)
+
         monkeypatch.setattr(averaged, "apply_multiplier", counting)
+        monkeypatch.setattr(averaged, "_conjugate", conjugating)
         grid, model, fam, cfg, values = self.setup(gap_steps, order, pair)
         if pair:
             solve_liouville_averaged(AveragedDensityMatrix(grid, values), fam, model, cfg)
@@ -309,23 +345,35 @@ class TestFusedMarch:
         intervals = cfg.sample_times.size - 1  # the first sample is t = 0
         per_interval = gap_steps + 1 if order == 2 else gap_steps
         assert len(calls) == intervals * per_interval
+        assert set(calls) == {grid.size // 2 + 1 if pair else grid.size}
 
 
 class TestPairFlow:
-    """The packed kinetic factor by itself: two Hermitian kernels per complex
-    transform, X = U G U^H / 2 of G = f[2s] + i f[2s+1], unpacked from
-    [X; X^H]."""
+    """The packed kinetic factor by itself: two Hermitian kernels per block
+    conjugation, X = K G K^H / 2 of G = F[2s] + i F[2s+1] on each block of
+    basis B (F = B^H f B, K = B^H U B), unpacked from [X; X^H] and extended
+    back by B."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_per_state_conjugation(self, m):
         grid = SpatialGrid(1, 32, 10.0)
-        f = hermitian_kernels(grid, m, seed=m)
         p = np.exp(0.37j * laplacian_symbol(grid))
-        want = np.array([apply_multiplier(k, np.outer(p, p.conj())) for k in f])
-        x = apply_multiplier(_pack(f), _pair_phase(grid, 0.37))
-        got = _unpack(np.concatenate([x, x.conj().transpose(0, 2, 1)]), m)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        assert np.array_equal(got, got.conj().transpose(0, 2, 1))
+        U = free_flow(grid, np.eye(grid.size), 0.37).T
+        for even, f in [(True, even_kernels(grid, m, seed=m)),
+                        (False, hermitian_kernels(grid, m, seed=m))]:
+            want = np.array([apply_multiplier(k, np.outer(p, p.conj())) for k in f])
+            blocks = _reflection_blocks(AveragedDensityMatrix(grid, f))
+            assert [b.restrict(f).shape[-1] for b in blocks] == ([17, 15] if even else [32])
+            got = np.zeros_like(want)
+            for b in blocks:
+                K = b.restrict(U)
+                G = _pack(b.restrict(f))
+                x = _conjugate(G, 0.5 * K, K.conj().T, np.empty_like(G), np.empty_like(G))
+                x = np.concatenate([x, x.conj().transpose(0, 2, 1)])
+                got += b.extend_kernels(_unpack(x, m))
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(got, got.conj().transpose(0, 2, 1))
+            assert commutes_with_reflection(got, grid) == even
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_snapshots_after_time_zero_are_hermitian_bit_for_bit(self, order):
@@ -336,6 +384,47 @@ class TestPairFlow:
                                           cfg)
         for snap in series[1:]:
             assert np.array_equal(snap.f, snap.f.conj().transpose(0, 2, 1))
+
+
+THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from stochnls.averaged import AveragedDensityMatrix, solve_liouville_averaged
+from stochnls.grid import SpatialGrid
+from stochnls.markov import MarkovModel
+from stochnls.potential import make_amplitude_family, make_translate_family, shape_field
+from stochnls.propagator import SolverConfig
+
+model = MarkovModel(np.array([[1.0, -1.0], [-1.0, 1.0]]), initial_law=np.array([0.5, 0.5]))
+cfg = SolverConfig(dt=0.01, sample_times=np.array([0.0, 0.05, 0.2]))
+for n, translate in ((64, False), (128, True)):
+    grid = SpatialGrid(1, n, 20.0)
+    well = shape_field(grid, "sech2", amplitude=-2.0, width=1.0)
+    fam = (make_translate_family(well, grid, [[0], [3]]) if translate
+           else make_amplitude_family(well, well, [-0.5, 0.5], grid))
+    psi = np.exp(-(grid.coordinates()[0] - 10.0) ** 2 / 2).astype(complex)
+    f0 = AveragedDensityMatrix(grid, np.array([0.5 * np.outer(psi, psi.conj())] * 2))
+    digest = hashlib.sha256()
+    for snap in solve_liouville_averaged(f0, fam, model, cfg):
+        digest.update(snap.f.tobytes())
+    print(n, digest.hexdigest())
+"""
+
+
+def test_liouville_bytes_do_not_depend_on_blas_threads():
+    """The Liouville march's dense block products give the same bytes at one
+    and two BLAS threads: an even solve (n = 64, its even block of 33 rows)
+    and an uneven one (n = 128, the whole space), each in its own process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stochnls.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]
 
 
 def graph_laplacian(draw, m):
@@ -372,6 +461,66 @@ def test_folded_march_matches_per_step_composition(data):
     want = stepwise(values, fam, model, cfg, True)
     for g, w in zip(got, want):
         assert np.max(np.abs(g.f - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_block_split_matches_per_step_composition(data):
+    """The Liouville march on its parity blocks.  Even amplitude families
+    with f0 a mixture of even and odd pure states, so that 0, 1 or 2 blocks
+    start non-zero, and uneven inputs (a translate family, or an off-centre
+    f0), which march the whole space as one block.  The snapshots match the
+    per-step composition; an even input's are Hermitian and commute with
+    the reflection bit for bit; each hop conjugates each block that starts
+    non-zero once, and no other."""
+    import stochnls.averaged as averaged
+
+    draw = data.draw
+    m = draw(st.integers(1, 3), label="m")
+    order = draw(st.sampled_from([1, 2]), label="order")
+    gap = draw(st.sampled_from([1, 4]), label="gap_steps")
+    uneven = draw(st.sampled_from([None, "translate", "off-centre"]), label="uneven")
+    parts = draw(st.sampled_from([(), ("even",), ("odd",), ("even", "odd")]), label="parts")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    grid = SpatialGrid(1, 32, 10.0)
+    r = mirror(grid)
+    well = shape_field(grid, "sech2", amplitude=-2.0, width=1.0)
+    if uneven == "translate":
+        shifts = [draw(st.integers(1, 6))] + [draw(st.integers(-6, 6)) for _ in range(m - 1)]
+        fam = make_translate_family(well, grid, [[s] for s in shifts])
+    else:
+        amps = draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m), label="amps")
+        fam = make_amplitude_family(well, shape_field(grid, "gaussian", width=1.5), amps,
+                                    grid)
+    shift = draw(st.integers(1, 6)) if uneven == "off-centre" else 0
+    kernels = np.zeros((m, grid.size, grid.size), dtype=complex)
+    for y in range(m):
+        for parity in parts:
+            v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+            psi = np.roll(v + v[r] if parity == "even" else v - v[r], shift)
+            kernels[y] += rng.uniform(0.1, 1.0) * np.outer(psi, psi.conj())
+    model = MarkovModel(graph_laplacian(draw, m), initial_law=np.full(m, 1.0 / m))
+    cfg = SolverConfig(dt=0.01, sample_times=0.01 * gap * np.arange(4), order=order)
+
+    calls = []
+
+    def conjugating(g, half, adj, tmp, out):
+        calls.append(g.shape[-1])
+        return _conjugate(g, half, adj, tmp, out)
+
+    with mock.patch.object(averaged, "_conjugate", conjugating):
+        got = solve_liouville_averaged(AveragedDensityMatrix(grid, kernels), fam, model, cfg)
+    want = stepwise(kernels, fam, model, cfg, True)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g.f - w)) <= 1e-12 * np.max(np.abs(w))
+        if not uneven:
+            assert np.array_equal(g.f, g.f.conj().transpose(0, 2, 1))
+            assert commutes_with_reflection(g.f, grid)
+    sizes = ({grid.size} if uneven else
+             {{"even": 17, "odd": 15}[p] for p in parts}) if parts else set()
+    hops = 3 * (gap + 1 if order == 2 else gap)
+    assert calls == sorted(sizes, reverse=True) * hops  # per hop: even, then odd
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
