@@ -28,13 +28,16 @@ packed kernels G_s = F[2s] + i F[2s+1] (an odd last kernel alone), K = B^H U B,
 and folds kick, mixing and packing into G_t = sum_s A_ts X_s + B_ts X_s^H, with
 A_ts (B_ts) = c_{t,2s} w_{2s} - (+) i c_{t,2s+1} w_{2s+1}, c_{t,z} = M_{2t,z} +
 i M_{2t+1,z} and w_z the potential weight (A = B = c_{t,2s} w_{2s} for a lone
-slot), pointwise on a block.  Its records unpack X and extend the blocks, each
-kernel Hermitian and commuting with the reflection bit for bit.
+slot), pointwise on a block.  Its records unpack X into a snapshot that keeps
+the marched blocks as they are, each kernel Hermitian bit for bit; the dense
+kernels, Hermitian and commuting with the reflection bit for bit, are formed
+only when read (:class:`AveragedDensityMatrix`).
 
-The Liouville solver stores dense (n x n) kernels per state and is
-restricted to one space dimension; the identities it feeds (trace
-conservation, positivity, tensor factorization, Feynman-Kac) are dimension
-independent, so desk-scale d = 1 exercises them fully.
+The Liouville solver stores dense kernels per state, one per marched block
+(n x n on the whole space), and is restricted to one space dimension; the
+identities it feeds (trace conservation, positivity, tensor factorization,
+Feynman-Kac) are dimension independent, so desk-scale d = 1 exercises them
+fully.
 """
 
 from __future__ import annotations
@@ -88,43 +91,72 @@ class AveragedField:
         return self.g.shape[0]
 
 
-@dataclass
 class AveragedDensityMatrix:
-    """Per-state kernels f(x1, x2, y) at a fixed time (one dimension only)."""
+    """Per-state kernels f(x1, x2, y) at a fixed time (one dimension only),
+    held as parts [(B, F)] with f = sum B F B^H (:class:`stochnls.grid.ParityBlock`):
+    a march snapshot's marched blocks, outside which f is zero, or, built from
+    an (m, n, n) array, one whole-space part.  `f` is formed when read (a
+    whole-space part's own array), so it is for reading only."""
 
-    grid: SpatialGrid
-    f: np.ndarray = field(repr=False)  # shape (m, n, n)
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.grid.dim != 1:
+    def __init__(self, grid: SpatialGrid, f: np.ndarray, t: float = 0.0) -> None:
+        if grid.dim != 1:
             raise ValueError("density-matrix solves are restricted to d = 1")
-        self.f = np.asarray(self.f, dtype=np.complex128)
-        if self.f.ndim == 2:
-            self.f = self.f[None, :, :]
-        n = self.grid.points_per_axis
-        if self.f.shape[1:] != (n, n):
+        f = np.asarray(f, dtype=np.complex128)
+        if f.ndim == 2:
+            f = f[None, :, :]
+        n = grid.points_per_axis
+        if f.shape[1:] != (n, n):
             raise ValueError("kernel shape does not match grid")
-        scale = float(np.max(np.abs(self.f), initial=0.0))
+        if not np.all(np.isfinite(f.view(np.float64))):
+            raise ValueError("averaged kernel contains non-finite entries")
+        self.grid, self.t, self.m, self.parts = grid, t, f.shape[0], [(ParityBlock(n), f)]
+        scale = float(np.max(np.abs(f), initial=0.0))
         herm = self.hermiticity_residual()
         if scale > 0 and herm > 1e-10 * scale:
             raise ValueError(f"kernel is not Hermitian (residual {herm:.3e})")
 
     @classmethod
-    def _marched(cls, grid: SpatialGrid, f: np.ndarray, t: float) -> "AveragedDensityMatrix":
-        """A kernel built Hermitian bit for bit, so not checked again: a march
+    def _marched(cls, grid: SpatialGrid, parts: list, m: int, t: float) -> "AveragedDensityMatrix":
+        """Parts built Hermitian bit for bit, so not checked again: a march
         snapshot (f0's at t = 0) or an ensemble estimate 0.5 (f + f^H)."""
         snap = object.__new__(cls)
-        snap.grid, snap.f, snap.t = grid, f, t
+        snap.grid, snap.t, snap.m, snap.parts = grid, t, m, parts
         return snap
 
+    def _whole(self) -> np.ndarray | None:
+        """The kernels of a whole-space part, else None."""
+        whole = len(self.parts) == 1 and self.parts[0][0].index is None
+        return self.parts[0][1] if whole else None
+
     @property
-    def m(self) -> int:
-        return self.f.shape[0]
+    def f(self) -> np.ndarray:
+        """The dense kernels, shape (m, n, n)."""
+        if (whole := self._whole()) is not None:
+            return whole
+        n = self.grid.points_per_axis
+        return sum((b.extend_kernels(F) for b, F in self.parts),
+                   np.zeros((self.m, n, n), dtype=np.complex128))
+
+    def diagonal(self) -> np.ndarray:
+        """f(x, x, y), shape (m, n): the diagonal of `f` bit for bit."""
+        return sum((b.extend_diagonal(F) for b, F in self.parts),
+                   np.zeros((self.m, self.grid.points_per_axis), dtype=np.complex128))
 
     def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.f - self.f.conj().transpose(0, 2, 1)),
-                            initial=0.0))
+        """max |F - F^H| over the parts' kernels."""
+        return max((float(np.max(np.abs(F - F.conj().transpose(0, 2, 1)), initial=0.0))
+                    for _, F in self.parts), default=0.0)
+
+    def pairing(self, M: np.ndarray, restricted: dict | None = None) -> np.ndarray:
+        """Re tr(M f_y) for each state y, M an (n, n) matrix, summed over the
+        parts as tr((B^H M B) F).  `restricted` keeps each block's B^H M B for
+        the other snapshots of a series that pair with the same M."""
+        restricted = {} if restricted is None else restricted
+        for b, _ in self.parts:
+            if b not in restricted:
+                restricted[b] = b.restrict(M)
+        return sum((np.einsum("ij,yji->y", restricted[b], F).real for b, F in self.parts),
+                   np.zeros(self.m))
 
 
 def _march(values: np.ndarray, cfg: SolverConfig, prepare, hop, leave):
@@ -207,7 +239,8 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
     semidefiniteness are preserved structurally and the total trace is
     conserved.  `source` must be None, as for :func:`solve_scalar_averaged`.
     The march state is x = [X; X^H] on each block of :func:`_reflection_blocks`
-    whose initial kernels are not all zero (module docstring).
+    whose initial kernels are not all zero (module docstring), and each
+    snapshot holds those blocks' kernels as its parts.
     """
     if source is not None:  # bound by name only (see solve_scalar_averaged)
         raise ValueError("the averaged equations take no source term")
@@ -255,11 +288,8 @@ def solve_liouville_averaged(f0: AveragedDensityMatrix, family: PotentialFamily,
         fs = [_unpack(xb, m) for xb in x]
         return [np.multiply(w, f, out=f) for w, f in zip(weights, fs)] if kick else fs
 
-    def snapshot(kernels, t):  # B F B^H summed over the marched blocks
-        f = sum(map(ParityBlock.extend_kernels, blocks, kernels), np.zeros((m, n, n), complex))
-        return AveragedDensityMatrix._marched(grid, f, t)
-
-    return [snapshot(kernels, t) for t, kernels in _march(start, cfg, prepare, hop, leave)]
+    return [AveragedDensityMatrix._marched(grid, list(zip(blocks, kernels)), m, t)
+            for t, kernels in _march(start, cfg, prepare, hop, leave)]
 
 
 def _conjugate(g: np.ndarray, half: np.ndarray, adj: np.ndarray, tmp: np.ndarray,
@@ -299,7 +329,7 @@ def _unpack(x: np.ndarray, m: int) -> np.ndarray:
 
 def density(f: AveragedDensityMatrix) -> np.ndarray:
     """Diagonal rho(x, y) = f(x, x, y) as real per-state fields."""
-    diag = np.ascontiguousarray(np.diagonal(f.f, axis1=1, axis2=2))
+    diag = f.diagonal()
     scale = max(1.0, float(np.max(np.abs(diag), initial=0.0)))
     if np.max(np.abs(diag.imag), initial=0.0) > 1e-10 * scale:
         raise ValueError("density has a non-negligible imaginary part")
@@ -317,22 +347,30 @@ def _hermitized(f: np.ndarray) -> np.ndarray:
 
 
 def psd_check(f: AveragedDensityMatrix) -> np.ndarray:
-    """Minimum eigenvalue of each state's kernel (dense Hermitian solve).
+    """Minimum eigenvalue of each state's kernel (dense Hermitian solves).
 
-    When every kernel commutes with the grid reflection x -> -x
-    (:func:`_reflection_blocks`), the kernels are solved on their even and
-    odd halves, and each state's least eigenvalue is the smaller of its two
-    halves'.  Otherwise the whole kernels take one stacked solve.
+    A march snapshot's parts are solved as they are; where they do not cover
+    the space the kernel is zero, which adds the eigenvalue 0.  A whole-space
+    part that commutes with the grid reflection x -> -x
+    (:func:`_reflection_blocks`) is solved on its even and odd halves, and
+    each state's least eigenvalue is the smaller of its two halves'; any
+    other takes one stacked solve.
     """
-    return np.min([np.linalg.eigvalsh(_hermitized(b.restrict(f.f)))[:, 0]
-                   for b in _reflection_blocks(f)], axis=0)
+    whole = f._whole()
+    parts = (f.parts if whole is None else
+             [(b, _hermitized(b.restrict(whole))) for b in _reflection_blocks(f)])
+    least = [np.linalg.eigvalsh(F)[:, 0] for _, F in parts]
+    if sum(F.shape[-1] for _, F in parts) < f.grid.size:
+        least.append(np.zeros(f.m))
+    return np.min(least, axis=0)
 
 
 def structure_table(series: list[AveragedDensityMatrix]) -> np.ndarray:
     """The trace / Hermiticity / positivity audit of a Liouville solve, one
     row per snapshot: t, each state's trace, their total, the Hermiticity
     residual and the least eigenvalue over the states, shape (len(series),
-    m + 4).  Each snapshot's kernels are solved once, by :func:`psd_check`."""
+    m + 4).  Each snapshot's parts are solved once, by :func:`psd_check`, and
+    read without forming the dense kernels."""
     rows = []
     for snap in series:
         per_state, total = trace(snap)

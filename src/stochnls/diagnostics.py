@@ -131,15 +131,13 @@ def energy_derivative_identity(f_series, family: PotentialFamily,
     energy_trace = np.empty(len(f_series))
     kinetic_trace = np.empty((len(f_series), model.m))
     flux = np.empty(len(f_series))
+    restricted = {}  # B^H L B of each block, restricted once for the series
     for j, snap in enumerate(f_series):
         e = 0.0
         fx = 0.0
-        for y in range(model.m):
-            fy = snap.f[y]
-            diag = fy.diagonal().real
-            kin = float(np.einsum("ij,ji->", L, fy).real) * vol
-            kinetic_trace[j, y] = kin
-            e += h[y] * (kin + vol * float(np.sum(family.V[y] * diag)))
+        kinetic_trace[j] = snap.pairing(L, restricted) * vol
+        for y, diag in enumerate(snap.diagonal().real):
+            e += h[y] * (kinetic_trace[j, y] + vol * float(np.sum(family.V[y] * diag)))
             fx += vol * float(np.sum(hv_fields[y] * diag))
         energy_trace[j] = e
         flux[j] = fx
@@ -162,8 +160,8 @@ def feynman_kac_residual(times: np.ndarray, mc_lhs: np.ndarray,
     vol = family.grid.cell_volume
     absV = np.abs(family.V)
     rhs = np.array([
-        sum(vol * float(np.sum(absV[y] * snap.f[y].diagonal().real))
-            for y in range(family.m))
+        sum(vol * float(np.sum(absV[y] * diag))
+            for y, diag in enumerate(snap.diagonal().real))
         for snap in f_series
     ])
     mc_lhs = np.asarray(mc_lhs, dtype=float)

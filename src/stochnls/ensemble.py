@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .averaged import AveragedDensityMatrix, AveragedField
-from .grid import WaveField, lorentz_norm_rows
+from .grid import ParityBlock, WaveField, lorentz_norm_rows
 from .markov import MarkovModel, sample_paths
 from .potential import HartreeKernel, PotentialFamily
 from .propagator import SolverConfig, TrajectoryOutput, evolve_paths
@@ -358,8 +358,8 @@ def estimate_f(avg: ConditionalAverage, weighting: str = "joint") -> DensityMatr
             f = avg.outer_sums[ti] / c[:, None, None]
             denom = c
         f = 0.5 * (f + f.conj().transpose(0, 2, 1))  # Hermitian bit for bit
-        matrices.append(AveragedDensityMatrix._marched(avg.grid, f,
-                                                       float(avg.sample_times[ti])))
+        matrices.append(AveragedDensityMatrix._marched(
+            avg.grid, [(ParityBlock(avg.grid.size), f)], avg.m, float(avg.sample_times[ti])))
         # diagonal-scale standard error: sample std of |psi(x)|^2 via moments
         diag = np.ascontiguousarray(np.diagonal(avg.outer_sums[ti],
                                                 axis1=1, axis2=2)).real

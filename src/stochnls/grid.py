@@ -22,7 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -256,18 +256,29 @@ def dense_laplacian(grid: SpatialGrid) -> np.ndarray:
     return 0.5 * (L + L.conj().T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParityBlock:
     """An invariant subspace of the reflection x -> -x with the orthonormal
     basis b_a = weight_a (e_{index_a} + sign e_{mirror_a}), mirror_a the
     reflected index_a on the same state; index None is the whole space in
-    its own basis, on which every map below is the identity."""
+    its own basis, on which every map below is the identity.  A block is
+    equal only to itself, so it can key a dict."""
 
     size: int
     index: np.ndarray | None = None
     mirror: np.ndarray | None = None
     weight: np.ndarray | None = None
     sign: float = 1.0
+
+    @cached_property
+    def gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pos, coef): row i of B holds its one entry coef[i] in column
+        pos[i], coef[i] = 0 (pos[i] = 0) on a row the block does not reach."""
+        pos, coef = np.zeros(self.size, dtype=np.intp), np.zeros(self.size)
+        pos[self.index] = pos[self.mirror] = np.arange(self.index.size)
+        coef[self.index] = self.weight
+        coef[self.mirror] += self.sign * self.weight
+        return pos, coef
 
     def restrict(self, M: np.ndarray, right: ParityBlock | None = None) -> np.ndarray:
         """B^H M C on the last two axes, C the basis of `right` (default: this
@@ -288,11 +299,8 @@ class ParityBlock:
         """B X: columns in block coordinates back on the full index."""
         if self.index is None:
             return X
-        scaled = self.weight[:, None] * X
-        out = np.zeros((self.size, X.shape[1]), dtype=X.dtype)
-        out[self.index] = scaled
-        out[self.mirror] += self.sign * scaled
-        return out
+        pos, coef = self.gather
+        return coef[:, None] * X[pos]
 
     def extend_kernels(self, F: np.ndarray) -> np.ndarray:
         """B F B^H on the last two axes, as B's one entry in row i times its
@@ -300,9 +308,15 @@ class ParityBlock:
         bit for bit when F is Hermitian bit for bit."""
         if self.index is None:
             return F
-        B = self.extend(np.eye(self.index.size))
-        pos, coef = np.argmax(B != 0, axis=1), B.sum(axis=1)
+        pos, coef = self.gather
         return np.multiply.outer(coef, coef) * F[..., pos[:, None], pos[None, :]]
+
+    def extend_diagonal(self, F: np.ndarray) -> np.ndarray:
+        """The diagonal of :meth:`extend_kernels`, bit for bit, on the last axis."""
+        if self.index is None:
+            return np.diagonal(F, axis1=-2, axis2=-1)
+        pos, coef = self.gather
+        return coef * coef * F[..., pos, pos]
 
 
 def parity_blocks(grid: SpatialGrid, m: int = 1) -> list[ParityBlock]:

@@ -370,10 +370,9 @@ def c7_energy_identity(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     rhs_zero = float(np.max(np.abs(ident.rhs)))
     L = dense_laplacian(grid)
     h = model.ground_state()
-    e0 = sum(h[y] * grid.cell_volume
-             * float(np.einsum("ij,ji->", L, series[0].f[y]).real
-                     + np.sum(fam_triv.V[y] * series[0].f[y].diagonal().real))
-             for y in range(2))
+    kin = series[0].pairing(L)
+    e0 = sum(h[y] * grid.cell_volume * float(kin[y] + np.sum(fam_triv.V[y] * diag))
+             for y, diag in enumerate(series[0].diagonal().real))
     lhs_zero = float(np.max(np.abs(ident.lhs))) / max(abs(e0), 1e-300)
     passed = (res_dt <= 1e-3 and shrink >= 3.0
               and rhs_zero <= 1e-12 and lhs_zero <= 1e-3)

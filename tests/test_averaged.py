@@ -29,6 +29,7 @@ from stochnls.grid import (
     SpatialGrid,
     WaveField,
     apply_multiplier,
+    dense_laplacian,
     free_flow,
     laplacian_symbol,
 )
@@ -231,6 +232,14 @@ class TestLiouvilleAveraged:
         with pytest.raises(ValueError):
             AveragedDensityMatrix(grid, bad)
 
+    def test_non_finite_kernel_refused(self):
+        # NaN fails every comparison of the Hermiticity check, so it needs its own
+        grid = SpatialGrid(1, 8, 4.0)
+        bad = np.eye(8, dtype=complex)
+        bad[2, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            AveragedDensityMatrix(grid, bad)
+
 
 def stepwise(values, family, model, cfg, pair):
     """The unfused per-step composition: every step applies both of its
@@ -389,14 +398,15 @@ class TestPairFlow:
 THREADS_SCRIPT = """
 import hashlib
 import numpy as np
-from stochnls.averaged import AveragedDensityMatrix, solve_liouville_averaged
+from stochnls.averaged import AveragedDensityMatrix, solve_liouville_averaged, structure_table
+from stochnls.diagnostics import energy_derivative_identity
 from stochnls.grid import SpatialGrid
 from stochnls.markov import MarkovModel
 from stochnls.potential import make_amplitude_family, make_translate_family, shape_field
 from stochnls.propagator import SolverConfig
 
 model = MarkovModel(np.array([[1.0, -1.0], [-1.0, 1.0]]), initial_law=np.array([0.5, 0.5]))
-cfg = SolverConfig(dt=0.01, sample_times=np.array([0.0, 0.05, 0.2]))
+cfg = SolverConfig(dt=0.01, sample_times=np.linspace(0.0, 0.2, 5))
 for n, translate in ((64, False), (128, True)):
     grid = SpatialGrid(1, n, 20.0)
     well = shape_field(grid, "sech2", amplitude=-2.0, width=1.0)
@@ -404,8 +414,11 @@ for n, translate in ((64, False), (128, True)):
            else make_amplitude_family(well, well, [-0.5, 0.5], grid))
     psi = np.exp(-(grid.coordinates()[0] - 10.0) ** 2 / 2).astype(complex)
     f0 = AveragedDensityMatrix(grid, np.array([0.5 * np.outer(psi, psi.conj())] * 2))
-    digest = hashlib.sha256()
-    for snap in solve_liouville_averaged(f0, fam, model, cfg):
+    series = solve_liouville_averaged(f0, fam, model, cfg)
+    ident = energy_derivative_identity(series, fam, model)
+    digest = hashlib.sha256(structure_table(series).tobytes() + ident.lhs.tobytes()
+                            + ident.rhs.tobytes())
+    for snap in series:
         digest.update(snap.f.tobytes())
     print(n, digest.hexdigest())
 """
@@ -413,8 +426,10 @@ for n, translate in ((64, False), (128, True)):
 
 def test_liouville_bytes_do_not_depend_on_blas_threads():
     """The Liouville march's dense block products give the same bytes at one
-    and two BLAS threads: an even solve (n = 64, its even block of 33 rows)
-    and an uneven one (n = 128, the whole space), each in its own process."""
+    and two BLAS threads, and so do the structure table and the energy
+    identity, which solve and pair the march's own blocks: an even solve
+    (n = 64, its even block of 33 rows) and an uneven one (n = 128, the
+    whole space), each in its own process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(stochnls.__file__)))
     outputs = []
     for threads in ("1", "2"):
@@ -468,12 +483,17 @@ def test_folded_march_matches_per_step_composition(data):
 @given(st.data())
 def test_block_split_matches_per_step_composition(data):
     """The Liouville march on its parity blocks.  Even amplitude families
-    with f0 a mixture of even and odd pure states, so that 0, 1 or 2 blocks
-    start non-zero, and uneven inputs (a translate family, or an off-centre
-    f0), which march the whole space as one block.  The snapshots match the
-    per-step composition; an even input's are Hermitian and commute with
-    the reflection bit for bit; each hop conjugates each block that starts
-    non-zero once, and no other."""
+    with f0 a mixture of even and odd pure states, and at will each one's
+    parity projector (I +- R)/2, so that 0, 1 or 2 blocks start non-zero,
+    and uneven inputs (a translate family, or an off-centre f0), which march
+    the whole space as one block.  The snapshots match the per-step
+    composition; an even input's are Hermitian and commute with the
+    reflection bit for bit; each hop conjugates each block that starts
+    non-zero once, and no other.  Read from the snapshot's parts, density,
+    trace and Hermiticity residual equal those of its dense kernels bit for
+    bit, and positivity and the pairing with the Laplacian or a drawn
+    uneven Hermitian matrix agree to roundoff; an even input's snapshots
+    hold no whole-space array."""
     import stochnls.averaged as averaged
 
     draw = data.draw
@@ -482,6 +502,7 @@ def test_block_split_matches_per_step_composition(data):
     gap = draw(st.sampled_from([1, 4]), label="gap_steps")
     uneven = draw(st.sampled_from([None, "translate", "off-centre"]), label="uneven")
     parts = draw(st.sampled_from([(), ("even",), ("odd",), ("even", "odd")]), label="parts")
+    full = draw(st.booleans(), label="full_rank")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     grid = SpatialGrid(1, 32, 10.0)
     r = mirror(grid)
@@ -500,8 +521,14 @@ def test_block_split_matches_per_step_composition(data):
             v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
             psi = np.roll(v + v[r] if parity == "even" else v - v[r], shift)
             kernels[y] += rng.uniform(0.1, 1.0) * np.outer(psi, psi.conj())
+            if full:
+                R = np.eye(grid.size)[r] * (1 if parity == "even" else -1)
+                P = np.roll(0.5 * (np.eye(grid.size) + R), (shift, shift), axis=(0, 1))
+                kernels[y] += rng.uniform(0.1, 1.0) * P
     model = MarkovModel(graph_laplacian(draw, m), initial_law=np.full(m, 1.0 / m))
     cfg = SolverConfig(dt=0.01, sample_times=0.01 * gap * np.arange(4), order=order)
+    M = (dense_laplacian(grid) if draw(st.booleans(), label="laplacian")
+         else hermitian_kernels(grid, 1, seed=m)[0])
 
     calls = []
 
@@ -517,6 +544,15 @@ def test_block_split_matches_per_step_composition(data):
         if not uneven:
             assert np.array_equal(g.f, g.f.conj().transpose(0, 2, 1))
             assert commutes_with_reflection(g.f, grid)
+            assert all(F.shape[-1] < grid.size for _, F in g.parts)
+        dense = AveragedDensityMatrix(grid, g.f, t=g.t)
+        assert np.array_equal(density(g), density(dense))
+        assert np.array_equal(trace(g)[0], trace(dense)[0]) and trace(g)[1] == trace(dense)[1]
+        assert g.hermiticity_residual() == dense.hermiticity_residual()
+        assert np.all(np.abs(psd_check(g) - psd_check(dense)) <= 1e-14 * trace(dense)[1])
+        want = np.einsum("ij,yji->y", M, dense.f).real
+        bound = np.einsum("ij,yji->y", np.abs(M), np.abs(dense.f))
+        assert np.all(np.abs(g.pairing(M) - want) <= 1e-12 * bound)
     sizes = ({grid.size} if uneven else
              {{"even": 17, "odd": 15}[p] for p in parts}) if parts else set()
     hops = 3 * (gap + 1 if order == 2 else gap)

@@ -10,6 +10,7 @@ from stochnls.grid import (
     laplacian_symbol,
     lebesgue_norm,
     lorentz_norm,
+    parity_blocks,
     sum_norm,
     transform_rows,
 )
@@ -264,3 +265,29 @@ class TestSumNorm:
                 )
             assert sum_norm(f) >= 0.5 * best
 
+
+
+@pytest.mark.parametrize("n, m", [(8, 1), (16, 2)])
+def test_parity_block_gather_is_the_basis(n, m):
+    """The gather map read off the basis b_a = weight_a (e_index_a + sign
+    e_mirror_a) itself: extend(eye) is B, and (pos, coef) are B's column of
+    the one entry per row and that entry (0 on a row the block misses), so
+    extend_kernels is coef_i coef_j F[pos_i, pos_j] and extend_diagonal its
+    diagonal, bit for bit."""
+    grid = SpatialGrid(1, n, 4.0)
+    rng = np.random.default_rng(n)
+    for block in parity_blocks(grid, m):
+        k = block.index.size
+        B = np.zeros((block.size, k))
+        for a in range(k):
+            B[block.index[a], a] += block.weight[a]
+            B[block.mirror[a], a] += block.sign * block.weight[a]
+        pos, coef = block.gather
+        assert np.array_equal(block.extend(np.eye(k)), B)
+        assert np.array_equal(coef, B.sum(axis=1))
+        assert np.array_equal(pos, np.argmax(B != 0, axis=1))
+        F = rng.standard_normal((3, k, k)) + 1j * rng.standard_normal((3, k, k))
+        dense = block.extend_kernels(F)
+        assert np.array_equal(dense, np.multiply.outer(coef, coef) * F[:, pos][:, :, pos])
+        assert np.array_equal(block.extend_diagonal(F), np.diagonal(dense, axis1=1, axis2=2))
+        assert np.max(np.abs(dense - B @ F @ B.T)) <= 1e-15 * np.max(np.abs(F))
