@@ -126,7 +126,7 @@ def energy_derivative_identity(f_series, family: PotentialFamily,
     h = model.ground_state()
     Ah = model.A @ h
     L = dense_laplacian(grid)
-    hv_fields, _ = a_of_hv(family, model)
+    fields = np.stack([family.V, a_of_hv(family, model)[0]])  # V and A[hV], (2, m, n)
 
     energy_trace = np.empty(len(f_series))
     kinetic_trace = np.empty((len(f_series), model.m))
@@ -136,9 +136,10 @@ def energy_derivative_identity(f_series, family: PotentialFamily,
         e = 0.0
         fx = 0.0
         kinetic_trace[j] = snap.pairing(L, restricted) * vol
-        for y, diag in enumerate(snap.diagonal().real):
-            e += h[y] * (kinetic_trace[j, y] + vol * float(np.sum(family.V[y] * diag)))
-            fx += vol * float(np.sum(hv_fields[y] * diag))
+        potential, hv = vol * np.sum(fields * snap.diagonal().real, axis=2)
+        for y in range(model.m):
+            e += h[y] * (kinetic_trace[j, y] + potential[y])
+            fx += hv[y]
         energy_trace[j] = e
         flux[j] = fx
 

@@ -20,7 +20,11 @@ Matrices are assembled in state-major layout (index = y * n^d + x), with
 the Laplacian built exactly as the Fourier conjugation of diag(|k|^2),
 so spectra here and dynamics in the propagators share one discretization.
 The free resolvent R0 is applied in the exact eigenbasis of H0 (DFT
-tensor eigenvectors of A), so KB costs no inverse.
+tensor eigenvectors of A), so assembling KB costs no inverse.  The scan
+reads sigma_min(KB) as 1 / sigma_max(X), X = KB^{-1}, from the largest
+eigenvalue of X^H X (exact to eps relative) and an inverse good to
+O(eps kappa) relative: as accurate as an SVD's sigma_min, whose absolute
+error eps sigma_max is eps kappa relative.  KB^H KB would lose eps kappa^2.
 
 Two exact symmetries split the dense solves into blocks:
 
@@ -33,8 +37,8 @@ Two exact symmetries split the dense solves into blocks:
 * -Lap and iA commute with the grid reflection x -> -x on each state, so
   when every state's V is even, H, h and every KB(lambda) are
   block-diagonal in the orthonormal basis of even and odd functions
-  (:func:`stochnls.grid.parity_blocks`): the eigensolves and singular
-  value decompositions run on the two half-size blocks, and their spectra
+  (:func:`stochnls.grid.parity_blocks`): the eigensolves and the KB scan
+  run on the two half-size blocks, and their spectra and singular values
   together are the whole operator's.
 """
 
@@ -70,6 +74,9 @@ __all__ = [
 ]
 
 SIZE_CAP = 4096
+# Lambdas per stacked KB inverse in kb_scan: fastest at C9's blocks (66, 62);
+# the whole 125-point grid as one stack is slower and adds ~30 MiB of peak RSS.
+_KB_CHUNK = 8
 
 
 @dataclass
@@ -219,19 +226,33 @@ def _kb_setup(family: PotentialFamily, model: MarkovModel):
     return w.v2.reshape(-1)[:, None] * W, W.conj().T * w.v1.reshape(-1)[None, :], d
 
 
-def _in_free_spectrum(d: np.ndarray, lam: complex) -> bool:
-    """Whether lambda lies in spec(H0), min |d - lambda| <= 1e-12 max(1, max |d|),
+def _in_free_spectrum(d: np.ndarray, lam) -> np.ndarray:
+    """Whether each lambda lies in spec(H0), min |d - lambda| <= 1e-12 max(1, max |d|),
     where R0 does not exist."""
-    if lam.imag > 0:
+    lam = np.asarray(lam)
+    if np.any(lam.imag > 0):
         raise ValueError("KB is defined on the closed lower half-plane only")
-    return bool(np.min(np.abs(d - lam)) <= 1e-12 * max(1.0, float(np.max(np.abs(d)))))
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(d))))
+    return np.min(np.abs(d - lam[..., None]), axis=-1) <= tol
 
 
-def _kb_matrix(left, right, d, lam: complex) -> np.ndarray:
-    """I + left diag(1/(d - lambda)) right, for lambda outside spec(H0)."""
-    KB = left @ (right / (d - lam)[:, None])
-    KB.flat[::KB.shape[0] + 1] += 1.0
+def _kb_matrices(left, right, d, lams: np.ndarray) -> np.ndarray:
+    """I + left diag(1/(d - lambda)) right for each lambda of `lams`, all
+    outside spec(H0), stacked (len(lams), N, N)."""
+    KB = left @ (right / (d - lams[:, None])[:, :, None])
+    KB.reshape(len(lams), -1)[:, ::KB.shape[-1] + 1] += 1.0
     return KB
+
+
+def _min_singular_values(KB: np.ndarray) -> np.ndarray:
+    """sigma_min of each matrix of a (c, N, N) stack as 1 / sigma_max(KB^{-1}),
+    each from that matrix alone; an exactly singular matrix reads 0."""
+    try:
+        X = np.linalg.inv(KB)
+    except np.linalg.LinAlgError:  # a singular member: take them one at a time
+        return np.concatenate([_min_singular_values(k[None]) for k in KB]) \
+            if len(KB) > 1 else np.zeros(1)
+    return 1.0 / np.sqrt(np.linalg.eigvalsh(X.conj().transpose(0, 2, 1) @ X)[:, -1])
 
 
 def assemble_kb(family: PotentialFamily, model: MarkovModel,
@@ -241,7 +262,7 @@ def assemble_kb(family: PotentialFamily, model: MarkovModel,
     parts = _kb_setup(family, model)
     if _in_free_spectrum(parts[2], lam):
         raise ValueError(f"lambda = {lam} lies in the spectrum of H0")
-    return _kb_matrix(*parts, lam)
+    return _kb_matrices(*parts, np.array([lam], dtype=complex))[0]
 
 
 def default_lambda_grid(re_span: tuple[float, float] = (-10.0, 10.0),
@@ -260,7 +281,8 @@ def kb_scan(family: PotentialFamily, model: MarkovModel,
 
     For even v1 and v2 the spatial and the spectral index split alike (the
     DFT maps even to even and |k|^2 is even), so each KB block is assembled
-    and decomposed at half size.
+    and inverted at half size, `_KB_CHUNK` lambdas to a stack (accuracy: see
+    the module docstring); a lambda's value does not depend on its stack.
     """
     if lam_grid is None:
         lam_grid = default_lambda_grid()
@@ -270,13 +292,13 @@ def kb_scan(family: PotentialFamily, model: MarkovModel,
     blocks = [(b.restrict(left), b.restrict(right), b.restrict_diagonal(d))
               for b in _parity_blocks(family.grid, (w.v1, w.v2))]
     mins = np.full(lam_grid.size, np.nan)  # NaN where lambda lies in spec(H0)
-    for i, lam in enumerate(lam_grid):
-        if not _in_free_spectrum(d, lam):
-            mins[i] = min(float(np.linalg.svd(_kb_matrix(*parts, lam),
-                                              compute_uv=False)[-1])
-                          for parts in blocks)
-    if np.all(np.isnan(mins)):
+    todo = np.flatnonzero(~_in_free_spectrum(d, lam_grid))
+    if todo.size == 0:
         raise ValueError("every lambda of the scan lies in the spectrum of H0")
+    for lo in range(0, todo.size, _KB_CHUNK):
+        chunk = todo[lo:lo + _KB_CHUNK]
+        mins[chunk] = np.min([_min_singular_values(_kb_matrices(*parts, lam_grid[chunk]))
+                              for parts in blocks], axis=0)
     gmin = int(np.nanargmin(mins))
     return {"lambdas": lam_grid, "min_singular_values": mins,
             "global_min": float(mins[gmin]), "global_min_lambda": complex(lam_grid[gmin])}

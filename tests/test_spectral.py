@@ -13,6 +13,8 @@ from stochnls.potential import (
     shape_field,
 )
 from stochnls.spectral import (
+    _KB_CHUNK,
+    _min_singular_values,
     _parity_blocks,
     assemble_h,
     assemble_kb,
@@ -257,6 +259,62 @@ class TestKBEigenbasis:
             kb_scan(fam, model, [0.0])
 
 
+class TestMinSingularValues:
+    """sigma_min read as 1 / sigma_max(KB^{-1}) from stacked inverses, against
+    the SVD, on singular and near-singular KB."""
+
+    EPS = np.finfo(float).eps
+
+    def assert_within_svd_error(self, kbs, mins):
+        # the SVD's own error bound for sigma_min: a few eps sigma_max absolute
+        sv = np.linalg.svd(kbs, compute_uv=False)
+        assert np.all(np.abs(mins - sv[:, -1]) <= 10 * self.EPS * sv[:, 0]), \
+            (mins, sv[:, -1], sv[:, 0])
+
+    def test_singular_member_reads_zero(self):
+        rng = np.random.default_rng(3)
+        kbs = rng.standard_normal((5, 12, 12)) + 1j * rng.standard_normal((5, 12, 12))
+        kbs[2, :, 4] = 0.0  # exactly singular: LU meets a zero pivot
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(kbs)
+        mins = _min_singular_values(kbs)
+        assert mins[2] == 0.0
+        regular = np.delete(kbs, 2, axis=0)
+        assert np.array_equal(np.delete(mins, 2), _min_singular_values(regular))
+        np.testing.assert_allclose(np.delete(mins, 2),
+                                   np.linalg.svd(regular, compute_uv=False)[:, -1], rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["trivial", "switching", "uneven"])
+    def test_near_singular_lambdas_keep_the_svd_accuracy(self, kind):
+        # lambda at and next to an eigenvalue of H: the trivial family's real
+        # bound level (sigma_min down to roundoff), else the real point
+        # below a resonance, the closest one on the closed lower half-plane
+        grid = SpatialGrid(1, 64, 20.0)
+        model = two_state_model()
+        well = shape_field(grid, "sech2", amplitude=-2.0, width=1.0)
+        fam = {"trivial": PotentialFamily(grid, np.vstack([well, well])),
+               "switching": sech_family(grid, m=2, contrast=0.2),
+               "uneven": make_translate_family(well, grid, [(0,), (3,)])}[kind]
+        loc = eigen_analysis(assemble_h(fam, model)).discrete_subset()
+        level = min(loc[loc.real < -0.5], key=lambda e: e.imag)
+        lams = level.real + np.array([0.0, -1e-9j, -1e-6j, 1e-3, -1e-3j])
+        kbs = np.stack([assemble_kb(fam, model, lam) for lam in lams])
+        mins = _min_singular_values(kbs)
+        self.assert_within_svd_error(kbs, mins)
+        self.assert_within_svd_error(kbs, kb_scan(fam, model, lams)["min_singular_values"])
+        if kind == "trivial":
+            assert mins[1] < 1e-8  # the bound level is a real eigenvalue
+
+    def test_value_does_not_depend_on_the_chunk(self):
+        fam, model = c9_setting()
+        others = default_lambda_grid()[1:2 * _KB_CHUNK + 1]
+        lam = 2.5 - 0.7j
+        alone = kb_scan(fam, model, [lam])["min_singular_values"][0]
+        for pos in range(_KB_CHUNK + 1):
+            grid = np.insert(others, pos, lam)
+            assert kb_scan(fam, model, grid)["min_singular_values"][pos] == alone, pos
+
+
 def graph_model(weights, m):
     """The weighted graph Laplacian on m states with the given edge weights."""
     A = np.zeros((m, m))
@@ -351,7 +409,9 @@ class TestParitySplit:
             assert np.array_equal(report.eigenvalues, want)
             assert np.array_equal(report.localization, want_loc)
         mins = kb_scan(fam, model, SPLIT_LAMBDAS)["min_singular_values"]
-        assert np.array_equal(mins, unsplit_kb_mins(fam, model))
+        kbs = np.stack([assemble_kb(fam, model, lam) for lam in SPLIT_LAMBDAS])
+        assert np.array_equal(mins, _min_singular_values(kbs))
+        np.testing.assert_allclose(mins, unsplit_kb_mins(fam, model), rtol=1e-12)
 
     def test_blocks_decouple_the_c8_operator(self):
         # the coupling between the blocks is the dense Laplacian's roundoff
