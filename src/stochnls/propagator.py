@@ -25,20 +25,24 @@ same substeps:
   its substeps' own phases up front: all rows take each base step at once,
   and the later substeps of cut steps march as sub-batches;
 * the eigenbasis engine (:func:`_march_eigenbasis`), for linear Strang
-  rows on a one-axis grid of at most 512 points whose step phases span
-  less than 0.9 pi (dt (max |k|^2 + max V_y - min V_y), every state y).
-  Between two jumps every base step applies the same unitary Strang step
-  S_y, so the engine diagonalises S_y once, O_y diag(exp(i theta_y)) O_y^T
-  with O_y real, and takes an uncut run of k steps as one phase multiply
-  in that basis; the substeps cut at jumps go by FFT phases.  It marches
-  whole paths in rounds, the rows' segments between consecutive jumps and
+  rows on a one-axis grid.  Between two jumps every base step applies the
+  same unitary Strang step S_y, so the engine diagonalises S_y once,
+  O_y diag(exp(i theta_y)) O_y^T with O_y real, and takes an uncut run of
+  k steps as one phase multiply in that basis; the substeps cut at jumps
+  go by FFT phases.  A spatially constant V_y = c makes S_y diagonal in
+  the Fourier basis, theta_y = dt (|k|^2 + c), so its run is one FFT
+  multiply and builds no dense basis.  A dense basis takes a grid of at
+  most 512 points whose step phases span less than 0.9 pi (dt (max |k|^2
+  + max V_y - min V_y), every state y); a family whose rows are all
+  constant takes the engine at any grid size and arc.  It marches whole
+  paths in rounds, the rows' segments between consecutive jumps and
   sample times taken one per row per round, and fills the sample-time
   fields itself.  It is the same scheme as the march to roundoff, so dt
   and order keep their meaning.
 
-Hartree rows, Picard's frozen fields, Lie rows, d = 2, larger grids and
-wider arcs go to the march.  On either engine each row is bitwise what
-marching it alone gives.
+Hartree rows, Picard's frozen fields, Lie rows, d = 2, and otherwise
+larger grids and wider arcs go to the march.  On either engine each row
+is bitwise what marching it alone gives.
 """
 
 from __future__ import annotations
@@ -303,7 +307,9 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: 
 
 # The eigenbasis engine (_march_eigenbasis) takes linear Strang rows on one-axis
 # grids of at most this many points, whose step phases span less than this arc
-# (see _step_basis); the march takes the rest.
+# (see _step_basis); the march takes the rest.  Both limits are those of a
+# dense basis: a family whose rows are all constant has the DFT as its basis
+# and takes the engine at any size and arc.
 _EIGEN_N_CAP = 512
 _ARC_LIMIT = 0.9 * np.pi
 # Rows per FFT block while a basis is built.
@@ -388,8 +394,9 @@ def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSam
     """:func:`_march` for linear Strang rows on a one-axis grid, values of
     shape (B, n) and V of shape (m, n): the same substeps, with each row's
     uncut run of k base steps in state y as one multiply by exp(i k
-    theta_y) in the eigenbasis of the step (:func:`_step_basis`), filling
-    fields, shape (B, T, n), with each row at each sample time.
+    theta_y) in the eigenbasis of the step: the DFT, theta_y = dt (|k|^2
+    + c), for a constant row V_y = c, and :func:`_step_basis` otherwise.
+    It fills fields, shape (B, T, n), with each row at each sample time.
 
     A table built up front cuts every row's path into segments at its jumps
     and at the sample times; a segment takes its interval's base edges.
@@ -451,7 +458,7 @@ def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSam
         row, head, y_head, tail, y_tail, k, np.where(k > 0, states[y], -1),
         np.where(last, T - M + ivl, -1)))
     bounds = np.append(0, np.bincount(round_of).cumsum())
-    symbol, bases = laplacian_symbol(grid), {}
+    symbol, bases, flat = laplacian_symbol(grid), {}, np.all(V == V[:, :1], axis=1)
 
     def substeps(rows, tau, y):
         """Strang substeps of length tau in the flat states y, on the rows with tau > 0."""
@@ -469,6 +476,10 @@ def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSam
         for state in range(len(V)):
             run = np.flatnonzero(in_state[lo:hi] == state)
             if not run.size:
+                continue
+            if flat[state]:  # the DFT diagonalises the step: theta = dt (|k|^2 + c)
+                phase = np.exp(1j * k[lo:hi][run, None] * (cfg.dt * (symbol + V[state, 0])))
+                values[rows[run]] = apply_multiplier(values[rows[run]], phase, ndim=1)
                 continue
             if state not in bases:
                 O, theta = _step_basis(grid, cfg.dt, V[state].tobytes())
@@ -493,9 +504,10 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
     suml2linf, energy_kinetic, energy_potential and energy_hartree, in that
     order, as (B, T) arrays.  Row b is bitwise what evolve_path gives for
     row b alone, whatever the other rows are.  Linear Strang rows on a
-    one-axis grid of at most _EIGEN_N_CAP points, whose step phases span
-    less than _ARC_LIMIT, take the eigenbasis engine; the rest take the
-    march (see the module docstring).
+    one-axis grid take the eigenbasis engine when the family's rows are
+    all spatially constant, or when the grid has at most _EIGEN_N_CAP
+    points and the step phases span less than _ARC_LIMIT; the rest take
+    the march (see the module docstring).
     """
     grid = family.grid
     B, T = len(paths), cfg.sample_times.size
@@ -522,8 +534,9 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
     names = ("l2", "suml2linf", "energy_kinetic", "energy_potential", "energy_hartree")
     scalars = {k: np.empty((B, T)) for k in names}
     fields = np.empty((B, T, grid.size), dtype=complex)
-    if extra is None and grid.dim == 1 and cfg.order == 2 and grid.size <= _EIGEN_N_CAP \
-            and _step_arc(grid, family.V, cfg.dt) < _ARC_LIMIT:
+    constant = np.all(family.V == family.V[:, :1])  # the DFT is every state's step basis
+    if extra is None and grid.dim == 1 and cfg.order == 2 and (constant or (
+            grid.size <= _EIGEN_N_CAP and _step_arc(grid, family.V, cfg.dt) < _ARC_LIMIT)):
         _march_eigenbasis(grid, psi0.copy(), paths, cfg, family.V, fields)
     else:
         for j, (_, values) in enumerate(_march(grid, psi0.reshape(B, *grid.shape).copy(), paths,

@@ -15,6 +15,7 @@ import pytest
 from stochnls.grid import SpatialGrid
 from stochnls.spectral import assemble_h, eigen_analysis
 from stochnls.verify import (
+    DEFAULT_SCALE,
     FULL_SCALE,
     _switching_family,
     _two_state_model,
@@ -94,13 +95,14 @@ def test_c08_resonance():
                    "trivial_min_abs_imag", "resonance_min_imag", "resonance_gate")
     assert entry["passed"]
     assert entry["runtime_s"] < 120.0
-    # exploratory, not gated: the resonance width grows with the contrast
-    grid = SpatialGrid(1, FULL_SCALE.resonance_n, 40.0)
+    # the resonance width grows with the contrast, at the battery's default
+    # size (the widths agree with the full size's to six digits)
+    grid = SpatialGrid(1, DEFAULT_SCALE.resonance_n, 40.0)
     widths = [float(np.min(eigen_analysis(assemble_h(
         _switching_family(grid, contrast=c), _two_state_model(), cap=4096))
-        .discrete_subset().imag)) for c in (0.25, 0.5)]
-    widths.append(entry["resonance_min_imag"])  # contrast 1.0 is C8's family
-    print(f"  resonance widths by contrast 0.25/0.5/1.0 (exploratory): {widths}")
+        .discrete_subset().imag)) for c in (0.25, 0.5, 1.0)]
+    print(f"  resonance widths by contrast 0.25/0.5/1.0: {widths}")
+    assert widths[0] < widths[1] < widths[2]
 
 
 def test_c08_fails_on_trivial_randomness(monkeypatch):

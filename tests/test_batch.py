@@ -27,6 +27,7 @@ from stochnls.grid import (
 from stochnls.markov import MarkovModel, PathSample, states_at
 from stochnls.potential import (
     HartreeKernel,
+    PotentialFamily,
     make_amplitude_family,
     make_translate_family,
     shape_field,
@@ -338,21 +339,27 @@ def test_engine_edge_cases_are_what_they_say():
         < propagator._ARC_LIMIT < propagator._step_arc(GRID, family().V, DT)
 
 
+def constant_family(grid=GRID):
+    """Two spatially constant states V_y = c_y: the engine's DFT basis."""
+    return PotentialFamily(grid, np.outer([0.4, -0.9], np.ones(grid.size)))
+
+
 def test_eigenbasis_rows_match_single_path(monkeypatch):
-    """The engine's jump rounds, head and tail substeps and per-state dgemms
-    on 1, 2, 3 and all rows of one batch, each row against itself alone."""
+    """The engine's jump rounds, head and tail substeps and per-state runs
+    (dgemms, or FFT multiplies for constant rows) on 1, 2, 3 and all rows
+    of one batch, each row against itself alone."""
     used = record_engines(monkeypatch)
-    fam = family(ENGINE_GRID)
     jump_sets = [*ENGINE_JUMPS.values(), *sub_ulp_jump_sets()]
     paths = [two_state_path(j) for j in jump_sets]
     psi0 = np.array([initial_field(0.3 * b, ENGINE_GRID) for b in range(len(paths))])
     cfg = SolverConfig(dt=ENGINE_DT, sample_times=SAMPLE_TIMES)
     B = len(paths)
-    for batches in ([[b, (b + 1) % B] for b in range(B)],
-                    [[b, (b + 5) % B, (b + 9) % B] for b in range(B)],
-                    [list(range(B))]):
-        for batch in batches:
-            assert_rows_match_alone([paths[b] for b in batch], psi0[batch], cfg, None, fam)
+    for fam in (family(ENGINE_GRID), constant_family(ENGINE_GRID)):
+        for batches in ([[b, (b + 1) % B] for b in range(B)],
+                        [[b, (b + 5) % B, (b + 9) % B] for b in range(B)],
+                        [list(range(B))]):
+            for batch in batches:
+                assert_rows_match_alone([paths[b] for b in batch], psi0[batch], cfg, None, fam)
     assert set(used) == {"_march_eigenbasis"}
 
 

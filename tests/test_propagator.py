@@ -34,8 +34,9 @@ from stochnls.propagator import (
     wave_operator_estimate,
     write_scalars_csv,
 )
-# the per-path march, an engine spy and one path's state at one time
-from test_batch import march_interval, record_engines, state_at
+# the per-path march, an engine spy, one path's state at one time and a
+# family of two spatially constant states
+from test_batch import constant_family, march_interval, record_engines, state_at
 
 
 def free_gaussian(grid, a, t, center=None):
@@ -71,15 +72,22 @@ class TestFreeEvolution:
         out = evolve_path(psi0, zero_family(grid), constant_path(), None, cfg)
         np.testing.assert_array_equal(out.fields[0], psi0.values)
 
-    def test_gaussian_oracle(self):
+    def test_gaussian_oracle(self, monkeypatch):
+        """Both engines: evolve_path takes a zero family to the eigenbasis
+        engine at any grid size, and the march, which it no longer reaches
+        for one, is called directly."""
+        used = record_engines(monkeypatch)
         grid = SpatialGrid(1, 1024, 80.0)
         a = 1.0
         psi0 = WaveField(grid, free_gaussian(grid, a, 0.0))
         cfg = SolverConfig(dt=1e-3, sample_times=np.array([1.0]))
-        out = evolve_path(psi0, zero_family(grid), constant_path(), None, cfg)
+        engine = evolve_path(psi0, zero_family(grid), constant_path(), None, cfg).fields[0]
+        ((_, marched),) = propagator._march(grid, psi0.values[None].copy(), [constant_path()],
+                                            cfg, zero_family(grid).V)
+        assert used == ["_march_eigenbasis", "_march"]
         exact = free_gaussian(grid, a, 1.0)
-        err = np.max(np.abs(out.fields[0] - exact))
-        assert err <= 1e-6
+        for field in (engine, marched[0]):
+            assert np.max(np.abs(field - exact)) <= 1e-6
 
     def test_constant_potential_is_pure_gauge(self):
         # V = c: solution is e^{+ict} times the free one; norms agree to 1e-10
@@ -464,17 +472,81 @@ class TestEigenbasisEngine:
                                   SolverConfig(dt=0.01, sample_times=times)),
             "two axes": (SpatialGrid(2, 16, 12.0), None,
                          SolverConfig(dt=0.01, sample_times=times)),
+            # constant rows have the DFT as their basis: no size cap, no arc limit
+            "constant, over the size cap, wide arc": (
+                SpatialGrid(1, 2 * propagator._EIGEN_N_CAP, 400.0), None,
+                SolverConfig(dt=0.05, sample_times=times)),
+            "constant, Lie": (SpatialGrid(1, 2 * propagator._EIGEN_N_CAP, 400.0), None,
+                              SolverConfig(dt=0.05, sample_times=times, order=1)),
+            "constant, two axes": (SpatialGrid(2, 16, 12.0), None,
+                                   SolverConfig(dt=0.01, sample_times=times)),
         }
         engines = {}
         for label, (g, kernel, cfg) in cases.items():
             used.clear()
-            fam = switching_family(g)
+            fam = (constant_family if label.startswith("constant") else switching_family)(g)
             evolve_paths(gaussian_rows(g, 2), fam, sampled_paths(0.2, 2, rate=5.0), kernel, cfg)
             engines[label] = used[0]
             if label == "over the size cap":  # the arc alone would admit it
                 assert propagator._step_arc(g, fam.V, cfg.dt) < propagator._ARC_LIMIT
-        assert engines == {label: "_march_eigenbasis" if label in ("linear Strang", "zero coupling")
-                           else "_march" for label in cases}
+            if label == "constant, over the size cap, wide arc":  # neither would admit it
+                assert propagator._step_arc(g, fam.V, cfg.dt) > propagator._ARC_LIMIT
+        engine_cases = ("linear Strang", "zero coupling", "constant, over the size cap, wide arc")
+        assert engines == {label: "_march_eigenbasis" if label in engine_cases else "_march"
+                           for label in cases}
+
+    @pytest.mark.parametrize("engine", ["_march_eigenbasis", "_march"])
+    def test_constant_levels_are_a_path_phase(self, monkeypatch, engine):
+        """V_y = c_y along paths with jumps: psi(t) = exp(i int_0^t c_y(s) ds)
+        U(t) psi0, on a grid over the size cap at a step arc over the limit."""
+        used = record_engines(monkeypatch)
+        grid = SpatialGrid(1, 2 * propagator._EIGEN_N_CAP, 80.0)
+        fam = constant_family(grid)
+        times = np.array([0.25, 0.5, 1.0])
+        paths = sampled_paths(1.0, 4, rate=4.0)
+        assert all(p.jump_times.size for p in paths)
+        psi0 = gaussian_rows(grid, len(paths))
+        cfg = SolverConfig(dt=0.01, sample_times=times)
+        assert propagator._step_arc(grid, fam.V, cfg.dt) > propagator._ARC_LIMIT
+        if engine == "_march":
+            fields = self.march_rows(fam, psi0, paths, cfg)
+        else:
+            fields, _, _ = evolve_paths(psi0, fam, paths, None, cfg)
+        assert used == [engine]
+        levels = fam.V[:, 0]
+        for b, path in enumerate(paths):
+            for j, t in enumerate(times):
+                cuts = np.concatenate(([0.0], path.jump_times[path.jump_times < t], [t]))
+                held = levels[[state_at(path, 0.5 * (s + e)) for s, e in zip(cuts[:-1], cuts[1:])]]
+                exact = np.exp(1j * np.sum(held * np.diff(cuts))) * free_flow(grid, psi0[b], t)
+                assert np.max(np.abs(fields[b, j] - exact)) <= 1e-12
+
+    def test_mixed_family_builds_one_dense_basis(self, monkeypatch):
+        """A constant row takes the DFT basis inside a family that also has a
+        well row: one _step_basis for the well, and the march's rows to
+        roundoff."""
+        used = record_engines(monkeypatch)
+        built = []
+        step_basis = propagator._step_basis
+
+        def spy(grid, dt, v_bytes):
+            built.append(v_bytes)
+            return step_basis(grid, dt, v_bytes)
+        monkeypatch.setattr(propagator, "_step_basis", spy)
+        grid = SpatialGrid(1, 64, 20.0)
+        well = switching_family(grid).V[0]
+        fam = PotentialFamily(grid, np.vstack([np.full(grid.size, 0.4), well]))
+        paths = sampled_paths(1.0, 6, rate=3.0)
+        assert {int(y) for p in paths for y in p.states} == {0, 1}
+        psi0 = gaussian_rows(grid, len(paths))
+        cfg = SolverConfig(dt=0.01, sample_times=np.array([0.5, 1.0]))
+        fields, _, _ = evolve_paths(psi0, fam, paths, None, cfg)
+        assert used == ["_march_eigenbasis"]
+        assert built == [well.tobytes()]
+        marched = self.march_rows(fam, psi0, paths, cfg)
+        n0 = lebesgue_norm_rows(grid, psi0, 2)
+        for j in range(cfg.sample_times.size):
+            assert np.all(lebesgue_norm_rows(grid, fields[:, j] - marched[:, j], 2) <= 1e-10 * n0)
 
     @pytest.mark.parametrize("engine", ["_march_eigenbasis", "_march"])
     def test_lost_finiteness_names_the_first_marched_time(self, monkeypatch, engine):
