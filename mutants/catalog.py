@@ -60,4 +60,127 @@ MUTANTS = [
             "tests/test_acceptance.py::test_c08_resonance",
         ],
     },
+    {
+        "name": "two-state-coupling-sign-flipped",
+        "why": "R's coupling blocks get one sign, so R is symmetric and the widths vanish",
+        "file": "src/stochnls/spectral.py",
+        "old": "R[:k, k:] = -M.imag[:k, k:]",
+        "new": "R[:k, k:] = M.imag[:k, k:]",
+        "tests": [
+            "tests/test_spectral.py::TestTwoStateSimilarity::test_real_solve_keeps_the_spectrum",
+            "tests/test_acceptance.py::test_c08_resonance",
+        ],
+    },
+    {
+        "name": "two-state-shift-dropped",
+        "why": "the real solve returns spec(R) without the shift i gamma",
+        "file": "src/stochnls/spectral.py",
+        "old": "vals = vals + 1j * ham.A[0, 0]",
+        "new": "vals = vals + 0j",
+        "tests": [
+            "tests/test_spectral.py::TestTwoStateSimilarity::test_real_solve_keeps_the_spectrum",
+        ],
+    },
+    {
+        "name": "chain-mode-sign-flipped",
+        "why": "the chain modes get h - i mu_j, in the lower half-plane",
+        "file": "src/stochnls/spectral.py",
+        "old": "levels[None, :] + 1j * mu[:, None]",
+        "new": "levels[None, :] - 1j * mu[:, None]",
+        "tests": [
+            "tests/test_spectral.py::TestChainModes::test_equal_rows_split_into_chain_modes",
+        ],
+    },
+    {
+        "name": "chain-mode-localizations-repeated",
+        "why": "each level's localization is repeated in place of tiled over the mu_j",
+        "file": "src/stochnls/spectral.py",
+        "old": "np.tile(loc, ham.m)",
+        "new": "np.repeat(loc, ham.m)",
+        "tests": [
+            "tests/test_spectral.py::TestChainModes::test_equal_rows_split_into_chain_modes",
+        ],
+    },
+    {
+        "name": "psd-odd-half-dropped",
+        "why": "an even kernel is solved on its even half alone",
+        "file": "src/stochnls/averaged.py",
+        "old": "return [b for b in (even, odd) if b.index.size]",
+        "new": "return [b for b in (even,) if b.index.size]",
+        "tests": [
+            "tests/test_averaged.py::TestDensityTracePsd::test_odd_negative_direction_is_reported",
+            "tests/test_averaged.py::test_psd_check_solves_even_kernels_on_their_halves",
+        ],
+    },
+    {
+        "name": "psd-evenness-test-skipped",
+        "why": "every kernel is split into parity halves, even or not",
+        "file": "src/stochnls/averaged.py",
+        "old": "if is_even(f.grid, fields) and np.all(coupling <= 1e-12 * scale):",
+        "new": "if True:",
+        "tests": [
+            "tests/test_averaged.py::TestDensityTracePsd::test_stacked_solve_matches_per_state_loop",
+            "tests/test_averaged.py::test_psd_check_solves_even_kernels_on_their_halves",
+        ],
+    },
+    {
+        "name": "kb-no-singular-fallback",
+        "why": "a singular member of a KB stack raises out of the scan",
+        "file": "src/stochnls/spectral.py",
+        "old": "except np.linalg.LinAlgError:",
+        "new": "except ZeroDivisionError:",
+        "tests": [
+            "tests/test_spectral.py::TestMinSingularValues::test_singular_member_reads_zero",
+        ],
+    },
+    {
+        "name": "kb-singular-reads-one",
+        "why": "an exactly singular KB reads sigma_min = 1",
+        "file": "src/stochnls/spectral.py",
+        "old": "if len(KB) > 1 else np.zeros(1)",
+        "new": "if len(KB) > 1 else np.ones(1)",
+        "tests": [
+            "tests/test_spectral.py::TestMinSingularValues::test_singular_member_reads_zero",
+        ],
+    },
+    {
+        "name": "kb-smallest-gram-eigenvalue",
+        "why": "sigma_min read from the least eigenvalue of X^H X, not the largest",
+        "file": "src/stochnls/spectral.py",
+        "old": "@ X)[:, -1])",
+        "new": "@ X)[:, 0])",
+        "tests": [
+            "tests/test_spectral.py::TestKBEigenbasis::test_lambda_in_free_spectrum",
+        ],
+    },
+    {
+        "name": "kb-chunk-reversed",
+        "why": "a chunk's KB stack is built on its lambdas in reverse order",
+        "file": "src/stochnls/spectral.py",
+        "old": "_kb_matrices(*parts, lam_grid[chunk])",
+        "new": "_kb_matrices(*parts, lam_grid[chunk][::-1])",
+        "tests": [
+            "tests/test_spectral.py::TestKBEigenbasis::test_lambda_in_free_spectrum",
+        ],
+    },
+    {
+        "name": "kb-forward-gram",
+        "why": "sigma_min from eigvalsh(KB^H KB), which squares the condition number",
+        "file": "src/stochnls/spectral.py",
+        "old": "1.0 / np.sqrt(np.linalg.eigvalsh(X.conj().transpose(0, 2, 1) @ X)[:, -1])",
+        "new": "np.sqrt(np.abs(np.linalg.eigvalsh(KB.conj().transpose(0, 2, 1) @ KB)[:, 0]))",
+        "tests": [
+            "tests/test_spectral.py::TestMinSingularValues::test_near_singular_lambdas_keep_the_svd_accuracy[trivial]",
+        ],
+    },
+    {
+        "name": "energy-identity-fields-swapped",
+        "why": "the identity pairs A[hV] where V belongs and V where A[hV] does",
+        "file": "src/stochnls/diagnostics.py",
+        "old": "np.stack([family.V, a_of_hv(family, model)[0]])",
+        "new": "np.stack([a_of_hv(family, model)[0], family.V])",
+        "tests": [
+            "tests/test_diagnostics.py::TestEnergyDerivativeIdentity::test_y_independent_rhs_vanishes",
+        ],
+    },
 ]

@@ -142,11 +142,13 @@ class WaveField:
         return WaveField(self.grid, self.values.copy())
 
 
+@lru_cache(maxsize=8)
 def laplacian_symbol(grid: SpatialGrid) -> np.ndarray:
     """Multiplier |k|^2 of -Laplacian in the FFT frequency layout, flattened.
 
     Entry for multi-index j is sum_a (2*pi*m_a/L)^2 with m_a the signed
     frequency of index j_a; ordering matches :func:`transform_rows`.
+    Cached per grid and read-only, as :func:`kinetic_phase` is.
     """
     k = grid.axis_frequencies()
     sym = np.zeros(grid.shape)
@@ -154,7 +156,9 @@ def laplacian_symbol(grid: SpatialGrid) -> np.ndarray:
         shape = [1] * grid.dim
         shape[ax] = grid.points_per_axis
         sym = sym + (k**2).reshape(shape)
-    return sym.reshape(-1)
+    sym = sym.reshape(-1)
+    sym.flags.writeable = False
+    return sym
 
 
 @lru_cache(maxsize=8)

@@ -26,7 +26,7 @@ eigenvalue of X^H X (exact to eps relative) and an inverse good to
 O(eps kappa) relative: as accurate as an SVD's sigma_min, whose absolute
 error eps sigma_max is eps kappa relative.  KB^H KB would lose eps kappa^2.
 
-Two exact symmetries split the dense solves into blocks:
+Three exact symmetries split or simplify the dense solves:
 
 * When V does not depend on y (every row equal, every one-state family
   among them), H is block-diagonal in the basis q_j x e_x, q_j the
@@ -40,6 +40,15 @@ Two exact symmetries split the dense solves into blocks:
   (:func:`stochnls.grid.parity_blocks`): the eigensolves and the KB scan
   run on the two half-size blocks, and their spectra and singular values
   together are the whole operator's.
+* A two-state chain with equal holding rates, A = gamma [[1, -1], [-1, 1]]
+  (the form of every symmetric two-state generator), gives
+  H - i gamma = D R D^{-1} with D = diag(I, i I) and the real
+  R = [[h_0, gamma], [-gamma, h_1]], h_y = -Lap + V_y.  So the resonant
+  eigensolve runs in real arithmetic (per parity block when V is even):
+  the spectrum is i gamma + spec(R), closed under the reflection
+  lambda -> conj(lambda) + 2 i gamma about Im lambda = gamma, each
+  reflected pair with exactly equal real parts, and D has unit modulus, so
+  every eigenvector's |.|^2, and with it its localization, is R's.
 """
 
 from __future__ import annotations
@@ -172,6 +181,20 @@ def _chain_modes(ham: DiscreteHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return (levels[None, :] + 1j * mu[:, None]).reshape(-1), np.tile(loc, ham.m)
 
 
+def _real_similar(M: np.ndarray) -> np.ndarray:
+    """Re(D^{-1} M D), D = diag(I, i I) on M's halves: a two-state H on a
+    parity block (its first half of coordinates on state 0) as the real R
+    of the module docstring.  The off-diagonal state blocks i A_01 and
+    i A_10 turn into -A_01 and A_10 exactly; only the diagonal blocks'
+    imaginary parts are dropped, i A_yy and the dense Laplacian's
+    antisymmetric roundoff (which :func:`_chain_modes` drops too)."""
+    k = len(M) // 2
+    R = M.real.copy()
+    R[:k, k:] = -M.imag[:k, k:]
+    R[k:, :k] = M.imag[k:, :k]
+    return R
+
+
 def eigen_analysis(ham: DiscreteHamiltonian) -> EigenReport:
     """Dense eigensolve with localization bookkeeping.
 
@@ -186,18 +209,28 @@ def eigen_analysis(ham: DiscreteHamiltonian) -> EigenReport:
     effect on the spectrum.
 
     Otherwise the solve is nonsymmetric; for an even V it runs per parity
-    block, and the eigenvalues come even block first.  An eigenvalue shared
-    by both blocks then gets pure-parity eigenvectors, so its localization
-    can differ from that of an unsplit solve's mixed eigenvectors; only
-    simple localized levels enter C8's gates.
+    block, and the eigenvalues come even block first.  A two-state chain
+    with A[0, 0] == A[1, 1] exactly (C8's resonant family) solves the real
+    R = Re(D^{-1} H D) of each block (:func:`_real_similar`) and returns
+    i gamma + spec(R), gamma = A[0, 0]; its eigenvalues then come in
+    reflected pairs about Im = gamma, in LAPACK's order of conjugate pairs.
+    Larger chains take the complex solve.  An eigenvalue shared by both
+    blocks gets pure-parity eigenvectors, so its localization can differ
+    from that of an unsplit solve's mixed eigenvectors; only simple
+    localized levels enter C8's gates.
     """
     if np.all(ham.V == ham.V[0]):
         eigvals, loc = _chain_modes(ham)
     else:
+        real = ham.m == 2 and ham.A[0, 0] == ham.A[1, 1]
         window = np.tile(ham.well_window, ham.m)
         eigvals, loc = [], []
         for block in _parity_blocks(ham.grid, (ham.V,)):
-            vals, vecs = np.linalg.eig(block.restrict(ham.H))
+            if real:
+                vals, vecs = np.linalg.eig(_real_similar(block.restrict(ham.H)))
+                vals = vals + 1j * ham.A[0, 0]
+            else:
+                vals, vecs = np.linalg.eig(block.restrict(ham.H))
             mass = np.abs(block.extend(vecs)) ** 2
             eigvals.append(vals)
             loc.append(mass[window].sum(axis=0) / mass.sum(axis=0))

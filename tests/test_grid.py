@@ -73,6 +73,15 @@ class TestLaplacianSymbol:
         assert np.argmax(spec) == 5
         assert laplacian_symbol(g)[5] == pytest.approx(k**2)
 
+    def test_cached_symbol_is_read_only_and_bitwise_fresh(self):
+        grid = SpatialGrid(2, 16, 5.0)
+        sym = laplacian_symbol(grid)
+        assert laplacian_symbol(grid) is sym
+        k2 = grid.axis_frequencies() ** 2
+        assert sym.tobytes() == (k2[:, None] + k2[None, :]).reshape(-1).tobytes()
+        with pytest.raises(ValueError):
+            sym[0] = 1.0
+
 
 class TestTransform:
     def test_constant_concentrates_in_zero_mode(self):

@@ -331,10 +331,10 @@ SPLIT_LAMBDAS = default_lambda_grid(re_span=(-6.0, 6.0), n_re=4, im_span=(-2.0, 
 
 
 @st.composite
-def families(draw):
+def families(draw, states=st.integers(1, 3)):
     """A grid, a weighted-graph generator on m states and a seed for V."""
     grid = draw(st.sampled_from(GRIDS))
-    m = draw(st.integers(1, 3))
+    m = draw(states)
     weights = draw(st.lists(st.floats(0.1, 3.0), min_size=m * (m - 1) // 2,
                             max_size=m * (m - 1) // 2))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -348,6 +348,17 @@ def unsplit_eigen(ham):
     mass = np.abs(eigvecs) ** 2
     window = np.tile(ham.well_window, ham.m)
     return eigvals, mass[window].sum(axis=0) / mass.sum(axis=0)
+
+
+def real_unsplit_eigen(ham):
+    """The whole-space solve of a two-state H with equal holding rates
+    gamma: i gamma + spec(R), R = Re(D^{-1} H D) with D = diag(I, i I), and
+    the localization of R's eigenvectors, whose |.|^2 are H's."""
+    d = np.repeat([1.0, 1j], ham.grid.size)
+    eigvals, eigvecs = np.linalg.eig((d.conj()[:, None] * ham.H * d[None, :]).real)
+    mass = np.abs(eigvecs) ** 2
+    window = np.tile(ham.well_window, ham.m)
+    return eigvals + 1j * ham.A[0, 0], mass[window].sum(axis=0) / mass.sum(axis=0)
 
 
 def unsplit_kb_mins(fam, model):
@@ -405,9 +416,11 @@ class TestParitySplit:
         if not np.all(fam.V == fam.V[0]):  # one state takes the chain modes
             ham = assemble_h(fam, model)
             report = eigen_analysis(ham)
-            want, want_loc = unsplit_eigen(ham)
+            # two states solve the real R, three the complex H
+            want, want_loc = (real_unsplit_eigen if model.m == 2 else unsplit_eigen)(ham)
             assert np.array_equal(report.eigenvalues, want)
             assert np.array_equal(report.localization, want_loc)
+            assert_matches_unsplit(report, ham)
         mins = kb_scan(fam, model, SPLIT_LAMBDAS)["min_singular_values"]
         kbs = np.stack([assemble_kb(fam, model, lam) for lam in SPLIT_LAMBDAS])
         assert np.array_equal(mins, _min_singular_values(kbs))
@@ -453,6 +466,55 @@ class TestChainModes:
         report = eigen_analysis(ham)
         assert np.all(report.eigenvalues.imag == 0.0)
         assert_matches_unsplit(report, ham)
+
+
+class TestTwoStateSimilarity:
+    """A two-state H is i gamma plus D R D^{-1} with R real: the real solve
+    must give the whole operator's spectrum and localized levels, reflected
+    about Im = gamma; a three-state chain keeps the complex solve."""
+
+    @split_settings
+    @given(families(states=st.just(2)), st.booleans())
+    def test_real_solve_keeps_the_spectrum(self, drawn, even):
+        grid, model, V = drawn
+        if even:
+            V = V + np.array([grid.reflect(v) for v in V])
+        fam = PotentialFamily(grid, V)
+        assert len(_parity_blocks(grid, (fam.V,))) == (2 if even else 1)
+        ham = assemble_h(fam, model)
+        report = eigen_analysis(ham)
+        assert_matches_unsplit(report, ham)
+        want, want_loc = unsplit_eigen(ham)
+        got, ref = report.discrete_subset(), want[want_loc > 0.5]
+        assert got.size == ref.size
+        rows, cols = linear_sum_assignment(np.abs(got[:, None] - ref[None, :]))
+        assert np.max(np.abs(got[rows] - ref[cols]), initial=0.0) <= 1e-10 * report.norm
+        # each eigenvalue's reflection conj(lambda) + 2 i gamma is in the
+        # spectrum, with exactly the same real part
+        lam, gamma = report.eigenvalues, model.A[0, 0]
+        same_re = lam.real[:, None] == lam.real[None, :]
+        mirrored = np.abs(lam.imag[:, None] + lam.imag[None, :] - 2 * gamma) \
+            <= 1e-12 * report.norm
+        assert np.all(np.any(same_re & mirrored, axis=1))
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_three_state_chain_keeps_the_complex_solve(self, even):
+        grid = SpatialGrid(1, 16, 8.0)
+        A3 = np.array([[1.3, -1.0, -0.3], [-1.0, 1.7, -0.7], [-0.3, -0.7, 1.0]])
+        V = np.random.default_rng(5).standard_normal((3, grid.size))
+        if even:
+            V = V + np.array([grid.reflect(v) for v in V])
+        ham = assemble_h(PotentialFamily(grid, V), MarkovModel(A3))
+        report = eigen_analysis(ham)
+        window = np.tile(ham.well_window, ham.m)
+        want, want_loc = [], []
+        for block in _parity_blocks(grid, (V,)):
+            vals, vecs = np.linalg.eig(block.restrict(ham.H))
+            mass = np.abs(block.extend(vecs)) ** 2
+            want.append(vals)
+            want_loc.append(mass[window].sum(axis=0) / mass.sum(axis=0))
+        assert np.array_equal(report.eigenvalues, np.concatenate(want))
+        assert np.array_equal(report.localization, np.concatenate(want_loc))
 
 
 class TestResolventIdentity:
