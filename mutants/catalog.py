@@ -174,6 +174,38 @@ MUTANTS = [
         ],
     },
     {
+        "name": "kb-gram-fallback-never-taken",
+        "why": "every member is read from KB^H KB, however ill conditioned or singular",
+        "file": "src/stochnls/spectral.py",
+        "old": "gram = (least > 0) & (largest <= _KB_GRAM_KAPPA ** 2 * least)",
+        "new": "gram = np.ones(len(KB), dtype=bool)",
+        "tests": [
+            "tests/test_spectral.py::TestMinSingularValues::test_mixed_stack_keeps_each_value_alone",
+            "tests/test_spectral.py::TestMinSingularValues::test_near_singular_lambdas_keep_the_svd_accuracy[trivial]",
+        ],
+    },
+    {
+        "name": "kb-gram-reads-largest",
+        "why": "the Gram read takes sqrt of KB^H KB's largest eigenvalue, sigma_max",
+        "file": "src/stochnls/spectral.py",
+        "old": "mins[gram] = np.sqrt(least[gram])",
+        "new": "mins[gram] = np.sqrt(largest[gram])",
+        "tests": [
+            "tests/test_spectral.py::TestMinSingularValues::test_mixed_stack_keeps_each_value_alone",
+            "tests/test_spectral.py::TestMinSingularValues::test_c9_grid_takes_both_reads_within_the_svd_error[64]",
+        ],
+    },
+    {
+        "name": "kb-gram-kappa-widened",
+        "why": "the Gram read is taken up to kappa = 1e8, where its eps kappa^2 error shows",
+        "file": "src/stochnls/spectral.py",
+        "old": "_KB_GRAM_KAPPA = 2.0",
+        "new": "_KB_GRAM_KAPPA = 1e8",
+        "tests": [
+            "tests/test_spectral.py::TestMinSingularValues::test_near_singular_lambdas_keep_the_svd_accuracy[trivial]",
+        ],
+    },
+    {
         "name": "energy-identity-fields-swapped",
         "why": "the identity pairs A[hV] where V belongs and V where A[hV] does",
         "file": "src/stochnls/diagnostics.py",
@@ -181,6 +213,26 @@ MUTANTS = [
         "new": "np.stack([a_of_hv(family, model)[0], family.V])",
         "tests": [
             "tests/test_diagnostics.py::TestEnergyDerivativeIdentity::test_y_independent_rhs_vanishes",
+        ],
+    },
+    {
+        "name": "kinetic-sign-flipped",
+        "why": "the free flow turns backwards in time, exp(-i tau |k|^2)",
+        "file": "src/stochnls/grid.py",
+        "old": "np.exp(1j * tau * laplacian_symbol(grid).reshape(grid.shape))",
+        "new": "np.exp(-1j * tau * laplacian_symbol(grid).reshape(grid.shape))",
+        "tests": [
+            "tests/test_propagator.py::TestFreeEvolution::test_gaussian_oracle",
+        ],
+    },
+    {
+        "name": "strang-next-step-cut-dropped",
+        "why": "a fused Strang hop ignores a cut in the row's next substep",
+        "file": "src/stochnls/propagator.py",
+        "old": "cut[:, :S] | cut[:, 1:]",
+        "new": "cut[:, :S]",
+        "tests": [
+            "tests/test_batch.py::test_batched_rows_match_single_path_march[None-0.0-2]",
         ],
     },
 ]

@@ -20,11 +20,15 @@ Matrices are assembled in state-major layout (index = y * n^d + x), with
 the Laplacian built exactly as the Fourier conjugation of diag(|k|^2),
 so spectra here and dynamics in the propagators share one discretization.
 The free resolvent R0 is applied in the exact eigenbasis of H0 (DFT
-tensor eigenvectors of A), so assembling KB costs no inverse.  The scan
-reads sigma_min(KB) as 1 / sigma_max(X), X = KB^{-1}, from the largest
-eigenvalue of X^H X (exact to eps relative) and an inverse good to
-O(eps kappa) relative: as accurate as an SVD's sigma_min, whose absolute
-error eps sigma_max is eps kappa relative.  KB^H KB would lose eps kappa^2.
+tensor eigenvectors of A), so assembling KB costs no inverse.  An SVD's
+sigma_min has absolute error O(eps sigma_max), eps kappa relative, and the
+scan matches it in two reads.  The least and largest eigenvalues of
+P = KB^H KB are sigma_min^2 and sigma_max^2, and sqrt(lambda_min(P)) is good
+to O(eps kappa^2) relative (the normal-equations loss), so it is taken only
+where kappa <= 2, within twice the SVD's bound.  Elsewhere, and where KB is
+near singular (the members whose accuracy C9 rests on), sigma_min is read as
+1 / sigma_max(X), X = KB^{-1}, from the largest eigenvalue of X^H X (exact
+to eps relative) and an inverse good to O(eps kappa) relative.
 
 Three exact symmetries split or simplify the dense solves:
 
@@ -83,9 +87,12 @@ __all__ = [
 ]
 
 SIZE_CAP = 4096
-# Lambdas per stacked KB inverse in kb_scan: fastest at C9's blocks (66, 62);
+# Lambdas per KB stack in kb_scan: fastest at C9's blocks (66, 62);
 # the whole 125-point grid as one stack is slower and adds ~30 MiB of peak RSS.
 _KB_CHUNK = 8
+# Largest condition number at which sigma_min(KB) is read from KB^H KB, whose
+# relative error O(eps kappa^2) is then within twice the SVD's eps kappa.
+_KB_GRAM_KAPPA = 2.0
 
 
 @dataclass
@@ -263,6 +270,8 @@ def _in_free_spectrum(d: np.ndarray, lam) -> np.ndarray:
     """Whether each lambda lies in spec(H0), min |d - lambda| <= 1e-12 max(1, max |d|),
     where R0 does not exist."""
     lam = np.asarray(lam)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("lambda must be finite")
     if np.any(lam.imag > 0):
         raise ValueError("KB is defined on the closed lower half-plane only")
     tol = 1e-12 * max(1.0, float(np.max(np.abs(d))))
@@ -278,12 +287,33 @@ def _kb_matrices(left, right, d, lams: np.ndarray) -> np.ndarray:
 
 
 def _min_singular_values(KB: np.ndarray) -> np.ndarray:
+    """sigma_min of each matrix of a (c, N, N) stack, each from that matrix
+    alone.
+
+    One stacked eigvalsh of P = KB^H KB gives each member's sigma_min^2 and
+    sigma_max^2 as P's least and largest eigenvalues.  A member with
+    kappa <= _KB_GRAM_KAPPA reads sqrt(lambda_min(P)); every other one
+    (kappa larger, lambda_min(P) <= 0 or not finite) is read by
+    :func:`_inverse_min_singular_values`, the others of its stack inverted
+    with it.  Accuracy: see the module docstring.
+    """
+    eig = np.linalg.eigvalsh(KB.conj().transpose(0, 2, 1) @ KB)
+    least, largest = eig[:, 0], eig[:, -1]
+    gram = (least > 0) & (largest <= _KB_GRAM_KAPPA ** 2 * least)
+    mins = np.empty(len(KB))
+    mins[gram] = np.sqrt(least[gram])
+    if not gram.all():
+        mins[~gram] = _inverse_min_singular_values(KB[~gram])
+    return mins
+
+
+def _inverse_min_singular_values(KB: np.ndarray) -> np.ndarray:
     """sigma_min of each matrix of a (c, N, N) stack as 1 / sigma_max(KB^{-1}),
     each from that matrix alone; an exactly singular matrix reads 0."""
     try:
         X = np.linalg.inv(KB)
     except np.linalg.LinAlgError:  # a singular member: take them one at a time
-        return np.concatenate([_min_singular_values(k[None]) for k in KB]) \
+        return np.concatenate([_inverse_min_singular_values(k[None]) for k in KB]) \
             if len(KB) > 1 else np.zeros(1)
     return 1.0 / np.sqrt(np.linalg.eigvalsh(X.conj().transpose(0, 2, 1) @ X)[:, -1])
 
@@ -314,8 +344,12 @@ def kb_scan(family: PotentialFamily, model: MarkovModel,
 
     For even v1 and v2 the spatial and the spectral index split alike (the
     DFT maps even to even and |k|^2 is even), so each KB block is assembled
-    and inverted at half size, `_KB_CHUNK` lambdas to a stack (accuracy: see
-    the module docstring); a lambda's value does not depend on its stack.
+    at half size, `_KB_CHUNK` lambdas to a stack.  Each stack's sigma_min
+    comes from one stacked eigvalsh of KB^H KB where kappa <= 2 and from one
+    stacked inverse of its other members (:func:`_min_singular_values`;
+    accuracy: see the module docstring); a lambda's value does not depend
+    on its stack.  A lambda in spec(H0) reads NaN; a non-finite lambda or
+    one in the upper half-plane raises ValueError.
     """
     if lam_grid is None:
         lam_grid = default_lambda_grid()

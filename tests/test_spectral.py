@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from stochnls import spectral
 from stochnls.grid import SpatialGrid, dense_laplacian, laplacian_symbol
 from stochnls.markov import MarkovModel
 from stochnls.potential import (
@@ -14,6 +15,7 @@ from stochnls.potential import (
 )
 from stochnls.spectral import (
     _KB_CHUNK,
+    _KB_GRAM_KAPPA,
     _min_singular_values,
     _parity_blocks,
     assemble_h,
@@ -163,6 +165,18 @@ class TestKatoBirman:
         with pytest.raises(ValueError):
             assemble_kb(fam, two_state_model(), lam=1.0 + 0.5j)
 
+    @pytest.mark.parametrize("lam", [complex(np.nan, 0.0), complex(np.inf, -1.0),
+                                     complex(1.0, -np.inf)])
+    def test_non_finite_lambda_rejected(self, lam):
+        # R0 has no value there: a NaN lambda would give an all-NaN KB
+        fam, model = c9_setting()
+        with pytest.raises(ValueError, match="finite"):
+            assemble_kb(fam, model, lam)
+        with pytest.raises(ValueError, match="finite"):
+            resolvent_identity_residual(fam, model, lam)
+        with pytest.raises(ValueError, match="finite"):
+            kb_scan(fam, model, [lam, -1.0 - 1.0j])
+
     def test_scan_positive_min_singular_values(self):
         grid = SpatialGrid(1, 32, 12.0)
         fam = sech_family(grid, m=2, contrast=1.0)
@@ -202,8 +216,8 @@ def dense_kb(fam, model, lam):
     return eye + w.v2.reshape(-1)[:, None] * R0 * w.v1.reshape(-1)[None, :]
 
 
-def c9_setting():
-    grid = SpatialGrid(1, 64, 20.0)
+def c9_setting(n=64):
+    grid = SpatialGrid(1, n, 20.0)
     well = shape_field(grid, "sech2", amplitude=-2.0, width=1.0)
     mod = shape_field(grid, "sech2", amplitude=1.0, width=1.0)
     return make_amplitude_family(well, mod, [-1.0, 1.0], grid), two_state_model()
@@ -260,8 +274,9 @@ class TestKBEigenbasis:
 
 
 class TestMinSingularValues:
-    """sigma_min read as 1 / sigma_max(KB^{-1}) from stacked inverses, against
-    the SVD, on singular and near-singular KB."""
+    """sigma_min read from KB^H KB where kappa <= _KB_GRAM_KAPPA and as
+    1 / sigma_max(KB^{-1}) from stacked inverses elsewhere, against the SVD,
+    on well conditioned, singular and near-singular KB."""
 
     EPS = np.finfo(float).eps
 
@@ -305,14 +320,68 @@ class TestMinSingularValues:
         if kind == "trivial":
             assert mins[1] < 1e-8  # the bound level is a real eigenvalue
 
+    def test_mixed_stack_keeps_each_value_alone(self):
+        rng = np.random.default_rng(11)
+        n = 12
+
+        def with_singular_values(s):
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            return (u * s) @ v.conj().T
+
+        kappas = [1.0, 1.5, 1.99, 2.01, 10.0, 1e6, 1.3]
+        kbs = np.stack([with_singular_values(np.linspace(3.0, 3.0 / k, n)) for k in kappas]
+                       + [with_singular_values(np.linspace(2.0, 0.5, n))])
+        kbs[-1, :, 5] = 0.0  # exactly singular
+        sv = np.linalg.svd(kbs, compute_uv=False)
+        kappa = sv[:, 0] / sv[:, -1]
+        assert np.any(kappa < _KB_GRAM_KAPPA) and np.sum(kappa[:-1] > _KB_GRAM_KAPPA) >= 3
+        mins = _min_singular_values(kbs)
+        assert mins[-1] == 0.0
+        for i, kb in enumerate(kbs):
+            assert mins[i] == _min_singular_values(kb[None])[0], i
+        self.assert_within_svd_error(kbs, mins)
+
+    @pytest.mark.parametrize("n, im_min", [(64, -5.0), (128, -1.0)], ids=["64", "128"])
+    def test_c9_grid_takes_both_reads_within_the_svd_error(self, n, im_min, monkeypatch):
+        # at n = 128 only the two rows of C9's grid nearest the real axis,
+        # to keep the SVDs cheap: they hold every member with kappa > 2
+        # and the largest Gram-read error of the whole grid (0.65 of the bound)
+        fam, model = c9_setting(n)
+        lams = default_lambda_grid()
+        lams = lams[(lams.imag >= im_min) & (lams != 0)]
+        stacks, inverted = [], []
+
+        def record(kb, read=spectral._min_singular_values):
+            stacks.append((kb, read(kb)))
+            return stacks[-1][1]
+
+        def count(kb, invert=spectral._inverse_min_singular_values):
+            inverted.append(len(kb))
+            return invert(kb)
+
+        monkeypatch.setattr(spectral, "_min_singular_values", record)
+        monkeypatch.setattr(spectral, "_inverse_min_singular_values", count)
+        kb_scan(fam, model, lams)
+        assert sum(len(kb) for kb, _ in stacks) == 2 * lams.size  # both parity blocks
+        assert 0 < sum(inverted) < 2 * lams.size, inverted
+        for kb, mins in stacks:
+            self.assert_within_svd_error(kb, mins)
+
     def test_value_does_not_depend_on_the_chunk(self):
+        # 2.5 - 0.7j is read from the inverse in the even block and from
+        # KB^H KB in the odd; -5 - 1j from KB^H KB in both (kappa 1.56 and
+        # 1.25); 8 from the inverse in both (kappa 43).  6 (kappa 3.6 and
+        # 3.1) puts one more inverse-read member in the first stack.
         fam, model = c9_setting()
         others = default_lambda_grid()[1:2 * _KB_CHUNK + 1]
-        lam = 2.5 - 0.7j
-        alone = kb_scan(fam, model, [lam])["min_singular_values"][0]
+        others[3] = 6.0
+        lams = np.array([2.5 - 0.7j, -5.0 - 1.0j, 8.0])
+        alone = [kb_scan(fam, model, [lam])["min_singular_values"][0] for lam in lams]
         for pos in range(_KB_CHUNK + 1):
-            grid = np.insert(others, pos, lam)
-            assert kb_scan(fam, model, grid)["min_singular_values"][pos] == alone, pos
+            grid = np.insert(others, [pos] * lams.size, lams)
+            mins = kb_scan(fam, model, grid)["min_singular_values"]
+            assert np.array_equal(mins[pos:pos + lams.size], alone), pos
 
 
 def graph_model(weights, m):
