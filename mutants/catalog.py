@@ -235,4 +235,37 @@ MUTANTS = [
             "tests/test_batch.py::test_batched_rows_match_single_path_march[None-0.0-2]",
         ],
     },
+    {
+        "name": "scalar-mixing-skipped",
+        "why": "the scalar march's hop copies g in place of mixing it by e^{-tau A}",
+        "file": "src/stochnls/averaged.py",
+        "old": ("np.dot(mix, leave(g, kick).view(np.float64).reshape(m, -1),\n"
+                "               out=spare.view(np.float64).reshape(m, -1))"),
+        "new": ("np.copyto(spare.view(np.float64).reshape(m, -1),\n"
+                "                  leave(g, kick).view(np.float64).reshape(m, -1))"),
+        "tests": [
+            "tests/test_averaged.py::TestScalarAveraged::test_free_case_factorizes_exactly",
+            "tests/test_averaged.py::TestFusedMarch::test_matches_per_step_composition",
+        ],
+    },
+    {
+        "name": "offsets-shifted-half-box",
+        "why": "the torus offsets land in [-L/2, L/2) shifted by half a box",
+        "file": "src/stochnls/grid.py",
+        "old": "((x - c + L / 2.0) % L) - L / 2.0",
+        "new": "((x - c) % L) - L / 2.0",
+        "tests": [
+            "tests/test_grid.py::TestSpatialGrid::test_offsets_enumerated",
+        ],
+    },
+    {
+        "name": "estimate-f-not-symmetrized",
+        "why": "estimate_f keeps outer_sums / N, Hermitian only up to roundoff",
+        "file": "src/stochnls/ensemble.py",
+        "old": "f = 0.5 * (f + f.conj().transpose(0, 2, 1))  # Hermitian bit for bit",
+        "new": "f = f  # not symmetrized",
+        "tests": [
+            "tests/test_ensemble.py::TestEstimates::test_estimate_f_symmetrizes_a_roundoff_asymmetry",
+        ],
+    },
 ]

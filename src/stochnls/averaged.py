@@ -79,9 +79,7 @@ class AveragedField:
 
     def __post_init__(self) -> None:
         self.g = np.asarray(self.g, dtype=np.complex128)
-        if self.g.ndim == 1:
-            self.g = self.g[None, :]
-        if self.g.shape[1] != self.grid.size:
+        if self.g.ndim != 2 or self.g.shape[1] != self.grid.size:
             raise ValueError("field shape does not match grid")
         if not np.all(np.isfinite(self.g.view(np.float64))):
             raise ValueError("averaged field contains non-finite entries")

@@ -290,10 +290,8 @@ def build_objects(cfg: dict, seed: int | None = None):
 
 def _default_initial_field(grid: SpatialGrid) -> WaveField:
     """Unit-mass Gaussian centered at the box middle."""
-    L = grid.box_length
     vals = np.ones(grid.size, dtype=complex)
-    for c in grid.coordinates():
-        x = ((c - L / 2.0 + L / 2.0) % L) - L / 2.0
+    for x in grid.offsets():
         vals = vals * np.exp(-x**2 / 2.0)
     vals /= np.sqrt(grid.cell_volume * np.sum(np.abs(vals) ** 2))
     return WaveField(grid, vals)
@@ -440,7 +438,11 @@ def _cmd_fit_decay(args) -> int:
     if args.column not in rows.dtype.names:
         print(f"column {args.column!r} not in {rows.dtype.names}", file=sys.stderr)
         return 2
-    fit = decay_fit(rows["t"], rows[args.column], (args.t_min, args.t_max))
+    try:
+        fit = decay_fit(rows["t"], rows[args.column], (args.t_min, args.t_max))
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     print(json.dumps({
         "column": args.column, "window": [args.t_min, args.t_max],
         "slope": fit.slope, "intercept": fit.intercept,
@@ -462,8 +464,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None, help="config file (TOML)")
         p.add_argument("--out", default="out", help="output root directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("STOCHNLS_THREADS", "1")),
+        # argparse converts a string default with type, so a bad value is a usage error
+        p.add_argument("--threads", type=int, default=os.environ.get("STOCHNLS_THREADS", "1"),
                        help="worker count (env STOCHNLS_THREADS)")
     fit = sub.add_parser("fit-decay", help="power-law fit on a scalars CSV column")
     fit.add_argument("--input", required=True)

@@ -19,7 +19,6 @@ from .grid import (
     WaveField,
     dense_laplacian,
     laplacian_symbol,
-    lebesgue_norm,
     lorentz_norm_rows,
     spectral_convolution,
     transform_rows,
@@ -245,31 +244,23 @@ def strichartz_norm(grid: SpatialGrid, fields: np.ndarray, dt: float, p_t: float
     return float(np.sum(weights * vals**p_t) ** (1.0 / p_t))
 
 
-def wraparound_mass(psi: WaveField, shell_cells: int = 4,
-                    center: float | tuple | None = None) -> float:
-    """Fraction of |psi|^2 mass within `shell_cells` cells of the boundary
-    of the box window centered at `center` (default: the box middle, where
-    this package places initial data and wells).
+def wraparound_mass(psi: WaveField) -> float:
+    """Fraction of |psi|^2 mass within 4 cells of the boundary of the box
+    window centered at the box middle, where this package places initial
+    data and wells.
 
     The periodic box stands in for free space; this diagnostic flags when
     outgoing mass starts to wrap around and pollute decay measurements.
     """
     grid = psi.grid
-    L = grid.box_length
-    if center is None:
-        center = (L / 2.0,) * grid.dim
-    elif np.isscalar(center):
-        center = (float(center),) * grid.dim
-    half = L / 2.0
-    margin = shell_cells * grid.spacing
     density = np.abs(psi.values) ** 2
     total = float(np.sum(density))
     if total == 0.0:
         return 0.0
+    edge = grid.box_length / 2.0 - 4 * grid.spacing
     near_edge = np.zeros(grid.size, dtype=bool)
-    for ax, c in enumerate(center):
-        dx = ((grid.coordinates()[ax] - c + half) % L) - half
-        near_edge |= np.abs(dx) >= half - margin
+    for dx in grid.offsets():
+        near_edge |= np.abs(dx) >= edge
     return float(np.sum(density[near_edge])) / total
 
 

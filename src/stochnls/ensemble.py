@@ -1,14 +1,12 @@
-"""Monte Carlo driver: many per-path solves, conditional averages, and the
+"""Monte Carlo driver: many per-path solves, binned sums, and the
 stochastic sides of the identities.
 
 Conditioning on the chain's position is exact set-membership binning per
-sample time (the state space is finite).  Two weightings are exposed:
-
-* conditional: bin mean E{psi | X_t = y}; empty bins are missing data.
-* joint: bin sum / N, i.e. the conditional mean multiplied by the
-  empirical bin probability.  This matches the bookkeeping of the
-  deterministic averaged equations, whose unknowns carry the state
-  probability, and is what the identity checks use.
+sample time (the state space is finite).  The estimates weight jointly:
+bin sum / N, i.e. the conditional mean E{psi | X_t = y} multiplied by the
+empirical bin probability.  This matches the bookkeeping of the
+deterministic averaged equations, whose unknowns carry the state
+probability, so an empty bin reads zero, not missing data.
 
 Path i of an ensemble uses the seed pair (master_seed, i); paths are
 marched in lockstep batches, each path bitwise as if alone.  The sums of
@@ -97,21 +95,6 @@ class ConditionalAverage:
             outer_sums=outer,
         )
 
-    def missing_bins(self) -> list[tuple[int, int]]:
-        return [(int(ti), int(y)) for ti, y in np.argwhere(self.counts == 0)]
-
-    def conditional_mean(self, ti: int) -> np.ndarray:
-        """Bin means at sample time index ti; empty bins come back NaN."""
-        out = np.full((self.m, self.sums.shape[2]), np.nan + 0j)
-        for y in range(self.m):
-            c = self.counts[ti, y]
-            if c > 0:
-                out[y] = self.sums[ti, y] / c
-        return out
-
-    def joint_mean(self, ti: int) -> np.ndarray:
-        return self.sums[ti] / self.N
-
 
 @dataclass
 class PathScalarSeries:
@@ -140,15 +123,6 @@ def _weighted_mass(family: PotentialFamily, states: np.ndarray,
                                             * np.abs(fields) ** 2, axis=-1)
 
 
-def _resolve_initial(psi0_law, grid, state0: int) -> WaveField:
-    if isinstance(psi0_law, WaveField):
-        return psi0_law
-    table = np.asarray(psi0_law, dtype=complex)
-    if table.ndim != 2:
-        raise ValueError("psi0_law must be a WaveField or an (m, size) table")
-    return WaveField(grid, table[state0])
-
-
 # Paths marched together at most; memory grows as rows * sample times * grid size.
 _BATCH_ROWS = 256
 # Paths per chunk of the outer-product sums (see _reduce).
@@ -157,10 +131,9 @@ _CHUNK = 128
 
 def _solve_batch(lo: int, hi: int, psi0_law, family, model, kernel, cfg, ecfg):
     """Map phase: everything paths lo..hi-1 contribute to the reduction."""
-    grid = psi0_law.grid if isinstance(psi0_law, WaveField) else family.grid
+    grid = psi0_law.grid
     paths = sample_paths(model, ecfg.horizon, ecfg.master_seed, range(lo, hi))
-    psi0 = np.array([_resolve_initial(psi0_law, grid, int(p.states[0])).values
-                     for p in paths])
+    psi0 = np.array([psi0_law.values for _ in paths])
     fields, states, scalars = evolve_paths(psi0, family, paths, kernel, cfg)
     scalars["weighted_mass"] = _weighted_mass(family, states, fields)
     scalars["lorentz62"] = lorentz_norm_rows(
@@ -168,20 +141,19 @@ def _solve_batch(lo: int, hi: int, psi0_law, family, model, kernel, cfg, ecfg):
     return states, fields, scalars
 
 
-def run_ensemble(psi0_law, family: PotentialFamily, model: MarkovModel,
+def run_ensemble(psi0_law: WaveField, family: PotentialFamily, model: MarkovModel,
                  kernel: HartreeKernel | None, cfg: SolverConfig,
                  ecfg: EnsembleConfig,
                  workers: int = 1) -> tuple[ConditionalAverage, PathScalarSeries]:
-    """Run N path solves and reduce them into conditional averages.
+    """Run N path solves from the one initial field psi0_law and reduce them
+    into per-(sample time, state) bin sums.
 
-    The initial data is either one fixed field or an (m, size) table
-    indexed by the path's initial state (data may depend on omega(0) only).
     Paths are marched together in lockstep batches; with workers > 1 the
     batches run in a process pool.  The reduce phase always consumes paths
     in index order, and each path's march is independent of its batch, so
     the output is identical bit for bit for any worker count.
     """
-    grid = psi0_law.grid if isinstance(psi0_law, WaveField) else family.grid
+    grid = psi0_law.grid
     T_axis = cfg.sample_times.size
     m = model.m
     sums = np.zeros((T_axis, m, grid.size), dtype=np.complex128)
@@ -280,93 +252,48 @@ def _add_outer(outer, pieces) -> None:
 class FieldEstimate:
     fields: list[AveragedField]
     stderr: np.ndarray = field(repr=False)  # (T, m, size)
-    counts: np.ndarray = field(repr=False)
-    flags: list[str] = field(default_factory=list)
 
 
 @dataclass
 class DensityMatrixEstimate:
     matrices: list[AveragedDensityMatrix]
-    stderr: np.ndarray = field(repr=False)  # (T, m) scale estimate per bin
-    counts: np.ndarray = field(repr=False)
-    flags: list[str] = field(default_factory=list)
-
-
-MIN_BIN = 10
-
-
-def _bin_flags(counts: np.ndarray) -> list[str]:
-    flags = []
-    for ti, y in np.argwhere(counts == 0):
-        flags.append(f"missing-data: empty bin at (t_index={ti}, y={y})")
-    for ti, y in np.argwhere((counts > 0) & (counts < MIN_BIN)):
-        flags.append(f"insufficient paths ({counts[ti, y]}) at (t_index={ti}, y={y})")
-    return flags
 
 
 def estimate_g(avg: ConditionalAverage, weighting: str = "joint") -> FieldEstimate:
-    """Package the ensemble mean of psi as per-time averaged fields.
+    """Package the joint ensemble mean of psi as per-time averaged fields.
 
-    Per-entry standard errors come from the per-bin sample variances; with
-    joint weighting the binned variable is psi * indicator(X_t = y), whose
-    moments are exactly the bin sums over N.
+    The binned variable is psi * indicator(X_t = y), whose moments are
+    exactly the bin sums over N; the per-entry standard errors come from
+    its sample variance.
     """
-    if weighting not in ("joint", "conditional"):
-        raise ValueError("weighting must be 'joint' or 'conditional'")
-    T_axis = avg.sample_times.size
+    # Only "joint" is accepted: the name stays because the benchmark
+    # (perfbench/workloads.py) passes it positionally, here and to estimate_f.
+    if weighting != "joint":
+        raise ValueError("weighting must be 'joint'")
     fields = []
-    stderr = np.empty((T_axis, avg.m, avg.sums.shape[2]))
-    flags = _bin_flags(avg.counts)
-    if weighting == "conditional" and avg.missing_bins():
-        raise ValueError("conditional weighting with empty bins: " + "; ".join(flags))
-    for ti in range(T_axis):
-        if weighting == "joint":
-            mean = avg.joint_mean(ti)
-            second = avg.sums_sq[ti] / avg.N
-            var = np.maximum(second - np.abs(mean) ** 2, 0.0)
-            stderr[ti] = np.sqrt(var / avg.N)
-        else:
-            mean = avg.conditional_mean(ti)
-            c = np.maximum(avg.counts[ti], 1)[:, None]
-            second = avg.sums_sq[ti] / c
-            var = np.maximum(second - np.abs(mean) ** 2, 0.0)
-            stderr[ti] = np.sqrt(var / c)
-        fields.append(AveragedField(avg.grid, mean, t=float(avg.sample_times[ti])))
-    return FieldEstimate(fields=fields, stderr=stderr, counts=avg.counts.copy(),
-                         flags=flags)
+    stderr = np.empty((avg.sample_times.size, avg.m, avg.sums.shape[2]))
+    for ti, t in enumerate(avg.sample_times):
+        mean = avg.sums[ti] / avg.N
+        var = np.maximum(avg.sums_sq[ti] / avg.N - np.abs(mean) ** 2, 0.0)
+        stderr[ti] = np.sqrt(var / avg.N)
+        fields.append(AveragedField(avg.grid, mean, t=float(t)))
+    return FieldEstimate(fields=fields, stderr=stderr)
 
 
 def estimate_f(avg: ConditionalAverage, weighting: str = "joint") -> DensityMatrixEstimate:
-    """Ensemble estimate of the averaged density matrix (needs the outer
-    products accumulated; d = 1)."""
+    """Joint ensemble estimate of the averaged density matrix (needs the
+    outer products accumulated; d = 1)."""
     if avg.outer_sums is None:
         raise ValueError("run the ensemble with store_density_matrix=True")
-    if weighting not in ("joint", "conditional"):
-        raise ValueError("weighting must be 'joint' or 'conditional'")
-    flags = _bin_flags(avg.counts)
-    if weighting == "conditional" and avg.missing_bins():
-        raise ValueError("conditional weighting with empty bins: " + "; ".join(flags))
-    T_axis = avg.sample_times.size
+    if weighting != "joint":  # bound by name only (see estimate_g)
+        raise ValueError("weighting must be 'joint'")
     matrices = []
-    stderr = np.empty((T_axis, avg.m))
-    for ti in range(T_axis):
-        if weighting == "joint":
-            f = avg.outer_sums[ti] / avg.N
-            denom = np.full(avg.m, float(avg.N))
-        else:
-            c = np.maximum(avg.counts[ti], 1).astype(float)
-            f = avg.outer_sums[ti] / c[:, None, None]
-            denom = c
+    for ti, t in enumerate(avg.sample_times):
+        f = avg.outer_sums[ti] / avg.N
         f = 0.5 * (f + f.conj().transpose(0, 2, 1))  # Hermitian bit for bit
         matrices.append(AveragedDensityMatrix._marched(
-            avg.grid, [(ParityBlock(avg.grid.size), f)], avg.m, float(avg.sample_times[ti])))
-        # diagonal-scale standard error: sample std of |psi(x)|^2 via moments
-        diag = np.ascontiguousarray(np.diagonal(avg.outer_sums[ti],
-                                                axis1=1, axis2=2)).real
-        mean_diag = diag / denom[:, None]
-        stderr[ti] = np.sqrt(np.maximum(mean_diag.max(axis=1), 0.0) / denom)
-    return DensityMatrixEstimate(matrices=matrices, stderr=stderr,
-                                 counts=avg.counts.copy(), flags=flags)
+            avg.grid, [(ParityBlock(avg.grid.size), f)], avg.m, float(t)))
+    return DensityMatrixEstimate(matrices=matrices)
 
 
 def feynman_kac_lhs(series: PathScalarSeries) -> tuple[np.ndarray, np.ndarray]:

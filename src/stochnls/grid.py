@@ -105,10 +105,15 @@ class SpatialGrid:
         axes = np.meshgrid(*([self.axis_coordinates()] * self.dim), indexing="ij")
         return [a.reshape(-1) for a in axes]
 
-    def centered_coordinates(self) -> list[np.ndarray]:
-        """Coordinates wrapped to [-L/2, L/2), so the box center is at 0."""
-        half = self.box_length / 2.0
-        return [((a + half) % self.box_length) - half for a in self.coordinates()]
+    def offsets(self, center: float | tuple | None = None) -> list[np.ndarray]:
+        """Per-axis torus displacements x - c wrapped to [-L/2, L/2), flattened
+        like :meth:`coordinates`; the center c defaults to the box middle."""
+        L = self.box_length
+        if center is None:
+            center = L / 2.0
+        if np.isscalar(center):
+            center = (float(center),) * self.dim
+        return [((x - c + L / 2.0) % L) - L / 2.0 for x, c in zip(self.coordinates(), center)]
 
     def axis_frequencies(self) -> np.ndarray:
         """Signed angular frequencies 2*pi*m/L in FFT layout along one axis."""

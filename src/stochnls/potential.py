@@ -40,8 +40,6 @@ class PotentialFamily:
 
     def __post_init__(self) -> None:
         self.V = np.asarray(self.V, dtype=float)
-        if self.V.ndim == 1:
-            self.V = self.V[None, :]
         if self.V.ndim != 2 or self.V.shape[1] != self.grid.size:
             raise ValueError("V must have shape (m, grid.size)")
         if not np.all(np.isfinite(self.V)):
@@ -95,19 +93,6 @@ class HartreeKernel:
         return spectrum
 
 
-def _centered_offsets(grid: SpatialGrid, center: float | tuple) -> np.ndarray:
-    """Torus distance-squared from `center`, flattened."""
-    if np.isscalar(center):
-        center = (float(center),) * grid.dim
-    L = grid.box_length
-    r2 = np.zeros(grid.size)
-    for ax, c in zip(range(grid.dim), center):
-        dx = grid.coordinates()[ax] - c
-        dx = ((dx + L / 2.0) % L) - L / 2.0
-        r2 += dx**2
-    return r2
-
-
 def shape_field(grid: SpatialGrid, kind: str, amplitude: float = 1.0,
                 width: float = 1.0, center: float | tuple | None = None) -> np.ndarray:
     """Named potential shapes selected by config keys.
@@ -115,11 +100,11 @@ def shape_field(grid: SpatialGrid, kind: str, amplitude: float = 1.0,
     kind: "gaussian" (bump exp(-r^2/(2w^2))), "square_well" (indicator of
     r <= w), "sech2" (Poschl-Teller sech^2(r/w)), or "constant".
     """
-    if center is None:
-        center = grid.box_length / 2.0
     if kind == "constant":
         return np.full(grid.size, amplitude)
-    r2 = _centered_offsets(grid, center)
+    r2 = np.zeros(grid.size)  # torus distance squared from the center
+    for dx in grid.offsets(center):
+        r2 += dx**2
     if kind == "gaussian":
         return amplitude * np.exp(-r2 / (2.0 * width**2))
     if kind == "square_well":
@@ -129,11 +114,10 @@ def shape_field(grid: SpatialGrid, kind: str, amplitude: float = 1.0,
     raise ValueError(f"unknown potential shape {kind!r}")
 
 
-def make_translate_family(base: WaveField | np.ndarray, grid: SpatialGrid,
+def make_translate_family(base: np.ndarray, grid: SpatialGrid,
                           shifts: list) -> PotentialFamily:
     """State y holds the circular lattice shift of `base` by shifts[y]."""
-    vals = base.values.real if isinstance(base, WaveField) else np.asarray(base, float)
-    cube = vals.reshape(grid.shape)
+    cube = np.asarray(base, float).reshape(grid.shape)
     fields = []
     for s in shifts:
         offsets = (int(s),) if np.isscalar(s) else tuple(int(v) for v in s)
@@ -161,8 +145,7 @@ class NontrivialityReport:
 
 
 def check_nontriviality(family: PotentialFamily, h: np.ndarray,
-                        tol: float | None = None,
-                        fraction: float = 0.01) -> NontrivialityReport:
+                        tol: float | None = None) -> NontrivialityReport:
     """Classify the family against the two degenerate randomness cases.
 
     Condition 1 (the family actually depends on y over supp h) fails for
@@ -170,7 +153,7 @@ def check_nontriviality(family: PotentialFamily, h: np.ndarray,
     differences depend on y) additionally fails for V(x, y) = V(x) + f(y),
     where only the solution's phase is random.  On the grid "open set" is
     read as: at least one cell for condition 1, and a cell x1 together with
-    at least `fraction` of cells x2 for condition 2.
+    at least 1% of cells x2 for condition 2.
     """
     if tol is None:
         tol = 1e-8 * max(np.max(np.abs(family.V)), 1e-300)
@@ -188,7 +171,7 @@ def check_nontriviality(family: PotentialFamily, h: np.ndarray,
 
     # condition 2: the differences D(x; y1, y2) = V(x,y1) - V(x,y2) must vary
     # in x for some state pair.  A cell x1 qualifies when, for at least
-    # `fraction` of cells x2, some pair has |D(x1) - D(x2)| > tol.
+    # 1% of cells x2, some pair has |D(x1) - D(x2)| > tol.
     n = family.grid.size
     diffs = []
     for i in range(support.size):
@@ -205,7 +188,7 @@ def check_nontriviality(family: PotentialFamily, h: np.ndarray,
             for D in diffs:
                 mask |= np.abs(D[block, None] - D[None, :]) > tol
             frac = mask.sum(axis=1) / n
-            witness2.extend(start + k for k in np.flatnonzero(frac >= fraction))
+            witness2.extend(start + k for k in np.flatnonzero(frac >= 0.01))
     witness2 = np.asarray(witness2, dtype=int)
     cond2 = witness2.size > 0
     verdict = "nontrivial" if cond2 else "trivial_case_2"

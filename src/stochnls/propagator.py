@@ -594,9 +594,12 @@ class PicardResult:
     diverged: bool
 
 
+# Largest |epsilon| picard_sequence accepts as small enough to contract.
+_PICARD_EPSILON_MAX = 1.0
+
+
 def picard_sequence(psi0: WaveField, family: PotentialFamily, path: PathSample,
-                    kernel: HartreeKernel, cfg: SolverConfig, n_iters: int,
-                    epsilon_max: float = 1.0) -> PicardResult:
+                    kernel: HartreeKernel, cfg: SolverConfig, n_iters: int) -> PicardResult:
     """Contraction iterates with the Hartree potential frozen per iterate.
 
     Iterate 0 is identically zero; iterate n solves the linear equation
@@ -608,7 +611,7 @@ def picard_sequence(psi0: WaveField, family: PotentialFamily, path: PathSample,
     """
     if n_iters < 2:
         raise ValueError("n_iters must be >= 2")
-    if abs(cfg.epsilon) > epsilon_max:
+    if abs(cfg.epsilon) > _PICARD_EPSILON_MAX:
         raise ValueError(f"epsilon={cfg.epsilon} above the smallness threshold")
     if path.horizon < cfg.sample_times[-1] - 1e-12:
         raise ValueError("path horizon is shorter than the last sample time")

@@ -87,8 +87,9 @@ __all__ = [
 ]
 
 SIZE_CAP = 4096
-# Lambdas per KB stack in kb_scan: fastest at C9's blocks (66, 62);
-# the whole 125-point grid as one stack is slower and adds ~30 MiB of peak RSS.
+# Lambdas per KB stack in kb_scan.  8 was the fastest at C9's blocks (66, 62)
+# when every member was inverted; with the Gram read it is untuned.  The whole
+# 125-point grid as one stack is slower and adds ~30 MiB of peak RSS.
 _KB_CHUNK = 8
 # Largest condition number at which sigma_min(KB) is read from KB^H KB, whose
 # relative error O(eps kappa^2) is then within twice the SVD's eps kappa.
@@ -338,8 +339,7 @@ def default_lambda_grid(re_span: tuple[float, float] = (-10.0, 10.0),
     return (re[:, None] + 1j * im[None, :]).reshape(-1)
 
 
-def kb_scan(family: PotentialFamily, model: MarkovModel,
-            lam_grid: np.ndarray | None = None) -> dict:
+def kb_scan(family: PotentialFamily, model: MarkovModel, lam_grid: np.ndarray) -> dict:
     """Min singular value of KB over a lambda grid, plus the global minimum.
 
     For even v1 and v2 the spatial and the spectral index split alike (the
@@ -351,8 +351,6 @@ def kb_scan(family: PotentialFamily, model: MarkovModel,
     on its stack.  A lambda in spec(H0) reads NaN; a non-finite lambda or
     one in the upper half-plane raises ValueError.
     """
-    if lam_grid is None:
-        lam_grid = default_lambda_grid()
     lam_grid = np.asarray(lam_grid, dtype=complex).reshape(-1)
     left, right, d = _kb_setup(family, model)
     w = split(family)

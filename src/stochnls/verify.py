@@ -93,8 +93,7 @@ DEFAULT_SCALE = VerifyScale(
 
 
 def _centered_gaussian(grid: SpatialGrid, a: float = 1.0) -> WaveField:
-    L = grid.box_length
-    x = ((grid.coordinates()[0] - L / 2.0 + L / 2.0) % L) - L / 2.0
+    x = grid.offsets()[0]
     vals = (a / np.pi) ** 0.25 * np.exp(-a * x**2 / 2.0)
     return WaveField(grid, vals.astype(complex))
 
@@ -102,8 +101,7 @@ def _centered_gaussian(grid: SpatialGrid, a: float = 1.0) -> WaveField:
 def _free_gaussian_exact(grid: SpatialGrid, a: float, t: float) -> np.ndarray:
     """Closed-form free evolution of the centered Gaussian under
     i psi_t - Lap psi = 0 (kinetic phase e^{+i t k^2})."""
-    L = grid.box_length
-    x = ((grid.coordinates()[0] - L / 2.0 + L / 2.0) % L) - L / 2.0
+    x = grid.offsets()[0]
     z = 1.0 - 2.0j * a * t
     return (a / np.pi) ** 0.25 * z**-0.5 * np.exp(-a * x**2 / (2.0 * z))
 
@@ -251,11 +249,11 @@ def c4_mc_vs_pde_scalar(scale: VerifyScale, seed: int, out_dir=None) -> dict:
     avg, _ = run_ensemble(psi0, fam, model, None, cfg,
                           EnsembleConfig(N=scale.mc_pde_N, master_seed=seed,
                                          horizon=2.0))
-    errs, ses = _errors_vs_pde(estimate_g(avg, "joint"), pde, grid, cfg)
+    errs, ses = _errors_vs_pde(estimate_g(avg), pde, grid, cfg)
     within = errs <= 3.0 * np.maximum(ses, 1e-300)
 
     def agg_err(avg):
-        e, _ = _errors_vs_pde(estimate_g(avg, "joint"), pde, grid, cfg)
+        e, _ = _errors_vs_pde(estimate_g(avg), pde, grid, cfg)
         return float(np.sqrt(np.sum(e[1:] ** 2)))
 
     blocks = []

@@ -84,7 +84,7 @@ def translate_family(grid=GRID):
 
 
 def initial_field(shift=0.0, grid=GRID):
-    x = grid.centered_coordinates()[0]
+    x = grid.offsets(0.0)[0]
     return np.exp(-((x - shift) ** 2) / 2).astype(complex)
 
 
@@ -194,7 +194,7 @@ def test_rows_of_a_large_batch_match_single_path_march():
     B = 260  # 260 rows of 64 complex values: 266 KB
     paths = [two_state_path(JUMPS["none"] if b % 2 else [0.12])
              for b in range(B)]
-    x = grid.centered_coordinates()[0]
+    x = grid.offsets(0.0)[0]
     psi0 = np.array([np.exp(-((x - 0.01 * b) ** 2)) for b in range(B)], dtype=complex)
     fields, _, _ = evolve_paths(psi0, fam, paths, kernel, cfg)
     for b in (0, 1, B - 1):
@@ -371,7 +371,7 @@ def test_eigenbasis_rows_of_a_large_batch_match_single_path(monkeypatch):
     cfg = SolverConfig(dt=ENGINE_DT, sample_times=np.array([0.1, 0.2]))
     B = 260
     paths = [two_state_path([] if b % 3 else [0.0123 + 1e-3 * (b % 7)]) for b in range(B)]
-    x = ENGINE_GRID.centered_coordinates()[0]
+    x = ENGINE_GRID.offsets(0.0)[0]
     psi0 = np.array([np.exp(-((x - 0.01 * b) ** 2)) for b in range(B)], dtype=complex)
     fields, _, _ = evolve_paths(psi0, fam, paths, None, cfg)
     for b in (0, 1, 3, B - 1):
@@ -612,8 +612,8 @@ def test_hartree_rows_keep_their_norm_and_energy(n, dim, order, dt, epsilon):
     cfg = SolverConfig(dt=dt, sample_times=np.array([0.0, 0.1, 0.2]), order=order,
                        epsilon=epsilon)
     paths = [two_state_path(j) for j in ([], [0.03], [0.07, 0.15])]
-    r2 = sum(c**2 for c in grid.centered_coordinates())
-    x = grid.centered_coordinates()[0]
+    r2 = sum(c**2 for c in grid.offsets(0.0))
+    x = grid.offsets(0.0)[0]
     psi0 = np.array([np.exp(-r2 / (2 + b) + 1j * b * x) for b in range(len(paths))])
     fields, _, scalars = evolve_paths(psi0, family(grid), paths, kernel, cfg)
     l2 = scalars["l2"]

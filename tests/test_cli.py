@@ -415,31 +415,56 @@ class TestMainEntry:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, message", [
-        ("markov.matrix = [[1.0, 1.0], [-1.0, 1.0]]", "generator fails validation"),
-        ("markov.matrix = [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]]", "square matrix"),
-        ("markov.initial_law = [0.7, 0.7]", "probability vector"),
-        ('potential.shape = "triangle"', "unknown potential shape"),
-        ('potential.family = "bogus"', "unknown potential.family"),
-        ("grid.d = 0", "dim must be >= 1"),
-        ("grid.L = -1.0", "box_length must be positive"),
-        (None, "missing.csv"),
+    @pytest.mark.parametrize("command, text, message", [
+        ("path", "markov.matrix = [[1.0, 1.0], [-1.0, 1.0]]", "generator fails validation"),
+        ("path", "markov.matrix = [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]]", "square matrix"),
+        ("path", "markov.initial_law = [0.7, 0.7]", "probability vector"),
+        ("path", 'potential.shape = "triangle"', "unknown potential shape"),
+        ("path", 'potential.family = "bogus"', "unknown potential.family"),
+        ("path", "grid.d = 0", "dim must be >= 1"),
+        ("path", "grid.L = -1.0", "box_length must be positive"),
+        ("fit-decay", None, "missing.csv"),
+        ("fit-decay", "t,suml2linf\n1.0,1.0\n1.5,0.8\n3.0,0.5", "at least three samples"),
+        ("fit-decay", "t,suml2linf\n1.0,1.0\n1.5,0.0\n2.0,0.5", "must be positive"),
     ], ids=["not-laplacian", "not-square", "law", "shape", "family", "d", "L",
-            "fit-decay-input"])
-    def test_constructor_errors_exit_code(self, tmp_path, capsys, text, message):
+            "fit-decay-input", "fit-decay-window", "fit-decay-nonpositive"])
+    def test_constructor_errors_exit_code(self, tmp_path, capsys, command, text, message):
         """A config that passes the key checks but that a constructor
-        refuses, or a missing fit-decay input, exits 2 with the message on
-        stderr and leaves no run directory."""
+        refuses, a missing fit-decay input, or a fit-decay window that
+        cannot be fitted exits 2 with the message on stderr and leaves no
+        run directory."""
         out = tmp_path / "out"
-        if text is None:
-            argv = ["fit-decay", "--input", str(tmp_path / "missing.csv"),
-                    "--t-min", "1", "--t-max", "2"]
+        if command == "fit-decay":
+            csv = tmp_path / ("missing.csv" if text is None else "scalars.csv")
+            if text is not None:
+                csv.write_text(text + "\n")
+            argv = ["fit-decay", "--input", str(csv), "--t-min", "1", "--t-max", "2"]
         else:
             (tmp_path / "run.toml").write_text(text + "\n")
             argv = ["path", "--config", str(tmp_path / "run.toml"), "--out", str(out)]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value, threads", [("3", 3), ("two", None)])
+    def test_threads_env(self, tmp_path, monkeypatch, capsys, value, threads):
+        """STOCHNLS_THREADS is the --threads default; a value that is not an
+        int is a usage error, exit 2, before any run starts."""
+        import stochnls.cli
+
+        monkeypatch.setenv("STOCHNLS_THREADS", value)
+        seen = []
+        monkeypatch.setattr(stochnls.cli, "run",
+                            lambda cfg, out, seed, threads: seen.append(threads) or 0)
+        argv = ["path", "--out", str(tmp_path)]
+        if threads is None:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "argument --threads: invalid int value: 'two'" in capsys.readouterr().err
+        else:
+            assert main(argv) == 0
+        assert seen == ([] if threads is None else [threads])
 
     def test_path_via_main(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

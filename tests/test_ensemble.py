@@ -46,9 +46,9 @@ class TestRunEnsemble:
         path = sample_path(model, 1.0, seed=(1, 0))
         ref = evolve_path(psi0, fam, path, None, cfg)
         for ti in range(3):
-            np.testing.assert_allclose(avg.conditional_mean(ti)[0],
-                                       ref.fields[ti], atol=1e-14)
             assert avg.counts[ti, 0] == 7
+            np.testing.assert_allclose(avg.sums[ti, 0] / avg.counts[ti, 0],
+                                       ref.fields[ti], atol=1e-14)
 
     def test_single_path_occupies_one_bin(self):
         grid = SpatialGrid(1, 32, 10.0)
@@ -62,8 +62,8 @@ class TestRunEnsemble:
             assert avg.counts[ti].sum() == 1
             occupied = int(np.flatnonzero(avg.counts[ti])[0])
             empty = 1 - occupied
-            assert (ti, empty) in avg.missing_bins()
-            assert np.all(np.isnan(avg.conditional_mean(ti)[empty]))
+            assert avg.counts[ti, empty] == 0
+            assert np.all(avg.sums[ti, empty] == 0.0)
 
     def test_counts_sum_to_N(self):
         grid = SpatialGrid(1, 32, 10.0)
@@ -101,7 +101,7 @@ class TestRunEnsemble:
         free = np.fft.ifft(np.exp(1j * t * laplacian_symbol(grid))
                            * np.fft.fft(psi0.values))
         for y in range(2):
-            np.testing.assert_allclose(avg.conditional_mean(0)[y], free, atol=1e-10)
+            np.testing.assert_allclose(avg.sums[0, y] / avg.counts[0, y], free, atol=1e-10)
 
 
 class TestEstimates:
@@ -114,18 +114,6 @@ class TestEstimates:
         ecfg = EnsembleConfig(N=N, master_seed=11, horizon=1.0,
                               store_density_matrix=store)
         return grid, run_ensemble(psi0, fam, model, None, cfg, ecfg)
-
-    def test_m1_joint_equals_conditional(self):
-        grid = SpatialGrid(1, 32, 12.0)
-        fam = PotentialFamily(grid, np.zeros((1, grid.size)))
-        model = MarkovModel(np.zeros((1, 1)))
-        psi0 = WaveField(grid, gaussian(grid))
-        cfg = SolverConfig(dt=0.05, sample_times=np.array([1.0]))
-        avg, _ = run_ensemble(psi0, fam, model, None, cfg,
-                              EnsembleConfig(N=5, master_seed=0, horizon=1.0))
-        joint = estimate_g(avg, "joint")
-        cond = estimate_g(avg, "conditional")
-        np.testing.assert_allclose(joint.fields[0].g, cond.fields[0].g, atol=1e-15)
 
     def test_clt_scaling_of_stderr(self):
         grid = SpatialGrid(1, 32, 12.0)
@@ -145,21 +133,21 @@ class TestEstimates:
     def test_estimate_f_diagonal_nonnegative(self):
         _, (avg, _) = self.small_run(N=40, store=True)
         est = estimate_f(avg, "joint")
-        for ti, snap in enumerate(est.matrices):
+        for snap in est.matrices:
             rho = density(snap)
-            assert np.min(rho) >= -np.max(est.stderr[ti])
+            assert np.min(rho) >= -1e-14 * np.max(rho)
 
-    @pytest.mark.parametrize("weighting", ["joint", "conditional"])
+    @pytest.mark.parametrize("weighting", ["joint"])
     def test_estimate_f_matrices_hermitian_bit_for_bit(self, weighting):
         """estimate_f builds its matrices without the constructor's check, so
         they must equal the validating constructor's and be exactly Hermitian."""
         _, (avg, _) = self.small_run(N=40, store=True)
-        assert not avg.missing_bins()
+        assert np.all(avg.counts > 0)
+        with pytest.raises(ValueError, match="weighting must be 'joint'"):
+            estimate_f(avg, "conditional")
         est = estimate_f(avg, weighting)
         for ti, snap in enumerate(est.matrices):
-            denom = (avg.N if weighting == "joint"
-                     else np.maximum(avg.counts[ti], 1).astype(float)[:, None, None])
-            f = avg.outer_sums[ti] / denom
+            f = avg.outer_sums[ti] / avg.N
             checked = AveragedDensityMatrix(avg.grid, 0.5 * (f + f.conj().transpose(0, 2, 1)),
                                             t=float(avg.sample_times[ti]))
             assert snap.f.dtype == checked.f.dtype and snap.f.shape == checked.f.shape
@@ -167,15 +155,20 @@ class TestEstimates:
             assert snap.t == checked.t and snap.grid is checked.grid
             assert snap.hermiticity_residual() == 0.0
 
+    def test_estimate_f_symmetrizes_a_roundoff_asymmetry(self):
+        """A blocked BLAS product may leave the outer sums Hermitian only to
+        roundoff; the estimate is Hermitian bit for bit all the same."""
+        _, (avg, _) = self.small_run(N=40, store=True)
+        i = avg.grid.size // 2
+        avg.outer_sums[:, :, i, i + 1] *= 1.0 + 4 * np.finfo(float).eps
+        assert not np.array_equal(avg.outer_sums, avg.outer_sums.conj().transpose(0, 1, 3, 2))
+        for snap in estimate_f(avg).matrices:
+            assert snap.hermiticity_residual() == 0.0
+
     def test_estimate_f_requires_outer_sums(self):
         _, (avg, _) = self.small_run(N=10, store=False)
         with pytest.raises(ValueError):
             estimate_f(avg)
-
-    def test_insufficient_bin_flagging(self):
-        _, (avg, _) = self.small_run(N=12)
-        est = estimate_g(avg, "joint")
-        assert isinstance(est.flags, list)  # counts of 12 split two ways -> flags
 
     def test_conditional_with_empty_bin_raises(self):
         grid = SpatialGrid(1, 32, 12.0)
@@ -187,10 +180,11 @@ class TestEstimates:
         cfg = SolverConfig(dt=0.01, sample_times=np.array([0.0]))
         avg, _ = run_ensemble(psi0, fam, model, None, cfg,
                               EnsembleConfig(N=5, master_seed=1, horizon=0.1))
-        with pytest.raises(ValueError):
+        assert avg.counts[0, 1] == 0
+        with pytest.raises(ValueError, match="weighting must be 'joint'"):
             estimate_g(avg, "conditional")
-        est = estimate_g(avg, "joint")  # joint weighting stays defined
-        assert any("missing-data" in f for f in est.flags)
+        est = estimate_g(avg, "joint")  # joint weighting stays defined: the bin reads 0
+        assert np.all(est.fields[0].g[1] == 0.0) and np.all(est.stderr[0, 1] == 0.0)
 
 
 class TestMCvsPDE:

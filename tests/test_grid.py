@@ -41,6 +41,16 @@ class TestSpatialGrid:
         with pytest.raises(ValueError):
             WaveField(g, np.array([0.0, np.nan, 0.0, 0.0]))
 
+    def test_offsets_enumerated(self):
+        g = SpatialGrid(1, 4, 4.0)  # points 0, 1, 2, 3; the middle is 2
+        assert g.offsets()[0].tolist() == [-2.0, -1.0, 0.0, 1.0]
+        assert g.offsets(0.0)[0].tolist() == [0.0, 1.0, -2.0, -1.0]
+        assert g.offsets(3.5)[0].tolist() == [0.5, 1.5, -1.5, -0.5]
+        g2 = SpatialGrid(2, 4, 4.0)
+        x, y = g2.offsets((0.0, 1.0))
+        assert np.array_equal(x, g2.offsets(0.0)[0])
+        assert y.reshape(4, 4)[0].tolist() == [-1.0, 0.0, 1.0, -2.0]
+
     def test_reflect_involution(self):
         g = SpatialGrid(2, 8, 3.0)
         f = random_field(g, 0)

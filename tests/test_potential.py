@@ -162,6 +162,6 @@ class TestHartreeKernel:
         HartreeKernel(grid, chi, epsilon=0.1)
 
     def test_odd_rejected(self, grid):
-        x = grid.centered_coordinates()[0]
+        x = grid.offsets(0.0)[0]
         with pytest.raises(ValueError):
             HartreeKernel(grid, np.sin(2 * np.pi * x / grid.box_length), epsilon=0.1)

@@ -239,7 +239,7 @@ class TestHartreePotential:
     def test_gaussian_convolution_closed_form(self):
         grid = SpatialGrid(1, 256, 40.0)
         s1, s2 = 1.2, 0.8
-        x = grid.centered_coordinates()[0]  # chi must be even about index 0
+        x = grid.offsets(0.0)[0]  # chi must be even about index 0
         chi = np.exp(-(x**2) / (2 * s1**2))
         kernel = HartreeKernel(grid, chi, epsilon=1.0)
         psi = WaveField(grid, np.exp(-(x**2) / (4 * s2**2)))  # |psi|^2 gaussian
@@ -295,7 +295,7 @@ class TestHartreePotential:
             HartreeKernel(grid, 1j * chi, 0.5)
         with pytest.raises(ValueError, match="imaginary"):
             HartreeKernel(grid, chi + 0j, 0.5)  # even a zero imaginary part
-        odd = np.sin(2 * np.pi * grid.centered_coordinates()[0] / grid.box_length)
+        odd = np.sin(2 * np.pi * grid.offsets(0.0)[0] / grid.box_length)
         bad = chi.copy()
         bad[0] = np.nan
         for value, message in ((odd, "even"), (bad, "finite"), (chi[:-1], "length")):
@@ -355,10 +355,9 @@ class TestPicard:
                       <= 1e-12 * lebesgue_norm_rows(grid, ref.fields, 2))
 
     def test_epsilon_threshold_enforced(self):
-        _, psi0, fam, kernel, cfg = self.setup_case(0.2)
-        with pytest.raises(ValueError):
-            picard_sequence(psi0, fam, constant_path(), kernel, cfg,
-                            n_iters=3, epsilon_max=0.1)
+        _, psi0, fam, kernel, cfg = self.setup_case(1.5)
+        with pytest.raises(ValueError, match="smallness threshold"):
+            picard_sequence(psi0, fam, constant_path(), kernel, cfg, n_iters=3)
 
 
 class TestWaveOperator:
@@ -408,7 +407,7 @@ def sampled_paths(T, count, rate=1.0, seed=11):
 
 
 def gaussian_rows(grid, count):
-    x = grid.centered_coordinates()[0]
+    x = grid.offsets(0.0)[0]
     return np.array([np.pi ** -0.25 * np.exp(-(x - 0.2 * b) ** 2 / 2.0)
                      for b in range(count)], dtype=complex)
 
