@@ -64,11 +64,43 @@ MUTANTS = [
         "name": "two-state-coupling-sign-flipped",
         "why": "R's coupling blocks get one sign, so R is symmetric and the widths vanish",
         "file": "src/stochnls/spectral.py",
-        "old": "R[:k, k:] = -M.imag[:k, k:]",
-        "new": "R[:k, k:] = M.imag[:k, k:]",
+        "old": "part[...] = -coupling if y < z else coupling",
+        "new": "part[...] = coupling",
         "tests": [
             "tests/test_spectral.py::TestTwoStateSimilarity::test_real_solve_keeps_the_spectrum",
             "tests/test_acceptance.py::test_c08_resonance",
+        ],
+    },
+    {
+        "name": "block-potential-after-restriction",
+        "why": "V is added to the restricted -Lap, a roundoff-only change of every even block",
+        "file": "src/stochnls/spectral.py",
+        "old": "part[...] = block.restrict(diag + np.diag(ham.V[y]))",
+        "new": "part[...] = block.restrict(diag) + np.diag(block.restrict_diagonal(ham.V[y]))",
+        "tests": [
+            "tests/test_spectral.py::TestBlockAssembly::test_c8_families_match_the_dense_path",
+        ],
+    },
+    {
+        "name": "assemble-h-eager",
+        "why": "assemble_h forms the dense H eagerly, though no solve reads it",
+        "file": "src/stochnls/spectral.py",
+        "old": "    return DiscreteHamiltonian(grid=grid, m=m, well_window=_well_window(family),",
+        "new": "    np.kron(np.eye(m), dense_laplacian(grid)).astype(complex)"
+               " + 1j * np.kron(model.A, np.eye(grid.size))\n"
+               "    return DiscreteHamiltonian(grid=grid, m=m, well_window=_well_window(family),",
+        "tests": [
+            "tests/test_spectral.py::TestBlockAssembly::test_h_is_formed_only_when_read",
+        ],
+    },
+    {
+        "name": "cached-laplacian-writeable",
+        "why": "the per-grid -Lap is left writeable, so a caller could corrupt every later solve",
+        "file": "src/stochnls/spectral.py",
+        "old": "L.flags.writeable = False",
+        "new": "L.flags.writeable = True",
+        "tests": [
+            "tests/test_spectral.py::TestBlockAssembly::test_cached_laplacian_is_read_only",
         ],
     },
     {

@@ -19,6 +19,9 @@ stays invertible and tends to the identity as |lambda| grows.
 Matrices are assembled in state-major layout (index = y * n^d + x), with
 the Laplacian built exactly as the Fourier conjugation of diag(|k|^2),
 so spectra here and dynamics in the propagators share one discretization.
+No solve forms the dense H: each assembles its parity block from -Lap, V
+and A, with -Lap cached per grid here, so C8's two solves share one n^3
+build (grid.dense_laplacian stays uncached for its one-time callers).
 The free resolvent R0 is applied in the exact eigenbasis of H0 (DFT
 tensor eigenvectors of A), so assembling KB costs no inverse.  An SVD's
 sigma_min has absolute error O(eps sigma_max), eps kappa relative, and the
@@ -58,6 +61,7 @@ Three exact symmetries split or simplify the dense solves:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,16 +102,35 @@ _KB_GRAM_KAPPA = 2.0
 
 @dataclass
 class DiscreteHamiltonian:
+    """H = (-Lap x I_y) + i (I_x x A) + diag V, held as its parts: the
+    solves assemble their blocks from them, and the dense (m n)^2 matrix is
+    formed only when :attr:`H` is read, from the -Lap cached per grid."""
+
     grid: SpatialGrid
     m: int
-    H: np.ndarray = field(repr=False)
     well_window: np.ndarray = field(repr=False)  # boolean mask over cells
     V: np.ndarray = field(repr=False)  # (m, grid.size), the diagonal of H - H0
     A: np.ndarray = field(repr=False)  # (m, m), the chain's symmetric generator
 
     @property
     def size(self) -> int:
-        return self.H.shape[0]
+        return self.m * self.grid.size
+
+    @property
+    def H(self) -> np.ndarray:
+        """The dense H in state-major layout, formed anew on each read."""
+        H = np.kron(np.eye(self.m), _neg_laplacian(self.grid)).astype(complex) \
+            + 1j * np.kron(self.A, np.eye(self.grid.size))
+        return H + np.diag(self.V.reshape(-1).astype(complex))
+
+
+@lru_cache(maxsize=2)
+def _neg_laplacian(grid: SpatialGrid) -> np.ndarray:
+    """-Lap, cached per grid and read-only like laplacian_symbol; complex,
+    since the complex solve keeps its roundoff imaginary part."""
+    L = dense_laplacian(grid)
+    L.flags.writeable = False
+    return L
 
 
 def _well_window(family: PotentialFamily, threshold: float = 0.05) -> np.ndarray:
@@ -121,8 +144,8 @@ def _well_window(family: PotentialFamily, threshold: float = 0.05) -> np.ndarray
 
 def assemble_h(family: PotentialFamily, model: MarkovModel,
                cap: int = SIZE_CAP) -> DiscreteHamiltonian:
-    """Dense H = (-Lap x I_y) + i (I_x x A) + diag V in state-major layout,
-    on the family's grid."""
+    """H = (-Lap x I_y) + i (I_x x A) + diag V in state-major layout, on the
+    family's grid; no matrix is formed here."""
     grid = family.grid
     m = model.m
     size = grid.size * m
@@ -130,18 +153,15 @@ def assemble_h(family: PotentialFamily, model: MarkovModel,
         raise ValueError(f"matrix size {size} exceeds the cap {cap}")
     if family.m != m:
         raise ValueError("family and model state counts disagree")
-    H = np.kron(np.eye(m), dense_laplacian(grid)).astype(complex) \
-        + 1j * np.kron(model.A, np.eye(grid.size))
-    H += np.diag(family.V.reshape(-1).astype(complex))
-    return DiscreteHamiltonian(grid=grid, m=m, H=H, well_window=_well_window(family),
+    return DiscreteHamiltonian(grid=grid, m=m, well_window=_well_window(family),
                                V=family.V, A=model.A)
 
 
-def _parity_blocks(grid: SpatialGrid, fields) -> list[ParityBlock]:
-    """The even and odd blocks of the state-major index when every field
-    (each (m, grid.size), one row per state) is even by
+def _parity_blocks(grid: SpatialGrid, fields, m: int | None = None) -> list[ParityBlock]:
+    """The even and odd blocks of the state-major index over m states (default:
+    the fields' rows) when every field is even by
     :func:`stochnls.grid.is_even`; the whole space as one block otherwise."""
-    m = fields[0].shape[0]
+    m = fields[0].shape[0] if m is None else m
     return parity_blocks(grid, m) if is_even(grid, fields) else [ParityBlock(m * grid.size)]
 
 
@@ -171,13 +191,12 @@ def _chain_modes(ham: DiscreteHamiltonian) -> tuple[np.ndarray, np.ndarray]:
 
     With A = Q diag(mu) Q^T, H = (Q x I)(I x h + i diag(mu) x I)(Q x I)^T,
     so q_j x u is an eigenvector for each eigenpair (E, u) of h, with
-    eigenvalue E + i mu_j and the window fraction of u.  h is the real part
-    of H's first diagonal block (the chain enters H only through i A), and
+    eigenvalue E + i mu_j and the window fraction of u.  h is assembled
+    from the cached -Lap and V (the chain enters H only through i A), and
     is solved per parity block of V.  The eigenvalues come mu-major, each
     mu_j's levels even block first.
     """
-    n = ham.grid.size
-    h = ham.H[:n, :n].real
+    h = _neg_laplacian(ham.grid).real + np.diag(ham.V[0])
     levels, loc = [], []
     for block in _parity_blocks(ham.grid, (ham.V[:1],)):
         E, U = np.linalg.eigh(block.restrict(h))
@@ -189,18 +208,30 @@ def _chain_modes(ham: DiscreteHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return (levels[None, :] + 1j * mu[:, None]).reshape(-1), np.tile(loc, ham.m)
 
 
-def _real_similar(M: np.ndarray) -> np.ndarray:
-    """Re(D^{-1} M D), D = diag(I, i I) on M's halves: a two-state H on a
-    parity block (its first half of coordinates on state 0) as the real R
-    of the module docstring.  The off-diagonal state blocks i A_01 and
-    i A_10 turn into -A_01 and A_10 exactly; only the diagonal blocks'
-    imaginary parts are dropped, i A_yy and the dense Laplacian's
-    antisymmetric roundoff (which :func:`_chain_modes` drops too)."""
-    k = len(M) // 2
-    R = M.real.copy()
-    R[:k, k:] = -M.imag[:k, k:]
-    R[k:, :k] = M.imag[k:, :k]
-    return R
+def _block_matrix(ham: DiscreteHamiltonian, block: ParityBlock, real: bool) -> np.ndarray:
+    """B^H H B, B = I_y x b for a one-state parity block b, assembled state
+    block by state block from the cached -Lap, V and A, bit for bit the
+    restriction of the dense H: a diagonal block restricts (-Lap + i A_yy)
+    + V, V added before restricting, a coupling restricts A_yz I (on pair
+    rows (w 2 A_yz) w, not A_yz).  With `real`, the two-state R =
+    Re(D^{-1} H D): i A_yy and -Lap's roundoff imaginary part (which
+    :func:`_chain_modes` drops too) dropped, i A_01 and i A_10 turned into
+    -A_01 and A_10 exactly."""
+    n, A, L = ham.grid.size, ham.A, _neg_laplacian(ham.grid)
+    k = n if block.index is None else block.index.size
+    M = np.zeros((ham.m * k, ham.m * k), float if real else complex)
+    for y, z in np.ndindex(ham.m, ham.m):
+        part = M[y * k:(y + 1) * k, z * k:(z + 1) * k]
+        if y == z:
+            diag = L.real if real else L + 1j * A[y, y] * np.eye(n)
+            part[...] = block.restrict(diag + np.diag(ham.V[y]))
+            continue
+        coupling = block.restrict(np.diag(np.full(n, A[y, z])))
+        if real:
+            part[...] = -coupling if y < z else coupling
+        else:
+            part.imag = coupling
+    return M
 
 
 def eigen_analysis(ham: DiscreteHamiltonian) -> EigenReport:
@@ -217,9 +248,9 @@ def eigen_analysis(ham: DiscreteHamiltonian) -> EigenReport:
     effect on the spectrum.
 
     Otherwise the solve is nonsymmetric; for an even V it runs per parity
-    block, and the eigenvalues come even block first.  A two-state chain
-    with A[0, 0] == A[1, 1] exactly (C8's resonant family) solves the real
-    R = Re(D^{-1} H D) of each block (:func:`_real_similar`) and returns
+    block (:func:`_block_matrix`), and the eigenvalues come even block
+    first.  A two-state chain with A[0, 0] == A[1, 1] exactly (C8's resonant
+    family) solves the real R = Re(D^{-1} H D) of each block and returns
     i gamma + spec(R), gamma = A[0, 0]; its eigenvalues then come in
     reflected pairs about Im = gamma, in LAPACK's order of conjugate pairs.
     Larger chains take the complex solve.  An eigenvalue shared by both
@@ -233,13 +264,10 @@ def eigen_analysis(ham: DiscreteHamiltonian) -> EigenReport:
         real = ham.m == 2 and ham.A[0, 0] == ham.A[1, 1]
         window = np.tile(ham.well_window, ham.m)
         eigvals, loc = [], []
-        for block in _parity_blocks(ham.grid, (ham.V,)):
-            if real:
-                vals, vecs = np.linalg.eig(_real_similar(block.restrict(ham.H)))
-                vals = vals + 1j * ham.A[0, 0]
-            else:
-                vals, vecs = np.linalg.eig(block.restrict(ham.H))
-            mass = np.abs(block.extend(vecs)) ** 2
+        for block in _parity_blocks(ham.grid, (ham.V,), m=1):
+            vals, vecs = np.linalg.eig(_block_matrix(ham, block, real))
+            vals = vals + 1j * ham.A[0, 0] if real else vals
+            mass = np.abs(np.concatenate([block.extend(v) for v in np.split(vecs, ham.m)])) ** 2
             eigvals.append(vals)
             loc.append(mass[window].sum(axis=0) / mass.sum(axis=0))
         eigvals, loc = np.concatenate(eigvals), np.concatenate(loc)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +19,7 @@ from stochnls.spectral import (
     _KB_CHUNK,
     _KB_GRAM_KAPPA,
     _min_singular_values,
+    _neg_laplacian,
     _parity_blocks,
     assemble_h,
     assemble_kb,
@@ -584,6 +587,102 @@ class TestTwoStateSimilarity:
             want_loc.append(mass[window].sum(axis=0) / mass.sum(axis=0))
         assert np.array_equal(report.eigenvalues, np.concatenate(want))
         assert np.array_equal(report.localization, np.concatenate(want_loc))
+
+
+def dense_path_eigen(ham):
+    """:func:`eigen_analysis` as it ran on the dense H: the chain modes from
+    h = Re H[:n, :n], the two-state real solve of Re(D^{-1} M D) for each
+    block M = restrict(H), and the complex solve of M otherwise."""
+    n, m, H = ham.grid.size, ham.m, ham.H
+    if np.all(ham.V == ham.V[0]):
+        levels, loc = [], []
+        for block in _parity_blocks(ham.grid, (ham.V[:1],)):
+            E, U = np.linalg.eigh(block.restrict(H[:n, :n].real))
+            mass = block.extend(U) ** 2
+            levels.append(E)
+            loc.append(mass[ham.well_window].sum(axis=0) / mass.sum(axis=0))
+        levels, loc = np.concatenate(levels), np.concatenate(loc)
+        mu = np.linalg.eigvalsh(ham.A)
+        return (levels[None, :] + 1j * mu[:, None]).reshape(-1), np.tile(loc, m)
+    real = m == 2 and ham.A[0, 0] == ham.A[1, 1]
+    window = np.tile(ham.well_window, m)
+    eigvals, loc = [], []
+    for block in _parity_blocks(ham.grid, (ham.V,)):
+        M = block.restrict(H)
+        if real:
+            k = len(M) // 2
+            R = M.real.copy()
+            R[:k, k:] = -M.imag[:k, k:]
+            R[k:, :k] = M.imag[k:, :k]
+            vals, vecs = np.linalg.eig(R)
+            vals = vals + 1j * ham.A[0, 0]
+        else:
+            vals, vecs = np.linalg.eig(M)
+        mass = np.abs(block.extend(vecs)) ** 2
+        eigvals.append(vals)
+        loc.append(mass[window].sum(axis=0) / mass.sum(axis=0))
+    return np.concatenate(eigvals), np.concatenate(loc)
+
+
+def assert_same_bytes_as_dense_path(ham):
+    report = eigen_analysis(ham)
+    want, want_loc = dense_path_eigen(ham)
+    assert report.eigenvalues.tobytes() == want.tobytes()
+    assert report.localization.tobytes() == want_loc.tobytes()
+
+
+class TestBlockAssembly:
+    """eigen_analysis assembles each block from the cached -Lap, V and A; its
+    reports must be the dense path's byte for byte, and assemble_h must not
+    form H."""
+
+    @split_settings
+    @given(families(), st.sampled_from(["even", "uneven", "equal"]))
+    def test_blocks_match_the_dense_path(self, drawn, kind):
+        grid, model, V = drawn
+        if kind == "even":
+            V = V + np.array([grid.reflect(v) for v in V])
+        elif kind == "equal":
+            V = np.tile(V[0], (model.m, 1))
+        assert_same_bytes_as_dense_path(assemble_h(PotentialFamily(grid, V), model))
+
+    @pytest.mark.parametrize("family", ["trivial", "resonant"])
+    def test_c8_families_match_the_dense_path(self, family):
+        grid = SpatialGrid(1, 256, 40.0)
+        well = shape_field(grid, "sech2", amplitude=-2.0, width=1.0)
+        fam = {"trivial": PotentialFamily(grid, np.vstack([well, well])),
+               "resonant": sech_family(grid, m=2, contrast=1.0)}[family]
+        assert_same_bytes_as_dense_path(assemble_h(fam, two_state_model()))
+
+    def test_h_is_formed_only_when_read(self, monkeypatch):
+        grid = SpatialGrid(1, 256, 40.0)
+        fam, model = sech_family(grid, m=2, contrast=1.0), two_state_model()
+        tracemalloc.start()
+        try:
+            ham = assemble_h(fam, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # the dense H alone is (2 * 256)^2 * 16 B = 4 MiB
+        eager = np.kron(np.eye(2), dense_laplacian(grid)).astype(complex) \
+            + 1j * np.kron(model.A, np.eye(grid.size))
+        eager += np.diag(fam.V.reshape(-1).astype(complex))
+        assert ham.H.tobytes() == eager.tobytes()
+        monkeypatch.setattr(spectral.DiscreteHamiltonian, "H",
+                            property(lambda self: pytest.fail("H was formed")))
+        assert ham.size == 2 * grid.size
+        eigen_analysis(ham)
+        eigen_analysis(assemble_h(PotentialFamily(grid, np.vstack([fam.V[0]] * 2)), model))
+
+    def test_cached_laplacian_is_read_only(self):
+        grid = SpatialGrid(1, 32, 12.0)
+        L = _neg_laplacian(grid)
+        assert L is _neg_laplacian(grid)
+        assert L.tobytes() == dense_laplacian(grid).tobytes()
+        with pytest.raises(ValueError):
+            L[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            L.real[0, 0] = 1.0
 
 
 class TestResolventIdentity:
