@@ -300,4 +300,34 @@ MUTANTS = [
             "tests/test_ensemble.py::TestEstimates::test_estimate_f_symmetrizes_a_roundoff_asymmetry",
         ],
     },
+    {
+        "name": "csv-sixteen-digits",
+        "why": "the one CSV encoder prints 16 significant digits, too few to read a float back",
+        "file": "src/stochnls/diagnostics.py",
+        "old": '",".join(f"{v:.17g}" for v in row)',
+        "new": '",".join(f"{v:.16g}" for v in row)',
+        "tests": [
+            "tests/test_diagnostics.py::TestArtifactEncoding::test_csv_reads_back_bitwise",
+        ],
+    },
+    {
+        "name": "spectral-empty-block-kept",
+        "why": "an even family on n = 2 keeps its empty odd block, which no solve can index",
+        "file": "src/stochnls/spectral.py",
+        "old": "return [b for b in parity_blocks(grid, m) if b.index.size]",
+        "new": "return parity_blocks(grid, m)",
+        "tests": [
+            "tests/test_spectral.py::TestParitySplit::test_two_point_grid_has_no_odd_block",
+        ],
+    },
+    {
+        "name": "flat-ground-state-unnormalized",
+        "why": "the flat ground state is all ones, not a probability vector",
+        "file": "src/stochnls/markov.py",
+        "old": "return np.full(self.m, 1.0 / self.m)",
+        "new": "return np.full(self.m, 1.0)",
+        "tests": [
+            "tests/test_markov.py::TestGroundState::test_connected_graph_is_uniform",
+        ],
+    },
 ]

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import write_csv
 from .grid import (ParityBlock, SpatialGrid, apply_multiplier, free_flow, is_even,
                    kinetic_phase, parity_blocks)
 from .markov import MarkovModel, heat_kernel
@@ -61,7 +62,6 @@ __all__ = [
     "trace",
     "psd_check",
     "structure_table",
-    "write_density_csv",
     "write_trace_csv",
 ]
 
@@ -377,24 +377,8 @@ def structure_table(series: list[AveragedDensityMatrix]) -> np.ndarray:
     return np.array(rows)
 
 
-def write_density_csv(path, series: list[AveragedDensityMatrix]) -> None:
-    """Rows (t, y, rho(x_0), ..., rho(x_{n-1})) for every state and time."""
-    n = series[0].grid.points_per_axis
-    with open(path, "w") as fh:
-        fh.write("t,y," + ",".join(f"rho{i}" for i in range(n)) + "\n")
-        for snap in series:
-            rho = density(snap)
-            for y in range(snap.m):
-                row = ",".join(f"{v:.17g}" for v in rho[y])
-                fh.write(f"{snap.t:.17g},{y},{row}\n")
-
-
 def write_trace_csv(path, table: np.ndarray) -> None:
     """The rows of a :func:`structure_table` under their column names."""
     m = table.shape[1] - 4
-    header = ["t"] + [f"trace{y}" for y in range(m)] + [
-        "trace_total", "hermiticity_residual", "min_eigenvalue"]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(path, ["t", *(f"trace{y}" for y in range(m)), "trace_total",
+                     "hermiticity_residual", "min_eigenvalue"], table)

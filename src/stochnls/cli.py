@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import difflib
 import hashlib
-import json
 import os
 import sys
 import time
@@ -35,13 +34,13 @@ from .averaged import (
     LIOUVILLE_N_CAP,
     AveragedDensityMatrix,
     AveragedField,
+    density,
     solve_liouville_averaged,
     solve_scalar_averaged,
     structure_table,
-    write_density_csv,
     write_trace_csv,
 )
-from .diagnostics import build_report, decay_fit
+from .diagnostics import build_report, decay_fit, write_csv, write_json
 from .ensemble import EnsembleConfig, run_ensemble, strichartz_orders, write_summary_json
 from .grid import SpatialGrid, WaveField
 from .markov import MarkovModel, sample_path
@@ -52,15 +51,8 @@ from .potential import (
     make_translate_family,
     shape_field,
 )
-from .propagator import SolverConfig, dump_snapshot, evolve_path, write_scalars_csv
-from .spectral import (
-    assemble_h,
-    default_lambda_grid,
-    eigen_analysis,
-    kb_scan,
-    write_scan_csv,
-    write_spectrum_csv,
-)
+from .propagator import SolverConfig, dump_snapshot, evolve_path
+from .spectral import assemble_h, default_lambda_grid, eigen_analysis, kb_scan
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -314,7 +306,8 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
         path = sample_path(model, float(solver_cfg.sample_times[-1]),
                            seed=(ecfg.master_seed, 0))
         out = evolve_path(psi0, family, path, kernel, solver_cfg)
-        write_scalars_csv(os.path.join(out_dir, "scalars.csv"), out)
+        write_csv(os.path.join(out_dir, "scalars.csv"), ["t", *out.scalars],
+                  zip(out.sample_times, *out.scalars.values()))
         dump_snapshot(os.path.join(out_dir, "final_snapshot.bin"),
                       WaveField(grid, out.fields[-1]), float(out.sample_times[-1]))
         drift = float(np.max(np.abs(out.scalars["l2"] - out.scalars["l2"][0])))
@@ -324,13 +317,9 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
         g0 = AveragedField(grid, np.vstack([psi0.values * model.initial_law[y]
                                             for y in range(model.m)]))
         series = solve_scalar_averaged(g0, family, model, solver_cfg)
-        with open(os.path.join(out_dir, "averaged_field.csv"), "w") as fh:
-            fh.write("t,y,l2\n")
-            for snap in series:
-                for y in range(model.m):
-                    l2 = float(np.sqrt(grid.cell_volume
-                                       * np.sum(np.abs(snap.g[y]) ** 2)))
-                    fh.write(f"{snap.t:.17g},{y},{l2:.17g}\n")
+        write_csv(os.path.join(out_dir, "averaged_field.csv"), ["t", "y", "l2"],
+                  ((snap.t, y, np.sqrt(grid.cell_volume * np.sum(np.abs(snap.g[y]) ** 2)))
+                   for snap in series for y in range(model.m)))
         # the flows are unitary and the mixing e^{-tau A} contracts, so the
         # total ||g||_2 never grows; a non-finite norm fails the comparison too
         norms = np.array([np.sqrt(grid.cell_volume * np.sum(np.abs(s.g) ** 2))
@@ -345,7 +334,10 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
                        for y in range(model.m)])
         series = solve_liouville_averaged(AveragedDensityMatrix(grid, f0),
                                           family, model, solver_cfg)
-        write_density_csv(os.path.join(out_dir, "density.csv"), series)
+        write_csv(os.path.join(out_dir, "density.csv"),
+                  ["t", "y", *(f"rho{i}" for i in range(grid.points_per_axis))],
+                  ((snap.t, y, *rho) for snap in series
+                   for y, rho in enumerate(density(snap))))
         table = structure_table(series)
         write_trace_csv(os.path.join(out_dir, "trace.csv"), table)
         totals, herms, min_eigs = table[:, -3:].T
@@ -380,19 +372,24 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
         except ValueError:
             pass  # non-uniform sample times: both-order norms undefined
         else:
-            with open(os.path.join(out_dir, "spacetime_norms.json"), "w") as fh:
-                json.dump(norms, fh, indent=2, sort_keys=True)
+            write_json(os.path.join(out_dir, "spacetime_norms.json"), norms)
     elif kind == "spectrum":
         ham = assemble_h(family, model)
         report = eigen_analysis(ham)
-        write_spectrum_csv(os.path.join(out_dir, "spectrum.csv"), report)
+        order = np.argsort(report.eigenvalues.real, kind="stable")
+        ev = report.eigenvalues[order]
+        write_csv(os.path.join(out_dir, "spectrum.csv"), ["re", "im", "localization"],
+                  zip(ev.real, ev.imag, report.localization[order]))
         checks["upper_half_plane"] = {
             "passed": bool(report.min_imag >= -1e-8 * max(report.norm, 1.0)),
             "min_imag": report.min_imag,
         }
     elif kind == "kb-scan":
         scan = kb_scan(family, model, default_lambda_grid())
-        write_scan_csv(os.path.join(out_dir, "scan.csv"), scan)
+        lam = scan["lambdas"]
+        write_csv(os.path.join(out_dir, "scan.csv"),
+                  ["re_lambda", "im_lambda", "min_singular_value"],
+                  zip(lam.real, lam.imag, scan["min_singular_values"]))
         checks["invertible"] = {"passed": bool(scan["global_min"] > 0.0),
                                 "global_min": scan["global_min"]}
     elif kind == "verify-all":
@@ -406,8 +403,7 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
     # wall-clock info belongs in the manifest, never in deterministic artifacts
     stripped = {k: {kk: vv for kk, vv in entry.items() if kk != "runtime_s"}
                 for k, entry in checks.items()}
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(build_report(stripped))
+    write_json(os.path.join(out_dir, "report.json"), stripped)
     manifest = {
         "config": {k: cfg[k] for k in sorted(cfg)},
         "config_hash": config_hash(cfg),
@@ -422,8 +418,7 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
         # counts, so artifacts are byte-reproducible only for a fixed count
         "blas_thread_env": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     passed = all(entry.get("passed", False) for entry in checks.values())
     return 0 if passed else 1
 
@@ -443,12 +438,12 @@ def _cmd_fit_decay(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    print(json.dumps({
+    print(build_report({
         "column": args.column, "window": [args.t_min, args.t_max],
         "slope": fit.slope, "intercept": fit.intercept,
         "residual": fit.residual,
         "confidence_halfwidth": fit.confidence_halfwidth,
-    }, indent=2, sort_keys=True))
+    }))
     return 0
 
 

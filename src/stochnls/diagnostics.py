@@ -1,5 +1,5 @@
 """Cross-cutting verifications: energies, identity residuals, decay fits,
-space-time norms, and the report serialization used by the CLI.
+space-time norms, and the one CSV and one JSON encoding of every artifact.
 
 Quantitative dispersive rates live on unbounded domains in dimension
 three and up; at desk scale this module therefore emphasizes identities
@@ -37,6 +37,8 @@ __all__ = [
     "strichartz_norm",
     "wraparound_mass",
     "build_report",
+    "write_csv",
+    "write_json",
 ]
 
 RESIDUAL_FLOOR = 1e-12
@@ -279,3 +281,17 @@ def _jsonable(value):
 def build_report(entries: dict) -> str:
     """Serialize a {criterion-id: {...}} mapping deterministically."""
     return json.dumps(_jsonable(entries), indent=2, sort_keys=True)
+
+
+def write_json(path, doc: dict) -> None:
+    """Write :func:`build_report`'s encoding of doc, with no trailing newline."""
+    with open(path, "w") as fh:
+        fh.write(build_report(doc))
+
+
+def write_csv(path, header, rows) -> None:
+    """A line of column names, then each row's values as ``f"{v:.17g}"``:
+    enough digits to read every float back bitwise, an integer as itself."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)

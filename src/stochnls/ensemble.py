@@ -26,6 +26,7 @@ from functools import partial
 import numpy as np
 
 from .averaged import AveragedDensityMatrix, AveragedField
+from .diagnostics import write_json
 from .grid import ParityBlock, WaveField, lorentz_norm_rows
 from .markov import MarkovModel, sample_paths
 from .potential import HartreeKernel, PotentialFamily
@@ -344,8 +345,6 @@ def weighted_energy_average(series: PathScalarSeries, model: MarkovModel) \
 def write_summary_json(path, avg: ConditionalAverage, series: PathScalarSeries,
                        ecfg: EnsembleConfig, residuals: dict | None = None) -> None:
     """{N, seed, per-time: {counts, scalar means, standard errors, ...}}."""
-    import json
-
     n = series.l2.shape[0]
     moments = {}  # name: (means, standard errors) per time, over each time's contiguous row
     for name in ("l2", "suml2linf", "energy_kinetic", "energy_potential",
@@ -369,5 +368,4 @@ def write_summary_json(path, avg: ConditionalAverage, series: PathScalarSeries,
         per_time.append(entry)
     doc = {"N": ecfg.N, "seed": ecfg.master_seed, "horizon": ecfg.horizon,
            "per_time": per_time}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True))  # one write, the same encoder
+    write_json(path, doc)

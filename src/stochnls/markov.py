@@ -36,7 +36,6 @@ __all__ = [
     "HeatKernel",
     "PathSample",
     "validate_generator",
-    "ground_state",
     "heat_kernel",
     "sample_path",
     "sample_paths",
@@ -91,28 +90,6 @@ def validate_generator(A: np.ndarray) -> GeneratorReport:
     )
 
 
-def ground_state(A: np.ndarray) -> np.ndarray:
-    """Unique positive zero-energy eigenvector of A, normalized to sum 1."""
-    report = validate_generator(A)
-    if report.kernel_dimension != 1:
-        raise ValueError(
-            f"kernel dimension is {report.kernel_dimension}, expected 1 "
-            "(generator must correspond to a connected graph)"
-        )
-    A = np.asarray(A, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (A + A.T))
-    h = eigvecs[:, 0]
-    if h.sum() < 0:
-        h = -h
-    if np.any(h <= 0):
-        raise ValueError("ground state is not strictly positive")
-    h = h / h.sum()
-    norm = float(np.max(np.abs(eigvals)))
-    if np.max(np.abs(A @ h)) > KERNEL_TOL * max(norm, 1.0):
-        raise ValueError("ground state residual too large")
-    return h
-
-
 @dataclass(frozen=True)
 class MarkovModel:
     """Validated generator plus an initial law (vector or Dirac state index).
@@ -159,7 +136,9 @@ class MarkovModel:
         return self.A.shape[0]
 
     def ground_state(self) -> np.ndarray:
-        return ground_state(self.A)
+        """The flat law: a validated A is symmetric with zero row sums and a
+        one-dimensional kernel, so the constants span it."""
+        return np.full(self.m, 1.0 / self.m)
 
 
 @dataclass

@@ -77,7 +77,6 @@ __all__ = [
     "wave_operator_estimate",
     "dump_snapshot",
     "load_snapshot",
-    "write_scalars_csv",
 ]
 
 SNAPSHOT_MAGIC = b"WFLD"
@@ -367,13 +366,16 @@ def _phase_run(values: np.ndarray, O: np.ndarray, Ot: np.ndarray, theta: np.ndar
                k: np.ndarray) -> np.ndarray:
     """S^k_b applied to each row b of values, shape (r, n): O (exp(i k_b
     theta) * (O^T psi_b)), as two real dgemms on the stacked real and
-    imaginary parts, padded with zero rows to at least four, each with a
-    C-contiguous right operand (Ot is O^T's contiguous copy).  A row of
-    such a product is bitwise independent of the row count from four rows
-    on; a one-row product takes gemv, two or three rows differ too, and so
-    do rows of a product whose right operand is a transposed view."""
+    imaginary parts, padded with zero rows to a multiple of eight (at least
+    eight), each with a C-contiguous right operand (Ot is O^T's contiguous
+    copy).  On the SkylakeX, Haswell, Sandybridge and Prescott kernels of
+    OpenBLAS, at one and two threads, a row of such a product is bitwise
+    independent of the row count when that count is a multiple of eight;
+    under Haswell and Prescott at two threads many other even counts differ,
+    a one-row product takes gemv, and rows of a product whose right operand
+    is a transposed view differ too."""
     r, n = values.shape
-    stacked = np.zeros((max(2 * r, 4), n))
+    stacked = np.zeros((max(-(-2 * r // 8) * 8, 8), n))
     stacked[:r], stacked[r:2 * r] = values.real, values.imag
     coeffs = stacked @ O  # rows: (O^T psi_b)^T, real then imaginary parts
     ks = np.unique(k)  # rows often share their k
@@ -705,12 +707,3 @@ def load_snapshot(path) -> tuple[WaveField, float]:
         raise ValueError(f"payload of {len(payload)} bytes is not n^d = {grid.size} values")
     vals = np.frombuffer(payload, dtype=dtype)
     return WaveField(grid, vals.astype(np.complex128)), float(time)
-
-
-def write_scalars_csv(path, output: TrajectoryOutput) -> None:
-    """Per-time scalars: t, then the series in :func:`evolve_paths`' order."""
-    with open(path, "w") as fh:
-        fh.write(",".join(["t", *output.scalars]) + "\n")
-        for i, t in enumerate(output.sample_times):
-            fh.write(",".join(f"{v:.17g}" for v in (t, *(c[i] for c in output.scalars.values())))
-                     + "\n")

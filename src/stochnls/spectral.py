@@ -86,8 +86,6 @@ __all__ = [
     "kb_scan",
     "resolvent_identity_residual",
     "default_lambda_grid",
-    "write_spectrum_csv",
-    "write_scan_csv",
 ]
 
 SIZE_CAP = 4096
@@ -160,9 +158,12 @@ def assemble_h(family: PotentialFamily, model: MarkovModel,
 def _parity_blocks(grid: SpatialGrid, fields, m: int | None = None) -> list[ParityBlock]:
     """The even and odd blocks of the state-major index over m states (default:
     the fields' rows) when every field is even by
-    :func:`stochnls.grid.is_even`; the whole space as one block otherwise."""
+    :func:`stochnls.grid.is_even`, an empty odd block (n <= 2) dropped; the
+    whole space as one block otherwise."""
     m = fields[0].shape[0] if m is None else m
-    return parity_blocks(grid, m) if is_even(grid, fields) else [ParityBlock(m * grid.size)]
+    if not is_even(grid, fields):
+        return [ParityBlock(m * grid.size)]
+    return [b for b in parity_blocks(grid, m) if b.index.size]
 
 
 @dataclass
@@ -406,21 +407,3 @@ def resolvent_identity_residual(family: PotentialFamily, model: MarkovModel,
     RV = np.linalg.inv(assemble_h(family, model).H - lam * eye)
     right = eye - w.v2.reshape(-1)[:, None] * RV * w.v1.reshape(-1)[None, :]
     return float(np.max(np.abs(left @ right - eye)))
-
-
-def write_spectrum_csv(path, report: EigenReport) -> None:
-    """Rows (Re, Im, localization fraction), sorted by real part."""
-    order = np.argsort(report.eigenvalues.real, kind="stable")
-    with open(path, "w") as fh:
-        fh.write("re,im,localization\n")
-        for i in order:
-            ev = report.eigenvalues[i]
-            fh.write(f"{ev.real:.17g},{ev.imag:.17g},{report.localization[i]:.17g}\n")
-
-
-def write_scan_csv(path, scan: dict) -> None:
-    """Rows (Re, Im, min singular value); nan where lambda is in spec(H0)."""
-    with open(path, "w") as fh:
-        fh.write("re_lambda,im_lambda,min_singular_value\n")
-        for lam, sv in zip(scan["lambdas"], scan["min_singular_values"]):
-            fh.write(f"{lam.real:.17g},{lam.imag:.17g},{sv:.17g}\n")

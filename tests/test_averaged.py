@@ -22,7 +22,6 @@ from stochnls.averaged import (
     solve_scalar_averaged,
     structure_table,
     trace,
-    write_density_csv,
     write_trace_csv,
 )
 from stochnls.grid import (
@@ -742,14 +741,9 @@ class TestCsvOutput:
                      psd_check(snap).min()]
             assert np.array_equal(row, audit)
 
-    def test_writers(self, tmp_path):
-        series = self.series()
-        dpath, tpath = tmp_path / "density.csv", tmp_path / "trace.csv"
-        write_density_csv(dpath, series)
-        write_trace_csv(tpath, structure_table(series))
-        dlines = dpath.read_text().strip().split("\n")
-        assert dlines[0].startswith("t,y,rho0")
-        assert len(dlines) == 1 + 2 * 2  # two times, two states
+    def test_trace_csv(self, tmp_path):
+        tpath = tmp_path / "trace.csv"
+        write_trace_csv(tpath, structure_table(self.series()))
         tlines = tpath.read_text().strip().split("\n")
         assert tlines[0] == "t,trace0,trace1,trace_total,hermiticity_residual,min_eigenvalue"
         assert len(tlines) == 3

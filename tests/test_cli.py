@@ -153,6 +153,9 @@ class TestRunExperiments:
         names = sorted(os.listdir(out))
         assert names == ["final_snapshot.bin", "manifest.json", "report.json",
                          "scalars.csv"]
+        lines = open(os.path.join(out, "scalars.csv")).read().strip().split("\n")
+        assert lines[0] == "t,l2,suml2linf,energy_kinetic,energy_potential,energy_hartree"
+        assert len(lines) == 1 + 6  # SMALL's six sample times
         report = json.loads(open(os.path.join(out, "report.json")).read())
         assert report["unitarity"]["passed"]
         manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
@@ -164,6 +167,12 @@ class TestRunExperiments:
         code = run(parse_config(text=text), str(tmp_path))
         assert code == 0
         out = self.out_dirs(tmp_path)[0]
+        dlines = open(os.path.join(out, "density.csv")).read().strip().split("\n")
+        assert dlines[0] == "t,y," + ",".join(f"rho{i}" for i in range(32))
+        assert len(dlines) == 1 + 6 * 2  # six times, two states
+        tlines = open(os.path.join(out, "trace.csv")).read().strip().split("\n")
+        assert tlines[0] == "t,trace0,trace1,trace_total,hermiticity_residual,min_eigenvalue"
+        assert len(tlines) == 1 + 6
         report = json.loads(open(os.path.join(out, "report.json")).read())
         assert report["trace_conservation"]["passed"]
         assert report["hermiticity"]["passed"]
@@ -299,13 +308,29 @@ class TestRunExperiments:
         for d in self.out_dirs(tmp_path):
             files.extend(os.listdir(d))
         assert "spectrum.csv" in files and "scan.csv" in files
+        spec_dir, scan_dir = (next(d for d in self.out_dirs(tmp_path)
+                                   if os.path.basename(d).startswith(kind))
+                              for kind in ("spectrum", "kb-scan"))
+        lines = open(os.path.join(spec_dir, "spectrum.csv")).read().split()
+        assert lines[0] == "re,im,localization"
+        assert len(lines) == 1 + 2 * 32  # every eigenvalue of the 64 x 64 H
+        re = np.loadtxt(os.path.join(spec_dir, "spectrum.csv"), delimiter=",",
+                        skiprows=1)[:, 0]
+        assert np.all(np.diff(re) >= 0.0)  # sorted by real part
+        lines = open(os.path.join(scan_dir, "scan.csv")).read().split()
+        assert lines[0] == "re_lambda,im_lambda,min_singular_value"
+        assert len(lines) == 1 + 21 * 6  # the default lambda grid
         # lambda = 0 lies in spec(H0): scan.csv carries nan there only
-        scan_dir = next(d for d in self.out_dirs(tmp_path)
-                        if os.path.basename(d).startswith("kb-scan"))
-        rows = open(os.path.join(scan_dir, "scan.csv")).read().split()[1:]
-        assert [r for r in rows if r.endswith(",nan")] == ["0,0,nan"]
+        assert [r for r in lines[1:] if r.endswith(",nan")] == ["0,0,nan"]
         report = json.loads(open(os.path.join(scan_dir, "report.json")).read())
         assert report["invertible"]["global_min"] > 0.0
+
+    def test_two_point_grid_spectrum_and_kb_scan(self, tmp_path):
+        # n = 2 has no pair j != -j, so its odd parity block is empty
+        text = SMALL.replace("grid.n = 32", "grid.n = 2")
+        for kind in ("spectrum", "kb-scan"):
+            assert run(parse_config(text=text.replace('"path"', f'"{kind}"')),
+                       str(tmp_path)) == 0
 
     def test_verify_all_runtimes_go_to_manifest(self, tmp_path, monkeypatch):
         from stochnls import verify

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from stochnls.diagnostics import (
     feynman_kac_residual,
     strichartz_norm,
     wraparound_mass,
+    write_csv,
+    write_json,
 )
 from stochnls.grid import SpatialGrid, WaveField
 from stochnls.markov import MarkovModel
@@ -268,3 +272,30 @@ class TestWraparound:
         grid = SpatialGrid(1, 256, 60.0)
         psi = WaveField(grid, gaussian(grid, center=0.5))  # at the seam
         assert wraparound_mass(psi) > 0.5
+
+
+class TestArtifactEncoding:
+    def test_csv_reads_back_bitwise(self, tmp_path):
+        # 0.1 + 0.2 and most random doubles need all 17 significant digits
+        rng = np.random.default_rng(5)
+        floats = np.concatenate([[0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3],
+                                 rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)])
+        rows = [(float(v), 1, np.nan) for v in floats]
+        path = tmp_path / "table.csv"
+        write_csv(path, ["x", "count", "missing"], rows)
+        lines = path.read_text().split("\n")
+        assert lines[0] == "x,count,missing" and lines[-1] == ""
+        assert all(line.endswith(",1,nan") for line in lines[1:-1])
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert back.shape == (floats.size, 3)
+        assert np.array_equal(back[:, 0].view(np.uint64), floats.view(np.uint64))
+        assert np.all(back[:, 1] == 1) and np.all(np.isnan(back[:, 2]))
+
+    def test_json_is_sorted_indent_two(self, tmp_path):
+        doc = {"seed": 7, "config": {"grid.n": 64, "markov.matrix": [[1.0, -1.0], [-1.0, 1.0]],
+                                     "grid.L": 20.0},
+               "blas_thread_env": {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None},
+               "criterion_runtime_s": {}, "wall_time_s": 0.25}
+        path = tmp_path / "manifest.json"
+        write_json(path, doc)
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True)

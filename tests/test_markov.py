@@ -9,7 +9,6 @@ from stochnls import markov
 from stochnls.markov import (
     HeatKernel,
     MarkovModel,
-    ground_state,
     heat_kernel,
     path_rng,
     sample_path,
@@ -64,14 +63,16 @@ class TestGroundState:
     def test_connected_graph_is_uniform(self):
         for A in (two_state(0.7), ring_laplacian(4), ring_laplacian(7, 2.5)):
             m = A.shape[0]
-            np.testing.assert_allclose(ground_state(A), np.full(m, 1.0 / m), atol=1e-12)
+            h = MarkovModel(A).ground_state()
+            assert np.array_equal(h, np.full(m, 1.0 / m))
+            assert np.max(np.abs(A @ h)) <= 1e-12  # in the kernel of A
 
     def test_disconnected_raises(self):
         A = np.zeros((4, 4))
         A[:2, :2] = two_state()
         A[2:, 2:] = two_state()
-        with pytest.raises(ValueError):
-            ground_state(A)
+        with pytest.raises(ValueError, match="fails validation"):
+            MarkovModel(A)
 
 
 class TestHeatKernel:

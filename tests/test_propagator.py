@@ -32,7 +32,6 @@ from stochnls.propagator import (
     load_snapshot,
     picard_sequence,
     wave_operator_estimate,
-    write_scalars_csv,
 )
 # the per-path march, an engine spy, one path's state at one time and a
 # family of two spatially constant states
@@ -665,17 +664,6 @@ class TestSnapshotIO:
         f.write_bytes(raw[:20])
         with pytest.raises(ValueError, match="header"):
             load_snapshot(f)
-
-    def test_scalars_csv(self, tmp_path):
-        grid = SpatialGrid(1, 64, 20.0)
-        psi0 = WaveField(grid, free_gaussian(grid, 1.0, 0.0))
-        cfg = SolverConfig(dt=0.1, sample_times=np.array([0.0, 0.5, 1.0]))
-        out = evolve_path(psi0, zero_family(grid), constant_path(), None, cfg)
-        f = tmp_path / "scalars.csv"
-        write_scalars_csv(f, out)
-        lines = f.read_text().strip().split("\n")
-        assert lines[0] == "t,l2,suml2linf,energy_kinetic,energy_potential,energy_hartree"
-        assert len(lines) == 4
 
 
 class TestConfigValidation:

@@ -27,8 +27,6 @@ from stochnls.spectral import (
     eigen_analysis,
     kb_scan,
     resolvent_identity_residual,
-    write_scan_csv,
-    write_spectrum_csv,
 )
 
 
@@ -498,6 +496,20 @@ class TestParitySplit:
         assert np.array_equal(mins, _min_singular_values(kbs))
         np.testing.assert_allclose(mins, unsplit_kb_mins(fam, model), rtol=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_two_point_grid_has_no_odd_block(self, m):
+        # n = 2 has no pair j != -j: both points are fixed, so every V is
+        # even, the odd block is empty and the even block is the whole space
+        grid = SpatialGrid(1, 2, 20.0)
+        fam = sech_family(grid, m=m)
+        hops = np.eye(m, k=1) + np.eye(m, k=-1)  # the path graph on m states
+        model = MarkovModel(np.diag(hops.sum(axis=1)) - hops)
+        assert [b.index.size for b in _parity_blocks(grid, (fam.V,))] == [m * grid.size]
+        ham = assemble_h(fam, model)
+        assert_matches_unsplit(eigen_analysis(ham), ham)
+        mins = kb_scan(fam, model, SPLIT_LAMBDAS)["min_singular_values"]
+        np.testing.assert_allclose(mins, unsplit_kb_mins(fam, model), rtol=1e-12)
+
     def test_blocks_decouple_the_c8_operator(self):
         # the coupling between the blocks is the dense Laplacian's roundoff
         grid = SpatialGrid(1, 64, 40.0)
@@ -703,27 +715,3 @@ class TestResolventIdentity:
         fam = sech_family(grid, m=2, contrast=0.5)
         res = resolvent_identity_residual(fam, two_state_model(), 10.0 + 0.0j)
         assert res <= 1e-6
-
-
-class TestCsvWriters:
-    def test_spectrum_and_scan_files(self, tmp_path):
-        grid = SpatialGrid(1, 16, 8.0)
-        fam = sech_family(grid, m=2, contrast=1.0)
-        model = two_state_model()
-        report = eigen_analysis(assemble_h(fam, model))
-        spath = tmp_path / "spectrum.csv"
-        write_spectrum_csv(spath, report)
-        lines = spath.read_text().strip().split("\n")
-        assert lines[0] == "re,im,localization"
-        assert len(lines) == 1 + 32
-        scan = kb_scan(fam, model, default_lambda_grid(n_re=3, n_im=2))
-        kpath = tmp_path / "scan.csv"
-        write_scan_csv(kpath, scan)
-        klines = kpath.read_text().strip().split("\n")
-        assert klines[0] == "re_lambda,im_lambda,min_singular_value"
-        assert len(klines) == 7
-        # lambda = 0 lies in spec(H0): its row carries nan
-        scan = kb_scan(fam, model, [0.0, -1.0])
-        write_scan_csv(kpath, scan)
-        rows = kpath.read_text().strip().split("\n")[1:]
-        assert rows[0] == "0,0,nan" and "nan" not in rows[1]
