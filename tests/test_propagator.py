@@ -13,6 +13,7 @@ from stochnls.grid import (
     lebesgue_norm,
     lebesgue_norm_rows,
 )
+from stochnls.diagnostics import write_csv
 from stochnls.markov import MarkovModel, PathSample, sample_path
 from stochnls.potential import (
     HartreeKernel,
@@ -664,6 +665,21 @@ class TestSnapshotIO:
         f.write_bytes(raw[:20])
         with pytest.raises(ValueError, match="header"):
             load_snapshot(f)
+
+    def test_scalars_csv(self, tmp_path):
+        grid = SpatialGrid(1, 64, 20.0)
+        psi0 = WaveField(grid, free_gaussian(grid, 1.0, 0.0))
+        cfg = SolverConfig(dt=0.1, sample_times=np.array([0.0, 0.5, 1.0]))
+        out = evolve_path(psi0, zero_family(grid), constant_path(), None, cfg)
+        f = tmp_path / "scalars.csv"
+        write_csv(f, ["t", *out.scalars], zip(out.sample_times, *out.scalars.values()))
+        lines = f.read_text().strip().split("\n")
+        assert lines[0] == "t,l2,suml2linf,energy_kinetic,energy_potential,energy_hartree"
+        assert len(lines) == 4
+        # every value reads back bitwise
+        back = np.loadtxt(f, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 0], out.sample_times)
+        assert np.array_equal(back[:, 1], out.scalars["l2"])
 
 
 class TestConfigValidation:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from stochnls import spectral
+from stochnls.diagnostics import write_csv
 from stochnls.grid import SpatialGrid, dense_laplacian, laplacian_symbol
 from stochnls.markov import MarkovModel
 from stochnls.potential import (
@@ -715,3 +716,35 @@ class TestResolventIdentity:
         fam = sech_family(grid, m=2, contrast=0.5)
         res = resolvent_identity_residual(fam, two_state_model(), 10.0 + 0.0j)
         assert res <= 1e-6
+
+
+class TestCsvWriters:
+    @staticmethod
+    def write_scan(path, scan):
+        lam = scan["lambdas"]
+        write_csv(path, ["re_lambda", "im_lambda", "min_singular_value"],
+                  zip(lam.real, lam.imag, scan["min_singular_values"]))
+
+    def test_spectrum_and_scan_files(self, tmp_path):
+        grid = SpatialGrid(1, 16, 8.0)
+        fam = sech_family(grid, m=2, contrast=1.0)
+        model = two_state_model()
+        report = eigen_analysis(assemble_h(fam, model))
+        spath = tmp_path / "spectrum.csv"
+        ev = report.eigenvalues
+        write_csv(spath, ["re", "im", "localization"],
+                  zip(ev.real, ev.imag, report.localization))
+        lines = spath.read_text().strip().split("\n")
+        assert lines[0] == "re,im,localization"
+        assert len(lines) == 1 + 32
+        scan = kb_scan(fam, model, default_lambda_grid(n_re=3, n_im=2))
+        kpath = tmp_path / "scan.csv"
+        self.write_scan(kpath, scan)
+        klines = kpath.read_text().strip().split("\n")
+        assert klines[0] == "re_lambda,im_lambda,min_singular_value"
+        assert len(klines) == 7
+        # lambda = 0 lies in spec(H0): its row carries nan
+        scan = kb_scan(fam, model, [0.0, -1.0])
+        self.write_scan(kpath, scan)
+        rows = kpath.read_text().strip().split("\n")[1:]
+        assert rows[0] == "0,0,nan" and "nan" not in rows[1]
