@@ -22,8 +22,8 @@ MUTANTS = [
         "name": "constant-run-one-step-short",
         "why": "a constant row's run takes k - 1 steps",
         "file": "src/stochnls/propagator.py",
-        "old": "np.exp(1j * k[lo:hi][run, None] *",
-        "new": "np.exp(1j * (k[lo:hi][run, None] - 1) *",
+        "old": "cis(k[lo:hi][run, None] *",
+        "new": "cis((k[lo:hi][run, None] - 1) *",
         "tests": [
             "tests/test_propagator.py::TestFreeEvolution::test_gaussian_oracle",
             "tests/test_propagator.py::TestEigenbasisEngine::test_constant_levels_are_a_path_phase",
@@ -33,8 +33,8 @@ MUTANTS = [
         "name": "constant-run-sign-flipped",
         "why": "a constant row's run turns its phases backwards in time",
         "file": "src/stochnls/propagator.py",
-        "old": "np.exp(1j * k[lo:hi][run, None] *",
-        "new": "np.exp(-1j * k[lo:hi][run, None] *",
+        "old": "cis(k[lo:hi][run, None] *",
+        "new": "cis(-k[lo:hi][run, None] *",
         "tests": [
             "tests/test_propagator.py::TestFreeEvolution::test_gaussian_oracle",
             "tests/test_propagator.py::TestEigenbasisEngine::test_constant_levels_are_a_path_phase",
@@ -328,6 +328,39 @@ MUTANTS = [
         "new": "return np.full(self.m, 1.0)",
         "tests": [
             "tests/test_markov.py::TestGroundState::test_connected_graph_is_uniform",
+        ],
+    },
+    {
+        "name": "march-buffers-not-alternated",
+        "why": "the state stays named spare, so the next Hartree phase is written over it",
+        "file": "src/stochnls/propagator.py",
+        "old": "values, spare = sub, values",
+        "new": "values = sub",
+        "tests": [
+            "tests/test_batch.py::test_picard_iterates_match_plain_frozen_march[2]",
+            "tests/test_batch.py::test_batched_rows_match_single_path_march[None-0.3-2]",
+        ],
+    },
+    {
+        "name": "hartree-phase-drops-tau",
+        "why": "a field-dependent substep kicks by exp(i (V_y + W)), not exp(i tau (V_y + W))",
+        "file": "src/stochnls/propagator.py",
+        "old": "potential = cis(np.multiply(x, tau, out=x), out=spare[:len(sub)])",
+        "new": "potential = cis(x, out=spare[:len(sub)])",
+        "tests": [
+            "tests/test_batch.py::test_picard_iterates_match_plain_frozen_march[1]",
+            "tests/test_batch.py::test_batched_rows_match_single_path_march[None-0.3-2]",
+        ],
+    },
+    {
+        "name": "cis-sin-negated",
+        "why": "every cos/sin phase is exp(-i x), turning potentials and runs backwards",
+        "file": "src/stochnls/grid.py",
+        "old": "np.sin(x, out=out.imag)",
+        "new": "np.negative(np.sin(x, out=out.imag), out=out.imag)",
+        "tests": [
+            "tests/test_grid.py::TestCis::test_within_an_ulp_of_exp",
+            "tests/test_propagator.py::TestEigenbasisEngine::test_constant_levels_are_a_path_phase",
         ],
     },
 ]

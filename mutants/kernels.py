@@ -26,17 +26,7 @@ BATCH_TESTS = ["tests/test_batch.py", "tests/test_ensemble_parallel.py",
                "tests/test_acceptance.py::test_c12_verify_all_determinism"]
 THREAD_TEST = ["tests/test_averaged.py::test_liouville_bytes_do_not_depend_on_blas_threads"]
 # the kernel name numpy's bundled OpenBLAS reports ("?" for another BLAS)
-CORENAME = """
-import ctypes, glob, os, numpy
-libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
-                              "libscipy_openblas64_*.so"))
-if libs:
-    get = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    get.argtypes, get.restype = [], ctypes.c_char_p
-    print(get().decode())
-else:
-    print("?")
-"""
+CORENAME = "from stochnls.cli import blas_core; print(blas_core() or '?')"
 
 
 def environment(core: str, threads: int) -> dict:

@@ -10,9 +10,10 @@ never paper over a misspelling.
 Every run writes into ``<out>/<kind>-<confighash>-seed<seed>/``: the
 artifacts of the experiment plus ``manifest.json`` echoing the config, the
 package and numpy versions, the seed, the wall time, each verify-all
-criterion's ``runtime_s`` (``criterion_runtime_s``) and the BLAS thread
-variables (``blas_thread_env``, null when unset).  Artifacts are
-deterministic functions of (config, seed) for a fixed BLAS thread count;
+criterion's ``runtime_s`` (``criterion_runtime_s``), the BLAS thread
+variables (``blas_thread_env``, null when unset) and OpenBLAS's kernel set
+(``blas_core``, null for another BLAS).  Artifacts are deterministic
+functions of (config, seed) for a fixed BLAS thread count;
 the manifest is the one file that records wall-clock time and is
 therefore excluded from byte-identity comparisons.
 """
@@ -20,7 +21,9 @@ therefore excluded from byte-identity comparisons.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import difflib
+import glob
 import hashlib
 import os
 import sys
@@ -55,6 +58,19 @@ from .propagator import SolverConfig, dump_snapshot, evolve_path
 from .spectral import assemble_h, default_lambda_grid, eigen_analysis, kb_scan
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_core() -> str | None:
+    """The kernel set numpy's bundled OpenBLAS runs on, as the library
+    names it (SkylakeX, Haswell, ...), or None for any other BLAS."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    get = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
 
 EXPERIMENT_KINDS = ("path", "average", "liouville", "ensemble", "spectrum",
                     "kb-scan", "verify-all")
@@ -417,6 +433,8 @@ def run(cfg: dict, out_root: str, seed: int | None = None,
         # LAPACK results can differ in the last bits between BLAS thread
         # counts, so artifacts are byte-reproducible only for a fixed count
         "blas_thread_env": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        # and, under two threads, for a fixed OpenBLAS kernel set
+        "blas_core": blas_core(),
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
     passed = all(entry.get("passed", False) for entry in checks.values())

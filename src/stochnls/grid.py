@@ -31,6 +31,7 @@ __all__ = [
     "WaveField",
     "laplacian_symbol",
     "kinetic_phase",
+    "cis",
     "apply_multiplier",
     "free_flow",
     "transform_rows",
@@ -178,6 +179,16 @@ def kinetic_phase(grid: SpatialGrid, tau: float) -> np.ndarray:
     return phase
 
 
+def cis(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(i x) of real x as cos x + i sin x, into out (complex, shaped like
+    x, not holding x) if given.  On numpy 2.4.6 with glibc 2.36 it is bitwise
+    np.exp(1j * x) at about 2/3 of the cost, but for the sign of sin(-0.0)."""
+    out = np.empty(x.shape, dtype=complex) if out is None else out
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 def apply_multiplier(values: np.ndarray, phase: np.ndarray,
                      out: np.ndarray | None = None, ndim: int | None = None) -> np.ndarray:
     """ifft(phase * fft(values)) over the trailing `ndim` axes (phase.ndim
@@ -226,7 +237,8 @@ def convolution_spectrum(grid: SpatialGrid, a: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(np.asarray(a).reshape(grid.shape))
 
 
-def spectral_convolution(grid: SpatialGrid, a_spectrum: np.ndarray, b: np.ndarray) -> np.ndarray:
+def spectral_convolution(grid: SpatialGrid, a_spectrum: np.ndarray, b: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Periodic convolution (a*b)(x) ~ int a(x-y) b(y) dy of real fields,
     via the real-to-complex FFT pair, as a real array.
 
@@ -234,17 +246,20 @@ def spectral_convolution(grid: SpatialGrid, a_spectrum: np.ndarray, b: np.ndarra
     kernel used many times is transformed once; `b` is flat, shape
     (..., grid.size), and its leading axes are batch axes, each row
     convolved with a.  Carries the cell-volume weight so it approximates
-    the continuum convolution of the sampled functions.
+    the continuum convolution of the sampled functions, scaled in place
+    into `out` (real, shaped like b, or b itself) if given, bitwise the same.
     """
     b = np.asarray(b)
-    lead, axes = b.shape[:-1], tuple(range(-grid.dim, 0))
     if grid.dim == 1:  # the plain pair: an rfftn/irfftn pair costs more call overhead
         spectrum = np.fft.rfft(b)
-        conv = np.fft.irfft(np.multiply(a_spectrum, spectrum, out=spectrum), n=grid.size)
+        conv = np.fft.irfft(np.multiply(a_spectrum, spectrum, out=spectrum), b.shape[-1], out=out)
     else:
+        lead, axes = b.shape[:-1], tuple(range(-grid.dim, 0))
         spectrum = np.fft.rfftn(b.reshape(*lead, *grid.shape), axes=axes)
-        conv = np.fft.irfftn(np.multiply(a_spectrum, spectrum, out=spectrum), grid.shape, axes)
-    return grid.cell_volume * conv.reshape(*lead, grid.size)
+        conv = np.fft.irfftn(np.multiply(a_spectrum, spectrum, out=spectrum), grid.shape, axes,
+                             out=None if out is None else out.reshape(*lead, *grid.shape))
+        conv = conv.reshape(b.shape)
+    return np.multiply(conv, grid.cell_volume, out=conv)
 
 
 def dft_matrix(grid: SpatialGrid) -> np.ndarray:

@@ -55,7 +55,7 @@ from typing import Iterator
 import numpy as np
 
 from .diagnostics import energy_rows
-from .grid import SpatialGrid, WaveField, apply_multiplier, free_flow, kinetic_phase, \
+from .grid import SpatialGrid, WaveField, apply_multiplier, cis, free_flow, kinetic_phase, \
     laplacian_symbol, lebesgue_norm, lebesgue_norm_rows, spectral_convolution, sum_norm_rows
 from .markov import PathSample, _flat_paths, states_at
 from .potential import HartreeKernel, PotentialFamily
@@ -131,15 +131,20 @@ class TrajectoryOutput:
 
 def hartree_potential(psi: WaveField, kernel: HartreeKernel) -> np.ndarray:
     """eps * (chi convolved with |psi|^2): chi (see :class:`HartreeKernel`)
-    and the density are real, so the field is real by construction."""
+    and the density are real, so the field is real by construction.  The
+    march writes it per substep, in place, into its argument buffer."""
     return _hartree_rows(psi.grid, psi.values[None], kernel)[0]
 
 
-def _hartree_rows(grid: SpatialGrid, values: np.ndarray, kernel: HartreeKernel) -> np.ndarray:
+def _hartree_rows(grid: SpatialGrid, values: np.ndarray, kernel: HartreeKernel,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """:func:`hartree_potential` of each row of values, shape (B, ...), as
-    (B, grid.size); one row-wise convolution."""
-    density = np.abs(values.reshape(len(values), -1)) ** 2
-    return kernel.epsilon * spectral_convolution(grid, kernel.chi_spectrum, density)
+    (B, grid.size); one row-wise convolution, written into out (real, B
+    rows of grid.size) if given."""
+    density = np.abs(values.reshape(len(values), -1), out=out)
+    conv = spectral_convolution(grid, kernel.chi_spectrum, np.square(density, out=density),
+                                out=density)
+    return np.multiply(conv, kernel.epsilon, out=conv)
 
 
 def _interval_edges(t0: float, t1: float, dt: float) -> np.ndarray:
@@ -150,7 +155,7 @@ def _interval_edges(t0: float, t1: float, dt: float) -> np.ndarray:
 
 class _Schedule:
     """One interval's substeps for B rows, cut at the rows' jumps, and the
-    phases they take besides the cached shared ones: one exp per kind, over
+    phases they take besides the cached shared ones: one cis per kind, over
     cells in step-major order, for the cut rows' substep-0 potential, the
     flows whose length is the row's own, and each later substep.
 
@@ -165,11 +170,13 @@ class _Schedule:
     def __init__(self, grid: SpatialGrid, V: np.ndarray, states: np.ndarray, order: int,
                  edges: np.ndarray, y_now: np.ndarray, r, tj, y_entered) -> None:
         B, S = y_now.size, edges.size - 1
-        self.grid, self.B, self.order = grid, B, order
+        self.B, self.order = B, order
         self.taus = taus = np.diff(edges)
         self.mids = edges[:-1] + 0.5 * taus
         self.flows = taus if order == 1 else np.concatenate(
             ([0.5 * taus[0]], 0.5 * (taus[:-1] + taus[1:]), [0.5 * taus[-1]]))
+        # each length's shared phase, looked up once per schedule
+        self.phases = {tau: kinetic_phase(grid, tau) for tau in set(self.flows.tolist())}
         self.y, self.y_end, self.later = np.broadcast_to(states[y_now], (S, B)), y_now, {}
         self.shared, self.cut_at = np.ones(S, dtype=bool), [0] * (S + 1)
         self.own_at = [0] * (self.flows.size + 1)
@@ -206,29 +213,29 @@ class _Schedule:
         self.tau0, self.mid0 = first[:, :S].T.reshape(S, *col), (edges[:-1] + 0.5 * first[:, :S]).T
         self.shared = ~own[:, order - 1:].any(axis=0)
         steps, self.cut_rows = np.nonzero(cut[:, :S].T)
-        self.cut_pot = np.exp(1j * first[self.cut_rows, steps].reshape(col)
-                              * V[states[y0[self.cut_rows, steps]]])
+        self.cut_pot = cis(first[self.cut_rows, steps].reshape(col)
+                           * V[states[y0[self.cut_rows, steps]]])
         self.cut_at = steps.searchsorted(np.arange(S + 1)).tolist()
         f, self.own_rows = np.nonzero(own.T)  # each own cell's flow
-        self.own_kin = np.exp(1j * length[self.own_rows, f].reshape(col) * symbol)
+        self.own_kin = cis(length[self.own_rows, f].reshape(col) * symbol)
         self.own_at = f.searchsorted(np.arange(self.flows.size + 1)).tolist()
         index = np.arange(tj.size)
         slot = index - np.maximum.accumulate(np.where(new, index, 0))
         by_slot = np.lexsort((slot, j))
         j, slot, r, tj, tau, y, hop = (a[by_slot] for a in (j, slot, r, tj, tau, y, hop))
-        kin = np.exp(1j * hop.reshape(col) * symbol)
+        kin = cis(hop.reshape(col) * symbol)
         # the march multiplies into the potential phases: a schedule is marched once
         later = (r, tau.reshape(col), tj + 0.5 * tau, states[y],
                  *((kin, None) if order == 1 else (None, kin)),
-                 np.exp(1j * tau.reshape(col) * V[states[y]]))
+                 cis(tau.reshape(col) * V[states[y]]))
         bounds = [0, *(np.flatnonzero((np.diff(j) != 0) | (np.diff(slot) != 0)) + 1), j.size]
         for lo, hi in zip(bounds[:-1], bounds[1:]) if j.size else ():
             self.later.setdefault(int(j[lo]), []).append(
                 tuple(None if a is None else a[lo:hi] for a in later))
 
     def kinetic(self, f: int) -> np.ndarray:
-        """Flow f's phase: the cached shared one, with the own rows' written in."""
-        phase = kinetic_phase(self.grid, self.flows[f])
+        """Flow f's phase: the shared one, with the own rows' written in."""
+        phase = self.phases[self.flows[f]]
         lo, hi = self.own_at[f], self.own_at[f + 1]
         if lo < hi:
             phase = np.repeat(phase[None], self.B, axis=0)
@@ -264,16 +271,21 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: 
     rows, a later one on the rows cut that often in the step.  Each row is
     bitwise what marching it alone gives.
 
-    V is the (m, *grid.shape) potential table; extra(mid, values) returns a
-    real potential added for those rows at the substep midpoint, shared or
-    one per row (a Hartree field, a frozen Picard field), or extra is None.
-    It depends on the field, so its phase is taken per substep.  A field
+    V is the (m, *grid.shape) potential table; extra(mid, values, out)
+    writes into out, real and shaped like values, the potential added for
+    those rows at the substep midpoint (a Hartree field, a frozen Picard
+    field), or extra is None.  It depends on the field, so its phase is
+    taken per substep, in buffers allocated once per call: tau (V_y +
+    extra) in a real one, and its :func:`grid.cis` and the product in
+    whichever of values and a spare does not hold the state, so the state
+    alternates between the two; the kinetic pair runs in place.  A field
     that loses finiteness is an error.  The yielded array is the march's
     own state: copy it to keep it.
     """
     # exp(i tau V) for all states, once per step length; extra's phase is per substep
     potential_phase = None if extra is not None else \
-        lru_cache(maxsize=None)(lambda tau: np.exp(1j * tau * V))
+        lru_cache(maxsize=None)(lambda tau: cis(tau * V))
+    arg, spare = np.empty(values.shape), np.empty_like(values)
 
     jump_times, owner, states, y_now = _flat_paths(paths)
     in_time = np.argsort(jump_times, kind="stable")
@@ -288,14 +300,17 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: 
             for rows, tau, mid, y, before, after, potential in plan.substeps(potential_phase):
                 sub = values if rows is None else values[rows]
                 if before is not None:
-                    sub = apply_multiplier(sub, before, ndim=grid.dim)
+                    apply_multiplier(sub, before, out=sub, ndim=grid.dim)
+                if extra is not None:  # a phase written into sub's buffer would overwrite sub
+                    extra(mid, sub, x := arg[:len(sub)])
+                    x = np.add(V[y], x, out=x)
+                    potential = cis(np.multiply(x, tau, out=x), out=spare[:len(sub)])
                 # explicit products in this order, as in grid.apply_multiplier
-                phase = potential if extra is None else np.exp(1j * tau * (V[y] + extra(mid, sub)))
-                sub = np.multiply(sub, phase, out=phase)
+                sub = np.multiply(sub, potential, out=potential)
                 if after is not None:
-                    sub = apply_multiplier(sub, after, ndim=grid.dim)
+                    apply_multiplier(sub, after, out=sub, ndim=grid.dim)
                 if rows is None:
-                    values = sub
+                    values, spare = sub, values
                 else:
                     values[rows] = sub
             y_now, t = plan.y_end, target
@@ -379,7 +394,7 @@ def _phase_run(values: np.ndarray, O: np.ndarray, Ot: np.ndarray, theta: np.ndar
     stacked[:r], stacked[r:2 * r] = values.real, values.imag
     coeffs = stacked @ O  # rows: (O^T psi_b)^T, real then imaginary parts
     ks = np.unique(k)  # rows often share their k
-    turn = np.exp(1j * (ks[:, None] * theta))
+    turn = cis(ks[:, None] * theta)
     which = ks.searchsorted(k)
     cos, sin = turn.real[which], turn.imag[which]
     re, im = coeffs[:r], coeffs[r:2 * r]
@@ -467,10 +482,10 @@ def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSam
         cut = tau > 0
         if cut.any():
             rows, tau = rows[cut], tau[cut]
-            half = np.exp(1j * (0.5 * tau)[:, None] * symbol)
-            pot = np.exp(1j * tau[:, None] * V[states[y[cut]]])
+            half = cis((0.5 * tau)[:, None] * symbol)
+            pot = cis(tau[:, None] * V[states[y[cut]]])
             sub = apply_multiplier(values[rows], half, ndim=1)
-            values[rows] = apply_multiplier(np.multiply(sub, pot, out=pot), half, ndim=1)
+            values[rows] = apply_multiplier(np.multiply(sub, pot, out=pot), half, out=pot, ndim=1)
 
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rows = row[lo:hi]
@@ -480,7 +495,7 @@ def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSam
             if not run.size:
                 continue
             if flat[state]:  # the DFT diagonalises the step: theta = dt (|k|^2 + c)
-                phase = np.exp(1j * k[lo:hi][run, None] * (cfg.dt * (symbol + V[state, 0])))
+                phase = cis(k[lo:hi][run, None] * (cfg.dt * (symbol + V[state, 0])))
                 values[rows[run]] = apply_multiplier(values[rows[run]], phase, ndim=1)
                 continue
             if state not in bases:
@@ -529,8 +544,8 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
         if kernel.epsilon != eps:
             kernel = HartreeKernel(grid, kernel.chi, epsilon=eps)
 
-        def extra(mid, vals):
-            return _hartree_rows(grid, vals, kernel).reshape(vals.shape)
+        def extra(mid, vals, out):
+            _hartree_rows(grid, vals, kernel, out.reshape(len(out), -1))
 
     states = states_at(paths, np.minimum(cfg.sample_times, horizons[:, None]))
     names = ("l2", "suml2linf", "energy_kinetic", "energy_potential", "energy_hartree")
@@ -636,12 +651,12 @@ def picard_sequence(psi0: WaveField, family: PotentialFamily, path: PathSample,
             return None
         fields = _hartree_rows(grid, prev, frozen)
 
-        def extra(mid, _values: np.ndarray) -> np.ndarray:
+        def extra(mid, _values: np.ndarray, out: np.ndarray) -> None:
             x = np.clip(np.atleast_1d(mid) / cfg.dt, 0.0, n_total - 1e-9)
             j = x.astype(int)
             w = (x - j)[:, None]
-            return ((1.0 - w) * fields[j] + w * fields[np.minimum(j + 1, n_total)]) \
-                .reshape(x.size, *grid.shape)
+            np.add((1.0 - w) * fields[j], w * fields[np.minimum(j + 1, n_total)],
+                   out=out.reshape(len(out), -1))
         return extra
 
     sample_idx = np.rint(cfg.sample_times / cfg.dt).astype(int)

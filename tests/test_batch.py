@@ -111,15 +111,19 @@ def march_interval(grid, order, values, edges, kick):
     return values
 
 
-def plain_march(psi0, fam, path, kernel, cfg):
+def plain_march(psi0, fam, path, kernel, cfg, frozen=None):
     """One path marched by itself over each interval's own jump-cut edges:
-    the per-path scheme the lockstep march must reproduce bit for bit."""
+    the per-path scheme the lockstep march must reproduce bit for bit.
+    frozen(t_mid), if given, is a field added to the potential, as Picard's
+    frozen Hartree field is."""
     grid = fam.grid
 
     def kick(tau, t_mid, vals):
         pot = fam.V[[state_at(path, t_mid)]]
         if kernel is not None:
             pot = pot + hartree_potential(WaveField(grid, vals[0]), kernel)
+        if frozen is not None:
+            pot = pot + frozen(t_mid)
         return vals * np.exp(1j * tau * pot.reshape(vals.shape))
 
     vals, t, out = psi0.reshape(1, *grid.shape).copy(), 0.0, []
@@ -256,6 +260,38 @@ def test_every_base_edge_a_sample_time(order, hartree):
     assert any(set(j) & set(dense) for j in jump_sets)
     psi0 = np.array([initial_field(0.3 * b) for b in range(len(paths))])
     assert_rows_match_single(paths, psi0, cfg, kernel)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_picard_iterates_match_plain_frozen_march(order):
+    """Iterates 2 and 3 of picard_sequence, bit for bit, against the plain
+    march of the dense schedule kicked with the previous iterate's Hartree
+    field, interpolated linearly in time between its per-step fields."""
+    epsilon = 0.3
+    chi = shape_field(GRID, "gaussian", amplitude=1.0, width=1.0, center=0.0)
+    kernel = HartreeKernel(GRID, chi, epsilon=epsilon)
+    cfg = SolverConfig(dt=DT, sample_times=SAMPLE_TIMES, order=order, epsilon=epsilon)
+    path, psi0 = two_state_path(JUMPS["many"]), initial_field()
+    result = propagator.picard_sequence(WaveField(GRID, psi0), family(), path, kernel, cfg,
+                                        n_iters=3)
+    n_total = int(round(SAMPLE_TIMES[-1] / DT))
+    dense = DT * np.arange(n_total + 1)
+    dense[-1] = SAMPLE_TIMES[-1]
+    dense_cfg = SolverConfig(dt=DT, sample_times=dense, order=order)
+    sample_idx = np.rint(SAMPLE_TIMES / DT).astype(int)
+    prev = plain_march(psi0, family(), path, None, dense_cfg)  # iterate 1: nothing frozen
+    assert same_bits(result.fields[0], prev[sample_idx])
+    for n in (1, 2):
+        fields = [hartree_potential(WaveField(GRID, row), kernel) for row in prev]
+
+        def frozen(t_mid):
+            x = min(max(t_mid / DT, 0.0), n_total - 1e-9)
+            j = int(x)
+            w = x - j
+            return (1.0 - w) * fields[j] + w * fields[min(j + 1, n_total)]
+        prev = plain_march(psi0, family(), path, None, dense_cfg, frozen)
+        assert same_bits(result.fields[n], prev[sample_idx])
+    assert not np.array_equal(result.fields[1], result.fields[0])
 
 
 # jump times anywhere in (0, 1), or on a base edge k dt, as the march computes it

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -360,6 +362,22 @@ class TestRunExperiments:
         assert manifest["blas_thread_env"] == {"OPENBLAS_NUM_THREADS": "1",
                                                "OMP_NUM_THREADS": "2",
                                                "MKL_NUM_THREADS": None}
+
+    def test_manifest_records_blas_core(self, tmp_path, monkeypatch):
+        # under two BLAS threads the bytes also depend on OpenBLAS's kernel set
+        from stochnls import cli
+        assert run(parse_config(text=SMALL), str(tmp_path)) == 0
+        manifest = json.loads(open(os.path.join(self.out_dirs(tmp_path)[0],
+                                                "manifest.json")).read())
+        assert manifest["blas_core"] == cli.blas_core()
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        named = subprocess.run([sys.executable, "-c", "from stochnls.cli import blas_core; "
+                                "print(blas_core())"], env=env, capture_output=True,
+                               text=True, check=True).stdout.strip()
+        assert named == ("None" if cli.blas_core() is None else "Haswell")
+        monkeypatch.setattr(cli.glob, "glob", lambda pattern: [])  # no bundled OpenBLAS
+        assert cli.blas_core() is None
 
     def test_average_experiment(self, tmp_path):
         text = SMALL.replace('"path"', '"average"')

@@ -5,12 +5,15 @@ from stochnls.grid import (
     SpatialGrid,
     WaveField,
     apply_multiplier,
+    cis,
+    convolution_spectrum,
     free_flow,
     kinetic_phase,
     laplacian_symbol,
     lebesgue_norm,
     lorentz_norm,
     parity_blocks,
+    spectral_convolution,
     sum_norm,
     transform_rows,
 )
@@ -164,6 +167,44 @@ class TestFreeFlow:
         want = apply_multiplier(values, phase)
         assert got is buf
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        # the path march transforms its state in place
+        assert apply_multiplier(values, phase, out=values) is values
+        assert np.array_equal(values.view(np.float64), want.view(np.float64))
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    def test_convolution_into_its_input_is_bitwise_equal(self, dim, n):
+        # the march's Hartree field overwrites the density it convolves
+        grid = SpatialGrid(dim, n, 7.0)
+        rng = np.random.default_rng(6)
+        a = convolution_spectrum(grid, np.exp(-grid.offsets()[0] ** 2))
+        b = rng.random((3, grid.size))
+        want = spectral_convolution(grid, a, b)
+        got = spectral_convolution(grid, a, b, out=b)
+        assert np.shares_memory(got, b)
+        assert b.tobytes() == got.tobytes() == want.tobytes()
+
+
+class TestCis:
+    """cos x + i sin x in place of np.exp(1j * x): bitwise on numpy 2.4.6
+    with glibc 2.36 (tests/test_batch.py's plain march keeps np.exp as the
+    guard), and within an ulp wherever cos, sin and exp are each faithful."""
+
+    ARGS = np.concatenate((
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, np.pi / 2, -np.pi, 1e5, -1e5],
+        *(scale * np.random.default_rng(9).uniform(-1.0, 1.0, 4000)
+          for scale in (1e-12, 1e-3, 1.0, 40.0, 1e3, 1e5))))
+
+    def test_within_an_ulp_of_exp(self):
+        got, want = cis(self.ARGS), np.exp(1j * self.ARGS)
+        np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+        np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+        assert np.all(np.sign(got.imag) == np.sign(want.imag))
+
+    def test_into_a_buffer_is_the_fresh_result(self):
+        x = self.ARGS[:24000].reshape(6, -1)
+        buf = np.full(x.shape, np.nan, dtype=complex)
+        assert cis(x, out=buf) is buf
+        assert buf.tobytes() == cis(x).tobytes()
 
 
 class TestLebesgueNorm:
