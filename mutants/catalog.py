@@ -189,8 +189,8 @@ MUTANTS = [
         "name": "kb-chunk-reversed",
         "why": "a chunk's KB stack is built on its lambdas in reverse order",
         "file": "src/stochnls/spectral.py",
-        "old": "_kb_matrices(*parts, lam_grid[chunk])",
-        "new": "_kb_matrices(*parts, lam_grid[chunk][::-1])",
+        "old": "_kb_matrices(left, right, db, lam_grid[chunk])",
+        "new": "_kb_matrices(left, right, db, lam_grid[chunk][::-1])",
         "tests": [
             "tests/test_spectral.py::TestKBEigenbasis::test_lambda_in_free_spectrum",
         ],
@@ -361,6 +361,37 @@ MUTANTS = [
         "tests": [
             "tests/test_grid.py::TestCis::test_within_an_ulp_of_exp",
             "tests/test_propagator.py::TestEigenbasisEngine::test_constant_levels_are_a_path_phase",
+        ],
+    },
+    {
+        "name": "resolvent-odd-block-dropped",
+        "why": "the resolvent residual extends only the even block's defect, blind to the odd one",
+        "file": "src/stochnls/spectral.py",
+        "old": "defect = defect + block.extend_kernels(",
+        "new": "defect = defect + (block.sign > 0) * block.extend_kernels(",
+        "tests": [
+            "tests/test_spectral.py::TestResolventIdentity::test_each_block_reaches_the_max_norm",
+        ],
+    },
+    {
+        "name": "lipschitz-delta-mispaired",
+        "why": "C10 divides each perturbed row's distance by the other row's delta",
+        "file": "src/stochnls/verify.py",
+        "old": "for delta, fields in zip(deltas, perturbed)",
+        "new": "for delta, fields in zip(deltas[::-1], perturbed)",
+        "tests": [
+            "tests/test_batch.py::test_c10_lipschitz_constants_match_serial_solves",
+        ],
+    },
+    {
+        "name": "jump-lookup-skips-last-jump",
+        "why": "the march skips the jump lookup of an interval whose jump is the last one left",
+        "file": "src/stochnls/propagator.py",
+        "old": "if lo < sorted_times.size and sorted_times[lo] <= target:",
+        "new": "if lo + 1 < sorted_times.size and sorted_times[lo] <= target:",
+        "tests": [
+            "tests/test_batch.py::test_every_base_edge_a_sample_time[False-2]",
+            "tests/test_batch.py::test_picard_iterates_match_plain_frozen_march[2]",
         ],
     },
 ]

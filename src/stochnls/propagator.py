@@ -150,7 +150,9 @@ def _hartree_rows(grid: SpatialGrid, values: np.ndarray, kernel: HartreeKernel,
 def _interval_edges(t0: float, t1: float, dt: float) -> np.ndarray:
     """The base step boundaries over [t0, t1]: t0, t0 + dt, ..., t1."""
     n_steps = int(round((t1 - t0) / dt))
-    return np.concatenate(([t0], t0 + dt * np.arange(1, max(n_steps, 1)), [t1]))
+    if n_steps <= 1:  # one step: its two edges
+        return np.array([t0, t1])
+    return np.concatenate(([t0], t0 + dt * np.arange(1, n_steps), [t1]))
 
 
 class _Schedule:
@@ -160,28 +162,28 @@ class _Schedule:
     flows whose length is the row's own, and each later substep.
 
     edges are the base edges; y_now holds each row's flat state index at
-    the start, and r, tj and y_entered the row, time and entered flat state
-    index of each jump in (start, end], by row and then time; without jumps
-    the schedule is empty.  Flow f is the free flow before substep 0 of
-    step f (Lie), or the leading half step (f = 0) and the hop after
-    substep 0 of step f - 1 (Strang).
+    the start, and jumps, if any, the row, time and entered flat state index
+    of each jump in (start, end], by row and then time; jumps None is the
+    empty schedule, with none of the cut rows' bookkeeping.  Flow f is the
+    free flow before substep 0 of step f (Lie), or the leading half step
+    (f = 0) and the hop after substep 0 of step f - 1 (Strang).
     """
 
     def __init__(self, grid: SpatialGrid, V: np.ndarray, states: np.ndarray, order: int,
-                 edges: np.ndarray, y_now: np.ndarray, r, tj, y_entered) -> None:
+                 edges: np.ndarray, y_now: np.ndarray, jumps: tuple | None) -> None:
         B, S = y_now.size, edges.size - 1
         self.B, self.order = B, order
-        self.taus = taus = np.diff(edges)
+        self.taus = taus = edges[1:] - edges[:-1]
         self.mids = edges[:-1] + 0.5 * taus
-        self.flows = taus if order == 1 else np.concatenate(
-            ([0.5 * taus[0]], 0.5 * (taus[:-1] + taus[1:]), [0.5 * taus[-1]]))
+        self.flows = taus if order == 1 else \
+            0.5 * np.concatenate((taus[:1], taus[:-1] + taus[1:], taus[-1:]))
         # each length's shared phase, looked up once per schedule
         self.phases = {tau: kinetic_phase(grid, tau) for tau in set(self.flows.tolist())}
-        self.y, self.y_end, self.later = np.broadcast_to(states[y_now], (S, B)), y_now, {}
-        self.shared, self.cut_at = np.ones(S, dtype=bool), [0] * (S + 1)
-        self.own_at = [0] * (self.flows.size + 1)
-        if not tj.size:  # the empty schedule: every step is shared
+        self.y, self.y_end, self.later = [states[y_now]] * S, y_now, {}
+        self.shared, self.cut_at, self.own_at = [True] * S, [0] * (S + 1), [0] * (S + 2)
+        if jumps is None:  # the empty schedule: every step is shared
             return
+        r, tj, y_entered = jumps
         col = (-1,) + (1,) * grid.dim  # one scalar per cell
         symbol = laplacian_symbol(grid).reshape(grid.shape)
         j = edges.searchsorted(tj, side="right") - 1  # the base step of each jump, S at the end
@@ -290,13 +292,16 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: 
     jump_times, owner, states, y_now = _flat_paths(paths)
     in_time = np.argsort(jump_times, kind="stable")
     sorted_times = jump_times[in_time]
-    t = 0.0
+    t, past = 0.0, sorted_times.searchsorted(0.0, side="right")
     for target in cfg.sample_times:
         if target > 1e-15:
-            lo, past = sorted_times.searchsorted([t, target], side="right")
-            g = np.sort(in_time[lo:past])
+            lo, jumps = past, None  # sorted_times[lo:] are the jumps after t
+            if lo < sorted_times.size and sorted_times[lo] <= target:  # a row jumps
+                past = sorted_times.searchsorted(target, side="right")
+                g = np.sort(in_time[lo:past])
+                jumps = owner[g], jump_times[g], g + owner[g] + 1
             plan = _Schedule(grid, V, states, cfg.order, _interval_edges(t, target, cfg.dt),
-                             y_now, owner[g], jump_times[g], g + owner[g] + 1)
+                             y_now, jumps)
             for rows, tau, mid, y, before, after, potential in plan.substeps(potential_phase):
                 sub = values if rows is None else values[rows]
                 if before is not None:
@@ -314,7 +319,7 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: 
                 else:
                     values[rows] = sub
             y_now, t = plan.y_end, target
-            if not np.all(np.isfinite(values.view(float))):
+            if not np.isfinite(values.view(float)).all():
                 raise RuntimeError(f"solution lost finiteness at t={t}")
         yield target, values
 
@@ -652,11 +657,15 @@ def picard_sequence(psi0: WaveField, family: PotentialFamily, path: PathSample,
         fields = _hartree_rows(grid, prev, frozen)
 
         def extra(mid, _values: np.ndarray, out: np.ndarray) -> None:
-            x = np.clip(np.atleast_1d(mid) / cfg.dt, 0.0, n_total - 1e-9)
-            j = x.astype(int)
-            w = (x - j)[:, None]
-            np.add((1.0 - w) * fields[j], w * fields[np.minimum(j + 1, n_total)],
-                   out=out.reshape(len(out), -1))
+            if np.ndim(mid):  # cut rows, each at its own midpoint
+                x = np.clip(mid / cfg.dt, 0.0, n_total - 1e-9)
+                j = x.astype(int)
+                w, after = (x - j)[:, None], np.minimum(j + 1, n_total)
+            else:  # a shared step: one midpoint, in scalar arithmetic
+                x = min(max(mid / cfg.dt, 0.0), n_total - 1e-9)
+                j = int(x)
+                w, after = x - j, min(j + 1, n_total)
+            np.add((1.0 - w) * fields[j], w * fields[after], out=out.reshape(len(out), -1))
         return extra
 
     sample_idx = np.rint(cfg.sample_times / cfg.dt).astype(int)

@@ -19,9 +19,10 @@ stays invertible and tends to the identity as |lambda| grows.
 Matrices are assembled in state-major layout (index = y * n^d + x), with
 the Laplacian built exactly as the Fourier conjugation of diag(|k|^2),
 so spectra here and dynamics in the propagators share one discretization.
-No solve forms the dense H: each assembles its parity block from -Lap, V
-and A, with -Lap cached per grid here, so C8's two solves share one n^3
-build (grid.dense_laplacian stays uncached for its one-time callers).
+No solve forms the dense H, nor the resolvent identity: each assembles its
+parity block from -Lap, V and A, with -Lap cached per grid here, so C8's two
+solves share one n^3 build (grid.dense_laplacian stays uncached for its
+one-time callers), and C9's probes share one set of half-size block factors.
 The free resolvent R0 is applied in the exact eigenbasis of H0 (DFT
 tensor eigenvectors of A), so assembling KB costs no inverse.  An SVD's
 sigma_min has absolute error O(eps sigma_max), eps kappa relative, and the
@@ -101,8 +102,9 @@ _KB_GRAM_KAPPA = 2.0
 @dataclass
 class DiscreteHamiltonian:
     """H = (-Lap x I_y) + i (I_x x A) + diag V, held as its parts: the
-    solves assemble their blocks from them, and the dense (m n)^2 matrix is
-    formed only when :attr:`H` is read, from the -Lap cached per grid."""
+    solves and the resolvent identity assemble their blocks from them, and
+    the dense (m n)^2 matrix is formed only when :attr:`H` is read (by the
+    tests and the benchmark's traced flop count), from the cached -Lap."""
 
     grid: SpatialGrid
     m: int
@@ -368,6 +370,24 @@ def default_lambda_grid(re_span: tuple[float, float] = (-10.0, 10.0),
     return (re[:, None] + 1j * im[None, :]).reshape(-1)
 
 
+@lru_cache(maxsize=2)
+def _kb_blocks(grid: SpatialGrid, m: int, v_bytes: bytes, a_bytes: bytes):
+    """(d, blocks) for V (its float64 bytes) on grid and the chain A on m
+    states: H0's diagonal and, per parity block B of v1 and v2 (the whole
+    space when they are not even), the KB factors, v1 and v2 on B and
+    H_b = B^H H B.  Cached per key, like the -Lap they come from; nothing
+    of size (m n)^2 is kept; the cap and state counts of assemble_h hold."""
+    family = PotentialFamily(grid, np.frombuffer(v_bytes).reshape(-1, grid.size))
+    model = MarkovModel(np.frombuffer(a_bytes).reshape(m, m))
+    ham, w = assemble_h(family, model), split(family)
+    left, right, d = _kb_setup(family, model)
+    v1, v2, fields = w.v1.reshape(-1), w.v2.reshape(-1), (w.v1, w.v2)
+    return d, [(b, b.restrict(left), b.restrict(right), b.restrict_diagonal(d),
+                b.restrict_diagonal(v1), b.restrict_diagonal(v2),
+                _block_matrix(ham, one, real=False))
+               for b, one in zip(_parity_blocks(grid, fields), _parity_blocks(grid, fields, m=1))]
+
+
 def kb_scan(family: PotentialFamily, model: MarkovModel, lam_grid: np.ndarray) -> dict:
     """Min singular value of KB over a lambda grid, plus the global minimum.
 
@@ -377,22 +397,21 @@ def kb_scan(family: PotentialFamily, model: MarkovModel, lam_grid: np.ndarray) -
     comes from one stacked eigvalsh of KB^H KB where kappa <= 2 and from one
     stacked inverse of its other members (:func:`_min_singular_values`;
     accuracy: see the module docstring); a lambda's value does not depend
-    on its stack.  A lambda in spec(H0) reads NaN; a non-finite lambda or
-    one in the upper half-plane raises ValueError.
+    on its stack.  The blocks' factors are cached per family
+    (:func:`_kb_blocks`, shared with the resolvent identity).  A lambda in
+    spec(H0) reads NaN; a non-finite lambda or one in the upper half-plane
+    raises ValueError.
     """
     lam_grid = np.asarray(lam_grid, dtype=complex).reshape(-1)
-    left, right, d = _kb_setup(family, model)
-    w = split(family)
-    blocks = [(b.restrict(left), b.restrict(right), b.restrict_diagonal(d))
-              for b in _parity_blocks(family.grid, (w.v1, w.v2))]
+    d, blocks = _kb_blocks(family.grid, model.m, family.V.tobytes(), model.A.tobytes())
     mins = np.full(lam_grid.size, np.nan)  # NaN where lambda lies in spec(H0)
     todo = np.flatnonzero(~_in_free_spectrum(d, lam_grid))
     if todo.size == 0:
         raise ValueError("every lambda of the scan lies in the spectrum of H0")
     for lo in range(0, todo.size, _KB_CHUNK):
         chunk = todo[lo:lo + _KB_CHUNK]
-        mins[chunk] = np.min([_min_singular_values(_kb_matrices(*parts, lam_grid[chunk]))
-                              for parts in blocks], axis=0)
+        mins[chunk] = np.min([_min_singular_values(_kb_matrices(left, right, db, lam_grid[chunk]))
+                              for _, left, right, db, *_ in blocks], axis=0)
     gmin = int(np.nanargmin(mins))
     return {"lambdas": lam_grid, "min_singular_values": mins,
             "global_min": float(mins[gmin]), "global_min_lambda": complex(lam_grid[gmin])}
@@ -400,10 +419,18 @@ def kb_scan(family: PotentialFamily, model: MarkovModel, lam_grid: np.ndarray) -
 
 def resolvent_identity_residual(family: PotentialFamily, model: MarkovModel,
                                 lam: complex) -> float:
-    """Max-norm defect of (I + v2 R0 v1)(I - v2 R_V v1) = I."""
-    left = assemble_kb(family, model, lam)
-    eye = np.eye(left.shape[0])
-    w = split(family)
-    RV = np.linalg.inv(assemble_h(family, model).H - lam * eye)
-    right = eye - w.v2.reshape(-1)[:, None] * RV * w.v1.reshape(-1)[None, :]
-    return float(np.max(np.abs(left @ right - eye)))
+    """Max-norm defect of (I + v2 R0 v1)(I - v2 R_V v1) = I.  Each parity
+    block's defect KB_b (I - v2 (H_b - lambda)^{-1} v1) - I is formed at
+    half size, from kb_scan's factors and an H_b assembled like
+    eigen_analysis's, and extended back to the spatial basis, where the max
+    is read.  A lambda in spec(H0) raises ValueError."""
+    d, blocks = _kb_blocks(family.grid, model.m, family.V.tobytes(), model.A.tobytes())
+    if _in_free_spectrum(d, lam):
+        raise ValueError(f"lambda = {lam} lies in the spectrum of H0")
+    defect, lam = 0.0, complex(lam)
+    for block, left, right, db, v1, v2, H in blocks:
+        eye = np.eye(len(H))
+        KB = _kb_matrices(left, right, db, np.array([lam]))[0]
+        RV = np.linalg.inv(H - lam * eye)
+        defect = defect + block.extend_kernels(KB @ (eye - v2[:, None] * RV * v1[None, :]) - eye)
+    return float(np.max(np.abs(defect)))

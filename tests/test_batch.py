@@ -266,17 +266,27 @@ def test_every_base_edge_a_sample_time(order, hartree):
 def test_picard_iterates_match_plain_frozen_march(order):
     """Iterates 2 and 3 of picard_sequence, bit for bit, against the plain
     march of the dense schedule kicked with the previous iterate's Hartree
-    field, interpolated linearly in time between its per-step fields."""
+    field, interpolated linearly in time between its per-step fields.  Every
+    interval of the dense schedule is one base step: a path that jumps inside
+    some of them takes the cut schedule there, and a path without jumps takes
+    the empty schedule, and its shared midpoints, everywhere."""
+    n_total = int(round(SAMPLE_TIMES[-1] / DT))
+    dense = DT * np.arange(n_total + 1)
+    dense[-1] = SAMPLE_TIMES[-1]
+    assert not set(JUMPS["many"]) & set(dense)  # every jump inside an interval
+    for jumps in (JUMPS["many"], JUMPS["none"]):
+        assert_picard_matches_plain_march(two_state_path(jumps), order, dense)
+
+
+def assert_picard_matches_plain_march(path, order, dense):
     epsilon = 0.3
     chi = shape_field(GRID, "gaussian", amplitude=1.0, width=1.0, center=0.0)
     kernel = HartreeKernel(GRID, chi, epsilon=epsilon)
     cfg = SolverConfig(dt=DT, sample_times=SAMPLE_TIMES, order=order, epsilon=epsilon)
-    path, psi0 = two_state_path(JUMPS["many"]), initial_field()
+    psi0 = initial_field()
     result = propagator.picard_sequence(WaveField(GRID, psi0), family(), path, kernel, cfg,
                                         n_iters=3)
-    n_total = int(round(SAMPLE_TIMES[-1] / DT))
-    dense = DT * np.arange(n_total + 1)
-    dense[-1] = SAMPLE_TIMES[-1]
+    n_total = dense.size - 1
     dense_cfg = SolverConfig(dt=DT, sample_times=dense, order=order)
     sample_idx = np.rint(SAMPLE_TIMES / DT).astype(int)
     prev = plain_march(psi0, family(), path, None, dense_cfg)  # iterate 1: nothing frozen
@@ -297,6 +307,56 @@ def test_picard_iterates_match_plain_frozen_march(order):
 # jump times anywhere in (0, 1), or on a base edge k dt, as the march computes it
 JUMP_TIMES = st.one_of(st.floats(min_value=1e-3, max_value=0.999, allow_nan=False),
                        st.integers(min_value=1, max_value=19).map(lambda k: DT * k))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([32, 64]), st.floats(min_value=-1.0, max_value=1.0).filter(bool),
+       st.sampled_from([0.02, 0.05, 0.1]), st.sampled_from([1, 2]),
+       st.lists(JUMP_TIMES, max_size=4, unique=True), st.integers(min_value=2, max_value=4))
+def test_hartree_rows_on_one_path_batch_invariant(n, epsilon, dt, order, jumps, B):
+    """Copies of one path with different initial rows, as C10's Lipschitz
+    solves march them: each row of the batch is bitwise the row alone."""
+    grid = SpatialGrid(1, n, 20.0)
+    chi = shape_field(grid, "gaussian", amplitude=1.0, width=1.0, center=0.0)
+    kernel = HartreeKernel(grid, chi, epsilon=epsilon)
+    cfg = SolverConfig(dt=dt, sample_times=np.array([0.5, 1.0]), order=order, epsilon=epsilon)
+    bump = shape_field(grid, "gaussian", amplitude=1.0, width=1.5, center=2.0)
+    psi0 = np.array([initial_field(grid=grid) + delta * bump
+                     for delta in (0.0, 1e-2, 1e-3, 0.5)[:B]])
+    assert_rows_match_alone([two_state_path(sorted(jumps))] * B, psi0, cfg, kernel,
+                            family(grid))
+
+
+def test_c10_lipschitz_constants_match_serial_solves():
+    """C10 marches its base and perturbed solves as one batch: its constants
+    must be those of the three solves run one at a time, byte for byte."""
+    from stochnls import verify
+    from stochnls.diagnostics import strichartz_norm
+    from stochnls.markov import sample_path
+
+    seed = 7
+    entry = verify.c10_picard(verify.DEFAULT_SCALE, seed)
+    grid = SpatialGrid(1, 128, 30.0)
+    fam, path = verify._switching_family(grid), sample_path(verify._two_state_model(), 1.0,
+                                                            seed=(seed, 0))
+    psi0 = verify._centered_gaussian(grid)
+    chi = shape_field(grid, "gaussian", amplitude=1.0, width=1.0, center=0.0)
+    kernel = HartreeKernel(grid, chi, epsilon=verify.EPSILON_SMALL)
+    cfg = SolverConfig(dt=0.02, sample_times=np.linspace(0.1, 1.0, 10),
+                       epsilon=verify.EPSILON_SMALL)
+    bump = shape_field(grid, "gaussian", amplitude=1.0, width=1.5,
+                       center=grid.box_length / 2 + 2.0).astype(complex)
+    bump /= np.sqrt(grid.cell_volume * np.sum(np.abs(bump) ** 2))
+    base = evolve_path(psi0, fam, path, kernel, cfg)
+    want = {}
+    for delta in (1e-2, 1e-3):
+        out = evolve_path(WaveField(grid, psi0.values + delta * bump), fam, path, kernel, cfg)
+        want[str(delta)] = strichartz_norm(grid, out.fields - base.fields, dt=0.1, p_t=2,
+                                           space_exponents=(6.0, 2.0)) / delta
+    assert list(entry["lipschitz_constants"]) == list(want)
+    for key, value in want.items():
+        assert same_bits(entry["lipschitz_constants"][key], value), key
 
 
 @settings(max_examples=25, deadline=None, derandomize=True,

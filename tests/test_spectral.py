@@ -698,7 +698,78 @@ class TestBlockAssembly:
             L.real[0, 0] = 1.0
 
 
+def dense_residual(fam, model, lam):
+    """The resolvent identity's max-norm defect as it was formed on the whole
+    space: assemble_kb times I - v2 inv(H - lambda) v1, H the dense matrix."""
+    from stochnls.potential import split
+
+    kb = assemble_kb(fam, model, lam)
+    eye = np.eye(kb.shape[0])
+    w = split(fam)
+    RV = np.linalg.inv(assemble_h(fam, model).H - lam * eye)
+    right = eye - w.v2.reshape(-1)[:, None] * RV * w.v1.reshape(-1)[None, :]
+    return float(np.max(np.abs(kb @ right - eye)))
+
+
 class TestResolventIdentity:
+    """The residual is formed on the parity blocks of v1 and v2 and read in
+    the spatial basis: it must agree with the whole-space formula and form
+    no dense H."""
+
+    @split_settings
+    @given(families(), st.sampled_from(["even", "uneven", "equal"]))
+    def test_matches_the_dense_formula(self, drawn, kind):
+        grid, model, V = drawn
+        if kind == "even":
+            V = V + np.array([grid.reflect(v) for v in V])
+        elif kind == "equal":
+            V = np.tile(V[0], (model.m, 1))
+        fam = PotentialFamily(grid, V)
+        assert len(_parity_blocks(grid, (fam.V,))) == (2 if kind == "even" else 1)
+        got = [resolvent_identity_residual(fam, model, lam) for lam in SPLIT_LAMBDAS]
+        want = [dense_residual(fam, model, lam) for lam in SPLIT_LAMBDAS]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_c9_shape_matches_the_dense_formula(self, m):
+        fam = sech_family(SpatialGrid(1, 64, 20.0), m=m)
+        hops = np.eye(m, k=1) + np.eye(m, k=-1)  # the path graph on m states
+        model = MarkovModel(np.diag(hops.sum(axis=1)) - hops)
+        assert len(_parity_blocks(fam.grid, (fam.V,))) == 2
+        rng = np.random.default_rng(7)
+        lams = [complex(rng.uniform(-8, 8), rng.uniform(-4, -0.1)) for _ in range(5)]
+        got = [resolvent_identity_residual(fam, model, lam) for lam in lams]
+        np.testing.assert_allclose(got, [dense_residual(fam, model, lam) for lam in lams],
+                                   rtol=0, atol=1e-13)
+
+    def test_each_block_reaches_the_max_norm(self):
+        # near a level of one block, H - lambda is near singular there and the
+        # defect grows like eps cond(H - lambda): the value must follow the
+        # whole-space formula's for a level of either block
+        grid = SpatialGrid(1, 32, 12.0)
+        fam, model = sech_family(grid, m=1), MarkovModel(np.zeros((1, 1)))
+        ham = assemble_h(fam, model)
+        for block in _parity_blocks(grid, (fam.V,)):
+            level = np.linalg.eigvalsh(spectral._block_matrix(ham, block, real=True))[0]
+            lam = complex(level + 1e-6, 0.0)
+            got = resolvent_identity_residual(fam, model, lam)
+            want = dense_residual(fam, model, lam)
+            assert got > 1e-11 and want / 3 <= got <= 3 * want
+
+    def test_runs_without_the_dense_h(self, monkeypatch):
+        fam, model = c9_setting()
+        want = resolvent_identity_residual(fam, model, -1.0 - 1.0j)
+        spectral._kb_blocks.cache_clear()
+        monkeypatch.setattr(spectral.DiscreteHamiltonian, "H",
+                            property(lambda self: pytest.fail("H was formed")))
+        assert resolvent_identity_residual(fam, model, -1.0 - 1.0j) == want
+
+    def test_lambda_in_free_spectrum_rejected(self):
+        fam, model = c9_setting()
+        lam = complex(laplacian_symbol(fam.grid)[3], 0.0)  # |k|^2 + i mu with mu = 0
+        with pytest.raises(ValueError, match="spectrum of H0"):
+            resolvent_identity_residual(fam, model, lam)
+
     def test_zero_potential_machine_zero(self):
         grid = SpatialGrid(1, 16, 8.0)
         fam = PotentialFamily(grid, np.zeros((2, grid.size)))
