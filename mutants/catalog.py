@@ -394,4 +394,46 @@ MUTANTS = [
             "tests/test_batch.py::test_picard_iterates_match_plain_frozen_march[2]",
         ],
     },
+    {
+        "name": "even-basis-interior-weight-dropped",
+        "why": "the even forward matrix counts each interior point once, not for itself and its mirror",
+        "file": "src/stochnls/propagator.py",
+        "old": "forward = np.pad(2.0 * O[:h], (0, pad))",
+        "new": "forward = np.pad(1.0 * O[:h], (0, pad))",
+        "tests": [
+            "tests/test_propagator.py::TestEvenHalf::test_even_basis_agrees_with_the_full_basis",
+            "tests/test_propagator.py::TestEigenbasisEngine::test_rows_agree_with_the_march",
+        ],
+    },
+    {
+        "name": "even-field-mirror-dropped",
+        "why": "the even Hartree fold convolves e_a alone, dropping the mirrored point -a",
+        "file": "src/stochnls/potential.py",
+        "old": "fold[a, a] = fold[a, -a] = 1.0",
+        "new": "fold[a, a] = 1.0",
+        "tests": [
+            "tests/test_propagator.py::TestEvenHalf::test_even_field_agrees_with_the_transform_pair",
+        ],
+    },
+    {
+        "name": "even-field-unfold-unreflected",
+        "why": "an even row's Hartree field fills x > L/2 with its first half in order, not mirrored",
+        "file": "src/stochnls/propagator.py",
+        "old": "out[rows, :h], out[rows, h:] = half[:, :h], half[:, h - 2:0:-1]",
+        "new": "out[rows, :h], out[rows, h:] = half[:, :h], half[:, 1:h - 1]",
+        "tests": [
+            "tests/test_propagator.py::TestEvenHalf::test_even_field_agrees_with_the_transform_pair",
+        ],
+    },
+    {
+        "name": "evenness-decided-per-call",
+        "why": "a batch takes the even half only when all its rows are even, so a row's bits depend on its neighbours",
+        "file": "src/stochnls/propagator.py",
+        "old": "even = odd <= 1e-12 * np.max(np.abs(psi0), axis=1)",
+        "new": "even = np.full(len(psi0), np.all(odd <= 1e-12 * np.max(np.abs(psi0), axis=1)))",
+        "tests": [
+            "tests/test_batch.py::test_mixed_even_and_uneven_rows_batch_invariant",
+            "tests/test_propagator.py::TestEvenHalf::test_rows_even_to_1e12_of_their_own_max",
+        ],
+    },
 ]

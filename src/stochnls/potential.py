@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import SpatialGrid, WaveField, convolution_spectrum, is_even, lorentz_norm
+from .grid import SpatialGrid, WaveField, convolution_spectrum, is_even, lorentz_norm, \
+    spectral_convolution
 from .markov import MarkovModel
 
 __all__ = [
@@ -91,6 +92,19 @@ class HartreeKernel:
         spectrum = convolution_spectrum(self.grid, self.chi)
         spectrum.flags.writeable = False
         return spectrum
+
+    @cached_property
+    def even_fold(self) -> np.ndarray:
+        """M (k x k, k = n/2 + 1 rounded up to a multiple of eight, at most n,
+        one axis): an even rho's field is even, rho[:k] @ M on its first k
+        points.  Row a <= n/2 is the field of e_a + e_-a; the others are 0."""
+        n, a = self.grid.size, np.arange(self.grid.size // 2 + 1)
+        fold = np.zeros((min(-(-a.size // 8) * 8, n), n))
+        fold[a, a] = fold[a, -a] = 1.0
+        field = spectral_convolution(self.grid, self.chi_spectrum, fold, out=fold)
+        fold = self.epsilon * field[:, :len(field)]
+        fold.flags.writeable = False
+        return fold
 
 
 def shape_field(grid: SpatialGrid, kind: str, amplitude: float = 1.0,

@@ -43,6 +43,11 @@ same substeps:
 Hartree rows, Picard's frozen fields, Lie rows, d = 2, and otherwise
 larger grids and wider arcs go to the march.  On either engine each row
 is bitwise what marching it alone gives.
+
+Even rows take the half grid, h = n/2 + 1 points (:func:`_even_rows`): on
+one axis of at most 512 points, the rows whose psi0 is even to 1e-12 of its
+own max, in a family of even V_y.  Their runs take S_y's even eigenbasis
+and their Hartree field one real h x h product; FFT phases stay full size.
 """
 
 from __future__ import annotations
@@ -55,8 +60,9 @@ from typing import Iterator
 import numpy as np
 
 from .diagnostics import energy_rows
-from .grid import SpatialGrid, WaveField, apply_multiplier, cis, free_flow, kinetic_phase, \
-    laplacian_symbol, lebesgue_norm, lebesgue_norm_rows, spectral_convolution, sum_norm_rows
+from .grid import ParityBlock, SpatialGrid, WaveField, apply_multiplier, cis, free_flow, \
+    is_even, kinetic_phase, laplacian_symbol, lebesgue_norm, lebesgue_norm_rows, parity_blocks, \
+    spectral_convolution, sum_norm_rows
 from .markov import PathSample, _flat_paths, states_at
 from .potential import HartreeKernel, PotentialFamily
 
@@ -131,20 +137,42 @@ class TrajectoryOutput:
 
 def hartree_potential(psi: WaveField, kernel: HartreeKernel) -> np.ndarray:
     """eps * (chi convolved with |psi|^2): chi (see :class:`HartreeKernel`)
-    and the density are real, so the field is real by construction.  The
-    march writes it per substep, in place, into its argument buffer."""
+    and the density are real, so the field is real by construction."""
     return _hartree_rows(psi.grid, psi.values[None], kernel)[0]
 
 
 def _hartree_rows(grid: SpatialGrid, values: np.ndarray, kernel: HartreeKernel,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None, even: np.ndarray | None = None) -> np.ndarray:
     """:func:`hartree_potential` of each row of values, shape (B, ...), as
-    (B, grid.size); one row-wise convolution, written into out (real, B
-    rows of grid.size) if given."""
-    density = np.abs(values.reshape(len(values), -1), out=out)
-    conv = spectral_convolution(grid, kernel.chi_spectrum, np.square(density, out=density),
-                                out=density)
-    return np.multiply(conv, kernel.epsilon, out=conv)
+    (B, grid.size), into out (real, B rows of grid.size) if given: the rows
+    in the mask even take |psi[:h]|^2 @ :attr:`HartreeKernel.even_fold`,
+    rows padded as in :func:`_phase_run`, and its reflection, the rest one
+    row-wise convolution."""
+    values = values.reshape(len(values), -1)
+    count = 0 if even is None else np.count_nonzero(even)
+    if not count:
+        density = np.abs(values, out=out)
+        conv = spectral_convolution(grid, kernel.chi_spectrum, np.square(density, out=density),
+                                    out=density)
+        return np.multiply(conv, kernel.epsilon, out=conv)
+    out = np.empty(values.shape) if out is None else out
+    fold, rows = kernel.even_fold, slice(None) if count == len(values) else even
+    density = np.zeros((max(-(-count // 8) * 8, 8), len(fold)))
+    np.abs(values[rows, :len(fold)], out=density[:count])
+    half, h = (np.square(density, out=density) @ fold)[:count], grid.size // 2 + 1
+    out[rows, :h], out[rows, h:] = half[:, :h], half[:, h - 2:0:-1]  # the field is even
+    if count < len(values):
+        out[~even] = _hartree_rows(grid, values[~even], kernel)
+    return out
+
+
+def _even_rows(grid: SpatialGrid, V: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+    """The rows of psi0 (B, n) on the even half: on one axis of at most
+    _EIGEN_N_CAP points with every V_y passing :func:`grid.is_even`, those
+    even to 1e-12 of their own max |psi0| (not is_even's floor of 1)."""
+    odd = np.max(np.abs(psi0 - psi0[:, grid.reflect(np.arange(grid.size))]), axis=1)
+    even = odd <= 1e-12 * np.max(np.abs(psi0), axis=1)
+    return even & (grid.dim == 1 and grid.size <= _EIGEN_N_CAP and is_even(grid, V))
 
 
 def _interval_edges(t0: float, t1: float, dt: float) -> np.ndarray:
@@ -273,16 +301,16 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: 
     rows, a later one on the rows cut that often in the step.  Each row is
     bitwise what marching it alone gives.
 
-    V is the (m, *grid.shape) potential table; extra(mid, values, out)
-    writes into out, real and shaped like values, the potential added for
-    those rows at the substep midpoint (a Hartree field, a frozen Picard
-    field), or extra is None.  It depends on the field, so its phase is
-    taken per substep, in buffers allocated once per call: tau (V_y +
-    extra) in a real one, and its :func:`grid.cis` and the product in
-    whichever of values and a spare does not hold the state, so the state
-    alternates between the two; the kinetic pair runs in place.  A field
-    that loses finiteness is an error.  The yielded array is the march's
-    own state: copy it to keep it.
+    V is the (m, *grid.shape) potential table; extra(mid, rows, values,
+    out) writes into out, real and shaped like values, the potential added
+    for those rows (indices into the batch, None for all) at the substep
+    midpoint (a Hartree field, a frozen Picard field), or extra is None.
+    It depends on the field, so its phase is taken per substep, in buffers
+    allocated once per call: tau (V_y + extra) in a real one, and its
+    :func:`grid.cis` and the product in whichever of values and a spare
+    does not hold the state, so the state alternates between the two; the
+    kinetic pair runs in place.  A field that loses finiteness is an error.
+    The yielded array is the march's own state: copy it to keep it.
     """
     # exp(i tau V) for all states, once per step length; extra's phase is per substep
     potential_phase = None if extra is not None else \
@@ -307,7 +335,7 @@ def _march(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample], cfg: 
                 if before is not None:
                     apply_multiplier(sub, before, out=sub, ndim=grid.dim)
                 if extra is not None:  # a phase written into sub's buffer would overwrite sub
-                    extra(mid, sub, x := arg[:len(sub)])
+                    extra(mid, rows, sub, x := arg[:len(sub)])
                     x = np.add(V[y], x, out=x)
                     potential = cis(np.multiply(x, tau, out=x), out=spare[:len(sub)])
                 # explicit products in this order, as in grid.apply_multiplier
@@ -345,7 +373,8 @@ def _step_arc(grid: SpatialGrid, V: np.ndarray, dt: float) -> float:
 
 
 @lru_cache(maxsize=_BASES_KEPT)
-def _step_basis(grid: SpatialGrid, dt: float, v_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _step_basis(grid: SpatialGrid, dt: float, v_bytes: bytes,
+                even: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(O, theta) with S = O diag(exp(i theta)) O^T, O real orthogonal, for
     the Strang step S = K(dt/2) P(dt) K(dt/2) in the potential v (its
     float64 bytes) on a one-axis grid: the discrete step, not the exact
@@ -359,7 +388,9 @@ def _step_basis(grid: SpatialGrid, dt: float, v_bytes: bytes) -> tuple[np.ndarra
     Im(exp(-i phi) S) has S's eigenvectors.  Its rows are S applied to the
     identity's rows by FFTs, a block at a time, and theta is read from
     D_j = o_j^T S o_j = sum_x (K o_j)(x)^2 P(x), so no complex n x n array
-    is ever held.  Cached per key, as a kinetic phase is, and read-only.
+    is ever held.  With even (v even), O is S's even eigenvectors, n x h
+    with h = n/2 + 1, from an h x h eigh on :func:`grid.parity_blocks`'s even
+    block.  Cached per key, as a kinetic phase is, and read-only.
     """
     v = np.frombuffer(v_bytes)
     n = v.size
@@ -371,10 +402,11 @@ def _step_basis(grid: SpatialGrid, dt: float, v_bytes: bytes) -> tuple[np.ndarra
         block = apply_multiplier(block, half)
         block = apply_multiplier(np.multiply(block, pot, out=block), half)
         im[lo:lo + len(block)] = np.multiply(block, tilt, out=block).imag
-    O = np.ascontiguousarray(np.linalg.eigh(im)[1])
+    parity = parity_blocks(grid)[0] if even else ParityBlock(n)
+    O = np.ascontiguousarray(parity.extend(np.linalg.eigh(parity.restrict(im))[1]))
     del im
-    D = np.empty(n, dtype=complex)
-    for lo in range(0, n, _BASIS_ROWS):
+    D = np.empty(O.shape[1], dtype=complex)
+    for lo in range(0, len(D), _BASIS_ROWS):
         kinetic = apply_multiplier(O.T[lo:lo + _BASIS_ROWS].astype(complex), half)
         D[lo:lo + len(kinetic)] = np.multiply(kinetic, kinetic, out=kinetic) @ pot
     theta = np.angle(D)
@@ -382,21 +414,33 @@ def _step_basis(grid: SpatialGrid, dt: float, v_bytes: bytes) -> tuple[np.ndarra
     return O, theta
 
 
+def _even_operands(O: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_phase_run`'s (forward, back, theta) for the even O (n x h) of
+    :func:`_step_basis`: psi[:h] @ forward = O^T psi for even psi (O[:h],
+    interior rows doubled), back = O^T, each zero-padded to a multiple of
+    eight (at most n) on every axis of h, where BLAS rows stay bitwise."""
+    h, pad = O.shape[1], min(-(-O.shape[1] // 8) * 8, len(O)) - O.shape[1]
+    forward = np.pad(2.0 * O[:h], (0, pad))
+    forward[[0, h - 1], :h] = O[[0, h - 1]]  # 0 and n/2 are their own mirrors
+    return forward, np.pad(O.T.copy(), ((0, pad), (0, 0))), np.pad(theta, (0, pad))
+
+
 def _phase_run(values: np.ndarray, O: np.ndarray, Ot: np.ndarray, theta: np.ndarray,
                k: np.ndarray) -> np.ndarray:
-    """S^k_b applied to each row b of values, shape (r, n): O (exp(i k_b
-    theta) * (O^T psi_b)), as two real dgemms on the stacked real and
-    imaginary parts, padded with zero rows to a multiple of eight (at least
-    eight), each with a C-contiguous right operand (Ot is O^T's contiguous
-    copy).  On the SkylakeX, Haswell, Sandybridge and Prescott kernels of
-    OpenBLAS, at one and two threads, a row of such a product is bitwise
-    independent of the row count when that count is a multiple of eight;
+    """S^k_b applied to each row b of values, shape (r, n): Ot^T (exp(i k_b
+    theta) * (psi_b[:h] @ O)), O (h, h) and Ot (h, n) the basis and its
+    transpose (h = n) or :func:`_even_operands`, as two real dgemms on the
+    stacked real and imaginary parts, padded with zero rows to a multiple
+    of eight (at least eight), each with a C-contiguous right operand.  On
+    the SkylakeX, Haswell, Sandybridge and Prescott kernels of OpenBLAS, at
+    one and two threads, a row of such a product is bitwise independent of
+    the row count when that count is a multiple of eight;
     under Haswell and Prescott at two threads many other even counts differ,
     a one-row product takes gemv, and rows of a product whose right operand
     is a transposed view differ too."""
-    r, n = values.shape
-    stacked = np.zeros((max(-(-2 * r // 8) * 8, 8), n))
-    stacked[:r], stacked[r:2 * r] = values.real, values.imag
+    r, (h, n) = len(values), Ot.shape
+    stacked = np.zeros((max(-(-2 * r // 8) * 8, 8), h))
+    stacked[:r], stacked[r:2 * r] = values.real[:, :h], values.imag[:, :h]
     coeffs = stacked @ O  # rows: (O^T psi_b)^T, real then imaginary parts
     ks = np.unique(k)  # rows often share their k
     turn = cis(ks[:, None] * theta)
@@ -412,13 +456,15 @@ def _phase_run(values: np.ndarray, O: np.ndarray, Ot: np.ndarray, theta: np.ndar
 
 
 def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSample],
-                      cfg: SolverConfig, V: np.ndarray, fields: np.ndarray) -> None:
+                      cfg: SolverConfig, V: np.ndarray, fields: np.ndarray,
+                      even: np.ndarray) -> None:
     """:func:`_march` for linear Strang rows on a one-axis grid, values of
     shape (B, n) and V of shape (m, n): the same substeps, with each row's
     uncut run of k base steps in state y as one multiply by exp(i k
     theta_y) in the eigenbasis of the step: the DFT, theta_y = dt (|k|^2
-    + c), for a constant row V_y = c, and :func:`_step_basis` otherwise.
-    It fills fields, shape (B, T, n), with each row at each sample time.
+    + c), for a constant row V_y = c, and :func:`_step_basis` otherwise
+    (its even half for a row in the mask even).  It fills
+    fields, shape (B, T, n), with each row at each sample time.
 
     A table built up front cuts every row's path into segments at its jumps
     and at the sample times; a segment takes its interval's base edges.
@@ -476,11 +522,13 @@ def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSam
     y_head, y_tail = y + (start + 0.5 * head >= nxt), y + (tail_start + 0.5 * tail >= nxt)
     round_of = np.arange(row.size) - row.searchsorted(row)  # the segment's place in its row
     by_round = np.argsort(round_of, kind="stable")  # by round, then row
-    row, head, y_head, tail, y_tail, k, in_state, column = (a[by_round] for a in (
-        row, head, y_head, tail, y_tail, k, np.where(k > 0, states[y], -1),
+    symbol, bases, flat = laplacian_symbol(grid), {}, np.all(V == V[:, :1], axis=1)
+    # a run's basis: 2 y, or 2 y + 1 for an even row's in a state that is not flat
+    basis = 2 * states[y] + (even[row] & ~flat[states[y]])
+    row, head, y_head, tail, y_tail, k, in_basis, column = (a[by_round] for a in (
+        row, head, y_head, tail, y_tail, k, np.where(k > 0, basis, -1),
         np.where(last, T - M + ivl, -1)))
     bounds = np.append(0, np.bincount(round_of).cumsum())
-    symbol, bases, flat = laplacian_symbol(grid), {}, np.all(V == V[:, :1], axis=1)
 
     def substeps(rows, tau, y):
         """Strang substeps of length tau in the flat states y, on the rows with tau > 0."""
@@ -495,18 +543,18 @@ def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSam
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rows = row[lo:hi]
         substeps(rows, head[lo:hi], y_head[lo:hi])
-        for state in range(len(V)):
-            run = np.flatnonzero(in_state[lo:hi] == state)
+        for key in range(2 * len(V)):
+            run, state = np.flatnonzero(in_basis[lo:hi] == key), key // 2
             if not run.size:
                 continue
             if flat[state]:  # the DFT diagonalises the step: theta = dt (|k|^2 + c)
                 phase = cis(k[lo:hi][run, None] * (cfg.dt * (symbol + V[state, 0])))
                 values[rows[run]] = apply_multiplier(values[rows[run]], phase, ndim=1)
                 continue
-            if state not in bases:
-                O, theta = _step_basis(grid, cfg.dt, V[state].tobytes())
-                bases[state] = O, np.ascontiguousarray(O.T), theta
-            values[rows[run]] = _phase_run(values[rows[run]], *bases[state], k[lo:hi][run])
+            if key not in bases:
+                O, theta = _step_basis(grid, cfg.dt, V[state].tobytes(), bool(key % 2))
+                bases[key] = _even_operands(O, theta) if key % 2 else (O, O.T.copy(), theta)
+            values[rows[run]] = _phase_run(values[rows[run]], *bases[key], k[lo:hi][run])
         substeps(rows, tail[lo:hi], y_tail[lo:hi])
         done = column[lo:hi] >= 0
         fields[rows[done], column[lo:hi][done]] = values[rows[done]]
@@ -525,11 +573,8 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
     path states at the sample times (B, T), and the scalar series l2,
     suml2linf, energy_kinetic, energy_potential and energy_hartree, in that
     order, as (B, T) arrays.  Row b is bitwise what evolve_path gives for
-    row b alone, whatever the other rows are.  Linear Strang rows on a
-    one-axis grid take the eigenbasis engine when the family's rows are
-    all spatially constant, or when the grid has at most _EIGEN_N_CAP
-    points and the step phases span less than _ARC_LIMIT; the rest take
-    the march (see the module docstring).
+    row b alone, whatever the other rows are.  The module docstring says
+    which rows take the eigenbasis engine and which the even half.
     """
     grid = family.grid
     B, T = len(paths), cfg.sample_times.size
@@ -542,15 +587,16 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
     if np.any(horizons < cfg.sample_times[-1] - 1e-12):
         raise ValueError("path horizon is shorter than the last sample time")
 
-    eps = cfg.epsilon
+    eps, even = cfg.epsilon, _even_rows(grid, family.V, psi0)
     if kernel is None or eps == 0.0:
         kernel = extra = None
     else:
         if kernel.epsilon != eps:
             kernel = HartreeKernel(grid, kernel.chi, epsilon=eps)
 
-        def extra(mid, vals, out):
-            _hartree_rows(grid, vals, kernel, out.reshape(len(out), -1))
+        def extra(mid, rows, vals, out):
+            _hartree_rows(grid, vals, kernel, out.reshape(len(out), -1),
+                          even if rows is None else even[rows])
 
     states = states_at(paths, np.minimum(cfg.sample_times, horizons[:, None]))
     names = ("l2", "suml2linf", "energy_kinetic", "energy_potential", "energy_hartree")
@@ -559,7 +605,7 @@ def evolve_paths(psi0: np.ndarray, family: PotentialFamily, paths: list[PathSamp
     constant = np.all(family.V == family.V[:, :1])  # the DFT is every state's step basis
     if extra is None and grid.dim == 1 and cfg.order == 2 and (constant or (
             grid.size <= _EIGEN_N_CAP and _step_arc(grid, family.V, cfg.dt) < _ARC_LIMIT)):
-        _march_eigenbasis(grid, psi0.copy(), paths, cfg, family.V, fields)
+        _march_eigenbasis(grid, psi0.copy(), paths, cfg, family.V, fields, even)
     else:
         for j, (_, values) in enumerate(_march(grid, psi0.reshape(B, *grid.shape).copy(), paths,
                                                cfg, family.V.reshape(family.m, *grid.shape),
@@ -656,7 +702,7 @@ def picard_sequence(psi0: WaveField, family: PotentialFamily, path: PathSample,
             return None
         fields = _hartree_rows(grid, prev, frozen)
 
-        def extra(mid, _values: np.ndarray, out: np.ndarray) -> None:
+        def extra(mid, _rows, _values: np.ndarray, out: np.ndarray) -> None:
             if np.ndim(mid):  # cut rows, each at its own midpoint
                 x = np.clip(mid / cfg.dt, 0.0, n_total - 1e-9)
                 j = x.astype(int)

@@ -115,13 +115,15 @@ def plain_march(psi0, fam, path, kernel, cfg, frozen=None):
     """One path marched by itself over each interval's own jump-cut edges:
     the per-path scheme the lockstep march must reproduce bit for bit.
     frozen(t_mid), if given, is a field added to the potential, as Picard's
-    frozen Hartree field is."""
+    frozen Hartree field is.  A row that marches on the even half takes the
+    Hartree field of its even half, as the march gives it."""
     grid = fam.grid
+    even = propagator._even_rows(grid, fam.V, psi0.reshape(1, -1))
 
     def kick(tau, t_mid, vals):
         pot = fam.V[[state_at(path, t_mid)]]
         if kernel is not None:
-            pot = pot + hartree_potential(WaveField(grid, vals[0]), kernel)
+            pot = pot + propagator._hartree_rows(grid, vals, kernel, even=even)
         if frozen is not None:
             pot = pot + frozen(t_mid)
         return vals * np.exp(1j * tau * pot.reshape(vals.shape))
@@ -719,3 +721,55 @@ def test_hartree_rows_keep_their_norm_and_energy(n, dim, order, dt, epsilon):
             direct_convolution(grid, chi, row) * row)
         assert abs(energy - oracle) <= 1e-12 * oracle
     assert np.all(scalars["energy_hartree"] == 0.0) == (epsilon == 0.0)
+
+
+def even_or_shifted_row(grid, where):
+    """A Gaussian about 0 or about L/2, both even under the reflection, or
+    (any other where) a bump shifted off both, which is not."""
+    centers = {"0": 0.0, "L/2": grid.box_length / 2}
+    x = grid.offsets(centers.get(where, 0.0))[0]
+    return np.exp(-((x - (0.0 if where in centers else 0.7)) ** 2) / 2).astype(complex)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([32, 64]), st.sampled_from([1, 2]), st.sampled_from([0.0, 0.3]),
+       st.lists(st.sampled_from(["0", "L/2", "shifted"]), min_size=2, max_size=5),
+       st.lists(st.lists(JUMP_TIMES, max_size=3, unique=True), min_size=5, max_size=5))
+def test_mixed_even_and_uneven_rows_batch_invariant(n, order, epsilon, rows, jump_sets):
+    """A batch that mixes rows on the even half (an even family and even
+    rows: the even step basis, or the even Hartree field) with uneven rows
+    (the full basis, or the transform pair): each row is bitwise its lone
+    march, and run_ensemble's bytes do not depend on the row cap (7 against
+    256) or the worker count.  At dt = 0.01 linear Strang rows take the
+    eigenbasis engine, Lie and Hartree rows the march."""
+    grid = SpatialGrid(1, n, 20.0)
+    chi = shape_field(grid, "gaussian", amplitude=1.0, width=1.0, center=0.0)
+    kernel = HartreeKernel(grid, chi, epsilon=epsilon) if epsilon else None
+    cfg = SolverConfig(dt=ENGINE_DT, sample_times=np.array([0.25, 1.0]), order=order,
+                       epsilon=epsilon)
+    fam = family(grid)
+    psi0 = np.array([even_or_shifted_row(grid, where) for where in rows])
+    even = propagator._even_rows(grid, fam.V, psi0)
+    assert list(even) == [where != "shifted" for where in rows]
+    paths = [two_state_path(sorted(jump_sets[b])) for b in range(len(rows))]
+    assert_rows_match_alone(paths, psi0, cfg, kernel, fam)
+
+    model = MarkovModel(np.array([[2.0, -2.0], [-2.0, 2.0]]), initial_law=np.array([0.5, 0.5]))
+    ecfg = EnsembleConfig(N=16, master_seed=3, horizon=1.0, store_density_matrix=True)
+    law = WaveField(grid, psi0[0])
+
+    def ensemble_bytes(batch_rows, workers):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ensemble, "_BATCH_ROWS", batch_rows)
+            avg, series = run_ensemble(law, fam, model, kernel, cfg, ecfg, workers=workers)
+        arrays = [avg.sums, avg.sums_sq, avg.counts, avg.outer_sums]
+        return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays) + b"".join(
+            getattr(series, f.name).tobytes() for f in dataclasses.fields(series))
+
+    reference = ensemble_bytes(256, 1)
+    assert ensemble_bytes(7, 1) == reference
+    try:
+        assert ensemble_bytes(7, 2) == reference
+    except (OSError, PermissionError) as exc:  # pragma: no cover
+        pytest.skip(f"process pool unavailable in this environment: {exc}")

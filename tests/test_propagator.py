@@ -9,9 +9,11 @@ from stochnls.grid import (
     WaveField,
     dense_laplacian,
     free_flow,
+    is_even,
     laplacian_symbol,
     lebesgue_norm,
     lebesgue_norm_rows,
+    spectral_convolution,
 )
 from stochnls.diagnostics import write_csv
 from stochnls.markov import MarkovModel, PathSample, sample_path
@@ -522,15 +524,15 @@ class TestEigenbasisEngine:
 
     def test_mixed_family_builds_one_dense_basis(self, monkeypatch):
         """A constant row takes the DFT basis inside a family that also has a
-        well row: one _step_basis for the well, and the march's rows to
-        roundoff."""
+        well row: one _step_basis for the well (and its even half for the
+        even row), and the march's rows to roundoff."""
         used = record_engines(monkeypatch)
         built = []
         step_basis = propagator._step_basis
 
-        def spy(grid, dt, v_bytes):
-            built.append(v_bytes)
-            return step_basis(grid, dt, v_bytes)
+        def spy(grid, dt, v_bytes, even=False):
+            built.append((v_bytes, even))
+            return step_basis(grid, dt, v_bytes, even)
         monkeypatch.setattr(propagator, "_step_basis", spy)
         grid = SpatialGrid(1, 64, 20.0)
         well = switching_family(grid).V[0]
@@ -541,7 +543,8 @@ class TestEigenbasisEngine:
         cfg = SolverConfig(dt=0.01, sample_times=np.array([0.5, 1.0]))
         fields, _, _ = evolve_paths(psi0, fam, paths, None, cfg)
         assert used == ["_march_eigenbasis"]
-        assert built == [well.tobytes()]
+        # psi0's row 0 is even in an even family: it takes the well's even half
+        assert sorted(built) == [(well.tobytes(), False), (well.tobytes(), True)]
         marched = self.march_rows(fam, psi0, paths, cfg)
         n0 = lebesgue_norm_rows(grid, psi0, 2)
         for j in range(cfg.sample_times.size):
@@ -560,6 +563,99 @@ class TestEigenbasisEngine:
         with pytest.raises(RuntimeError, match=r"finiteness at t=0\.1$"):
             evolve_paths(psi0, switching_family(grid), sampled_paths(0.2, 3, rate=5.0), None, cfg)
         assert used == [engine]
+
+
+class TestEvenHalf:
+    """Even rows on the half grid, h = n/2 + 1 points: the even step basis and
+    the even Hartree field against their full-size forms, and the rule that
+    picks the rows."""
+
+    @staticmethod
+    def even_rows(grid):
+        x = grid.offsets(0.0)[0]
+        return np.array([np.exp(-x**2 / 4) * (1 + 0.3j * np.cos(x)),
+                         np.exp(-x**2 / 9 + 0.2j * x**2)])
+
+    @staticmethod
+    def padded(n):
+        """n/2 + 1 rounded up to a multiple of eight, at most n."""
+        return min(-(-(n // 2 + 1) // 8) * 8, n)
+
+    @pytest.mark.parametrize("n,L", [(8, 6.0), (64, 20.0), (256, 120.0),
+                                     (propagator._EIGEN_N_CAP, 120.0)])
+    def test_even_basis_agrees_with_the_full_basis(self, n, L):
+        """Runs of 1 and 10 steps.  Each basis carries its own eigenphase
+        roundoff, which grows with the run: at n = 512 and 100 steps, one
+        BLAS thread, the full basis reads 8.5e-14 off 100 FFT steps and the
+        even one 5.4e-14, so the two differ by more than 1e-13."""
+        grid, dt, h, k = SpatialGrid(1, n, L), 0.01, n // 2 + 1, self.padded(n)
+        v = switching_family(grid).V[0]
+        psi = self.even_rows(grid)
+        assert propagator._even_rows(grid, v[None], psi).all()
+        steps = np.array([1, 10])
+        O, theta = propagator._step_basis(grid, dt, v.tobytes())
+        full = propagator._phase_run(psi, O, np.ascontiguousarray(O.T), theta, steps)
+        forward, back, even_theta = propagator._even_operands(
+            *propagator._step_basis(grid, dt, v.tobytes(), True))
+        assert forward.shape == (k, k) and back.shape == (k, n) and even_theta.shape == (k,)
+        assert forward.flags.c_contiguous and back.flags.c_contiguous
+        assert not (forward[h:].any() or forward[:, h:].any() or back[h:].any())
+        assert np.max(np.abs(back @ back.T - np.diag(np.arange(k) < h))) <= 1e-13
+        half = propagator._phase_run(psi, forward, back, even_theta, steps)
+        assert np.max(np.abs(half - full)) <= 1e-13 * np.max(np.abs(psi))
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_even_field_agrees_with_the_transform_pair(self, n):
+        grid, h = SpatialGrid(1, n, 20.0), self.padded(n)
+        chi = shape_field(grid, "gaussian", amplitude=1.0, width=1.0, center=0.0)
+        kernel = HartreeKernel(grid, chi, epsilon=0.3)
+        x = grid.offsets(0.0)[0]
+        rho = np.exp(-x**2 / 3) + 0.5 * np.exp(-(x**2 - 4) ** 2)  # even, two humps
+        want = 0.3 * spectral_convolution(grid, kernel.chi_spectrum, rho)
+        fold = kernel.even_fold
+        assert fold.shape == (h, h) and fold.flags.c_contiguous and not fold.flags.writeable
+        assert np.max(np.abs(rho[:h] @ fold - want[:h])) <= 1e-13 * np.max(want)
+        psi = np.sqrt(rho) * np.exp(0.4j * x**2)
+        rows = propagator._hartree_rows(grid, np.array([psi, psi]), kernel,
+                                        even=np.array([True, False]))
+        assert np.max(np.abs(rows[0] - want)) <= 1e-13 * np.max(want)
+        assert np.array_equal(rows[0], grid.reflect(rows[0]))  # even bit for bit
+        assert rows[1].tobytes() == hartree_potential(WaveField(grid, psi), kernel).tobytes()
+
+    def test_rows_even_to_1e12_of_their_own_max(self, monkeypatch):
+        """An odd part above 1e-12 of the row's own max |psi0| sends the row
+        to the full path, at amplitude 1 and at amplitude 1e-3, where
+        is_even's max(1, .) floor would pass it."""
+        grid = SpatialGrid(1, 64, 20.0)
+        fam = switching_family(grid)
+        x = grid.offsets(0.0)[0]
+        even, odd = np.exp(-x**2 / 2), x * np.exp(-x**2 / 2)
+        odd /= np.max(np.abs(odd))  # an odd part c odd reads as 2c
+        rows = np.array([even, even + 1e-13 * odd, even + 1e-11 * odd,
+                         1e-3 * (even + 1e-13 * odd), 1e-3 * (even + 1e-11 * odd)], dtype=complex)
+        assert list(propagator._even_rows(grid, fam.V, rows)) == [True, True, False, True, False]
+        assert is_even(grid, rows[-1:])
+        # only a one-axis grid of at most _EIGEN_N_CAP points with an even family
+        assert not propagator._even_rows(grid, translate_family(grid).V, rows).any()
+        big = SpatialGrid(1, 2 * propagator._EIGEN_N_CAP, 400.0)
+        big_rows = np.exp(-big.offsets(0.0)[0] ** 2 / 2)[None]
+        assert not propagator._even_rows(big, switching_family(big).V, big_rows).any()
+        plane = SpatialGrid(2, 16, 12.0)
+        plane_rows = np.exp(-sum(c**2 for c in plane.offsets(0.0)) / 2)[None]
+        assert not propagator._even_rows(plane, np.zeros((1, plane.size)), plane_rows).any()
+        built = []
+        step_basis = propagator._step_basis
+
+        def spy(grid, dt, v_bytes, even=False):
+            built.append(even)
+            return step_basis(grid, dt, v_bytes, even)
+        monkeypatch.setattr(propagator, "_step_basis", spy)
+        cfg = SolverConfig(dt=0.01, sample_times=np.array([0.1]))
+        path = [sampled_paths(0.1, 1)[0]]
+        evolve_paths(rows[4:], fam, path, None, cfg)
+        assert built and True not in built
+        evolve_paths(rows[3:4], fam, path, None, cfg)
+        assert True in built
 
 
 class TestExactPropagator:
