@@ -135,10 +135,10 @@ MUTANTS = [
     },
     {
         "name": "psd-odd-half-dropped",
-        "why": "an even kernel is solved on its even half alone",
-        "file": "src/stochnls/averaged.py",
-        "old": "return [b for b in (even, odd) if b.index.size]",
-        "new": "return [b for b in (even,) if b.index.size]",
+        "why": "the block chooser drops the odd block, so an even kernel is solved on its even half alone",
+        "file": "src/stochnls/grid.py",
+        "old": "return [b for b in parity_blocks(grid, m) if b.index.size]",
+        "new": "return [b for b in parity_blocks(grid, m)[:1] if b.index.size]",
         "tests": [
             "tests/test_averaged.py::TestDensityTracePsd::test_odd_negative_direction_is_reported",
             "tests/test_averaged.py::test_psd_check_solves_even_kernels_on_their_halves",
@@ -146,9 +146,9 @@ MUTANTS = [
     },
     {
         "name": "psd-evenness-test-skipped",
-        "why": "every kernel is split into parity halves, even or not",
+        "why": "every kernel is split into parity halves, coupled or not",
         "file": "src/stochnls/averaged.py",
-        "old": "if is_even(f.grid, fields) and np.all(coupling <= 1e-12 * scale):",
+        "old": "if np.all(coupling <= 1e-12 * scale):",
         "new": "if True:",
         "tests": [
             "tests/test_averaged.py::TestDensityTracePsd::test_stacked_solve_matches_per_state_loop",
@@ -311,9 +311,9 @@ MUTANTS = [
         ],
     },
     {
-        "name": "spectral-empty-block-kept",
+        "name": "empty-odd-block-kept",
         "why": "an even family on n = 2 keeps its empty odd block, which no solve can index",
-        "file": "src/stochnls/spectral.py",
+        "file": "src/stochnls/grid.py",
         "old": "return [b for b in parity_blocks(grid, m) if b.index.size]",
         "new": "return parity_blocks(grid, m)",
         "tests": [
@@ -398,8 +398,8 @@ MUTANTS = [
         "name": "even-basis-interior-weight-dropped",
         "why": "the even forward matrix counts each interior point once, not for itself and its mirror",
         "file": "src/stochnls/propagator.py",
-        "old": "forward = np.pad(2.0 * O[:h], (0, pad))",
-        "new": "forward = np.pad(1.0 * O[:h], (0, pad))",
+        "old": "forward = np.pad(2.0 * O[:h], (0, k - h))",
+        "new": "forward = np.pad(1.0 * O[:h], (0, k - h))",
         "tests": [
             "tests/test_propagator.py::TestEvenHalf::test_even_basis_agrees_with_the_full_basis",
             "tests/test_propagator.py::TestEigenbasisEngine::test_rows_agree_with_the_march",
@@ -434,6 +434,26 @@ MUTANTS = [
         "tests": [
             "tests/test_batch.py::test_mixed_even_and_uneven_rows_batch_invariant",
             "tests/test_propagator.py::TestEvenHalf::test_rows_even_to_1e12_of_their_own_max",
+        ],
+    },
+    {
+        "name": "even-basis-columns-unpadded",
+        "why": "the even step basis keeps h = n/2 + 1 columns, an odd count whose BLAS rows depend on the row count",
+        "file": "src/stochnls/propagator.py",
+        "old": "h, k = len(D), blas_padded(len(D), n)",
+        "new": "h, k = len(D), len(D)",
+        "tests": [
+            "tests/test_propagator.py::TestEvenHalf::test_even_basis_agrees_with_the_full_basis",
+        ],
+    },
+    {
+        "name": "blas-rows-unpadded",
+        "why": "a product's rows are not padded to a multiple of eight, so a row's bits depend on its batch",
+        "file": "src/stochnls/grid.py",
+        "old": "return -(-count // 8) * 8 if cap is None",
+        "new": "return count if cap is None",
+        "tests": [
+            "tests/test_grid.py::test_blas_padded_is_a_multiple_of_eight_or_the_cap",
         ],
     },
 ]

@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import write_csv
-from .grid import (ParityBlock, SpatialGrid, apply_multiplier, free_flow, is_even,
-                   kinetic_phase, parity_blocks)
+from .grid import (ParityBlock, SpatialGrid, apply_multiplier, free_flow, kinetic_phase,
+                   parity_blocks, reflection_blocks)
 from .markov import MarkovModel, heat_kernel
 from .potential import PotentialFamily
 from .propagator import SolverConfig
@@ -298,14 +298,13 @@ def _conjugate(g: np.ndarray, half: np.ndarray, adj: np.ndarray, tmp: np.ndarray
 
 
 def _reflection_blocks(f: AveragedDensityMatrix, *fields) -> list[ParityBlock]:
-    """The non-empty blocks of :func:`stochnls.grid.parity_blocks` when every
-    field is even (:func:`stochnls.grid.is_even`) and each kernel's even-odd
-    coupling is at most 1e-12 of its max |f|; else the whole space."""
+    """:func:`stochnls.grid.reflection_blocks` of the fields when each kernel's
+    even-odd coupling is at most 1e-12 of its max |f|; else the whole space."""
     even, odd = parity_blocks(f.grid)
     scale = np.abs(f.f).reshape(f.m, -1).max(axis=1)
     coupling = np.abs(even.restrict(f.f, odd)).reshape(f.m, -1).max(axis=1, initial=0.0)
-    if is_even(f.grid, fields) and np.all(coupling <= 1e-12 * scale):
-        return [b for b in (even, odd) if b.index.size]
+    if np.all(coupling <= 1e-12 * scale):
+        return reflection_blocks(f.grid, fields)
     return [ParityBlock(f.grid.size)]
 
 

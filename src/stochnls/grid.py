@@ -15,8 +15,8 @@ Conventions used throughout the package:
 * All integral norms carry the cell-volume weight h**d so that values
   converge to their continuum counterparts under refinement.
 * The reflection x -> -x splits the index into even and odd blocks
-  (:func:`parity_blocks`), the one parity basis of the dense solves and the
-  Liouville march, taken when the fields are even (:func:`is_even`).
+  (:func:`parity_blocks`), taken by :func:`reflection_blocks` when the fields
+  are even (:func:`is_even`); BLAS products pad by :func:`blas_padded`.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ __all__ = [
     "ParityBlock",
     "parity_blocks",
     "is_even",
+    "reflection_blocks",
+    "blas_padded",
     "lebesgue_norm",
     "lebesgue_norm_rows",
     "lorentz_norm",
@@ -370,6 +372,25 @@ def is_even(grid: SpatialGrid, fields) -> bool:
     mirror_x = grid.reflect(np.arange(grid.size))
     return not any(np.max(np.abs(f - f[..., mirror_x]), initial=0.0)
                    > 1e-12 * max(1.0, float(np.max(np.abs(f), initial=0.0))) for f in fields)
+
+
+def reflection_blocks(grid: SpatialGrid, fields, m: int = 1) -> list[ParityBlock]:
+    """The non-empty blocks of :func:`parity_blocks` over m states (no odd one
+    for n <= 2) when every field passes :func:`is_even`, else the whole space."""
+    if not is_even(grid, fields):
+        return [ParityBlock(m * grid.size)]
+    return [b for b in parity_blocks(grid, m) if b.index.size]
+
+
+def blas_padded(count: int, cap: int | None = None) -> int:
+    """count rounded up to a multiple of eight, or cap if that is smaller: a
+    real product's rows and columns padded with zeros to this count, with a
+    C-contiguous right operand, give each row bitwise whatever the row
+    count, on the SkylakeX, Haswell, Sandybridge and Prescott kernels of
+    OpenBLAS at one and two threads.  Many other even counts do not under
+    Haswell and Prescott at two threads, a one-row product takes gemv, and
+    rows of a product whose right operand is a transposed view differ too."""
+    return -(-count // 8) * 8 if cap is None else min(-(-count // 8) * 8, cap)
 
 
 def lebesgue_norm(psi: WaveField, p: float) -> float:

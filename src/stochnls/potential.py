@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import SpatialGrid, WaveField, convolution_spectrum, is_even, lorentz_norm, \
-    spectral_convolution
+from .grid import SpatialGrid, WaveField, blas_padded, convolution_spectrum, is_even, \
+    lorentz_norm, spectral_convolution
 from .markov import MarkovModel
 
 __all__ = [
@@ -95,11 +95,11 @@ class HartreeKernel:
 
     @cached_property
     def even_fold(self) -> np.ndarray:
-        """M (k x k, k = n/2 + 1 rounded up to a multiple of eight, at most n,
-        one axis): an even rho's field is even, rho[:k] @ M on its first k
-        points.  Row a <= n/2 is the field of e_a + e_-a; the others are 0."""
+        """M (k x k, k = :func:`grid.blas_padded` (n/2 + 1, n), one axis): an
+        even rho's field is even, rho[:k] @ M on its first k points.  Row
+        a <= n/2 is the field of e_a + e_-a; the others are 0."""
         n, a = self.grid.size, np.arange(self.grid.size // 2 + 1)
-        fold = np.zeros((min(-(-a.size // 8) * 8, n), n))
+        fold = np.zeros((blas_padded(a.size, n), n))
         fold[a, a] = fold[a, -a] = 1.0
         field = spectral_convolution(self.grid, self.chi_spectrum, fold, out=fold)
         fold = self.epsilon * field[:, :len(field)]

@@ -60,9 +60,9 @@ from typing import Iterator
 import numpy as np
 
 from .diagnostics import energy_rows
-from .grid import ParityBlock, SpatialGrid, WaveField, apply_multiplier, cis, free_flow, \
-    is_even, kinetic_phase, laplacian_symbol, lebesgue_norm, lebesgue_norm_rows, parity_blocks, \
-    spectral_convolution, sum_norm_rows
+from .grid import ParityBlock, SpatialGrid, WaveField, apply_multiplier, blas_padded, cis, \
+    free_flow, is_even, kinetic_phase, laplacian_symbol, lebesgue_norm, lebesgue_norm_rows, \
+    parity_blocks, spectral_convolution, sum_norm_rows
 from .markov import PathSample, _flat_paths, states_at
 from .potential import HartreeKernel, PotentialFamily
 
@@ -157,7 +157,7 @@ def _hartree_rows(grid: SpatialGrid, values: np.ndarray, kernel: HartreeKernel,
         return np.multiply(conv, kernel.epsilon, out=conv)
     out = np.empty(values.shape) if out is None else out
     fold, rows = kernel.even_fold, slice(None) if count == len(values) else even
-    density = np.zeros((max(-(-count // 8) * 8, 8), len(fold)))
+    density = np.zeros((blas_padded(count), len(fold)))
     np.abs(values[rows, :len(fold)], out=density[:count])
     half, h = (np.square(density, out=density) @ fold)[:count], grid.size // 2 + 1
     out[rows, :h], out[rows, h:] = half[:, :h], half[:, h - 2:0:-1]  # the field is even
@@ -361,8 +361,8 @@ _EIGEN_N_CAP = 512
 _ARC_LIMIT = 0.9 * np.pi
 # Rows per FFT block while a basis is built.
 _BASIS_ROWS = 64
-# Step bases kept across calls, one per (grid, dt, state): a family of two
-# states takes two, and eight hold at most 16 MiB, at the size cap.
+# Step bases kept across calls, one per (grid, dt, state, half); eight hold at
+# most 32 MiB at the size cap, where a full basis holds O and O^T, 4 MiB.
 _BASES_KEPT = 8
 
 
@@ -374,11 +374,11 @@ def _step_arc(grid: SpatialGrid, V: np.ndarray, dt: float) -> float:
 
 @lru_cache(maxsize=_BASES_KEPT)
 def _step_basis(grid: SpatialGrid, dt: float, v_bytes: bytes,
-                even: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(O, theta) with S = O diag(exp(i theta)) O^T, O real orthogonal, for
-    the Strang step S = K(dt/2) P(dt) K(dt/2) in the potential v (its
-    float64 bytes) on a one-axis grid: the discrete step, not the exact
-    flow of -Lap + v.
+                even: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_phase_run`'s (forward, back, theta) = (O, O^T, theta), S = O
+    diag(exp(i theta)) O^T, O real orthogonal, for the Strang step S =
+    K(dt/2) P(dt) K(dt/2) in the potential v (its float64 bytes) on a
+    one-axis grid: the discrete step, not the exact flow of -Lap + v.
 
     K is a circulant with an even symbol and P diagonal, so S is complex
     symmetric as well as unitary: its real and imaginary parts commute and
@@ -390,7 +390,9 @@ def _step_basis(grid: SpatialGrid, dt: float, v_bytes: bytes,
     D_j = o_j^T S o_j = sum_x (K o_j)(x)^2 P(x), so no complex n x n array
     is ever held.  With even (v even), O is S's even eigenvectors, n x h
     with h = n/2 + 1, from an h x h eigh on :func:`grid.parity_blocks`'s even
-    block.  Cached per key, as a kinetic phase is, and read-only.
+    block; forward = O[:h], interior rows doubled (psi[:h] @ forward = O^T
+    psi for even psi), every axis of h zero-padded to blas_padded(h, n).
+    Cached per key, as a kinetic phase is, C-contiguous and read-only.
     """
     v = np.frombuffer(v_bytes)
     n = v.size
@@ -409,37 +411,24 @@ def _step_basis(grid: SpatialGrid, dt: float, v_bytes: bytes,
     for lo in range(0, len(D), _BASIS_ROWS):
         kinetic = apply_multiplier(O.T[lo:lo + _BASIS_ROWS].astype(complex), half)
         D[lo:lo + len(kinetic)] = np.multiply(kinetic, kinetic, out=kinetic) @ pot
-    theta = np.angle(D)
-    O.flags.writeable = theta.flags.writeable = False
-    return O, theta
-
-
-def _even_operands(O: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_phase_run`'s (forward, back, theta) for the even O (n x h) of
-    :func:`_step_basis`: psi[:h] @ forward = O^T psi for even psi (O[:h],
-    interior rows doubled), back = O^T, each zero-padded to a multiple of
-    eight (at most n) on every axis of h, where BLAS rows stay bitwise."""
-    h, pad = O.shape[1], min(-(-O.shape[1] // 8) * 8, len(O)) - O.shape[1]
-    forward = np.pad(2.0 * O[:h], (0, pad))
-    forward[[0, h - 1], :h] = O[[0, h - 1]]  # 0 and n/2 are their own mirrors
-    return forward, np.pad(O.T.copy(), ((0, pad), (0, 0))), np.pad(theta, (0, pad))
+    h, k = len(D), blas_padded(len(D), n)  # k = h = n for the full basis
+    forward, back, theta = O, np.zeros((k, n)), np.pad(np.angle(D), (0, k - h))
+    back[:h] = O.T  # C-contiguous, unlike the view O.T: a BLAS row rule
+    if even:
+        forward = np.pad(2.0 * O[:h], (0, k - h))
+        forward[[0, h - 1], :h] = O[[0, h - 1]]  # 0 and n/2 are their own mirrors
+    forward.flags.writeable = back.flags.writeable = theta.flags.writeable = False
+    return forward, back, theta
 
 
 def _phase_run(values: np.ndarray, O: np.ndarray, Ot: np.ndarray, theta: np.ndarray,
                k: np.ndarray) -> np.ndarray:
     """S^k_b applied to each row b of values, shape (r, n): Ot^T (exp(i k_b
-    theta) * (psi_b[:h] @ O)), O (h, h) and Ot (h, n) the basis and its
-    transpose (h = n) or :func:`_even_operands`, as two real dgemms on the
-    stacked real and imaginary parts, padded with zero rows to a multiple
-    of eight (at least eight), each with a C-contiguous right operand.  On
-    the SkylakeX, Haswell, Sandybridge and Prescott kernels of OpenBLAS, at
-    one and two threads, a row of such a product is bitwise independent of
-    the row count when that count is a multiple of eight;
-    under Haswell and Prescott at two threads many other even counts differ,
-    a one-row product takes gemv, and rows of a product whose right operand
-    is a transposed view differ too."""
+    theta) * (psi_b[:h] @ O)), (O, Ot, theta) a :func:`_step_basis`, as two
+    real dgemms on the stacked real and imaginary parts, padded with zero
+    rows by :func:`grid.blas_padded`, so each row is bitwise its own."""
     r, (h, n) = len(values), Ot.shape
-    stacked = np.zeros((max(-(-2 * r // 8) * 8, 8), h))
+    stacked = np.zeros((blas_padded(2 * r), h))
     stacked[:r], stacked[r:2 * r] = values.real[:, :h], values.imag[:, :h]
     coeffs = stacked @ O  # rows: (O^T psi_b)^T, real then imaginary parts
     ks = np.unique(k)  # rows often share their k
@@ -522,13 +511,17 @@ def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSam
     y_head, y_tail = y + (start + 0.5 * head >= nxt), y + (tail_start + 0.5 * tail >= nxt)
     round_of = np.arange(row.size) - row.searchsorted(row)  # the segment's place in its row
     by_round = np.argsort(round_of, kind="stable")  # by round, then row
-    symbol, bases, flat = laplacian_symbol(grid), {}, np.all(V == V[:, :1], axis=1)
+    symbol, flat = laplacian_symbol(grid), np.all(V == V[:, :1], axis=1)
     # a run's basis: 2 y, or 2 y + 1 for an even row's in a state that is not flat
     basis = 2 * states[y] + (even[row] & ~flat[states[y]])
     row, head, y_head, tail, y_tail, k, in_basis, column = (a[by_round] for a in (
         row, head, y_head, tail, y_tail, k, np.where(k > 0, basis, -1),
         np.where(last, T - M + ivl, -1)))
     bounds = np.append(0, np.bincount(round_of).cumsum())
+    # each basis once a call (None: the DFT), not per round past _BASES_KEPT
+    bases = {key: None if flat[key // 2] else
+             _step_basis(grid, cfg.dt, V[key // 2].tobytes(), bool(key % 2))
+             for key in np.unique(in_basis[in_basis >= 0]).tolist()}
 
     def substeps(rows, tau, y):
         """Strang substeps of length tau in the flat states y, on the rows with tau > 0."""
@@ -543,18 +536,15 @@ def _march_eigenbasis(grid: SpatialGrid, values: np.ndarray, paths: list[PathSam
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rows = row[lo:hi]
         substeps(rows, head[lo:hi], y_head[lo:hi])
-        for key in range(2 * len(V)):
+        for key, basis in bases.items():
             run, state = np.flatnonzero(in_basis[lo:hi] == key), key // 2
             if not run.size:
                 continue
-            if flat[state]:  # the DFT diagonalises the step: theta = dt (|k|^2 + c)
+            if basis is None:  # the DFT diagonalises the step: theta = dt (|k|^2 + c)
                 phase = cis(k[lo:hi][run, None] * (cfg.dt * (symbol + V[state, 0])))
                 values[rows[run]] = apply_multiplier(values[rows[run]], phase, ndim=1)
-                continue
-            if key not in bases:
-                O, theta = _step_basis(grid, cfg.dt, V[state].tobytes(), bool(key % 2))
-                bases[key] = _even_operands(O, theta) if key % 2 else (O, O.T.copy(), theta)
-            values[rows[run]] = _phase_run(values[rows[run]], *bases[key], k[lo:hi][run])
+            else:
+                values[rows[run]] = _phase_run(values[rows[run]], *basis, k[lo:hi][run])
         substeps(rows, tail[lo:hi], y_tail[lo:hi])
         done = column[lo:hi] >= 0
         fields[rows[done], column[lo:hi][done]] = values[rows[done]]

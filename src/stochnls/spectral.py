@@ -45,7 +45,7 @@ Three exact symmetries split or simplify the dense solves:
 * -Lap and iA commute with the grid reflection x -> -x on each state, so
   when every state's V is even, H, h and every KB(lambda) are
   block-diagonal in the orthonormal basis of even and odd functions
-  (:func:`stochnls.grid.parity_blocks`): the eigensolves and the KB scan
+  (:func:`stochnls.grid.reflection_blocks`): the eigensolves and the KB scan
   run on the two half-size blocks, and their spectra and singular values
   together are the whole operator's.
 * A two-state chain with equal holding rates, A = gamma [[1, -1], [-1, 1]]
@@ -71,9 +71,8 @@ from .grid import (
     SpatialGrid,
     dense_laplacian,
     dft_matrix,
-    is_even,
     laplacian_symbol,
-    parity_blocks,
+    reflection_blocks,
 )
 from .markov import MarkovModel
 from .potential import PotentialFamily, split
@@ -157,17 +156,6 @@ def assemble_h(family: PotentialFamily, model: MarkovModel,
                                V=family.V, A=model.A)
 
 
-def _parity_blocks(grid: SpatialGrid, fields, m: int | None = None) -> list[ParityBlock]:
-    """The even and odd blocks of the state-major index over m states (default:
-    the fields' rows) when every field is even by
-    :func:`stochnls.grid.is_even`, an empty odd block (n <= 2) dropped; the
-    whole space as one block otherwise."""
-    m = fields[0].shape[0] if m is None else m
-    if not is_even(grid, fields):
-        return [ParityBlock(m * grid.size)]
-    return [b for b in parity_blocks(grid, m) if b.index.size]
-
-
 @dataclass
 class EigenReport:
     eigenvalues: np.ndarray
@@ -201,7 +189,7 @@ def _chain_modes(ham: DiscreteHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """
     h = _neg_laplacian(ham.grid).real + np.diag(ham.V[0])
     levels, loc = [], []
-    for block in _parity_blocks(ham.grid, (ham.V[:1],)):
+    for block in reflection_blocks(ham.grid, (ham.V[:1],)):
         E, U = np.linalg.eigh(block.restrict(h))
         mass = block.extend(U) ** 2
         levels.append(E)
@@ -267,7 +255,7 @@ def eigen_analysis(ham: DiscreteHamiltonian) -> EigenReport:
         real = ham.m == 2 and ham.A[0, 0] == ham.A[1, 1]
         window = np.tile(ham.well_window, ham.m)
         eigvals, loc = [], []
-        for block in _parity_blocks(ham.grid, (ham.V,), m=1):
+        for block in reflection_blocks(ham.grid, (ham.V,)):
             vals, vecs = np.linalg.eig(_block_matrix(ham, block, real))
             vals = vals + 1j * ham.A[0, 0] if real else vals
             mass = np.abs(np.concatenate([block.extend(v) for v in np.split(vecs, ham.m)])) ** 2
@@ -385,7 +373,8 @@ def _kb_blocks(grid: SpatialGrid, m: int, v_bytes: bytes, a_bytes: bytes):
     return d, [(b, b.restrict(left), b.restrict(right), b.restrict_diagonal(d),
                 b.restrict_diagonal(v1), b.restrict_diagonal(v2),
                 _block_matrix(ham, one, real=False))
-               for b, one in zip(_parity_blocks(grid, fields), _parity_blocks(grid, fields, m=1))]
+               for b, one in zip(reflection_blocks(grid, fields, m),
+                                 reflection_blocks(grid, fields))]
 
 
 def kb_scan(family: PotentialFamily, model: MarkovModel, lam_grid: np.ndarray) -> dict:

@@ -735,23 +735,26 @@ def even_or_shifted_row(grid, where):
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from([32, 64]), st.sampled_from([1, 2]), st.sampled_from([0.0, 0.3]),
        st.lists(st.sampled_from(["0", "L/2", "shifted"]), min_size=2, max_size=5),
-       st.lists(st.lists(JUMP_TIMES, max_size=3, unique=True), min_size=5, max_size=5))
-def test_mixed_even_and_uneven_rows_batch_invariant(n, order, epsilon, rows, jump_sets):
+       st.lists(st.lists(JUMP_TIMES, max_size=3, unique=True), min_size=5, max_size=5),
+       st.sampled_from([family, translate_family]))
+def test_mixed_even_and_uneven_rows_batch_invariant(n, order, epsilon, rows, jump_sets,
+                                                    make_family):
     """A batch that mixes rows on the even half (an even family and even
     rows: the even step basis, or the even Hartree field) with uneven rows
     (the full basis, or the transform pair): each row is bitwise its lone
     march, and run_ensemble's bytes do not depend on the row cap (7 against
-    256) or the worker count.  At dt = 0.01 linear Strang rows take the
+    256) or the worker count.  In the translate family, which is not even,
+    every row is uneven.  At dt = 0.01 linear Strang rows take the
     eigenbasis engine, Lie and Hartree rows the march."""
     grid = SpatialGrid(1, n, 20.0)
     chi = shape_field(grid, "gaussian", amplitude=1.0, width=1.0, center=0.0)
     kernel = HartreeKernel(grid, chi, epsilon=epsilon) if epsilon else None
     cfg = SolverConfig(dt=ENGINE_DT, sample_times=np.array([0.25, 1.0]), order=order,
                        epsilon=epsilon)
-    fam = family(grid)
+    fam = make_family(grid)
     psi0 = np.array([even_or_shifted_row(grid, where) for where in rows])
     even = propagator._even_rows(grid, fam.V, psi0)
-    assert list(even) == [where != "shifted" for where in rows]
+    assert list(even) == [where != "shifted" and make_family is family for where in rows]
     paths = [two_state_path(sorted(jump_sets[b])) for b in range(len(rows))]
     assert_rows_match_alone(paths, psi0, cfg, kernel, fam)
 

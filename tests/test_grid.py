@@ -5,6 +5,7 @@ from stochnls.grid import (
     SpatialGrid,
     WaveField,
     apply_multiplier,
+    blas_padded,
     cis,
     convolution_spectrum,
     free_flow,
@@ -351,3 +352,14 @@ def test_parity_block_gather_is_the_basis(n, m):
         assert np.array_equal(dense, np.multiply.outer(coef, coef) * F[:, pos][:, :, pos])
         assert np.array_equal(block.extend_diagonal(F), np.diagonal(dense, axis1=1, axis2=2))
         assert np.max(np.abs(dense - B @ F @ B.T)) <= 1e-15 * np.max(np.abs(F))
+
+
+def test_blas_padded_is_a_multiple_of_eight_or_the_cap():
+    """Over counts 1 to 1,100 and caps n = 2, 4, ..., 1024: the least
+    multiple of eight at or above the count, or the cap where that is less;
+    without a cap, always that multiple."""
+    for count in range(1, 1101):
+        multiple = next(x for x in range(count, count + 8) if x % 8 == 0)
+        assert blas_padded(count) == multiple
+        for cap in (2 ** a for a in range(1, 11)):
+            assert blas_padded(count, cap) == min(multiple, cap)

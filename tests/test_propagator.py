@@ -1,4 +1,5 @@
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from stochnls import propagator
 from stochnls.grid import (
     SpatialGrid,
     WaveField,
+    blas_padded,
     dense_laplacian,
     free_flow,
     is_even,
@@ -418,7 +420,8 @@ class TestEigenbasisEngine:
     def test_basis_diagonalises_the_discrete_step(self):
         grid, dt = SpatialGrid(1, 32, 12.0), 0.02
         for v in switching_family(grid).V:
-            O, theta = propagator._step_basis(grid, dt, v.tobytes())
+            O, Ot, theta = propagator._step_basis(grid, dt, v.tobytes())
+            assert np.array_equal(Ot, O.T)
             # the Strang step S applied to the identity's columns
             half = free_flow(grid, np.eye(grid.size, dtype=complex), 0.5 * dt)
             S = free_flow(grid, half * np.exp(1j * dt * v), 0.5 * dt).T
@@ -524,15 +527,17 @@ class TestEigenbasisEngine:
 
     def test_mixed_family_builds_one_dense_basis(self, monkeypatch):
         """A constant row takes the DFT basis inside a family that also has a
-        well row: one _step_basis for the well (and its even half for the
-        even row), and the march's rows to roundoff."""
+        well row: on an empty cache, one dense build for the well (and one
+        for its even half, for the even row), however many rounds use them,
+        none on a second call, and the march's rows to roundoff."""
         used = record_engines(monkeypatch)
         built = []
-        step_basis = propagator._step_basis
+        build = propagator._step_basis.__wrapped__
 
+        @lru_cache(maxsize=propagator._BASES_KEPT)
         def spy(grid, dt, v_bytes, even=False):
             built.append((v_bytes, even))
-            return step_basis(grid, dt, v_bytes, even)
+            return build(grid, dt, v_bytes, even)
         monkeypatch.setattr(propagator, "_step_basis", spy)
         grid = SpatialGrid(1, 64, 20.0)
         well = switching_family(grid).V[0]
@@ -545,6 +550,8 @@ class TestEigenbasisEngine:
         assert used == ["_march_eigenbasis"]
         # psi0's row 0 is even in an even family: it takes the well's even half
         assert sorted(built) == [(well.tobytes(), False), (well.tobytes(), True)]
+        again, _, _ = evolve_paths(psi0, fam, paths, None, cfg)
+        assert len(built) == 2 and again.tobytes() == fields.tobytes()
         marched = self.march_rows(fam, psi0, paths, cfg)
         n0 = lebesgue_norm_rows(grid, psi0, 2)
         for j in range(cfg.sample_times.size):
@@ -576,11 +583,6 @@ class TestEvenHalf:
         return np.array([np.exp(-x**2 / 4) * (1 + 0.3j * np.cos(x)),
                          np.exp(-x**2 / 9 + 0.2j * x**2)])
 
-    @staticmethod
-    def padded(n):
-        """n/2 + 1 rounded up to a multiple of eight, at most n."""
-        return min(-(-(n // 2 + 1) // 8) * 8, n)
-
     @pytest.mark.parametrize("n,L", [(8, 6.0), (64, 20.0), (256, 120.0),
                                      (propagator._EIGEN_N_CAP, 120.0)])
     def test_even_basis_agrees_with_the_full_basis(self, n, L):
@@ -588,17 +590,18 @@ class TestEvenHalf:
         roundoff, which grows with the run: at n = 512 and 100 steps, one
         BLAS thread, the full basis reads 8.5e-14 off 100 FFT steps and the
         even one 5.4e-14, so the two differ by more than 1e-13."""
-        grid, dt, h, k = SpatialGrid(1, n, L), 0.01, n // 2 + 1, self.padded(n)
+        grid, dt, h = SpatialGrid(1, n, L), 0.01, n // 2 + 1
+        k = blas_padded(h, n)
         v = switching_family(grid).V[0]
         psi = self.even_rows(grid)
         assert propagator._even_rows(grid, v[None], psi).all()
         steps = np.array([1, 10])
-        O, theta = propagator._step_basis(grid, dt, v.tobytes())
-        full = propagator._phase_run(psi, O, np.ascontiguousarray(O.T), theta, steps)
-        forward, back, even_theta = propagator._even_operands(
-            *propagator._step_basis(grid, dt, v.tobytes(), True))
+        basis = propagator._step_basis(grid, dt, v.tobytes())
+        full = propagator._phase_run(psi, *basis, steps)
+        even_basis = forward, back, even_theta = propagator._step_basis(grid, dt, v.tobytes(), True)
         assert forward.shape == (k, k) and back.shape == (k, n) and even_theta.shape == (k,)
-        assert forward.flags.c_contiguous and back.flags.c_contiguous
+        # every cached operand is C-contiguous (a BLAS row rule) and read-only
+        assert all(a.flags.c_contiguous and not a.flags.writeable for a in basis + even_basis)
         assert not (forward[h:].any() or forward[:, h:].any() or back[h:].any())
         assert np.max(np.abs(back @ back.T - np.diag(np.arange(k) < h))) <= 1e-13
         half = propagator._phase_run(psi, forward, back, even_theta, steps)
@@ -606,7 +609,7 @@ class TestEvenHalf:
 
     @pytest.mark.parametrize("n", [32, 256])
     def test_even_field_agrees_with_the_transform_pair(self, n):
-        grid, h = SpatialGrid(1, n, 20.0), self.padded(n)
+        grid, h = SpatialGrid(1, n, 20.0), blas_padded(n // 2 + 1, n)
         chi = shape_field(grid, "gaussian", amplitude=1.0, width=1.0, center=0.0)
         kernel = HartreeKernel(grid, chi, epsilon=0.3)
         x = grid.offsets(0.0)[0]

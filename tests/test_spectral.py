@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from stochnls import spectral
 from stochnls.diagnostics import write_csv
-from stochnls.grid import SpatialGrid, dense_laplacian, laplacian_symbol
+from stochnls.grid import SpatialGrid, dense_laplacian, laplacian_symbol, reflection_blocks
 from stochnls.markov import MarkovModel
 from stochnls.potential import (
     PotentialFamily,
@@ -21,7 +21,6 @@ from stochnls.spectral import (
     _KB_GRAM_KAPPA,
     _min_singular_values,
     _neg_laplacian,
-    _parity_blocks,
     assemble_h,
     assemble_kb,
     default_lambda_grid,
@@ -465,7 +464,7 @@ class TestParitySplit:
     def test_even_family_splits_and_keeps_the_spectrum(self, drawn):
         grid, model, V = drawn
         fam = PotentialFamily(grid, V + np.array([grid.reflect(v) for v in V]))
-        blocks = _parity_blocks(grid, (fam.V,))
+        blocks = reflection_blocks(grid, (fam.V,), fam.m)
         fixed = 2 ** grid.dim  # the origin and the half-box points, per axis
         assert [b.index.size for b in blocks] == [
             model.m * (grid.size + fixed) // 2, model.m * (grid.size - fixed) // 2]
@@ -483,7 +482,7 @@ class TestParitySplit:
         base = V[0] + grid.reflect(V[0])
         shifts = [(shift + y,) + (0,) * (grid.dim - 1) for y in range(model.m)]
         fam = make_translate_family(base, grid, shifts)
-        assert len(_parity_blocks(grid, (fam.V,))) == 1
+        assert len(reflection_blocks(grid, (fam.V,), fam.m)) == 1
         if not np.all(fam.V == fam.V[0]):  # one state takes the chain modes
             ham = assemble_h(fam, model)
             report = eigen_analysis(ham)
@@ -505,7 +504,7 @@ class TestParitySplit:
         fam = sech_family(grid, m=m)
         hops = np.eye(m, k=1) + np.eye(m, k=-1)  # the path graph on m states
         model = MarkovModel(np.diag(hops.sum(axis=1)) - hops)
-        assert [b.index.size for b in _parity_blocks(grid, (fam.V,))] == [m * grid.size]
+        assert [b.index.size for b in reflection_blocks(grid, (fam.V,), fam.m)] == [m * grid.size]
         ham = assemble_h(fam, model)
         assert_matches_unsplit(eigen_analysis(ham), ham)
         mins = kb_scan(fam, model, SPLIT_LAMBDAS)["min_singular_values"]
@@ -516,7 +515,7 @@ class TestParitySplit:
         grid = SpatialGrid(1, 64, 40.0)
         fam = sech_family(grid, m=2, contrast=1.0)
         ham = assemble_h(fam, two_state_model())
-        even, odd = _parity_blocks(grid, (fam.V,))
+        even, odd = reflection_blocks(grid, (fam.V,), fam.m)
         B = np.zeros((ham.size, even.index.size))
         cols = np.arange(even.index.size)
         B[even.index, cols] = even.weight
@@ -565,7 +564,7 @@ class TestTwoStateSimilarity:
         if even:
             V = V + np.array([grid.reflect(v) for v in V])
         fam = PotentialFamily(grid, V)
-        assert len(_parity_blocks(grid, (fam.V,))) == (2 if even else 1)
+        assert len(reflection_blocks(grid, (fam.V,), fam.m)) == (2 if even else 1)
         ham = assemble_h(fam, model)
         report = eigen_analysis(ham)
         assert_matches_unsplit(report, ham)
@@ -593,7 +592,7 @@ class TestTwoStateSimilarity:
         report = eigen_analysis(ham)
         window = np.tile(ham.well_window, ham.m)
         want, want_loc = [], []
-        for block in _parity_blocks(grid, (V,)):
+        for block in reflection_blocks(grid, (V,), len(V)):
             vals, vecs = np.linalg.eig(block.restrict(ham.H))
             mass = np.abs(block.extend(vecs)) ** 2
             want.append(vals)
@@ -609,7 +608,7 @@ def dense_path_eigen(ham):
     n, m, H = ham.grid.size, ham.m, ham.H
     if np.all(ham.V == ham.V[0]):
         levels, loc = [], []
-        for block in _parity_blocks(ham.grid, (ham.V[:1],)):
+        for block in reflection_blocks(ham.grid, (ham.V[:1],)):
             E, U = np.linalg.eigh(block.restrict(H[:n, :n].real))
             mass = block.extend(U) ** 2
             levels.append(E)
@@ -620,7 +619,7 @@ def dense_path_eigen(ham):
     real = m == 2 and ham.A[0, 0] == ham.A[1, 1]
     window = np.tile(ham.well_window, m)
     eigvals, loc = [], []
-    for block in _parity_blocks(ham.grid, (ham.V,)):
+    for block in reflection_blocks(ham.grid, (ham.V,), ham.m):
         M = block.restrict(H)
         if real:
             k = len(M) // 2
@@ -725,7 +724,7 @@ class TestResolventIdentity:
         elif kind == "equal":
             V = np.tile(V[0], (model.m, 1))
         fam = PotentialFamily(grid, V)
-        assert len(_parity_blocks(grid, (fam.V,))) == (2 if kind == "even" else 1)
+        assert len(reflection_blocks(grid, (fam.V,), fam.m)) == (2 if kind == "even" else 1)
         got = [resolvent_identity_residual(fam, model, lam) for lam in SPLIT_LAMBDAS]
         want = [dense_residual(fam, model, lam) for lam in SPLIT_LAMBDAS]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -735,7 +734,7 @@ class TestResolventIdentity:
         fam = sech_family(SpatialGrid(1, 64, 20.0), m=m)
         hops = np.eye(m, k=1) + np.eye(m, k=-1)  # the path graph on m states
         model = MarkovModel(np.diag(hops.sum(axis=1)) - hops)
-        assert len(_parity_blocks(fam.grid, (fam.V,))) == 2
+        assert len(reflection_blocks(fam.grid, (fam.V,), fam.m)) == 2
         rng = np.random.default_rng(7)
         lams = [complex(rng.uniform(-8, 8), rng.uniform(-4, -0.1)) for _ in range(5)]
         got = [resolvent_identity_residual(fam, model, lam) for lam in lams]
@@ -749,7 +748,7 @@ class TestResolventIdentity:
         grid = SpatialGrid(1, 32, 12.0)
         fam, model = sech_family(grid, m=1), MarkovModel(np.zeros((1, 1)))
         ham = assemble_h(fam, model)
-        for block in _parity_blocks(grid, (fam.V,)):
+        for block in reflection_blocks(grid, (fam.V,), fam.m):
             level = np.linalg.eigvalsh(spectral._block_matrix(ham, block, real=True))[0]
             lam = complex(level + 1e-6, 0.0)
             got = resolvent_identity_residual(fam, model, lam)
